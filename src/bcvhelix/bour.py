@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import (
+    BcvHelixError,
     DegenerateOrbit,
     DegenerateRadius,
     DomainError,
@@ -37,6 +38,7 @@ from .numerics import (
     CumulativeQuadrature,
     SmoothFunction,
     Tolerances,
+    scan_interval,
 )
 from .orbit import HelicoidalAction, ProfileCurve, volume_omega
 from .spaces import BcvSpace
@@ -44,6 +46,7 @@ from .spaces import BcvSpace
 __all__ = [
     "BourSeed",
     "NaturalChart",
+    "chart_terms",
     "delta",
     "xi1_from_seed",
     "xi2_integrand",
@@ -84,28 +87,33 @@ class BourSeed:
             raise ValueError(f"empty u_domain {self.u_domain}")
 
 
-def delta(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Discriminant D(u) of the chart; raises NegativeDiscriminant below -clamp."""
-    Uv = seed.U(u)
-    m2U2 = seed.m * seed.m * Uv * Uv
-    d = (1.0 - 2.0 * seed.a * space.tau) ** 2 + (m2U2 - seed.a * seed.a) * (
-        4.0 * space.tau * space.tau - space.kappa
-    )
+def _discriminant(
+    space: BcvSpace, m: float, a: float, Uv: float, u: float, tol: Tolerances
+) -> tuple[float, float, float]:
+    """(m^2 U^2, m^2 U^2 - a^2, Delta) at U(u) = Uv; Delta within
+    radicand_clamp below zero counts as 0, further below it raises."""
+    m2U2 = m * m * Uv * Uv
+    num = m2U2 - a * a
+    d = (1.0 - 2.0 * a * space.tau) ** 2 + num * (4.0 * space.tau * space.tau - space.kappa)
     if d < 0.0:
-        if d > -tol.radicand_clamp:
-            return 0.0
-        raise NegativeDiscriminant(f"Delta(u={u}) = {d:.6e} < 0")
-    return d
+        if d <= -tol.radicand_clamp:
+            raise NegativeDiscriminant(f"Delta(u={u}) = {d:.6e} < 0")
+        d = 0.0
+    return m2U2, num, d
 
 
-def _chart_pieces(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances):
-    """(U, U', m^2 U^2, Delta, sqrt(Delta), numerator, denominator, xi1^2)."""
-    Uv = seed.U(u)
-    dU = seed.U.deriv(u)
-    m2U2 = seed.m * seed.m * Uv * Uv
-    d = delta(space, seed, u, tol)
+def chart_terms(
+    space: BcvSpace, m: float, a: float, Uv: float, u: float, tol: Tolerances
+) -> tuple:
+    """(m^2 U^2, Delta, sqrt(Delta), numerator, denominator, xi1^2) at U(u) = Uv.
+
+    The one evaluation of the discriminant and the radius
+    xi1^2 = 4 num / den, num = m^2 U^2 - a^2, den = (1 + sqrt(D))^2 - 4 tau^2 m^2 U^2.
+    Delta and num within radicand_clamp below zero count as 0; further below
+    they raise, as does a nonpositive denominator.
+    """
+    m2U2, num, d = _discriminant(space, m, a, Uv, u, tol)
     sd = math.sqrt(d)
-    num = m2U2 - seed.a * seed.a
     den = (1.0 + sd) ** 2 - 4.0 * space.tau * space.tau * m2U2
     if num < 0.0:
         if num < -tol.radicand_clamp:
@@ -117,33 +125,43 @@ def _chart_pieces(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances):
                 f"radius formula degenerates at u={u} (num={num:.3e}, den={den:.3e})"
             )
         raise DomainError(f"(1+sqrt(D))^2 - 4 tau^2 m^2 U^2 = {den:.6e} <= 0 at u={u}")
-    xi1sq = 4.0 * num / den
-    return Uv, dU, m2U2, d, sd, num, den, xi1sq
+    return m2U2, d, sd, num, den, 4.0 * num / den
+
+
+def delta(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Discriminant D(u) of the chart; raises NegativeDiscriminant below -clamp."""
+    return _discriminant(space, seed.m, seed.a, seed.U(u), u, tol)[2]
 
 
 def xi1_from_seed(
     space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances = DEFAULT_TOL
 ) -> float:
     """Profile radius xi1(u) = 2 sqrt(num/den)."""
-    *_, xi1sq = _chart_pieces(space, seed, u, tol)
+    *_, xi1sq = chart_terms(space, seed.m, seed.a, seed.U(u), u, tol)
     return math.sqrt(xi1sq)
 
 
-def _radicand(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances) -> tuple:
-    Uv, dU, m2U2, d, sd, num, den, xi1sq = _chart_pieces(space, seed, u, tol)
-    if d == 0.0:
-        raise NegativeDiscriminant(f"Delta vanishes at u={u}: radicand undefined")
-    q = (seed.m * seed.m * Uv * dU) ** 2
-    sub = q * (4.0 + space.kappa * xi1sq) ** 2 / (16.0 * d)
+def _xi2_radicand(
+    space: BcvSpace, p: float, d: float, xi1sq: float, u: float, tol: Tolerances
+) -> float:
+    """R = xi1^2 - p^2 (4 + kappa xi1^2)^2 / (16 D) with p = m^2 U U'; raises below
+    the cancellation band, and values inside it count as 0."""
+    sub = p ** 2 * (4.0 + space.kappa * xi1sq) ** 2 / (16.0 * d)
     rad = xi1sq - sub
     # cancellation band: a radicand this small relative to its terms is the
     # boundary of validity (e.g. the helicoid's identically-zero radicand)
     band = max(tol.radicand_clamp, 4e-15 * (xi1sq + abs(sub)))
-    if rad < band:
-        if rad < -band:
-            raise NegativeRadicand(f"xi2 radicand = {rad:.6e} < 0 at u={u}")
-        rad = 0.0
-    return Uv, xi1sq, rad
+    if not rad >= -band:
+        raise NegativeRadicand(f"xi2 radicand = {rad:.6e} < 0 at u={u}")
+    return 0.0 if rad < band else rad
+
+
+def _radicand(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances) -> tuple:
+    Uv, dU = seed.U(u), seed.U.deriv(u)
+    _, d, _, _, _, xi1sq = chart_terms(space, seed.m, seed.a, Uv, u, tol)
+    if d == 0.0:
+        raise NegativeDiscriminant(f"Delta vanishes at u={u}: radicand undefined")
+    return Uv, xi1sq, _xi2_radicand(space, seed.m * seed.m * Uv * dU, d, xi1sq, u, tol)
 
 
 def xi2_integrand(
@@ -214,45 +232,18 @@ def _valid_at(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances) -> boo
         dU = seed.U.deriv(u)
         if not math.isfinite(dU):
             return False
-        m2U2 = seed.m * seed.m * Uv * Uv
-        d = (1.0 - 2.0 * seed.a * space.tau) ** 2 + (m2U2 - seed.a * seed.a) * (
-            4.0 * space.tau * space.tau - space.kappa
-        )
-        if d < -tol.radicand_clamp:
-            return False
-        d = max(d, 0.0)
-        sd = math.sqrt(d)
-        num = m2U2 - seed.a * seed.a
-        if num < -tol.radicand_clamp:
-            return False
-        num = max(num, 0.0)
-        den = (1.0 + sd) ** 2 - 4.0 * space.tau * space.tau * m2U2
-        if den <= 0.0:
-            return False
+        _, d, sd, _, _, xi1sq = chart_terms(space, seed.m, seed.a, Uv, u, tol)
         if 1.0 - 2.0 * seed.a * space.tau + sd <= 0.0:  # B > 0
             return False
-        xi1sq = 4.0 * num / den
+        p = seed.m * seed.m * Uv * dU
         if d == 0.0:
             # acceptable only if the radicand prefactor vanishes too
-            return (seed.m * seed.m * Uv * dU) == 0.0
-        q = (seed.m * seed.m * Uv * dU) ** 2
-        sub = q * (4.0 + space.kappa * xi1sq) ** 2 / (16.0 * d)
-        # same cancellation band as the integrand evaluation
-        return xi1sq - sub >= -max(tol.radicand_clamp, 4e-15 * (xi1sq + abs(sub)))
-    except Exception:
+            return p == 0.0
+        _xi2_radicand(space, p, d, xi1sq, u, tol)
+        return True
+    except (BcvHelixError, ArithmeticError, ValueError):
+        # mathematical failures only: anything else is a bug and propagates
         return False
-
-
-def _edge_inward(pred: Callable[[float], bool], good: float, bad: float, tol: float) -> float:
-    """Last predicate-true abscissa between good and bad, within tol, on the
-    good side of the flip (so downstream evaluation never lands outside)."""
-    while abs(bad - good) > tol:
-        mid = 0.5 * (good + bad)
-        if pred(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
 
 
 def domain_of_validity(
@@ -272,24 +263,7 @@ def domain_of_validity(
         raise EmptyDomain(
             f"chart invalid at the u_domain midpoint u0={u0}; no validity interval"
         )
-    step = (hi - lo) / (scan_points - 1)
-    right = hi
-    u = u0
-    while u < hi:
-        nxt = min(u + step, hi)
-        if not pred(nxt):
-            right = _edge_inward(pred, u, nxt, tol.bisect)
-            break
-        u = nxt
-    left = lo
-    u = u0
-    while u > lo:
-        nxt = max(u - step, lo)
-        if not pred(nxt):
-            left = _edge_inward(pred, u, nxt, tol.bisect)
-            break
-        u = nxt
-    return left, right
+    return scan_interval(pred, u0, seed.u_domain, (hi - lo) / (scan_points - 1), tol.bisect)
 
 
 @dataclass
@@ -392,7 +366,8 @@ class NaturalChart:
 def _analytic_dxi1(space: BcvSpace, seed: BourSeed, tol: Tolerances) -> Callable[[float], float]:
     # xi1' = m^2 B^2 U U' / (sqrt(Delta) xi1), B = 1 + kappa xi1^2 / 4
     def dxi1(u: float) -> float:
-        Uv, dU, m2U2, d, sd, num, den, xi1sq = _chart_pieces(space, seed, u, tol)
+        Uv, dU = seed.U(u), seed.U.deriv(u)
+        _, _, sd, _, _, xi1sq = chart_terms(space, seed.m, seed.a, Uv, u, tol)
         if xi1sq == 0.0 or sd == 0.0:
             raise DegenerateRadius(f"xi1' singular at u={u}")
         B = 1.0 + 0.25 * space.kappa * xi1sq

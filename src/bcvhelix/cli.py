@@ -15,6 +15,7 @@ Exit status: 0 iff every requested check passed; 1 on a failed check;
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -50,6 +51,39 @@ _EXPR_NS = {
     )
 }
 _EXPR_NS["abs"] = abs
+_EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_EXPR_UNARYOPS = (ast.UAdd, ast.USub)
+
+
+def _disallowed(node: ast.AST) -> Optional[ast.AST]:
+    """The first node outside the profile-expression grammar, or None: u,
+    int/float literals, + - * / **, unary +-, the constants of _EXPR_NS and
+    calls of its functions with positional arguments."""
+    children: list = []
+    if isinstance(node, ast.Constant):
+        ok = type(node.value) in (int, float)
+    elif isinstance(node, ast.Name):
+        ok = node.id == "u" or (node.id in _EXPR_NS and not callable(_EXPR_NS[node.id]))
+    elif isinstance(node, ast.BinOp):
+        ok, children = isinstance(node.op, _EXPR_BINOPS), [node.left, node.right]
+    elif isinstance(node, ast.UnaryOp):
+        ok, children = isinstance(node.op, _EXPR_UNARYOPS), [node.operand]
+    elif isinstance(node, ast.Call):
+        ok = (
+            isinstance(node.func, ast.Name)
+            and callable(_EXPR_NS.get(node.func.id))
+            and not node.keywords
+        )
+        children = node.args
+    else:
+        ok = False
+    if not ok:
+        return node
+    for child in children:
+        bad = _disallowed(child)
+        if bad is not None:
+            return bad
+    return None
 
 
 @dataclass
@@ -192,10 +226,20 @@ def parse_config(cfg: dict, mode: str) -> JobConfig:
 
 
 def _compile_expr(expr: str, path: str):
+    # a config file must not run code: only the checked grammar is compiled
+    if not isinstance(expr, str):
+        raise ConfigError(f"{path}: expected an expression string, got {expr!r}")
     try:
-        code = compile(expr, f"<{path}>", "eval")
+        tree = ast.parse(expr, f"<{path}>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"{path}: bad expression {expr!r}: {exc}")
+    bad = _disallowed(tree.body)
+    if bad is not None:
+        raise ConfigError(
+            f"{path}: {ast.unparse(bad)!r} is not allowed in {expr!r}; use u, numbers, "
+            f"+ - * / **, and {', '.join(sorted(_EXPR_NS))}"
+        )
+    code = compile(tree, f"<{path}>", "eval")
 
     def fn(u: float) -> float:
         try:

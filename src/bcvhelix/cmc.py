@@ -41,8 +41,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from .bour import BourSeed
+from .bour import BourSeed, chart_terms
 from .errors import (
+    BcvHelixError,
     DegenerateFamily,
     DomainError,
     NegativeDiscriminant,
@@ -50,7 +51,7 @@ from .errors import (
     NoRealFamily,
     ParameterOutOfRange,
 )
-from .numerics import DEFAULT_TOL, SmoothFunction, Tolerances
+from .numerics import DEFAULT_TOL, SmoothFunction, Tolerances, scan_interval
 from .spaces import BcvSpace, SpaceClass, classify
 
 __all__ = [
@@ -175,7 +176,8 @@ def _family_domain(
     def ok(u: float) -> bool:
         try:
             v = U2(u)
-        except Exception:
+        except (BcvHelixError, ArithmeticError, ValueError):
+            # mathematical failures only: anything else is a bug and propagates
             return False
         if not (math.isfinite(v) and v > 0.0):
             return False
@@ -196,34 +198,7 @@ def _family_domain(
         raise NoRealFamily(
             f"U^2 admits no valid point in the window [{lo}, {hi}]"
         )
-    step = (hi - lo) / (n - 1)
-    right, u = hi, best_u
-    while u < hi:
-        nxt = min(u + step, hi)
-        if not ok(nxt):
-            while nxt - u > tol.bisect:
-                mid = 0.5 * (u + nxt)
-                if ok(mid):
-                    u = mid
-                else:
-                    nxt = mid
-            right = u
-            break
-        u = nxt
-    left, u = lo, best_u
-    while u > lo:
-        nxt = max(u - step, lo)
-        if not ok(nxt):
-            while u - nxt > tol.bisect:
-                mid = 0.5 * (u + nxt)
-                if ok(mid):
-                    u = mid
-                else:
-                    nxt = mid
-            left = u
-            break
-        u = nxt
-    return left, right
+    return scan_interval(ok, best_u, window, (hi - lo) / (n - 1), tol.bisect)
 
 
 _ARCH_FLOOR = 1e-4  # relative inset from sqrt(Delta) = 0 arch boundaries
@@ -484,21 +459,13 @@ def minimal_U(
 
 
 def _eq_principal_pieces(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances):
-    kappa, tau = space.kappa, space.tau
-    m, a = seed.m, seed.a
     Uv = seed.U(u)
     dU = seed.U.deriv(u)
-    d2U = seed.U.second(u)
-    m2U2 = m * m * Uv * Uv
-    d = (1.0 - 2.0 * a * tau) ** 2 + (m2U2 - a * a) * (4.0 * tau * tau - kappa)
-    if d <= 0.0:
-        raise NegativeDiscriminant(f"Delta = {d:.6e} <= 0 at u={u}")
-    sd = math.sqrt(d)
-    den = (1.0 + sd) ** 2 - 4.0 * tau * tau * m2U2
-    if den <= 0.0:
-        raise DomainError(f"radius denominator {den:.6e} <= 0 at u={u}")
-    B = 2.0 * (1.0 - 2.0 * a * tau + sd) / den
-    return Uv, dU, d2U, m2U2, d, sd, den, B
+    m2U2, d, sd, _, den, xi1sq = chart_terms(space, seed.m, seed.a, Uv, u, tol)
+    if d == 0.0:
+        raise NegativeDiscriminant(f"Delta vanishes at u={u}")
+    B = 2.0 * (1.0 - 2.0 * seed.a * space.tau + sd) / den
+    return Uv, dU, m2U2, d, sd, den, xi1sq, B
 
 
 def cmc_residual(
@@ -514,9 +481,10 @@ def cmc_residual(
     (analytic for all closed-form families).
     """
     kappa, tau = space.kappa, space.tau
-    m, a = seed.m, seed.a
-    Uv, dU, d2U, m2U2, d, sd, den, B = _eq_principal_pieces(space, seed, u, tol)
-    rad = 4.0 * (m2U2 - a * a) / den - m ** 4 * B * B * Uv * Uv * dU * dU / d
+    m = seed.m
+    Uv, dU, m2U2, d, sd, den, xi1sq, B = _eq_principal_pieces(space, seed, u, tol)
+    d2U = seed.U.second(u)
+    rad = xi1sq - m ** 4 * B * B * Uv * Uv * dU * dU / d
     if rad < 0.0:
         if rad < -tol.radicand_clamp:
             raise NegativeRadicand(f"mean-curvature radicand {rad:.6e} < 0 at u={u}")
@@ -549,7 +517,7 @@ def first_integral_check(
     """
     kappa, tau = space.kappa, space.tau
     m, a = seed.m, seed.a
-    Uv, dU, d2U, m2U2, d, sd, den, B = _eq_principal_pieces(space, seed, u, tol)
+    Uv, dU, m2U2, d, sd, den, xi1sq, B = _eq_principal_pieces(space, seed, u, tol)
     x = m * Uv
     dx = m * dU
     rad = (x * x - a * a) * den / (1.0 - 2.0 * a * tau + sd) ** 2 - x * x * dx * dx / d
@@ -598,13 +566,7 @@ def sqrt_delta_ode_residual(
     kappa, tau = space.kappa, space.tau
     m, a = seed.m, seed.a
     k = cmc_constants(space, a, H, c)
-    Uv = seed.U(u)
-    dU = seed.U.deriv(u)
-    m2U2 = m * m * Uv * Uv
-    d = (1.0 - 2.0 * a * tau) ** 2 + (m2U2 - a * a) * (4.0 * tau * tau - kappa)
-    if d <= 0.0:
-        raise NegativeDiscriminant(f"Delta = {d:.6e} <= 0 at u={u}")
-    sd = math.sqrt(d)
+    Uv, dU, _, d, sd, _, _, _ = _eq_principal_pieces(space, seed, u, tol)
     dsd = (4.0 * tau * tau - kappa) * m * m * Uv * dU / sd
     nu = H * H + kappa
     return dsd * dsd - (-nu * d + 2.0 * k.b1 * sd + k.b)

@@ -1,9 +1,12 @@
 """Shared numerical kernels.
 
 Adaptive Gauss-Kronrod quadrature, cumulative (antiderivative-style)
-quadrature with panel caching, central finite differences with one Richardson
-level, and bisection for locating domain endpoints.  All kernels are
-deterministic: identical inputs give bit-identical outputs.
+quadrature with panel caching, one Richardson difference kernel behind every
+finite difference, and one bisection loop behind root bracketing and the
+outward interval scan that locates domain endpoints.  All kernels are
+deterministic: identical inputs give bit-identical outputs, except that a
+CumulativeQuadrature value can still depend on which abscissae were queried
+before it (ROADMAP item 4(c)).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import NoBracket, QuadratureFailure, StencilOutOfDomain
+from .errors import BcvHelixError, NoBracket, QuadratureFailure, StencilOutOfDomain
 
 __all__ = [
     "Tolerances",
@@ -23,8 +26,10 @@ __all__ = [
     "SmoothFunction",
     "quad_adaptive",
     "CumulativeQuadrature",
+    "richardson",
     "diff_central",
     "bracket_root",
+    "scan_interval",
 ]
 
 
@@ -297,27 +302,58 @@ class CumulativeQuadrature:
             return -total
 
 
+def richardson(d: Callable[[float], float], h: float, h_min: Optional[float] = None):
+    """One Richardson level (4 d(h/2) - d(h)) / 3 of a difference quotient d.
+
+    d(h) is evaluated before d(h/2); scalar and array values both work.
+    Without h_min, errors raised by ``d`` propagate.  With h_min, a
+    BcvHelixError halves h and retries, and StencilOutOfDomain is raised once
+    h would fall below h_min.
+    """
+    while True:
+        try:
+            d_h = d(h)
+            return (4.0 * d(0.5 * h) - d_h) / 3.0
+        except BcvHelixError:
+            if h_min is None:
+                raise
+            h *= 0.5
+            if h < h_min:
+                raise StencilOutOfDomain(
+                    f"difference stencil cannot fit the domain above h_min={h_min}"
+                )
+
+
 def diff_central(
     f: Callable[[float], float],
-    u: float,
+    x: float,
     order: int = 1,
     h: float = DEFAULT_TOL.fd_first,
-) -> float:
+    h_min: Optional[float] = None,
+):
     """Central difference of order 1 or 2 with one Richardson level, O(h^4).
 
-    Domain errors raised by ``f`` propagate (callers that want stencil
-    shrinking wrap this; see oracle helpers).
+    ``f`` may be scalar- or array-valued.  Order 2 evaluates f(x) once,
+    first.  ``h_min`` enables stencil shrinking (see ``richardson``).
     """
     if order == 1:
-        d_h = (f(u + h) - f(u - h)) / (2.0 * h)
-        d_h2 = (f(u + 0.5 * h) - f(u - 0.5 * h)) / h
-        return (4.0 * d_h2 - d_h) / 3.0
+        return richardson(lambda s: (f(x + s) - f(x - s)) / (2.0 * s), h, h_min)
     if order == 2:
-        fc = f(u)
-        d_h = (f(u + h) - 2.0 * fc + f(u - h)) / (h * h)
-        d_h2 = (f(u + 0.5 * h) - 2.0 * fc + f(u - 0.5 * h)) / (0.25 * h * h)
-        return (4.0 * d_h2 - d_h) / 3.0
+        fc = f(x)
+        return richardson(lambda s: (f(x + s) - 2.0 * fc + f(x - s)) / (s * s), h, h_min)
     raise ValueError(f"order must be 1 or 2, got {order}")
+
+
+def _bisect(same: Callable[[float], bool], a: float, b: float, tol: float) -> tuple[float, float]:
+    """Halve the segment between a (where ``same`` holds) and b (where it
+    does not) until it is at most tol wide; a stays on the holding side."""
+    while abs(b - a) > tol:
+        mid = 0.5 * (a + b)
+        if same(mid):
+            a = mid
+        else:
+            b = mid
+    return a, b
 
 
 def bracket_root(
@@ -341,13 +377,37 @@ def bracket_root(
     s_lo, s_hi = state(lo), state(hi)
     if s_lo == s_hi:
         raise NoBracket(f"no sign change or flip on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if state(mid) == s_lo:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda x: state(x) == s_lo, lo, hi, tol)
     return 0.5 * (lo + hi)
+
+
+def scan_interval(
+    pred: Callable[[float], bool],
+    anchor: float,
+    window: tuple[float, float],
+    step: float,
+    tol: float,
+) -> tuple[float, float]:
+    """Maximal interval around ``anchor`` inside ``window`` where pred holds.
+
+    Walks outward from anchor (where pred must hold) in steps of ``step``,
+    clipped to the window, and bisects the first failing step down to tol.
+    Each endpoint is a window edge or a point where pred holds, within tol of
+    the flip, so downstream evaluation never lands outside.
+    """
+
+    def walk(edge: float, sign: float) -> float:
+        u = anchor
+        while sign * (edge - u) > 0.0:
+            nxt = u + sign * step
+            nxt = min(nxt, edge) if sign > 0.0 else max(nxt, edge)
+            if not pred(nxt):
+                return _bisect(pred, u, nxt, tol)[0]
+            u = nxt
+        return edge
+
+    right = walk(window[1], 1.0)
+    return walk(window[0], -1.0), right
 
 
 class SmoothFunction:
@@ -388,27 +448,3 @@ class SmoothFunction:
     @classmethod
     def wrap(cls, f) -> "SmoothFunction":
         return f if isinstance(f, SmoothFunction) else cls(f)
-
-
-def shrinking_diff(
-    f: Callable[[float], float],
-    u: float,
-    order: int = 1,
-    h: float = DEFAULT_TOL.fd_first,
-    h_min: float = DEFAULT_TOL.fd_min,
-) -> float:
-    """diff_central that halves the step when the stencil leaves the domain.
-
-    Errors out with StencilOutOfDomain once the step would drop below h_min.
-    """
-    from .errors import BcvHelixError
-
-    while True:
-        try:
-            return diff_central(f, u, order=order, h=h)
-        except BcvHelixError:
-            h *= 0.5
-            if h < h_min:
-                raise StencilOutOfDomain(
-                    f"stencil at u={u} cannot fit the domain above h_min={h_min}"
-                )

@@ -27,7 +27,7 @@ from .errors import (
     DegenerateImmersion,
     StencilOutOfDomain,
 )
-from .numerics import DEFAULT_TOL, SmoothFunction, Tolerances
+from .numerics import DEFAULT_TOL, SmoothFunction, Tolerances, diff_central, richardson
 from .orbit import HelicoidalAction, ProfileCurve
 from .spaces import AmbientPoint, BcvSpace, christoffels, metric_cartesian
 
@@ -129,36 +129,11 @@ def embed(space: BcvSpace, chart: SurfaceChart, u: float, t: float) -> AmbientPo
     return AmbientPoint(x, y, z)
 
 
-def _shrinking_vec_diff(f, x: float, order: int, h: float, h_min: float) -> np.ndarray:
-    """Vector-valued central difference with one Richardson level, halving
-    the step while the stencil raises domain errors."""
-    while True:
-        try:
-            if order == 1:
-                d_h = (f(x + h) - f(x - h)) / (2.0 * h)
-                d_h2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-            else:
-                fc = f(x)
-                d_h = (f(x + h) - 2.0 * fc + f(x - h)) / (h * h)
-                d_h2 = (f(x + 0.5 * h) - 2.0 * fc + f(x - 0.5 * h)) / (0.25 * h * h)
-            return (4.0 * d_h2 - d_h) / 3.0
-        except BcvHelixError:
-            h *= 0.5
-            if h < h_min:
-                raise StencilOutOfDomain(
-                    f"derivative stencil at {x} cannot fit the chart domain"
-                )
-
-
 def _tangents(
     chart: SurfaceChart, u: float, t: float, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray]:
-    psi_u = _shrinking_vec_diff(
-        lambda v: chart.point(v, t), u, 1, tol.fd_first, tol.fd_min
-    )
-    psi_t = _shrinking_vec_diff(
-        lambda s: chart.point(u, s), t, 1, tol.fd_first, tol.fd_min
-    )
+    psi_u = diff_central(lambda v: chart.point(v, t), u, 1, tol.fd_first, tol.fd_min)
+    psi_t = diff_central(lambda s: chart.point(u, s), t, 1, tol.fd_first, tol.fd_min)
     return psi_u, psi_t
 
 
@@ -188,13 +163,7 @@ def _mixed_second(chart: SurfaceChart, u: float, t: float, h: float, tol: Tolera
             + chart.point(u - hh, t - hh)
         ) / (4.0 * hh * hh)
 
-    while True:
-        try:
-            return (4.0 * d(0.5 * h) - d(h)) / 3.0
-        except BcvHelixError:
-            h *= 0.5
-            if h < tol.fd_min:
-                raise StencilOutOfDomain(f"mixed stencil at ({u}, {t}) out of domain")
+    return richardson(d, h, tol.fd_min)
 
 
 def _normal(
@@ -266,12 +235,8 @@ def mean_curvature_extrinsic(
     if det <= 0.0:
         raise DegenerateImmersion(f"EG - F^2 = {det:.6e} <= 0 at (u={u}, t={t})")
     n = _orientation(space, chart, tol) * _normal(space, chart, u, t, psi_u, psi_t, g)
-    psi_uu = _shrinking_vec_diff(
-        lambda v: chart.point(v, t), u, 2, tol.fd_second, tol.fd_min
-    )
-    psi_tt = _shrinking_vec_diff(
-        lambda s: chart.point(u, s), t, 2, tol.fd_second, tol.fd_min
-    )
+    psi_uu = diff_central(lambda v: chart.point(v, t), u, 2, tol.fd_second, tol.fd_min)
+    psi_tt = diff_central(lambda s: chart.point(u, s), t, 2, tol.fd_second, tol.fd_min)
     psi_ut = _mixed_second(chart, u, t, tol.fd_second, tol)
     gamma = christoffels(space, p, tol=tol)
     gn = g @ n

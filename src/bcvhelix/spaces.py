@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import DEFAULT_TOL, Tolerances, diff_central
 
 __all__ = [
     "BcvSpace",
@@ -231,9 +231,7 @@ def christoffels(
 
     dg = np.empty((3, 3, 3))  # dg[l, i, j] = d_l g_ij
     for axis in range(3):
-        d_h = (g_at(axis, h) - g_at(axis, -h)) / (2.0 * h)
-        d_h2 = (g_at(axis, 0.5 * h) - g_at(axis, -0.5 * h)) / h
-        dg[axis] = (4.0 * d_h2 - d_h) / 3.0
+        dg[axis] = diff_central(lambda s: g_at(axis, s), 0.0, 1, h)
     g = metric_cartesian(space, x0, tol)
     g_inv = np.linalg.inv(g)
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); dg[a,b,c] = d_a g_bc
@@ -264,9 +262,7 @@ def killing_residual(
     for axis in range(3):
         e = np.zeros(3)
         e[axis] = 1.0
-        d_h = (lowered(x0 + h * e) - lowered(x0 - h * e)) / (2.0 * h)
-        d_h2 = (lowered(x0 + 0.5 * h * e) - lowered(x0 - 0.5 * h * e)) / h
-        dX[axis] = (4.0 * d_h2 - d_h) / 3.0
+        dX[axis] = diff_central(lambda s: lowered(x0 + s * e), 0.0, 1, h)
     gamma = christoffels(space, x0, tol=tol)
     X_low = lowered(x0)
     nabla = dX - np.einsum("kij,k->ij", gamma, X_low)

@@ -324,6 +324,18 @@ class TestErrorPaths:
         with pytest.raises(bcvhelix.NegativeRadicand):
             xi2_integrand(R3, seed, 1.5)  # outside |u| < sqrt(1/3)
 
+    def test_validity_scan_propagates_bugs(self):
+        # a programming error in U is not an invalid point: the scan must not
+        # silently cut the domain at the first abscissa that hits it
+        def U(u):
+            if u > 0.5:
+                raise TypeError("bug in U")
+            return math.sqrt(u * u + 1.0)
+
+        seed = BourSeed(SmoothFunction(U, lambda u: u / U(u)), 1.0, 0.0, (-1.0, 1.0))
+        with pytest.raises(TypeError):
+            domain_of_validity(R3, seed)
+
     def test_build_chart_empty_domain(self):
         seed = BourSeed(catenoid_profile(), 1.0, 5.0, (-1, 1))
         with pytest.raises(EmptyDomain):

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from bcvhelix.cli import main
 
 
@@ -214,6 +216,22 @@ class TestConfigValidation:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "abs(().__class__.__base__.__subclasses__().__len__()) * 0 + u",
+            "sqrt(u*u+1) + foo",
+            5,
+        ],
+        ids=["attribute-escape", "unknown-name", "not-a-string"],
+    )
+    def test_expression_outside_grammar_rejected(self, tmp_path, capsys, expr):
+        # a config file must not run code, and an unknown name is a config mistake
+        cfg = json.loads(json.dumps(HELICOID))
+        cfg["seed"]["U"] = expr
+        assert run(tmp_path, "chart", cfg) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_override_changes_grid(self, tmp_path, capsys):
         assert run(tmp_path, "classify", NIL_MINIMAL, overrides=["space.kappa=1.0"]) == 0

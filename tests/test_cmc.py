@@ -22,6 +22,8 @@ from bcvhelix import (
     sqrt_delta_ode_residual,
     z_ode_residual,
 )
+from bcvhelix.cmc import _family_domain
+from bcvhelix.numerics import DEFAULT_TOL
 from conftest import NIL, R3, S2XR, SPHERE, SU2_SPACE
 
 # representative (space, H, a, c, m) per solution case; all verified to have
@@ -182,6 +184,23 @@ class TestMinimalU:
     def test_sphere_branch_assumption(self):
         with pytest.raises(ParameterOutOfRange):
             minimal_U(SPHERE, 1.0, 1.5, 0.1)  # 1 - 2 a tau < 0
+
+
+class TestFamilyDomain:
+    def test_scan_propagates_bugs(self):
+        def U2(u):
+            if u > 0.5:
+                raise TypeError("bug in U^2")
+            return 1.0 + u * u
+
+        with pytest.raises(TypeError):
+            _family_domain(1.0, 0.0, U2, None, (-1.0, 1.0), DEFAULT_TOL)
+
+    def test_math_failure_bounds_domain(self):
+        # math.sqrt's ValueError past u = 0.5 is a mathematical failure
+        U2 = lambda u: math.sqrt(0.5 - u)
+        lo, hi = _family_domain(1.0, 0.0, U2, None, (-1.0, 1.0), DEFAULT_TOL)
+        assert lo == -1.0 and 0.5 - DEFAULT_TOL.bisect <= hi < 0.5
 
 
 class TestResiduals:

@@ -1,17 +1,28 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcvhelix import (
     CumulativeQuadrature,
+    DomainError,
     NoBracket,
     QuadratureFailure,
     SmoothFunction,
+    StencilOutOfDomain,
     bracket_root,
     diff_central,
     quad_adaptive,
 )
+from bcvhelix.numerics import scan_interval
+
+
+def exp_below_one(x):
+    """exp on its domain x <= 1; a domain error beyond."""
+    if x > 1.0:
+        raise DomainError(f"x={x} > 1")
+    return math.exp(x)
 
 
 class TestQuadAdaptive:
@@ -74,6 +85,25 @@ class TestDiffCentral:
         with pytest.raises(ValueError):
             diff_central(math.sin, 0.0, order=3)
 
+    def test_array_valued(self):
+        f = lambda x: np.array([math.sin(x), x ** 3])
+        for order, exact in ((1, [math.cos(0.3), 3 * 0.3 ** 2]), (2, [-math.sin(0.3), 6 * 0.3])):
+            d = diff_central(f, 0.3, order=order, h=1e-4)
+            assert d.shape == (2,)
+            assert np.max(np.abs(d - exact)) < 1e-7
+
+    def test_shrinks_past_domain_edge(self):
+        x = 1.0 - 3e-4  # h = 1e-3 and 5e-4 leave the domain, 2.5e-4 fits
+        with pytest.raises(DomainError):
+            diff_central(exp_below_one, x, order=1, h=1e-3)
+        for order in (1, 2):
+            d = diff_central(exp_below_one, x, order=order, h=1e-3, h_min=1e-7)
+            assert abs(d - math.exp(x)) < 1e-6
+
+    def test_stencil_out_of_domain_below_h_min(self):
+        with pytest.raises(StencilOutOfDomain):
+            diff_central(exp_below_one, 1.0 - 1e-9, order=1, h=1e-5, h_min=1e-7)
+
 
 class TestBracketRoot:
     def test_sqrt2(self):
@@ -87,6 +117,25 @@ class TestBracketRoot:
     def test_no_bracket(self):
         with pytest.raises(NoBracket):
             bracket_root(lambda x: x + 10.0, 0.0, 1.0)
+
+
+class TestScanInterval:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(-4.9, -0.1),
+        b=st.floats(0.1, 4.9),
+        frac=st.floats(0.05, 0.95),
+        step=st.floats(1e-3, 3.0),
+    )
+    def test_brackets_true_interval(self, a, b, frac, step):
+        pred = lambda x: a < x < b
+        tol = 1e-9
+        left, right = scan_interval(pred, a + frac * (b - a), (-5.0, 5.0), step, tol)
+        assert pred(left) and pred(right)
+        assert left - a <= tol and b - right <= tol
+
+    def test_true_everywhere_gives_window(self):
+        assert scan_interval(lambda x: True, 0.3, (-1.0, 2.0), 0.7, 1e-9) == (-1.0, 2.0)
 
 
 class TestCumulativeQuadrature:
