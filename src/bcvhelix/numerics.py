@@ -4,9 +4,9 @@ Adaptive Gauss-Kronrod quadrature, cumulative (antiderivative-style)
 quadrature with panel caching, one Richardson difference kernel behind every
 finite difference, and one bisection loop behind root bracketing and the
 outward interval scan that locates domain endpoints.  All kernels are
-deterministic: identical inputs give bit-identical outputs, except that a
-CumulativeQuadrature value can still depend on which abscissae were queried
-before it (ROADMAP item 4(c)).
+deterministic: identical inputs give bit-identical outputs, and a
+CumulativeQuadrature value does not depend on which abscissae were queried
+before it.
 """
 
 from __future__ import annotations
@@ -251,7 +251,10 @@ class CumulativeQuadrature:
         return val
 
     def _partial(self, leaf: _Leaf, u: float, side: int) -> float:
-        # Integral over the part of `leaf` between its inner edge and u.
+        # Integral over the part of `leaf` between its inner edge and u.  The
+        # cell is refined first, so the walk below does not depend on which
+        # queries came before.
+        self._ensure(leaf)
         if leaf.children is not None:
             left, right = leaf.children
             if side > 0:

@@ -170,6 +170,21 @@ class TestCumulativeQuadrature:
         with pytest.raises(ValueError):
             F(3.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        u=st.floats(-0.25, 0.25),
+        before=st.lists(st.floats(-2.0, 2.0), max_size=5),
+    )
+    def test_value_independent_of_query_order(self, u, before):
+        # the peak at 0 refines the cells on [-0.1, 0.1]; a query inside one
+        # must not depend on whether an earlier query refined that cell
+        f = lambda x: 1.0 / (1e-4 + x * x)
+        fresh = CumulativeQuadrature(f, 0.3, -2.0, 2.0)
+        used = CumulativeQuadrature(f, 0.3, -2.0, 2.0)
+        for v in before:
+            used(v)
+        assert used(u) == fresh(u)
+
 
 class TestSmoothFunction:
     def test_fd_fallback(self):
