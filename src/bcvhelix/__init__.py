@@ -84,15 +84,19 @@ from .cmc import (
     z_ode_residual,
 )
 from .oracle import (
+    LocalGeometry,
     MeshGrid,
     SurfaceChart,
     embed,
+    first_form_grid,
     first_form_numeric,
     gauss_intrinsic,
     gauss_numeric,
     isometry_deviation,
+    local_geometry,
     mean_curvature_extrinsic,
     sample_mesh,
+    shared_grid,
 )
 
 __version__ = "0.1.0"

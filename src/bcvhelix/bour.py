@@ -21,7 +21,7 @@ midpoint u0 (vertical translations and rotations are ambient isometries).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import (
@@ -272,8 +272,7 @@ class NaturalChart:
 
     xi2 and theta0 are quadrature-backed antiderivatives vanishing at u0;
     theta(u, t) = t/m + theta0(u).  Immutable after construction; evaluation
-    is reentrant (per-u memo dicts hold deterministic values, so concurrent
-    fills are benign).
+    is reentrant.
     """
 
     space: BcvSpace
@@ -286,7 +285,6 @@ class NaturalChart:
     _theta0_quad: CumulativeQuadrature
     _xi2_integrand: Callable[[float], float]
     _theta0_integrand: Callable[[float], float]
-    _memo: dict = field(default_factory=dict, repr=False)
 
     def _check(self, u: float):
         lo, hi = self.u_valid
@@ -303,12 +301,7 @@ class NaturalChart:
 
     def xi2(self, u: float) -> float:
         self._check(u)
-        key = ("x", u)
-        v = self._memo.get(key)
-        if v is None:
-            v = self._xi2_quad(min(max(u, self.u_valid[0]), self.u_valid[1]))
-            self._memo[key] = v
-        return v
+        return self._xi2_quad(min(max(u, self.u_valid[0]), self.u_valid[1]))
 
     def dxi2(self, u: float) -> float:
         self._check(u)
@@ -316,12 +309,7 @@ class NaturalChart:
 
     def theta0(self, u: float) -> float:
         self._check(u)
-        key = ("t", u)
-        v = self._memo.get(key)
-        if v is None:
-            v = self._theta0_quad(min(max(u, self.u_valid[0]), self.u_valid[1]))
-            self._memo[key] = v
-        return v
+        return self._theta0_quad(min(max(u, self.u_valid[0]), self.u_valid[1]))
 
     def dtheta0(self, u: float) -> float:
         self._check(u)

@@ -32,10 +32,10 @@ from .numerics import SmoothFunction, Tolerances
 from .oracle import (
     MeshGrid,
     SurfaceChart,
-    first_form_numeric,
-    isometry_deviation,
-    mean_curvature_extrinsic,
+    first_form_grid,
+    local_geometry,
     sample_mesh,
+    shared_grid,
 )
 from .spaces import BcvSpace, classify
 
@@ -270,16 +270,19 @@ def resolve_profile(job: JobConfig):
     return U, meta
 
 
-def make_chart(job: JobConfig, a: Optional[float] = None) -> tuple[NaturalChart, dict]:
-    """Natural chart of the configured family member.
+def make_chart(
+    job: JobConfig, U: SmoothFunction, meta: dict, a: Optional[float] = None
+) -> tuple[NaturalChart, dict]:
+    """Natural chart of the configured family member, from the profile
+    ``U, meta`` that ``resolve_profile`` gave for the job.
 
     ``a`` overrides only the chart pitch (deform sweeps): the metric profile
     U stays the one resolved at the configured base pitch, so sweep frames
-    are members of one isometry family, not different surfaces.
+    are members of one isometry family, not different surfaces.  Each chart
+    scans its own validity domain, since validity depends on the pitch.
     """
-    U, meta = resolve_profile(job)
     pitch = job.a if a is None else a
-    meta["a"] = pitch
+    meta = dict(meta, a=pitch)
     lo, hi = meta["domain"]
     seed = BourSeed(U, job.m, pitch, (lo, hi))
     chart = build_chart(job.space, seed, job.tol)
@@ -396,7 +399,7 @@ def cmd_classify(job: JobConfig, out_dir: str) -> int:
 
 
 def _cmd_profile(job: JobConfig, out_dir: str) -> int:
-    chart, meta = make_chart(job)
+    chart, meta = make_chart(job, *resolve_profile(job))
     files = []
     if "csv" in job.formats or job.mode == "chart":
         path = os.path.join(out_dir, f"{job.basename}.profile.csv")
@@ -411,7 +414,7 @@ def _cmd_profile(job: JobConfig, out_dir: str) -> int:
 
 
 def cmd_verify(job: JobConfig, out_dir: str) -> int:
-    chart, meta = make_chart(job)
+    chart, meta = make_chart(job, *resolve_profile(job))
     sc = SurfaceChart.from_natural(chart, t_range=job.t_range)
     us = _interior_grid(chart, job)
     ts = np.linspace(job.t_range[0], job.t_range[1], min(job.nt, 7))
@@ -421,14 +424,15 @@ def cmd_verify(job: JobConfig, out_dir: str) -> int:
     max_form_dev = 0.0
     H_target = abs(meta.get("H", job.H))
     for u in us[:: max(1, len(us) // 12)]:
-        for t in ts:
-            h = mean_curvature_extrinsic(job.space, sc, u, t, job.tol)
-            max_h_dev = max(max_h_dev, abs(abs(h) - H_target))
-            E, F, G = first_form_numeric(job.space, sc, u, t, job.tol)
-            Uv = chart.U(u)
-            max_form_dev = max(
-                max_form_dev, abs(E - 1.0), abs(F), abs(G - Uv * Uv)
-            )
+        geo = local_geometry(job.space, sc, u, ts, job.tol).checked()
+        Uv = chart.U(u)
+        max_h_dev = max(max_h_dev, float(np.max(np.abs(np.abs(geo.H) - H_target))))
+        max_form_dev = max(
+            max_form_dev,
+            float(np.max(np.abs(geo.E - 1.0))),
+            float(np.max(np.abs(geo.F))),
+            float(np.max(np.abs(geo.G - Uv * Uv))),
+        )
     checks = {
         "cmc_residual": {"value": max_resid, "tol": job.check_tol["cmc_residual"]},
         "h_ext_vs_H": {"value": max_h_dev, "tol": job.check_tol["h_ext"]},
@@ -465,13 +469,14 @@ def _export_mesh(job: JobConfig, chart: NaturalChart, out_dir: str, suffix: str 
 
 
 def cmd_export(job: JobConfig, out_dir: str) -> int:
-    chart, meta = make_chart(job)
+    chart, meta = make_chart(job, *resolve_profile(job))
     mesh, files = _export_mesh(job, chart, out_dir)
     h_known = mesh.h_ext[~np.isnan(mesh.h_ext)]
     report = {
         "seed": meta,
         "vertices": int(mesh.vertex_count),
         "dropped_rows": list(mesh.dropped_rows),
+        "diagnostic_failures": mesh.diagnostic_failures,
         "max_abs_h_ext": float(np.max(np.abs(h_known))) if h_known.size else None,
         "files": [os.path.basename(f) for f in files],
     }
@@ -483,36 +488,43 @@ def cmd_export(job: JobConfig, out_dir: str) -> int:
 
 def cmd_deform(job: JobConfig, out_dir: str) -> int:
     values = job.sweep_values or [job.a]
-    charts, frames, errors = {}, [], {}
+    U, meta = resolve_profile(job)
+    surfaces, frames, errors = {}, [], {}
     for value in values:
         tag = f"_a={value:g}"
         try:
-            chart, meta = make_chart(job, a=value)
+            chart, _ = make_chart(job, U, meta, a=value)
             mesh, files = _export_mesh(job, chart, out_dir, suffix=tag)
-            charts[value] = chart
+            surfaces[value] = SurfaceChart.from_natural(chart, t_range=job.t_range)
             frames.append(
                 {"a": value, "files": [os.path.basename(f) for f in files],
                  "validity": list(chart.u_valid)}
             )
         except BcvHelixError as exc:
             errors[f"{value:g}"] = str(exc)
+    # each frame's first form is measured once per (u, t) grid it shares
+    grids = {}
+
+    def form_grid(value, us, ts):
+        key = (value, us[0], us[-1], ts[0], ts[-1])
+        if key not in grids:
+            grids[key] = first_form_grid(job.space, surfaces[value], us, ts, job.tol)
+        return grids[key]
+
     n = len(values)
     matrix = [[None] * n for _ in range(n)]
     worst = 0.0
     for i, vi in enumerate(values):
         for j, vj in enumerate(values):
-            if vi in charts and vj in charts:
+            if vi in surfaces and vj in surfaces:
                 if j < i:
                     matrix[i][j] = matrix[j][i]
                     continue
                 dev = 0.0
                 if i != j:
-                    dev = isometry_deviation(
-                        job.space,
-                        SurfaceChart.from_natural(charts[vi], t_range=job.t_range),
-                        SurfaceChart.from_natural(charts[vj], t_range=job.t_range),
-                        tol=job.tol,
-                    )
+                    us, ts = shared_grid(surfaces[vi], surfaces[vj])
+                    diff = form_grid(vi, us, ts) - form_grid(vj, us, ts)
+                    dev = float(np.max(np.abs(diff)))
                 matrix[i][j] = dev
                 worst = max(worst, dev)
     ok = not errors and worst < job.check_tol["isometry"]

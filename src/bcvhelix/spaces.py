@@ -107,34 +107,56 @@ def _xyz(p) -> tuple[float, float, float]:
     return x, y, z
 
 
-def scaling_factor(space: BcvSpace, rsq: float, tol: Tolerances = DEFAULT_TOL) -> float:
-    """B = 1 + (kappa/4) rsq with the domain guard B >= margin."""
-    if rsq < 0:
+def _points(p) -> np.ndarray:
+    """Cartesian coordinates of one point, shape (3,), or of a (..., 3) array."""
+    if isinstance(p, (AmbientPoint, CylPoint)):
+        return np.array(_xyz(p))
+    return np.asarray(p, dtype=float)
+
+
+def _any(flags) -> bool:
+    """Whether any flag is set, for one flag or an array of them."""
+    return bool(flags.any()) if isinstance(flags, np.ndarray) else bool(flags)
+
+
+def scaling_factor(space: BcvSpace, rsq, tol: Tolerances = DEFAULT_TOL):
+    """B = 1 + (kappa/4) rsq with the domain guard B >= margin.
+
+    ``rsq`` may be an array; the guard then holds for every entry.
+    """
+    if _any(rsq < 0):
         raise ValueError(f"rsq must be >= 0, got {rsq}")
     B = 1.0 + 0.25 * space.kappa * rsq
-    if B < tol.domain_margin:
+    if _any(B < tol.domain_margin):
+        k = int(np.argmax(np.ravel(B < tol.domain_margin)))
         raise DomainError(
-            f"point outside the metric domain: B={B:.3e} at r^2={rsq} "
-            f"(kappa={space.kappa})"
+            f"point outside the metric domain: B={np.ravel(B)[k]:.3e} at "
+            f"r^2={np.ravel(rsq)[k]} (kappa={space.kappa})"
         )
     return B
 
 
 def metric_cartesian(space: BcvSpace, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Metric components in (x, y, z); symmetric positive definite."""
-    x, y, z = _xyz(p)
+    """Metric components in (x, y, z); symmetric positive definite.
+
+    ``p`` is one point (result (3, 3)) or a (..., 3) array of points
+    (result (..., 3, 3)); DomainError if any point is outside the domain.
+    """
+    q = _points(p)
+    x, y = q[..., 0], q[..., 1]
     B = scaling_factor(space, x * x + y * y, tol)
     # one-form dz + alpha dx + beta dy
     alpha = space.tau * y / B
     beta = -space.tau * x / B
     invB2 = 1.0 / (B * B)
-    return np.array(
-        [
-            [invB2 + alpha * alpha, alpha * beta, alpha],
-            [alpha * beta, invB2 + beta * beta, beta],
-            [alpha, beta, 1.0],
-        ]
-    )
+    g = np.empty(q.shape[:-1] + (3, 3))
+    g[..., 0, 0] = invB2 + alpha * alpha
+    g[..., 1, 1] = invB2 + beta * beta
+    g[..., 2, 2] = 1.0
+    g[..., 0, 1] = g[..., 1, 0] = alpha * beta
+    g[..., 0, 2] = g[..., 2, 0] = alpha
+    g[..., 1, 2] = g[..., 2, 1] = beta
+    return g
 
 
 def metric_cylindrical(space: BcvSpace, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -219,25 +241,19 @@ def christoffels(
     """Gamma^k_{ij} from finite differences of the Cartesian metric.
 
     Central differences with one Richardson level; symmetric in (i, j) by
-    construction.  Step h is configurable; the stencil must stay strictly
-    inside the domain (DomainError otherwise).
+    construction.  ``p`` is one point (result (3, 3, 3)) or a (..., 3) array
+    of points (result (..., 3, 3, 3)).  Step h is configurable; the stencil
+    must stay strictly inside the domain (DomainError otherwise).
     """
-    x0 = np.array(_xyz(p), dtype=float)
-
-    def g_at(offset_axis: int, step: float) -> np.ndarray:
-        q = x0.copy()
-        q[offset_axis] += step
-        return metric_cartesian(space, q, tol)
-
-    dg = np.empty((3, 3, 3))  # dg[l, i, j] = d_l g_ij
-    for axis in range(3):
-        dg[axis] = diff_central(lambda s: g_at(axis, s), 0.0, 1, h)
-    g = metric_cartesian(space, x0, tol)
-    g_inv = np.linalg.inv(g)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); dg[a,b,c] = d_a g_bc
-    term = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    gamma = 0.5 * np.einsum("kl,ijl->kij", g_inv, term)
-    return gamma
+    x0 = _points(p)
+    # dg[..., l, i, j] = d_l g_ij, the three axis offsets x0 + s e_l at once
+    dg = diff_central(
+        lambda s: metric_cartesian(space, x0[..., None, :] + s * np.eye(3), tol), 0.0, 1, h
+    )
+    g_inv = np.linalg.inv(metric_cartesian(space, x0, tol))
+    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
+    term = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, term)
 
 
 def killing_residual(

@@ -23,11 +23,12 @@ from bcvhelix import (
     cmc_U,
     cmc_constants,
     cmc_residual,
-    first_form_numeric,
+    first_form_grid,
     first_integral_check,
     gauss_intrinsic,
     gauss_numeric,
     killing_residual,
+    local_geometry,
     mean_curvature_extrinsic,
     mean_curvature_reduced,
     metric_cartesian,
@@ -78,11 +79,14 @@ def test_criterion_01_bour_isometry(bour_family_charts):
     ts = np.linspace(-math.pi, math.pi, 41)
     for space, chart in bour_family_charts:
         sc = SurfaceChart.from_natural(chart)
-        for u in us:
-            Usq = chart.U(u) ** 2
-            for t in ts:
-                E, F, G = first_form_numeric(space, sc, u, t)
-                worst = max(worst, abs(E - 1.0), abs(F), abs(G - Usq))
+        forms = first_form_grid(space, sc, us, ts)
+        Usq = np.array([chart.U(u) ** 2 for u in us])[:, None]
+        worst = max(
+            worst,
+            float(np.max(np.abs(forms[..., 0] - 1.0))),
+            float(np.max(np.abs(forms[..., 1]))),
+            float(np.max(np.abs(forms[..., 2] - Usq))),
+        )
     check(
         "C1",
         worst < 1e-6,
@@ -315,8 +319,8 @@ def test_criterion_05_named_minimal_surfaces():
         sc = SurfaceChart.from_natural(chart, u_range=u_rng)
         h = 0.0
         for u in np.linspace(u_rng[0], u_rng[1], 41):
-            for t in np.linspace(-math.pi, math.pi, 41):
-                h = max(h, abs(mean_curvature_extrinsic(space, sc, u, t)))
+            geo = local_geometry(space, sc, u, np.linspace(-math.pi, math.pi, 41)).checked()
+            h = max(h, float(np.max(np.abs(geo.H))))
         details.append(f"{name} {h:.2e}")
         worst = max(worst, h)
     check(

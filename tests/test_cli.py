@@ -1,9 +1,13 @@
 import json
 import math
+import pathlib
 
 import pytest
 
+from bcvhelix import cli
 from bcvhelix.cli import main
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def run(tmp_path, command, cfg, overrides=(), out=None):
@@ -130,6 +134,23 @@ class TestExport:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+class TestDiagnosticFailures:
+    def test_counts_every_nan_h_ext_outside_dropped_rows(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "euclidean_cmc.json").read_text())
+        cfg["output"]["formats"] = ["csv", "json"]
+        assert run(tmp_path, "export", cfg) == 0
+        report = json.loads((tmp_path / "unduloid.export.json").read_text())
+        rows = (tmp_path / "unduloid.csv").read_text().strip().splitlines()[1:]
+        nt = cfg["grid"]["nt"]
+        nan_h = sum(
+            1
+            for k, row in enumerate(rows)
+            if k // nt not in report["dropped_rows"] and math.isnan(float(row.split(",")[5]))
+        )
+        assert nan_h > 0
+        assert sum(report["diagnostic_failures"].values()) == nan_h
+
+
 class TestDeform:
     def test_three_frame_sweep(self, tmp_path):
         cfg = {
@@ -177,6 +198,65 @@ class TestDeform:
         report = json.loads((tmp_path / "famsweep.deform.json").read_text())
         assert not report["frame_errors"]
         assert report["max_isometry_deviation"] < 1e-6
+
+    def test_profile_resolved_once_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.minimal_U
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "minimal_U", counted)
+        cfg = {
+            "space": {"kappa": 0.0, "tau": 0.5},
+            "seed": {"family": "minimal-case", "m": 1.0, "a": 0.5, "c": 1.0,
+                      "u_range": [-1.5, 1.5]},
+            "sweep": {"values": [0.5, 0.25, 0.0]},
+            "grid": {"nu": 6, "nt": 5, "t_range": [-1.0, 1.0]},
+            "output": {"basename": "once", "formats": ["json"]},
+        }
+        assert run(tmp_path, "deform", cfg) == 0
+        assert len(calls) == 1
+
+    def test_matrix_matches_pairwise_isometry_deviation(self, tmp_path):
+        # the per-frame grids are shared between pairs; every entry must still
+        # be the deviation of its own pair of frames
+        from bcvhelix import SurfaceChart, isometry_deviation
+
+        cfg = {
+            "space": {"kappa": 0.0, "tau": 0.5},
+            "seed": {"family": "minimal-case", "m": 1.0, "a": 0.5, "c": 1.0,
+                      "u_range": [-1.5, 1.5]},
+            "sweep": {"values": [0.5, 0.25, 0.0]},
+            "grid": {"nu": 5, "nt": 5, "t_range": [-1.0, 1.0]},
+            "output": {"basename": "pairs", "formats": ["json"]},
+        }
+        assert run(tmp_path, "deform", cfg) == 0
+        matrix = json.loads((tmp_path / "pairs.deform.json").read_text())["isometry_deviation"]
+        job = cli.parse_config(cfg, "deform")
+        U, meta = cli.resolve_profile(job)
+        surfaces = [
+            SurfaceChart.from_natural(cli.make_chart(job, U, meta, a=v)[0], t_range=job.t_range)
+            for v in job.sweep_values
+        ]
+        for i in range(3):
+            for j in range(3):
+                expected = 0.0 if i == j else isometry_deviation(
+                    job.space, surfaces[i], surfaces[j], tol=job.tol
+                )
+                assert matrix[i][j] == expected
+
+    def test_bad_profile_expression_is_config_error(self, tmp_path, capsys):
+        cfg = {
+            "space": {"kappa": 0.0, "tau": 0.0},
+            "seed": {"family": "explicit", "m": 1.0, "a": 0.0, "u_range": [-1.6, 1.6],
+                      "U": "sqrt(u*u + 1) + foo"},
+            "sweep": {"parameter": "a", "values": [0.0, 0.5]},
+            "output": {"basename": "bad", "formats": ["json"]},
+        }
+        assert run(tmp_path, "deform", cfg) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_single_value_sweep(self, tmp_path):
         cfg = {

@@ -4,27 +4,71 @@ import numpy as np
 import pytest
 
 from bcvhelix import (
+    BcvSpace,
     BourSeed,
+    DomainError,
     HelicoidalAction,
     ProfileCurve,
     SmoothFunction,
     SurfaceChart,
     build_chart,
+    christoffels,
     embed,
+    first_form_grid,
     first_form_numeric,
     gauss_intrinsic,
     gauss_numeric,
     induced_metric,
     isometry_deviation,
+    local_geometry,
     mean_curvature_extrinsic,
     mean_curvature_reduced,
     metric_cartesian,
+    minimal_U,
     sample_mesh,
+    shared_grid,
 )
-from bcvhelix.oracle import _normal, _tangents
-from bcvhelix.numerics import DEFAULT_TOL
-from conftest import NIL, R3, catenoid_profile, nil_catenoid_profile
+from bcvhelix.numerics import DEFAULT_TOL, diff_central, richardson
+from conftest import NIL, R3, SU2_SPACE, catenoid_profile, nil_catenoid_profile
 from test_orbit import random_wiggle_curve, vertical_line_curve
+
+
+def reference_first_form(space, chart, u, t, tol=DEFAULT_TOL):
+    """Loop-form reference of the oracle's first order: one vertex, scalar stencils."""
+    psi_u = diff_central(lambda v: chart.point(v, t), u, 1, tol.fd_first, tol.fd_min)
+    psi_t = diff_central(lambda s: chart.point(u, s), t, 1, tol.fd_first, tol.fd_min)
+    g = metric_cartesian(space, chart.point(u, t), tol)
+    return psi_u, psi_t, g, (psi_u @ g @ psi_u, psi_u @ g @ psi_t, psi_t @ g @ psi_t)
+
+
+def reference_geometry(space, chart, u, t, tol=DEFAULT_TOL):
+    """Loop-form reference of one vertex of ``local_geometry``: (E, F, G, L, M, N,
+    H, K) and the unit normal, up to the orientation sign."""
+    psi_u, psi_t, g, (E, F, G) = reference_first_form(space, chart, u, t, tol)
+    v = np.linalg.solve(g, np.cross(psi_u, psi_t))
+    n = v / math.sqrt(v @ g @ v)
+    P = chart.point
+    psi_uu = diff_central(lambda v: P(v, t), u, 2, tol.fd_second, tol.fd_min)
+    psi_tt = diff_central(lambda s: P(u, s), t, 2, tol.fd_second, tol.fd_min)
+    psi_ut = richardson(
+        lambda h: (P(u + h, t + h) - P(u + h, t - h) - P(u - h, t + h) + P(u - h, t - h))
+        / (4.0 * h * h),
+        tol.fd_second,
+        tol.fd_min,
+    )
+    gamma = christoffels(space, P(u, t), tol=tol)
+    gn = g @ n
+    L, M, N = (
+        float((dd + np.einsum("kij,i,j->k", gamma, da, db)) @ gn)
+        for da, db, dd in ((psi_u, psi_u, psi_uu), (psi_u, psi_t, psi_ut), (psi_t, psi_t, psi_tt))
+    )
+    det = E * G - F * F
+    return (E, F, G, L, M, N, (G * L - 2.0 * F * M + E * N) / det, (L * N - M * M) / det), n
+
+
+def su2_minimal_chart():
+    U, _ = minimal_U(SU2_SPACE, 1.0, 0.3, 0.5, u_window=(-3.5, 3.5))
+    return build_chart(SU2_SPACE, BourSeed(U, 1.0, 0.3, tuple(U.domain)))
 
 
 class TestEmbed:
@@ -102,10 +146,12 @@ class TestMeanCurvatureExtrinsic:
 
     def test_normal_well_defined(self, nil_catenoid_chart):
         sc = SurfaceChart.from_natural(nil_catenoid_chart)
+        tol = DEFAULT_TOL
         for u, t in [(-1.5, 0.3), (0.4, -1.0), (2.0, 2.0)]:
-            psi_u, psi_t = _tangents(sc, u, t, DEFAULT_TOL)
+            psi_u = diff_central(lambda v: sc.point(v, t), u, 1, tol.fd_first, tol.fd_min)
+            psi_t = diff_central(lambda s: sc.point(u, s), t, 1, tol.fd_first, tol.fd_min)
             g = metric_cartesian(NIL, sc.point(u, t))
-            n = _normal(NIL, sc, u, t, psi_u, psi_t, g)
+            n = local_geometry(NIL, sc, u, [t]).normal[0]
             assert abs(n @ g @ psi_u) < 1e-10
             assert abs(n @ g @ psi_t) < 1e-10
             assert abs(n @ g @ n - 1.0) < 1e-10
@@ -121,6 +167,64 @@ class TestMeanCurvatureExtrinsic:
         sign = 1.0 if h_red[i_ref] * h_ext[i_ref] >= 0 else -1.0
         for hr, he in zip(h_red, h_ext):
             assert abs(hr - sign * he) < 1e-5
+
+
+class TestLocalGeometry:
+    @pytest.mark.parametrize("which", ["nil-catenoid", "su2-minimal"])
+    def test_row_matches_one_point_calls(self, which, nil_catenoid_chart):
+        space, chart = (
+            (NIL, nil_catenoid_chart) if which == "nil-catenoid" else (SU2_SPACE, su2_minimal_chart())
+        )
+        sc = SurfaceChart.from_natural(chart)
+        lo, hi = chart.u_valid
+        ts = np.linspace(-math.pi, math.pi, 7)
+        names = ("E", "F", "G", "L", "M", "N", "H", "K")
+        for u in np.linspace(lo, hi, 5)[1:-1]:
+            geo = local_geometry(space, sc, u, ts)
+            assert not any(geo.errors)
+            for k, t in enumerate(ts):
+                assert abs(geo.H[k] - mean_curvature_extrinsic(space, sc, u, t)) <= 1e-15
+                one = first_form_numeric(space, sc, u, t)
+                for name, value in zip(names, one):
+                    assert abs(getattr(geo, name)[k] - value) <= 1e-15 * max(1.0, abs(value))
+                ref, n_ref = reference_geometry(space, sc, u, t)
+                sign = 1.0 if geo.normal[k] @ n_ref > 0 else -1.0
+                assert np.max(np.abs(geo.normal[k] - sign * n_ref)) <= 1e-15
+                for name, value in zip(names, ref):
+                    if name in ("L", "M", "N", "H"):
+                        value *= sign
+                    assert abs(getattr(geo, name)[k] - value) <= 1e-15 * max(1.0, abs(value))
+
+    def test_extrinsic_K_is_gauss_curvature_in_R3(self, catenoid_chart):
+        # flat ambient: det of the shape operator is the intrinsic curvature
+        sc = SurfaceChart.from_natural(catenoid_chart)
+        for u in (-1.2, 0.0, 0.9):
+            geo = local_geometry(R3, sc, u, [-2.0, 0.5, 3.0])
+            assert np.max(np.abs(geo.K - gauss_intrinsic(catenoid_chart.U, u))) < 1e-6
+
+    def test_vertex_errors_stay_isolated(self):
+        # a vertical cylinder in H2 x R just inside the metric domain r < 2:
+        # B = 0.9e-4 on the cylinder, so the Christoffel stencil's +-1e-4 offset
+        # along x (near t = 0, pi) or along y (near t = +-pi/2) leaves the domain
+        space = BcvSpace(-1.0, 0.0)
+        act, curve = vertical_line_curve(space, R=2.0 * math.sqrt(1.0 - 0.9e-4))
+        sc = SurfaceChart.from_profile(act, curve)
+        ts = np.linspace(-math.pi, math.pi, 25)
+        geo = local_geometry(space, sc, 0.1, ts)
+        expected = []
+        for t in ts:
+            try:
+                christoffels(space, sc.point(0.1, t))
+                expected.append(False)
+            except DomainError:
+                expected.append(True)
+        expected = np.array(expected)
+        assert expected[[0, 12, 24]].all() and not expected[[3, 9, 15, 21]].any()
+        assert np.array_equal(np.isnan(geo.H), expected)
+        assert all(isinstance(e, DomainError) == bad for e, bad in zip(geo.errors, expected))
+        assert np.all(np.isfinite(geo.E)) and np.all(np.isfinite(geo.G))
+        for k in np.flatnonzero(~expected):
+            assert geo.H[k] == mean_curvature_extrinsic(space, sc, 0.1, ts[k])
 
 
 class TestGauss:
@@ -176,6 +280,19 @@ class TestIsometryDeviation:
             for a in (0.5, 0.25)
         ]
         assert isometry_deviation(NIL, charts[0], charts[1], grid=(9, 5)) < 1e-6
+
+    def test_equals_max_of_first_form_grids(self):
+        U = nil_catenoid_profile()
+        a, b = (
+            SurfaceChart.from_natural(build_chart(NIL, BourSeed(U, 1.0, pitch, (-2.2, 2.2))))
+            for pitch in (0.5, 0.125)
+        )
+        us, ts = shared_grid(a, b, (9, 5))
+        grid_a, grid_b = first_form_grid(NIL, a, us, ts), first_form_grid(NIL, b, us, ts)
+        assert isometry_deviation(NIL, a, b, grid=(9, 5)) == np.max(np.abs(grid_a - grid_b))
+        for i in (0, 4, 8):
+            for j, t in enumerate(ts):
+                assert tuple(grid_a[i, j]) == reference_first_form(NIL, a, us[i], t)[3]
 
 
 class TestSampleMesh:
