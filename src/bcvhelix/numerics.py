@@ -7,6 +7,12 @@ outward interval scan that locates domain endpoints.  All kernels are
 deterministic: identical inputs give bit-identical outputs, and a
 CumulativeQuadrature value does not depend on which abscissae were queried
 before it.
+
+CumulativeQuadrature stops refining a cell at the integrand's rounding floor
+(QUADPACK's roundoff test, see ``_ROUNDOFF_RATIO``).  A leaf kept that way
+carries its honest K15/G7 estimate, which may exceed its share of the
+tolerance: it measures the integrand's noise, not a shortfall that more
+panels would remove.
 """
 
 from __future__ import annotations
@@ -174,6 +180,12 @@ def quad_adaptive(
     return QuadResult(sign * total_val, total_err, n)
 
 
+# QUADPACK's roundoff test (dqagse): once the two halves of a bisected panel
+# estimate at least this share of the whole panel's error, the estimate is
+# rounding noise and further bisection buys nothing.
+_ROUNDOFF_RATIO = 0.99
+
+
 class _Leaf:
     """A cached cumulative-quadrature cell: either a K15 value or two halves."""
 
@@ -197,6 +209,12 @@ class CumulativeQuadrature:
     and exactly continuous across cell boundaries -- finite differences of F
     recover f without cache-boundary noise.  Thread-safe; values are
     deterministic, so racing writes are benign and guarded anyway.
+
+    Rounding stop: a cell whose two halves do not lower the summed estimate
+    below ``_ROUNDOFF_RATIO`` of its own is split once more and not further;
+    each half keeps its value and estimate, so a leaf's ``err`` is then an
+    estimate of rounding noise above the leaf's share of the budget.
+    ``rounding_stops`` counts the cells accepted this way.
     """
 
     def __init__(
@@ -217,6 +235,7 @@ class CumulativeQuadrature:
         self.hi = hi
         self.abs_tol = abs_tol
         self.max_depth = max_depth
+        self.rounding_stops = 0
         self._lock = threading.Lock()
         span = max(hi - u0, u0 - lo, cell_width)
         self._per_unit = abs_tol / span
@@ -231,10 +250,14 @@ class CumulativeQuadrature:
             for i in range(n_left)
         ]
 
-    def _ensure(self, leaf: _Leaf, depth: int = 0) -> float:
+    def _ensure(
+        self, leaf: _Leaf, depth: int = 0, panel: Optional[tuple[float, float]] = None
+    ) -> float:
+        # ``panel`` is the cell's K15 (value, estimate) when the parent has
+        # already computed it, so no panel is evaluated twice.
         if leaf.value is not None:
             return leaf.value
-        val, err = _kronrod_panel(self.f, leaf.lo, leaf.hi)
+        val, err = panel or _kronrod_panel(self.f, leaf.lo, leaf.hi)
         floor = max(self._per_unit * (leaf.hi - leaf.lo), 1e-3 * self.abs_tol)
         if err > floor and err > 1e-16 * abs(val):
             if depth >= self.max_depth:
@@ -243,7 +266,16 @@ class CumulativeQuadrature:
                 )
             mid = 0.5 * (leaf.lo + leaf.hi)
             left, right = _Leaf(leaf.lo, mid), _Leaf(mid, leaf.hi)
-            val = self._ensure(left, depth + 1) + self._ensure(right, depth + 1)
+            lp = _kronrod_panel(self.f, leaf.lo, mid)
+            rp = _kronrod_panel(self.f, mid, leaf.hi)
+            if lp[1] + rp[1] >= _ROUNDOFF_RATIO * err:
+                # halving did not lower the estimate: it is rounding noise of
+                # the integrand, so the halves are kept as they are
+                (left.value, left.err), (right.value, right.err) = lp, rp
+                val = lp[0] + rp[0]
+                self.rounding_stops += 1
+            else:
+                val = self._ensure(left, depth + 1, lp) + self._ensure(right, depth + 1, rp)
             err = left.err + right.err
             leaf.children = (left, right)
         leaf.err = err

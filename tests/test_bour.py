@@ -22,11 +22,13 @@ from bcvhelix import (
     xi1_from_seed,
     xi2_integrand,
 )
+from bcvhelix import bour
 from bcvhelix.bour import (
     euclidean_theta0_integrand,
     euclidean_xi1,
     euclidean_xi2_integrand,
 )
+from bcvhelix.cmc import cmc_U
 from conftest import (
     H2XR,
     NIL,
@@ -346,3 +348,47 @@ class TestErrorPaths:
         chart = build_chart(R3, seed)
         with pytest.raises(bcvhelix.DomainError):
             chart.xi2(1.0)
+
+
+class TestOscillatoryChart:
+    """The oscillatory CMC member (kappa, tau, H, a, c, m) = (1, 0, 1, 0.5, -1, 1)
+    on [-3.5, 3.5]: its anchor u0 is a double root of m^2 U^2 - a^2, where the
+    xi2/theta0 integrands carry rounding noise of size ~1e-16/(u - u0)^4."""
+
+    # values before the rounding stop, when each antiderivative took
+    # 168,270 (theta0) and 93,442 (xi2) K15 panels
+    BEFORE = {
+        ("theta0", -0.5): 0.22507846174205837,
+        ("theta0", 0.5): -0.22507846728668865,
+        ("xi2", -0.5): -0.1454322580456226,
+        ("xi2", 0.5): 0.1454322608903986,
+    }
+
+    def test_rounding_noise_does_not_drive_refinement(self, monkeypatch):
+        calls = {"theta0": 0, "xi2": 0}
+
+        def counted(name, f):
+            def g(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+
+            return g
+
+        monkeypatch.setattr(bour, "theta0_integrand", counted("theta0", theta0_integrand))
+        monkeypatch.setattr(bour, "xi2_integrand", counted("xi2", xi2_integrand))
+        space = BcvSpace(1.0, 0.0)
+        U, _ = cmc_U(space, 1.0, 0.5, 1.0, -1.0, u_window=(-3.5, 3.5))
+        chart = build_chart(space, BourSeed(U, 1.0, 0.5, tuple(U.domain)))
+        for name in calls:
+            quad = getattr(chart, f"_{name}_quad")
+            for u in chart.u_valid:
+                quad(u)
+            assert calls[name] <= 15 * 2000, f"{name}: {calls[name] // 15} K15 panels"
+            # the quadrature's summed estimate over both sides: below u0 the
+            # shift comes mostly from one leaf on the noisy edge of the
+            # radicand clamp band, whose own estimate is smaller than it
+            estimate = sum(cell.err for cell in quad._left + quad._right)
+            for shift in (-0.5, 0.5):
+                value = getattr(chart, name)(chart.u0 + shift)
+                assert abs(value - self.BEFORE[name, shift]) <= estimate
+        assert chart._theta0_quad.rounding_stops > 0

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bcvhelix import (
     diff_central,
     quad_adaptive,
 )
+from bcvhelix import numerics
 from bcvhelix.numerics import scan_interval
 
 
@@ -138,6 +140,41 @@ class TestScanInterval:
         assert scan_interval(lambda x: True, 0.3, (-1.0, 2.0), 0.7, 1e-9) == (-1.0, 2.0)
 
 
+def _hash_noise(x):
+    """Deterministic noise in [-1, 1) drawn from the bits of the float x."""
+    (bits,) = struct.unpack("<Q", struct.pack("<d", x))
+    bits ^= bits >> 29
+    bits = (bits * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    bits ^= bits >> 32
+    return (bits >> 11) / 2.0**52 - 1.0
+
+
+def _counted(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+
+    g.calls = 0
+    return g
+
+
+def _leaves(F):
+    """(lo, hi, value, err) of every leaf of the cumulative tree, in order."""
+    out = []
+
+    def walk(leaf):
+        if leaf.children is None:
+            out.append((leaf.lo, leaf.hi, leaf.value, leaf.err))
+        else:
+            for child in leaf.children:
+                walk(child)
+
+    for cell in F._left[::-1] + F._right:
+        if cell.value is not None:
+            walk(cell)
+    return out
+
+
 class TestCumulativeQuadrature:
     def test_matches_antiderivative(self):
         F = CumulativeQuadrature(math.cos, 0.0, -6.0, 6.0)
@@ -184,6 +221,47 @@ class TestCumulativeQuadrature:
         for v in before:
             used(v)
         assert used(u) == fresh(u)
+
+    def test_rounding_stop_ends_noisy_integrand(self):
+        # float-hash noise of 1e-9 never meets the 1e-13 leaf floor; without
+        # the stop the first cell would bisect down to max_depth and fail
+        f = _counted(lambda x: math.cos(x) + 1e-9 * _hash_noise(x))
+        F = CumulativeQuadrature(f, 0.0, -2.0, 2.0, max_depth=16)
+        for u in (-2.0, 2.0):
+            value = F(u)
+            cells = F._right if u > 0 else F._left
+            estimate = sum(cell.err for cell in cells)
+            assert abs(value - math.sin(u)) <= estimate
+        assert F.rounding_stops > 0
+        assert f.calls <= 15 * 1000
+
+    @pytest.mark.parametrize(
+        "f, lo, hi, cell_width",
+        [
+            (math.cos, -12.0, 12.0, 12.0),
+            (lambda x: math.exp(0.3 * x), -30.0, 30.0, 30.0),
+            (lambda x: math.sqrt(max(1.0 - x * x, 0.0)), -1.0, 1.0, 0.05),
+        ],
+        ids=["cos", "exp", "sqrt-endpoint"],
+    )
+    def test_rounding_stop_spares_smooth_integrands(self, monkeypatch, f, lo, hi, cell_width):
+        # wide cells, so that every integrand refines; the reference tree is
+        # built with the stop switched off
+        us = [lo, -0.73, -0.2, 0.013, 0.5, hi]
+        F = CumulativeQuadrature(f, 0.0, lo, hi, cell_width=cell_width)
+        values = [F(u) for u in us]
+        monkeypatch.setattr(numerics, "_ROUNDOFF_RATIO", math.inf)
+        ref = CumulativeQuadrature(f, 0.0, lo, hi, cell_width=cell_width)
+        assert [ref(u) for u in us] == values
+        assert _leaves(F) == _leaves(ref)
+        assert len(_leaves(F)) > len(F._left) + len(F._right)
+        assert F.rounding_stops == 0
+
+    @pytest.mark.parametrize("step", [0.3141, -1.2345, 0.777])
+    def test_rounding_stop_spares_step(self, step):
+        F = CumulativeQuadrature(lambda x: 1.0 if x >= step else 0.0, 0.0, -2.0, 2.0)
+        assert abs(F(2.0) - F(-2.0) - (2.0 - step)) <= 1e-10
+        assert F.rounding_stops == 0
 
 
 class TestSmoothFunction:
