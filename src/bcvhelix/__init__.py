@@ -26,12 +26,10 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOL,
     CumulativeQuadrature,
-    QuadResult,
     SmoothFunction,
     Tolerances,
     bracket_root,
     diff_central,
-    quad_adaptive,
 )
 from .spaces import (
     AmbientPoint,
@@ -66,7 +64,6 @@ from .bour import (
     delta,
     domain_of_validity,
     natural_from_helicoidal,
-    rotation_chart,
     theta0_integrand,
     xi1_from_seed,
     xi2_integrand,

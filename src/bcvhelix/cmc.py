@@ -154,9 +154,7 @@ def _u_from_squared(
         dU = df2(u) / (2.0 * Uv)
         return (d2f2(u) - 2.0 * dU * dU) / (2.0 * Uv)
 
-    sf = SmoothFunction(f, df, d2f)
-    sf.squared = (f2, df2, d2f2)
-    return sf
+    return SmoothFunction(f, df, d2f)
 
 
 def _family_domain(
@@ -368,94 +366,32 @@ def minimal_U(
     u_window: tuple[float, float] = (-10.0, 10.0),
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[SmoothFunction, SpaceClass]:
-    """Metric profile of the helicoidal minimal surfaces, per space class.
+    """Metric profile of the helicoidal minimal surfaces: the H = 0 member of cmc_U.
 
-    These are the H = 0 members written per classify(space); each enforces
-    its stated parameter constraint.  The sphere case uses the form derived
-    from the H = 0 specialization of the generic space-form family
-    (mean 1 + (1-2 a tau)^2 and doubled amplitude); the one commonly quoted
-    with mean 1 - a tau fails the minimal-surface equation (see tests).
+    Returns cmc_U(space, m, a, 0, c)'s profile with classify(space).  At
+    H = 0 select_case picks EuclideanMinimal in R^3, SpaceFormGeneric in S^3,
+    Oscillatory in S^2 x R and SU(2), HyperbolicCosh in H^2 x R and the
+    SL(2,R) cover, and CriticalKappa in Nil3.  The stated parameter range of
+    each class is checked first (ParameterOutOfRange).  In S^3 the family has
+    mean 1 + (1-2 a tau)^2 and amplitude 2 sqrt((1-2 a tau)^2 - tau^2 c^2)
+    over 4 m^2 tau^2, in sin(2 |tau| u); the form commonly quoted with mean
+    1 - a tau fails the minimal-surface equation (see tests).
     """
     if m == 0:
         raise ValueError("m must be nonzero")
     kappa, tau = space.kappa, space.tau
     cls = classify(space)
-    m2 = m * m
-    extra = None
-    freq = math.sqrt(abs(kappa)) + 2.0 * abs(tau)
-
-    if cls is SpaceClass.EUCLIDEAN:
-        U2 = lambda u: (u * u + a * a + 0.25 * c * c) / m2
-        dU2 = lambda u: 2.0 * u / m2
-        d2U2 = lambda u: 2.0 / m2
-
-    elif cls is SpaceClass.SPHERE:
+    if cls is SpaceClass.SPHERE:
         if 1.0 - 2.0 * a * tau <= 0.0:
             raise ParameterOutOfRange(
                 f"sphere family needs 1 - 2 a tau > 0, got {1 - 2 * a * tau}"
             )
         _check_range("c", c, abs(1.0 / tau - 2.0 * a))
-        mean = 1.0 + (1.0 - 2.0 * a * tau) ** 2
-        amp = 2.0 * math.sqrt((1.0 - 2.0 * a * tau) ** 2 - tau * tau * c * c)
-        den = 4.0 * m2 * tau * tau
-        U2 = lambda u: (mean + amp * math.sin(2.0 * tau * u)) / den
-        dU2 = lambda u: amp * 2.0 * tau * math.cos(2.0 * tau * u) / den
-        d2U2 = lambda u: -amp * 4.0 * tau * tau * math.sin(2.0 * tau * u) / den
-
     elif cls is SpaceClass.SPHERE_PRODUCT:
         _check_range("c", c, math.sqrt(kappa))
-        rk = math.sqrt(kappa)
-        den = m2 * kappa * kappa
-        const = kappa * (a * a * kappa + 1.0)
-        U2 = lambda u: (const + (c * c - kappa) * math.sin(rk * u) ** 2) / den
-        dU2 = lambda u: (c * c - kappa) * rk * math.sin(2.0 * rk * u) / den
-        d2U2 = lambda u: (c * c - kappa) * 2.0 * kappa * math.cos(2.0 * rk * u) / den
-        # sqrt(Delta) is proportional to sin(sqrt(kappa) u): stay on one arch
-        extra = lambda u: math.sin(rk * u) >= _ARCH_FLOOR
-
-    elif cls is SpaceClass.HYPERBOLIC_PRODUCT:
-        bk = math.sqrt(-kappa)
-        den = m2 * kappa * kappa
-        const = kappa * (a * a * kappa + 1.0)
-        U2 = lambda u: (const + (c * c - kappa) * math.cosh(bk * u) ** 2) / den
-        dU2 = lambda u: (c * c - kappa) * bk * math.sinh(2.0 * bk * u) / den
-        d2U2 = lambda u: (c * c - kappa) * (-2.0 * kappa) * math.cosh(2.0 * bk * u) / den
-
-    elif cls is SpaceClass.HEISENBERG:
-        den = 4.0 * m2 * tau * tau
-        w = lambda u: 2.0 * tau * tau * u * u + 1.0 - 2.0 * a * tau + c * c / (8.0 * tau * tau)
-        U2 = lambda u: (w(u) ** 2 + 4.0 * a * tau - 1.0) / den
-        dU2 = lambda u: 2.0 * w(u) * 4.0 * tau * tau * u / den
-        d2U2 = lambda u: (2.0 * (4.0 * tau * tau * u) ** 2 + 8.0 * tau * tau * w(u)) / den
-        extra = lambda u: w(u) >= _ARCH_FLOOR * max(abs(w(0.0)), 1.0)
-
-    else:  # SU2 or SL2R-cover
-        if cls is SpaceClass.SU2:
-            _check_range("c", c, abs(4.0 * tau * tau - kappa) / math.sqrt(kappa))
-        S = math.sqrt((4.0 * tau * tau - kappa) ** 2 - c * c * kappa)
-        bhat = 4.0 * tau * tau - 2.0 * a * kappa * tau
-        den = m2 * kappa * kappa * (4.0 * tau * tau - kappa)
-        b3 = 4.0 * a * tau - a * a * kappa - 1.0
-        if cls is SpaceClass.SU2:
-            rk = math.sqrt(kappa)
-            w = lambda u: bhat + S * math.sin(rk * u)
-            dw = lambda u: S * rk * math.cos(rk * u)
-            d2w = lambda u: -S * kappa * math.sin(rk * u)
-        else:
-            bk = math.sqrt(-kappa)  # bk^2 = -kappa, so w'' = -S bk^2 cosh = S kappa cosh
-            w = lambda u: bhat - S * math.cosh(bk * u)
-            dw = lambda u: -S * bk * math.sinh(bk * u)
-            d2w = lambda u: S * kappa * math.cosh(bk * u)
-        U2 = lambda u: (kappa * kappa * b3 + w(u) ** 2) / den
-        dU2 = lambda u: 2.0 * w(u) * dw(u) / den
-        d2U2 = lambda u: 2.0 * (dw(u) ** 2 + w(u) * d2w(u)) / den
-        floor = _ARCH_FLOOR * (abs(bhat) + S) / abs(kappa)
-        extra = lambda u: w(u) / kappa >= floor
-
-    domain = _family_domain(m, a, U2, extra, u_window, tol, freq)
-    U = _u_from_squared(U2, dU2, d2U2)
-    U.domain = domain
-    return U, cls
+    elif cls is SpaceClass.SU2:
+        _check_range("c", c, abs(4.0 * tau * tau - kappa) / math.sqrt(kappa))
+    return cmc_U(space, m, a, 0.0, c, u_window, tol)[0], cls
 
 
 def _eq_principal_pieces(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances):

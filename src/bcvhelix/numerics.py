@@ -1,9 +1,10 @@
 """Shared numerical kernels.
 
-Adaptive Gauss-Kronrod quadrature, cumulative (antiderivative-style)
-quadrature with panel caching, one Richardson difference kernel behind every
-finite difference, and one bisection loop behind root bracketing and the
-outward interval scan that locates domain endpoints.  All kernels are
+One quadrature kernel, CumulativeQuadrature: an antiderivative-style
+G7/K15 Gauss-Kronrod rule over fixed cells with panel caching, behind every
+chart antiderivative and gauge.  One Richardson difference kernel behind
+every finite difference, and one bisection loop behind root bracketing and
+the outward interval scan that locates domain endpoints.  All kernels are
 deterministic: identical inputs give bit-identical outputs, and a
 CumulativeQuadrature value does not depend on which abscissae were queried
 before it.
@@ -12,12 +13,12 @@ CumulativeQuadrature stops refining a cell at the integrand's rounding floor
 (QUADPACK's roundoff test, see ``_ROUNDOFF_RATIO``).  A leaf kept that way
 carries its honest K15/G7 estimate, which may exceed its share of the
 tolerance: it measures the integrand's noise, not a shortfall that more
-panels would remove.
+panels would remove.  The test cannot tell noise from a singularity, so a
+singular or divergent integrand is accepted the same way, without error.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
 from dataclasses import dataclass
@@ -28,9 +29,7 @@ from .errors import BcvHelixError, NoBracket, QuadratureFailure, StencilOutOfDom
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
-    "QuadResult",
     "SmoothFunction",
-    "quad_adaptive",
     "CumulativeQuadrature",
     "richardson",
     "diff_central",
@@ -46,8 +45,8 @@ class Tolerances:
     The defaults are what every stated acceptance tolerance assumes.
     """
 
-    quad_abs: float = 1e-10          # adaptive quadrature absolute tolerance
-    quad_rel: float = 1e-10          # adaptive quadrature relative tolerance
+    quad_abs: float = 1e-10          # cumulative quadrature absolute tolerance
+    quad_rel: float = 1e-10          # relative tolerance (no kernel reads it)
     fd_first: float = 1e-5           # step for first derivatives
     fd_second: float = 1e-4          # step for second derivatives
     fd_min: float = 1e-7             # smallest step before StencilOutOfDomain
@@ -61,13 +60,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    abs_error_estimate: float
-    panel_count: int
 
 
 # 7-point Gauss / 15-point Kronrod node-weight pairs on [-1, 1] (QUADPACK dqk15).
@@ -98,86 +90,6 @@ def _kronrod_panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[f
         if i % 2 == 1:  # K15 odd indices are the G7 nodes
             gauss += _WG[i // 2] * fsum
     return kron * half, abs((kron - gauss) * half)
-
-
-def _edge_mapped(f: Callable[[float], float], edge: float, inward: float):
-    """Integrand of x = edge + sign*s^2: 2 s f(edge + sign*s^2).
-
-    The substitution flattens square-root endpoint singularities.  When s^2
-    underflows against edge, the evaluation point is nudged one float inward
-    (that zone is never probed for the integrable class anyway).
-    """
-    direction = 1.0 if inward > edge else -1.0
-
-    def g(s: float) -> float:
-        x = edge + direction * s * s
-        if x == edge and s != 0.0:
-            x = math.nextafter(edge, inward)
-        return 2.0 * s * f(x)
-
-    return g
-
-
-def quad_adaptive(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    abs_tol: float = DEFAULT_TOL.quad_abs,
-    rel_tol: float = DEFAULT_TOL.quad_rel,
-    max_panels: int = 4096,
-) -> QuadResult:
-    """Globally adaptive G7/K15 quadrature of ``f`` over [lo, hi].
-
-    The two endpoint eighths are integrated under x = edge +- s^2, which
-    turns integrable square-root endpoint singularities into smooth
-    integrands; the worst-error panel is bisected until the summed estimate
-    meets max(abs_tol, rel_tol*|value|).  Deterministic.  Raises
-    QuadratureFailure at the panel cap.
-    """
-    if lo == hi:
-        return QuadResult(0.0, 0.0, 1)
-    sign = 1.0
-    if hi < lo:
-        lo, hi = hi, lo
-        sign = -1.0
-    w = (hi - lo) / 8.0
-    s_w = math.sqrt(w)
-    segments = (
-        (_edge_mapped(f, lo, hi), 0.0, s_w),
-        (f, lo + w, hi - w),
-        (_edge_mapped(f, hi, lo), 0.0, s_w),
-    )
-    # heap entries (-err, seg_id, lo, hi, val, err); seg_id breaks ties
-    heap = []
-    total_val, total_err, n = 0.0, 0.0, 0
-    for seg_id, (g, a, b) in enumerate(segments):
-        val, err = _kronrod_panel(g, a, b)
-        heapq.heappush(heap, (-err, seg_id, a, b, val, err))
-        total_val += val
-        total_err += err
-        n += 1
-    while total_err > max(abs_tol, rel_tol * abs(total_val)):
-        if n >= max_panels:
-            raise QuadratureFailure(
-                f"{n} panels without meeting tolerance; "
-                f"estimate {total_val!r} +- {total_err:.3e}"
-            )
-        _, seg_id, plo, phi, pval, perr = heapq.heappop(heap)
-        g = segments[seg_id][0]
-        pm = 0.5 * (plo + phi)
-        if pm <= plo or pm >= phi:  # panel at float resolution: accept as is
-            total_err -= perr
-            total_err += 1e-18 * abs(pval)
-            heapq.heappush(heap, (-0.0, seg_id, plo, phi, pval, 0.0))
-            continue
-        lval, lerr = _kronrod_panel(g, plo, pm)
-        rval, rerr = _kronrod_panel(g, pm, phi)
-        total_val += lval + rval - pval
-        total_err += lerr + rerr - perr
-        heapq.heappush(heap, (-lerr, seg_id, plo, pm, lval, lerr))
-        heapq.heappush(heap, (-rerr, seg_id, pm, phi, rval, rerr))
-        n += 1
-    return QuadResult(sign * total_val, total_err, n)
 
 
 # QUADPACK's roundoff test (dqagse): once the two halves of a bisected panel

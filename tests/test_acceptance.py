@@ -41,13 +41,13 @@ from bcvhelix import (
     theta0_integrand,
     z_ode_residual,
 )
-from bcvhelix.bour import (
+from bcvhelix.cmc import _build_case
+from conftest import FIVE_SPACES, NIL, R3, catenoid_profile, nil_catenoid_profile
+from reference_charts import (
     euclidean_theta0_integrand,
     euclidean_xi1,
     euclidean_xi2_integrand,
 )
-from bcvhelix.cmc import _build_case
-from conftest import FIVE_SPACES, NIL, R3, catenoid_profile, nil_catenoid_profile
 from test_orbit import random_wiggle_curve, vertical_line_curve
 from test_spaces import random_domain_point
 

@@ -15,7 +15,6 @@ from bcvhelix import (
     delta,
     domain_of_validity,
     natural_from_helicoidal,
-    rotation_chart,
     scaling_factor,
     theta0_integrand,
     volume_omega,
@@ -23,11 +22,6 @@ from bcvhelix import (
     xi2_integrand,
 )
 from bcvhelix import bour
-from bcvhelix.bour import (
-    euclidean_theta0_integrand,
-    euclidean_xi1,
-    euclidean_xi2_integrand,
-)
 from bcvhelix.cmc import cmc_U
 from conftest import (
     H2XR,
@@ -36,6 +30,12 @@ from conftest import (
     SPHERE,
     catenoid_profile,
     nil_catenoid_profile,
+)
+from reference_charts import (
+    euclidean_theta0_integrand,
+    euclidean_xi1,
+    euclidean_xi2_integrand,
+    rotation_chart,
 )
 
 

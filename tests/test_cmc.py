@@ -44,7 +44,19 @@ MINIMAL_REPS = [
     (NIL, 0.5, 1.0, 1.0, SpaceClass.HEISENBERG),
     (SU2_SPACE, 0.3, 0.5, 1.0, SpaceClass.SU2),
     (BcvSpace(-1.0, 0.5), 0.2, 0.4, 1.0, SpaceClass.SL2R_COVER),
+    (BcvSpace(1.0, -0.5), 0.5, 0.5, 1.0, SpaceClass.SPHERE),  # tau < 0
 ]
+
+# the cmc_U case that select_case picks at H = 0, per space class
+MINIMAL_CASE = {
+    SpaceClass.EUCLIDEAN: CmcCase.EUCLIDEAN_MINIMAL,
+    SpaceClass.SPHERE: CmcCase.SPACE_FORM_GENERIC,
+    SpaceClass.SPHERE_PRODUCT: CmcCase.OSCILLATORY,
+    SpaceClass.SU2: CmcCase.OSCILLATORY,
+    SpaceClass.HYPERBOLIC_PRODUCT: CmcCase.HYPERBOLIC_COSH,
+    SpaceClass.SL2R_COVER: CmcCase.HYPERBOLIC_COSH,
+    SpaceClass.HEISENBERG: CmcCase.CRITICAL_KAPPA,
+}
 
 
 def interior_points(U, n=50, inset=0.02):
@@ -184,6 +196,14 @@ class TestMinimalU:
     def test_sphere_branch_assumption(self):
         with pytest.raises(ParameterOutOfRange):
             minimal_U(SPHERE, 1.0, 1.5, 0.1)  # 1 - 2 a tau < 0
+
+    def test_sphere_tau_sign_flip(self):
+        # (tau, a) -> (-tau, -a) is an orientation flip: the profile is the same
+        U_neg, _ = minimal_U(BcvSpace(1.0, -0.5), 1.0, 0.3, 0.4)
+        U_pos, _ = minimal_U(SPHERE, 1.0, -0.3, 0.4)
+        assert U_neg.domain == U_pos.domain
+        for u in interior_points(U_neg, n=15):
+            assert U_neg(u) == U_pos(u)
 
 
 class TestFamilyDomain:
@@ -393,8 +413,8 @@ class TestMinimalCmcConsistency:
         ],
     )
     def test_h_zero_family_is_minimal(self, space, expected_case):
-        # both solution routes at H = 0 satisfy the same residual; pointwise
-        # equality is only up to a u-translation and is not asserted
+        # both routes at H = 0 satisfy the same residual; that they are one
+        # profile is asserted by test_minimal_U_is_the_h_zero_member
         m, a, c = 1.0, 0.3, 0.6
         U1, case = cmc_U(space, m, a, 0.0, c, u_window=(-3.0, 3.0))
         assert case is expected_case
@@ -405,3 +425,14 @@ class TestMinimalCmcConsistency:
         seed2 = BourSeed(U2, m, a, U2.domain)
         for u in interior_points(U2, n=25):
             assert abs(cmc_residual(space, seed2, 0.0, u)) < 1e-8
+
+    @pytest.mark.parametrize("space,a,c,m,cls", MINIMAL_REPS)
+    def test_minimal_U_is_the_h_zero_member(self, space, a, c, m, cls):
+        U_min, got = minimal_U(space, m, a, c, u_window=(-3.5, 3.5))
+        U_cmc, case = cmc_U(space, m, a, 0.0, c, u_window=(-3.5, 3.5))
+        assert got is cls and case is MINIMAL_CASE[cls]
+        assert U_min.domain == U_cmc.domain
+        for u in interior_points(U_min):
+            assert U_min(u) == U_cmc(u)
+            assert U_min.deriv(u) == U_cmc.deriv(u)
+            assert U_min.second(u) == U_cmc.second(u)

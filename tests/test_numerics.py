@@ -14,7 +14,6 @@ from bcvhelix import (
     StencilOutOfDomain,
     bracket_root,
     diff_central,
-    quad_adaptive,
 )
 from bcvhelix import numerics
 from bcvhelix.numerics import scan_interval
@@ -25,52 +24,6 @@ def exp_below_one(x):
     if x > 1.0:
         raise DomainError(f"x={x} > 1")
     return math.exp(x)
-
-
-class TestQuadAdaptive:
-    def test_polynomial(self):
-        res = quad_adaptive(lambda x: x * x, 0.0, 1.0)
-        assert abs(res.value - 1.0 / 3.0) < 1e-12
-
-    def test_sine(self):
-        res = quad_adaptive(math.sin, 0.0, math.pi)
-        assert abs(res.value - 2.0) < 1e-12
-
-    def test_sqrt_endpoint_singularity(self):
-        res = quad_adaptive(lambda x: 1.0 / math.sqrt(1.0 - x), 0.0, 1.0, 1e-10, 1e-10)
-        assert abs(res.value - 2.0) < 1e-8
-
-    def test_reversed_limits(self):
-        res = quad_adaptive(lambda x: x, 1.0, 0.0)
-        assert abs(res.value + 0.5) < 1e-12
-
-    def test_empty_interval(self):
-        assert quad_adaptive(lambda x: x, 2.0, 2.0).value == 0.0
-
-    def test_failure_on_cap(self):
-        with pytest.raises(QuadratureFailure):
-            quad_adaptive(lambda x: 1.0 / abs(x - math.pi / 6) ** 0.999, 0.0, 1.0,
-                          1e-13, 1e-13, max_panels=12)
-
-    def test_deterministic(self):
-        f = lambda x: math.exp(-x * x) * math.cos(3 * x)
-        a = quad_adaptive(f, -2.0, 3.0)
-        b = quad_adaptive(f, -2.0, 3.0)
-        assert a.value == b.value and a.panel_count == b.panel_count
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        lo=st.floats(-3, 1), width=st.floats(0.1, 4), frac=st.floats(0.1, 0.9)
-    )
-    def test_additivity(self, lo, width, frac):
-        f = lambda x: math.sin(2 * x) + 0.3 * x * x
-        hi = lo + width
-        mid = lo + frac * width
-        whole = quad_adaptive(f, lo, hi)
-        left = quad_adaptive(f, lo, mid)
-        right = quad_adaptive(f, mid, hi)
-        budget = whole.abs_error_estimate + left.abs_error_estimate + right.abs_error_estimate
-        assert abs(left.value + right.value - whole.value) <= budget + 1e-13
 
 
 class TestDiffCentral:
@@ -262,6 +215,13 @@ class TestCumulativeQuadrature:
         F = CumulativeQuadrature(lambda x: 1.0 if x >= step else 0.0, 0.0, -2.0, 2.0)
         assert abs(F(2.0) - F(-2.0) - (2.0 - step)) <= 1e-10
         assert F.rounding_stops == 0
+
+    def test_failure_at_max_depth(self):
+        # one cell, no bisection allowed: sin(40 x) cannot meet the floor
+        f = lambda x: math.sin(40 * x)
+        F = CumulativeQuadrature(f, 0.0, 0.0, 2.0, cell_width=2.0, max_depth=0)
+        with pytest.raises(QuadratureFailure):
+            F(2.0)
 
 
 class TestSmoothFunction:
