@@ -17,7 +17,6 @@ from .errors import (
     InconsistentCurve,
     NegativeDiscriminant,
     NegativeRadicand,
-    NoBracket,
     NoRealFamily,
     ParameterOutOfRange,
     QuadratureFailure,
@@ -28,13 +27,10 @@ from .numerics import (
     CumulativeQuadrature,
     SmoothFunction,
     Tolerances,
-    bracket_root,
     diff_central,
 )
 from .spaces import (
-    AmbientPoint,
     BcvSpace,
-    CylPoint,
     SpaceClass,
     christoffels,
     classify,
@@ -84,7 +80,6 @@ from .oracle import (
     LocalGeometry,
     MeshGrid,
     SurfaceChart,
-    embed,
     first_form_grid,
     first_form_numeric,
     gauss_intrinsic,

@@ -210,11 +210,11 @@ def domain_of_validity(
     space: BcvSpace,
     seed: BourSeed,
     tol: Tolerances = DEFAULT_TOL,
-    scan_points: int = 2049,
 ) -> tuple[float, float]:
     """Maximal subinterval of u_domain around its midpoint where the chart
     exists: Delta >= 0, m^2 U^2 >= a^2, positive radius denominator, B > 0,
-    and the xi2 radicand >= 0.  Endpoints located by bisection to tol.bisect.
+    and the xi2 radicand >= 0.  The scan walks out from the midpoint in steps
+    of 1/2048 of u_domain; endpoints are located by bisection to tol.bisect.
     """
     lo, hi = seed.u_domain
     u0 = 0.5 * (lo + hi)
@@ -223,7 +223,7 @@ def domain_of_validity(
         raise EmptyDomain(
             f"chart invalid at the u_domain midpoint u0={u0}; no validity interval"
         )
-    return scan_interval(pred, u0, seed.u_domain, (hi - lo) / (scan_points - 1), tol.bisect)
+    return scan_interval(pred, u0, seed.u_domain, (hi - lo) / 2048, tol.bisect)
 
 
 @dataclass
@@ -289,11 +289,6 @@ class NaturalChart:
     @property
     def U(self) -> SmoothFunction:
         return self.seed.U
-
-    def cylindrical(self, u: float, t: float) -> tuple[float, float, float]:
-        """(r, theta, z) of the surface point at natural parameters (u, t)."""
-        th = self.theta(u, t)
-        return self.xi1(u), th, self.xi2(u) + self.seed.a * th
 
     def profile_curve(
         self,

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -107,7 +107,6 @@ class JobConfig:
     basename: str
     formats: list[str]
     raw_theta: bool
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _get(cfg: dict, path: str, default=None, required: bool = False):
@@ -221,7 +220,6 @@ def parse_config(cfg: dict, mode: str) -> JobConfig:
         basename=basename,
         formats=formats,
         raw_theta=raw_theta,
-        raw=cfg,
     )
 
 

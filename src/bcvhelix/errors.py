@@ -51,10 +51,6 @@ class QuadratureFailure(BcvHelixError):
     """Adaptive quadrature hit its refinement cap before meeting tolerance."""
 
 
-class NoBracket(BcvHelixError):
-    """Bisection was given an interval without a sign change / predicate flip."""
-
-
 class NoRealFamily(BcvHelixError):
     """A CMC family's discriminant is negative: no real solution exists."""
 

@@ -2,12 +2,13 @@
 
 One quadrature kernel, CumulativeQuadrature: an antiderivative-style
 G7/K15 Gauss-Kronrod rule over fixed cells with panel caching, behind every
-chart antiderivative and gauge.  One Richardson difference kernel behind
-every finite difference, and one bisection loop behind root bracketing and
-the outward interval scan that locates domain endpoints.  All kernels are
-deterministic: identical inputs give bit-identical outputs, and a
-CumulativeQuadrature value does not depend on which abscissae were queried
-before it.
+chart antiderivative and gauge.  Its cells and their walk live in one
+one-directional half-line from u0 outward; the side below u0 is the same
+walk over the mirror image f(-x).  One Richardson difference kernel behind
+every finite difference, and one bisection loop behind the outward interval
+scan that locates domain endpoints.  All kernels are deterministic:
+identical inputs give bit-identical outputs, and a CumulativeQuadrature
+value does not depend on which abscissae were queried before it.
 
 CumulativeQuadrature stops refining a cell at the integrand's rounding floor
 (QUADPACK's roundoff test, see ``_ROUNDOFF_RATIO``).  A leaf kept that way
@@ -24,7 +25,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import BcvHelixError, NoBracket, QuadratureFailure, StencilOutOfDomain
+from .errors import BcvHelixError, QuadratureFailure, StencilOutOfDomain
 
 __all__ = [
     "Tolerances",
@@ -33,7 +34,6 @@ __all__ = [
     "CumulativeQuadrature",
     "richardson",
     "diff_central",
-    "bracket_root",
     "scan_interval",
 ]
 
@@ -46,7 +46,6 @@ class Tolerances:
     """
 
     quad_abs: float = 1e-10          # cumulative quadrature absolute tolerance
-    quad_rel: float = 1e-10          # relative tolerance (no kernel reads it)
     fd_first: float = 1e-5           # step for first derivatives
     fd_second: float = 1e-4          # step for second derivatives
     fd_min: float = 1e-7             # smallest step before StencilOutOfDomain
@@ -111,55 +110,19 @@ class _Leaf:
         self.children: Optional[tuple["_Leaf", "_Leaf"]] = None
 
 
-class CumulativeQuadrature:
-    """Antiderivative F(u) = int_{u0}^{u} f with panel caching.
+class _HalfLine:
+    """The cells of [u0, hi] of a CumulativeQuadrature and the walk from u0
+    outward; ``per_unit`` is the budget per unit length of both sides."""
 
-    The interval around ``u0`` is covered by fixed cells; each cell holds one
-    K15 value (refined by static bisection where the G7/K15 estimate exceeds
-    its share of the budget).  A query sums whole cells and finishes with a
-    single K15 application on the partial cell, so F is smooth inside cells
-    and exactly continuous across cell boundaries -- finite differences of F
-    recover f without cache-boundary noise.  Thread-safe; values are
-    deterministic, so racing writes are benign and guarded anyway.
-
-    Rounding stop: a cell whose two halves do not lower the summed estimate
-    below ``_ROUNDOFF_RATIO`` of its own is split once more and not further;
-    each half keeps its value and estimate, so a leaf's ``err`` is then an
-    estimate of rounding noise above the leaf's share of the budget.
-    ``rounding_stops`` counts the cells accepted this way.
-    """
-
-    def __init__(
-        self,
-        f: Callable[[float], float],
-        u0: float,
-        lo: float,
-        hi: float,
-        abs_tol: float = DEFAULT_TOL.quad_abs,
-        cell_width: float = 0.05,
-        max_depth: int = 42,
-    ):
-        if not (lo <= u0 <= hi):
-            raise ValueError(f"u0={u0} outside [{lo}, {hi}]")
+    def __init__(self, f, u0, hi, per_unit, abs_tol, cell_width, max_depth):
         self.f = f
-        self.u0 = u0
-        self.lo = lo
-        self.hi = hi
+        self.per_unit = per_unit
         self.abs_tol = abs_tol
         self.max_depth = max_depth
         self.rounding_stops = 0
-        self._lock = threading.Lock()
-        span = max(hi - u0, u0 - lo, cell_width)
-        self._per_unit = abs_tol / span
-        n_right = max(1, math.ceil((hi - u0) / cell_width)) if hi > u0 else 0
-        n_left = max(1, math.ceil((u0 - lo) / cell_width)) if lo < u0 else 0
-        self._right = [
-            _Leaf(u0 + (hi - u0) * i / n_right, u0 + (hi - u0) * (i + 1) / n_right)
-            for i in range(n_right)
-        ]
-        self._left = [
-            _Leaf(u0 - (u0 - lo) * (i + 1) / n_left, u0 - (u0 - lo) * i / n_left)
-            for i in range(n_left)
+        n = max(1, math.ceil((hi - u0) / cell_width)) if hi > u0 else 0
+        self.cells = [
+            _Leaf(u0 + (hi - u0) * i / n, u0 + (hi - u0) * (i + 1) / n) for i in range(n)
         ]
 
     def _ensure(
@@ -170,7 +133,7 @@ class CumulativeQuadrature:
         if leaf.value is not None:
             return leaf.value
         val, err = panel or _kronrod_panel(self.f, leaf.lo, leaf.hi)
-        floor = max(self._per_unit * (leaf.hi - leaf.lo), 1e-3 * self.abs_tol)
+        floor = max(self.per_unit * (leaf.hi - leaf.lo), 1e-3 * self.abs_tol)
         if err > floor and err > 1e-16 * abs(val):
             if depth >= self.max_depth:
                 raise QuadratureFailure(
@@ -194,29 +157,77 @@ class CumulativeQuadrature:
         leaf.value = val
         return val
 
-    def _partial(self, leaf: _Leaf, u: float, side: int) -> float:
-        # Integral over the part of `leaf` between its inner edge and u.  The
-        # cell is refined first, so the walk below does not depend on which
-        # queries came before.
+    def _partial(self, leaf: _Leaf, u: float) -> float:
+        # Integral over the part of `leaf` left of u.  The cell is refined
+        # first, so the walk below does not depend on which queries came
+        # before.
         self._ensure(leaf)
         if leaf.children is not None:
             left, right = leaf.children
-            if side > 0:
-                if u >= right.lo:
-                    return self._ensure(left) + self._partial(right, u, side)
-                return self._partial(left, u, side)
-            if u <= left.hi:
-                return self._ensure(right) + self._partial(left, u, side)
-            return self._partial(right, u, side)
-        if side > 0:
-            if u >= leaf.hi:
-                return self._ensure(leaf)
-            val, _ = _kronrod_panel(self.f, leaf.lo, u)
-        else:
-            if u <= leaf.lo:
-                return self._ensure(leaf)
-            val, _ = _kronrod_panel(self.f, u, leaf.hi)
-        return val
+            if u >= right.lo:
+                return self._ensure(left) + self._partial(right, u)
+            return self._partial(left, u)
+        if u >= leaf.hi:
+            return self._ensure(leaf)
+        return _kronrod_panel(self.f, leaf.lo, u)[0]
+
+    def __call__(self, u: float) -> float:
+        """The integral of f from u0 to u, for u0 < u <= hi."""
+        total = 0.0
+        for leaf in self.cells:
+            if u < leaf.hi:
+                if u > leaf.lo:
+                    total += self._partial(leaf, u)
+                break
+            total += self._ensure(leaf)
+        return total
+
+
+class CumulativeQuadrature:
+    """Antiderivative F(u) = int_{u0}^{u} f with panel caching.
+
+    The interval around ``u0`` is covered by fixed cells; each cell holds one
+    K15 value (refined by static bisection where the G7/K15 estimate exceeds
+    its share of the budget).  A query sums whole cells and finishes with a
+    single K15 application on the partial cell, so F is smooth inside cells
+    and exactly continuous across cell boundaries -- finite differences of F
+    recover f without cache-boundary noise.  Thread-safe; values are
+    deterministic, so racing writes are benign and guarded anyway.
+
+    Both sides of u0 are one walk: f on [u0, hi], and its mirror image f(-x)
+    on [-u0, -lo] with F(u) = -left(-u) below u0.  Negation is exact, so the
+    left side's nodes, panels and sums are those of a walk from u0 to lo.
+
+    Rounding stop: a cell whose two halves do not lower the summed estimate
+    below ``_ROUNDOFF_RATIO`` of its own is split once more and not further;
+    each half keeps its value and estimate, so a leaf's ``err`` is then an
+    estimate of rounding noise above the leaf's share of the budget.
+    ``rounding_stops`` counts the cells accepted this way.
+    """
+
+    def __init__(
+        self,
+        f: Callable[[float], float],
+        u0: float,
+        lo: float,
+        hi: float,
+        abs_tol: float = DEFAULT_TOL.quad_abs,
+        cell_width: float = 0.05,
+        max_depth: int = 42,
+    ):
+        if not (lo <= u0 <= hi):
+            raise ValueError(f"u0={u0} outside [{lo}, {hi}]")
+        self.u0 = u0
+        self.lo = lo
+        self.hi = hi
+        self._lock = threading.Lock()
+        per_unit = abs_tol / max(hi - u0, u0 - lo, cell_width)
+        self._right = _HalfLine(f, u0, hi, per_unit, abs_tol, cell_width, max_depth)
+        self._left = _HalfLine(lambda x: f(-x), -u0, -lo, per_unit, abs_tol, cell_width, max_depth)
+
+    @property
+    def rounding_stops(self) -> int:
+        return self._right.rounding_stops + self._left.rounding_stops
 
     def __call__(self, u: float) -> float:
         u = float(u)
@@ -227,26 +238,7 @@ class CumulativeQuadrature:
             raise ValueError(f"u={u} outside cumulative domain [{self.lo}, {self.hi}]")
         u = min(max(u, self.lo), self.hi)
         with self._lock:
-            total = 0.0
-            if u > self.u0:
-                for leaf in self._right:
-                    if u >= leaf.hi:
-                        total += self._ensure(leaf)
-                    elif u > leaf.lo:
-                        total += self._partial(leaf, u, +1)
-                        break
-                    else:
-                        break
-                return total
-            for leaf in self._left:
-                if u <= leaf.lo:
-                    total += self._ensure(leaf)
-                elif u < leaf.hi:
-                    total += self._partial(leaf, u, -1)
-                    break
-                else:
-                    break
-            return -total
+            return self._right(u) if u > self.u0 else -self._left(-u)
 
 
 def richardson(d: Callable[[float], float], h: float, h_min: Optional[float] = None):
@@ -303,31 +295,6 @@ def _bisect(same: Callable[[float], bool], a: float, b: float, tol: float) -> tu
     return a, b
 
 
-def bracket_root(
-    f: Callable[[float], float] | Callable[[float], bool],
-    lo: float,
-    hi: float,
-    tol: float = DEFAULT_TOL.bisect,
-) -> float:
-    """Bisect [lo, hi] down to ``tol`` for the sign change / predicate flip.
-
-    ``f`` may return a real (root of a sign change is located) or a bool
-    (the flip abscissa is located).  Raises NoBracket when both ends agree.
-    """
-
-    def state(x: float) -> bool:
-        v = f(x)
-        if isinstance(v, bool):
-            return v
-        return v > 0.0
-
-    s_lo, s_hi = state(lo), state(hi)
-    if s_lo == s_hi:
-        raise NoBracket(f"no sign change or flip on [{lo}, {hi}]")
-    lo, hi = _bisect(lambda x: state(x) == s_lo, lo, hi, tol)
-    return 0.5 * (lo + hi)
-
-
 def scan_interval(
     pred: Callable[[float], bool],
     anchor: float,
@@ -370,12 +337,10 @@ class SmoothFunction:
         f: Callable[[float], float],
         df: Optional[Callable[[float], float]] = None,
         d2f: Optional[Callable[[float], float]] = None,
-        fd_step: float = DEFAULT_TOL.fd_first,
     ):
         self.f = f
         self._df = df
         self._d2f = d2f
-        self.fd_step = fd_step
 
     def __call__(self, u: float) -> float:
         return self.f(u)
@@ -383,7 +348,7 @@ class SmoothFunction:
     def deriv(self, u: float) -> float:
         if self._df is not None:
             return self._df(u)
-        return diff_central(self.f, u, order=1, h=self.fd_step)
+        return diff_central(self.f, u, order=1, h=DEFAULT_TOL.fd_first)
 
     def second(self, u: float) -> float:
         if self._d2f is not None:

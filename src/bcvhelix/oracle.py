@@ -31,13 +31,12 @@ from .errors import (
 )
 from .numerics import DEFAULT_TOL, SmoothFunction, Tolerances, richardson
 from .orbit import HelicoidalAction, ProfileCurve
-from .spaces import AmbientPoint, BcvSpace, christoffels, metric_cartesian
+from .spaces import BcvSpace, christoffels, metric_cartesian
 
 __all__ = [
     "SurfaceChart",
     "LocalGeometry",
     "MeshGrid",
-    "embed",
     "local_geometry",
     "first_form_grid",
     "first_form_numeric",
@@ -126,12 +125,6 @@ class SurfaceChart:
         th = self.theta(u, t)
         r = self.xi1(u)
         return np.stack([r * np.cos(th), r * np.sin(th), self.xi2(u) + self.a * th], axis=-1)
-
-
-def embed(space: BcvSpace, chart: SurfaceChart, u: float, t: float) -> AmbientPoint:
-    """Cartesian ambient point of the chart at (u, t)."""
-    x, y, z = chart.point(u, t)
-    return AmbientPoint(x, y, z)
 
 
 class _RowPoints:

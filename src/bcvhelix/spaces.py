@@ -24,8 +24,6 @@ from .numerics import DEFAULT_TOL, Tolerances, diff_central
 
 __all__ = [
     "BcvSpace",
-    "AmbientPoint",
-    "CylPoint",
     "SpaceClass",
     "scaling_factor",
     "metric_cartesian",
@@ -70,47 +68,8 @@ class BcvSpace:
         return 2.0 / math.sqrt(-self.kappa)
 
 
-@dataclass(frozen=True)
-class AmbientPoint:
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    def to_cylindrical(self) -> "CylPoint":
-        return CylPoint(math.hypot(self.x, self.y), math.atan2(self.y, self.x), self.z)
-
-
-@dataclass(frozen=True)
-class CylPoint:
-    r: float
-    theta: float
-    z: float
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
-
-    def to_cartesian(self) -> AmbientPoint:
-        return AmbientPoint(self.r * math.cos(self.theta), self.r * math.sin(self.theta), self.z)
-
-
-def _xyz(p) -> tuple[float, float, float]:
-    if isinstance(p, AmbientPoint):
-        return p.x, p.y, p.z
-    if isinstance(p, CylPoint):
-        q = p.to_cartesian()
-        return q.x, q.y, q.z
-    x, y, z = (float(c) for c in p)
-    return x, y, z
-
-
 def _points(p) -> np.ndarray:
     """Cartesian coordinates of one point, shape (3,), or of a (..., 3) array."""
-    if isinstance(p, (AmbientPoint, CylPoint)):
-        return np.array(_xyz(p))
     return np.asarray(p, dtype=float)
 
 
@@ -165,10 +124,7 @@ def metric_cylindrical(space: BcvSpace, p, tol: Tolerances = DEFAULT_TOL) -> np.
     Defined at r = 0 as well (g_thth = 0 there), but the matrix is singular
     on the axis; callers needing invertibility keep r >= tol.r_min.
     """
-    if isinstance(p, CylPoint):
-        r = p.r
-    else:
-        r, _, _ = (float(c) for c in p)
+    r = float(p[0])
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     rsq = r * r
@@ -185,7 +141,7 @@ def metric_cylindrical(space: BcvSpace, p, tol: Tolerances = DEFAULT_TOL) -> np.
 
 def orthonormal_frame(space: BcvSpace, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """The global orthonormal frame E1, E2, E3 as rows of coordinate components."""
-    x, y, z = _xyz(p)
+    x, y, z = _points(p)
     B = scaling_factor(space, x * x + y * y, tol)
     tau = space.tau
     return np.array(
@@ -203,7 +159,7 @@ def killing_basis(space: BcvSpace, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarr
     Frame components are converted to coordinate components eagerly; vectors
     live in one representation throughout.
     """
-    x, y, z = _xyz(p)
+    x, y, z = _points(p)
     B = scaling_factor(space, x * x + y * y, tol)
     kappa, tau = space.kappa, space.tau
     E = orthonormal_frame(space, p, tol)
@@ -269,7 +225,7 @@ def killing_residual(
     Christoffel terms come from ``christoffels``.  Zero (to tolerance) iff
     X_k generates isometries.
     """
-    x0 = np.array(_xyz(p), dtype=float)
+    x0 = _points(p)
 
     def lowered(q: np.ndarray) -> np.ndarray:
         return metric_cartesian(space, q, tol) @ killing_basis(space, q, tol)[k]

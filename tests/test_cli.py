@@ -294,6 +294,12 @@ class TestConfigValidation:
         cfg["mode"] = "export"
         assert run(tmp_path, "verify", cfg) == 2
 
+    @pytest.mark.parametrize("key", ["quad_rel", "typo"])
+    def test_unknown_tolerance_rejected(self, tmp_path, capsys, key):
+        # a tolerance no kernel reads must not be accepted and silently ignored
+        assert run(tmp_path, "verify", NIL_MINIMAL, overrides=[f"tolerances.{key}=0.5"]) == 2
+        assert f"tolerances.{key}: unknown tolerance" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
 

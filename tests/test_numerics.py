@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 from bcvhelix import (
     CumulativeQuadrature,
     DomainError,
-    NoBracket,
     QuadratureFailure,
     SmoothFunction,
     StencilOutOfDomain,
-    bracket_root,
     diff_central,
 )
 from bcvhelix import numerics
@@ -60,20 +58,6 @@ class TestDiffCentral:
             diff_central(exp_below_one, 1.0 - 1e-9, order=1, h=1e-5, h_min=1e-7)
 
 
-class TestBracketRoot:
-    def test_sqrt2(self):
-        root = bracket_root(lambda x: x * x - 2.0, 0.0, 2.0, 1e-10)
-        assert abs(root - math.sqrt(2.0)) < 1e-10
-
-    def test_predicate_flip(self):
-        flip = bracket_root(lambda x: x < 1.5, 0.0, 2.0, 1e-10)
-        assert abs(flip - 1.5) < 1e-9
-
-    def test_no_bracket(self):
-        with pytest.raises(NoBracket):
-            bracket_root(lambda x: x + 10.0, 0.0, 1.0)
-
-
 class TestScanInterval:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -112,7 +96,8 @@ def _counted(f):
 
 
 def _leaves(F):
-    """(lo, hi, value, err) of every leaf of the cumulative tree, in order."""
+    """(lo, hi, value, err) of every leaf of both half-line trees, in walk order
+    (the left side's in its mirror coordinates)."""
     out = []
 
     def walk(leaf):
@@ -122,7 +107,7 @@ def _leaves(F):
             for child in leaf.children:
                 walk(child)
 
-    for cell in F._left[::-1] + F._right:
+    for cell in F._left.cells + F._right.cells:
         if cell.value is not None:
             walk(cell)
     return out
@@ -136,8 +121,8 @@ class TestCumulativeQuadrature:
 
     def test_continuity_across_cells(self):
         F = CumulativeQuadrature(lambda x: math.exp(0.3 * x), 0.0, -2.0, 2.0, cell_width=0.25)
-        # straddle a cell boundary with a tiny step
-        for edge in [0.25, 0.5, 1.0]:
+        # straddle a cell boundary with a tiny step, on both sides of u0
+        for edge in [-1.0, -0.5, -0.25, 0.25, 0.5, 1.0]:
             gap = F(edge + 1e-9) - F(edge - 1e-9)
             assert abs(gap - 2e-9 * math.exp(0.3 * edge)) < 1e-13
 
@@ -150,6 +135,14 @@ class TestCumulativeQuadrature:
         assert abs(df - f(0.7)) < 1e-10
         exact_d2 = -2 * 0.7 / (1 + 0.49) ** 2
         assert abs(d2 - exact_d2) < 1e-7
+
+    def test_left_side_is_mirror_of_right(self):
+        # the side below u0 is the walk over the mirror image f(-x), bit for bit
+        f = lambda x: math.exp(0.3 * x) + x**3
+        F = CumulativeQuadrature(f, 0.37, -2.0, 2.5)
+        G = CumulativeQuadrature(lambda x: f(-x), -0.37, -2.5, 2.0)
+        for u in [-2.0, -1.3, -0.2, 0.1, 0.3699, 0.3701, 0.5, 1.9, 2.5]:
+            assert struct.pack("<d", F(u)) == struct.pack("<d", -G(-u))
 
     def test_zero_at_anchor(self):
         F = CumulativeQuadrature(math.cos, 0.5, -1.0, 1.0)
@@ -182,7 +175,7 @@ class TestCumulativeQuadrature:
         F = CumulativeQuadrature(f, 0.0, -2.0, 2.0, max_depth=16)
         for u in (-2.0, 2.0):
             value = F(u)
-            cells = F._right if u > 0 else F._left
+            cells = (F._right if u > 0 else F._left).cells
             estimate = sum(cell.err for cell in cells)
             assert abs(value - math.sin(u)) <= estimate
         assert F.rounding_stops > 0
@@ -207,7 +200,7 @@ class TestCumulativeQuadrature:
         ref = CumulativeQuadrature(f, 0.0, lo, hi, cell_width=cell_width)
         assert [ref(u) for u in us] == values
         assert _leaves(F) == _leaves(ref)
-        assert len(_leaves(F)) > len(F._left) + len(F._right)
+        assert len(_leaves(F)) > len(F._left.cells) + len(F._right.cells)
         assert F.rounding_stops == 0
 
     @pytest.mark.parametrize("step", [0.3141, -1.2345, 0.777])

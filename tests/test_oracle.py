@@ -13,7 +13,6 @@ from bcvhelix import (
     SurfaceChart,
     build_chart,
     christoffels,
-    embed,
     first_form_grid,
     first_form_numeric,
     gauss_intrinsic,
@@ -75,23 +74,23 @@ class TestEmbed:
     def test_helicoid_points(self, helicoid_chart):
         sc = SurfaceChart.from_natural(helicoid_chart)
         for u, t in [(0.5, 0.0), (1.2, 1.1), (2.0, -2.3)]:
-            p = embed(R3, sc, u, t)
-            assert abs(p.x - u * math.cos(t)) < 1e-13
-            assert abs(p.y - u * math.sin(t)) < 1e-13
-            assert abs(p.z - t) < 1e-13  # pitch a = d = 1: z = a t
+            x, y, z = sc.point(u, t)
+            assert abs(x - u * math.cos(t)) < 1e-13
+            assert abs(y - u * math.sin(t)) < 1e-13
+            assert abs(z - t) < 1e-13  # pitch a = d = 1: z = a t
 
     def test_catenoid_waist(self, catenoid_chart):
         sc = SurfaceChart.from_natural(catenoid_chart)
-        p = embed(R3, sc, 0.0, 0.0)
-        assert abs(p.x - 1.0) < 1e-14 and abs(p.y) < 1e-14 and abs(p.z) < 1e-14
+        x, y, z = sc.point(0.0, 0.0)
+        assert abs(x - 1.0) < 1e-14 and abs(y) < 1e-14 and abs(z) < 1e-14
 
     def test_nil_catenoid_axis_circle(self, nil_catenoid_chart):
         sc = SurfaceChart.from_natural(nil_catenoid_chart)
         for t in (-1.0, 0.2, 2.4):
-            p = embed(NIL, sc, 0.0, t)
-            assert abs(p.x - math.cos(t)) < 1e-13
-            assert abs(p.y - math.sin(t)) < 1e-13
-            assert abs(p.z - 0.5 * t) < 1e-13
+            x, y, z = sc.point(0.0, t)
+            assert abs(x - math.cos(t)) < 1e-13
+            assert abs(y - math.sin(t)) < 1e-13
+            assert abs(z - 0.5 * t) < 1e-13
 
 
 class TestFirstForm:

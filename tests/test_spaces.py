@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcvhelix import (
-    AmbientPoint,
     BcvSpace,
-    CylPoint,
     DomainError,
     SpaceClass,
     christoffels,
@@ -64,11 +62,6 @@ class TestMetricCartesian:
                 eigs = np.linalg.eigvalsh(metric_cartesian(space, p))
                 assert np.all(eigs > 0)
 
-    def test_accepts_ambient_point(self):
-        g1 = metric_cartesian(NIL, AmbientPoint(0.3, -0.2, 1.0))
-        g2 = metric_cartesian(NIL, (0.3, -0.2, 1.0))
-        assert np.array_equal(g1, g2)
-
 
 class TestMetricCylindrical:
     def test_euclidean(self):
@@ -105,11 +98,6 @@ class TestMetricCylindrical:
     def test_axis_degenerate_but_defined(self):
         g = metric_cylindrical(NIL, (0.0, 0.0, 0.0))
         assert g[1, 1] == 0.0  # flagged by singularity; callers keep r >= r_min
-
-    def test_cyl_point_roundtrip(self):
-        p = CylPoint(1.3, 0.7, -0.2)
-        q = p.to_cartesian().to_cylindrical()
-        assert abs(q.r - p.r) < 1e-15 and abs(q.theta - p.theta) < 1e-15
 
 
 class TestFrameAndKilling:

@@ -1,0 +1,131 @@
+"""Byte-identity gate: run the fixed set of CLI jobs, or compare two runs.
+
+    PYTHONPATH=src python tools/byte_gate.py run OUT
+    python tools/byte_gate.py diff A B
+
+``run`` sends 31 jobs through ``bcvhelix.cli.main`` in this process: the
+22 benchmark jobs of ``perfbench/inputs.py`` (``make_jobs`` of each
+workload) and the three shipped configs under ``configs/`` through
+``verify``, ``export`` and ``deform``.  It uses the ``bcvhelix`` that
+``import bcvhelix`` finds (this checkout's ``src`` if none is on the path),
+so pointing PYTHONPATH at another checkout's ``src`` runs that code against
+the same job set.  Each job gets the directory ``OUT/<name>/`` with its
+config ``job.json``, ``exit_code``, ``stdout``, ``stderr`` and the files it
+wrote under ``out/``.  Paths handed to the CLI are relative to that
+directory, so two runs in different places can be compared byte for byte.
+
+``diff`` lists every file present in only one of two run directories or
+with different bytes, and exits 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import traceback
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED_COMMANDS = ("verify", "export", "deform")
+
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import inputs  # noqa: E402  (the benchmark's job lists)
+
+
+def _jobs() -> list[tuple[str, str, dict]]:
+    """(name, command, config) of every run, in a fixed order."""
+    jobs = [
+        (f"{workload}-{job.name}", job.command, job.config)
+        for workload in inputs.WORKLOADS
+        for job in inputs.make_jobs(workload, 0)
+    ]
+    cfg_dir = os.path.join(ROOT, "configs")
+    for fname in sorted(os.listdir(cfg_dir)):
+        with open(os.path.join(cfg_dir, fname)) as fh:
+            cfg = json.load(fh)
+        stem = os.path.splitext(fname)[0]
+        jobs += [(f"shipped-{cmd}-{stem}", cmd, cfg) for cmd in SHIPPED_COMMANDS]
+    return jobs
+
+
+def run(out: str) -> int:
+    try:
+        import bcvhelix.cli
+    except ImportError:
+        sys.path.insert(0, os.path.join(ROOT, "src"))
+        import bcvhelix.cli
+    print(f"bcvhelix from {os.path.dirname(bcvhelix.cli.__file__)}", file=sys.stderr)
+    home = os.getcwd()
+    for name, command, cfg in _jobs():
+        job_dir = os.path.join(out, name)
+        os.makedirs(job_dir)
+        with open(os.path.join(job_dir, "job.json"), "w") as fh:
+            json.dump(cfg, fh, sort_keys=True, indent=2)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        os.chdir(job_dir)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    rc = bcvhelix.cli.main([command, "--config", "job.json", "--out", "out"])
+                except Exception:
+                    rc = "crash"
+                    traceback.print_exc()
+        finally:
+            os.chdir(home)
+        captured = {
+            "exit_code": f"{rc}\n",
+            "stdout": stdout.getvalue(),
+            "stderr": stderr.getvalue(),
+        }
+        for fname, text in captured.items():
+            with open(os.path.join(job_dir, fname), "w") as fh:
+                fh.write(text)
+        print(f"{name}: exit {rc}", file=sys.stderr)
+    return 0
+
+
+def _files(top: str) -> dict[str, str]:
+    """Relative path -> absolute path of every file below top."""
+    found = {}
+    for dirpath, _, fnames in os.walk(top):
+        for fname in fnames:
+            path = os.path.join(dirpath, fname)
+            found[os.path.relpath(path, top)] = path
+    return found
+
+
+def diff(a: str, b: str) -> int:
+    fa, fb = _files(a), _files(b)
+    differing = []
+    for rel in sorted(fa.keys() | fb.keys()):
+        if rel not in fa or rel not in fb:
+            differing.append(f"{rel}: only in {a if rel in fa else b}")
+            continue
+        with open(fa[rel], "rb") as ha, open(fb[rel], "rb") as hb:
+            if ha.read() != hb.read():
+                differing.append(f"{rel}: bytes differ")
+    for line in differing:
+        print(line)
+    total = len(fa.keys() | fb.keys())
+    print(f"{len(differing)} of {total} files differ", file=sys.stderr)
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("run", help="run every job into a new directory").add_argument("out")
+    p = sub.add_parser("diff", help="compare two run directories")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        return run(os.path.abspath(args.out))
+    return diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
