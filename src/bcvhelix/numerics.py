@@ -42,12 +42,14 @@ __all__ = [
 class Tolerances:
     """One tolerance configuration threaded through all modules.
 
-    The defaults are what every stated acceptance tolerance assumes.
+    The defaults are what every stated acceptance tolerance assumes.  The
+    derivative steps balance the O(h^4) truncation of one Richardson level
+    against the rounding error eps/h (first) and eps/h^2 (second derivatives).
     """
 
     quad_abs: float = 1e-10          # cumulative quadrature absolute tolerance
-    fd_first: float = 1e-5           # step for first derivatives
-    fd_second: float = 1e-4          # step for second derivatives
+    fd_first: float = 3e-4           # step for first derivatives, ~eps^(1/5)
+    fd_second: float = 3e-3          # step for second derivatives, ~eps^(1/6)
     fd_min: float = 1e-7             # smallest step before StencilOutOfDomain
     brioschi_step: float = 2e-2      # step for the intrinsic-curvature stencil
     arclength: float = 1e-6          # per-sample arc-length residual gate

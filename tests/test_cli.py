@@ -89,6 +89,21 @@ class TestVerify:
         }
         assert run(tmp_path, "verify", cfg) == 0
 
+    def test_hyperbolic_cosh_member_passes(self, tmp_path):
+        # kappa = -4 cosh member of acceptance C3: U reaches about 112 near the
+        # window's edge, where the relative rounding of the oracle's first form
+        # exceeds the absolute gate unless the derivative steps balance it
+        cfg = {
+            "space": {"kappa": -4.0, "tau": 0.0},
+            "seed": {"family": "cmc-case", "m": 1.0, "a": 0.5, "H": 1.0, "c": 1.0,
+                      "u_range": [-3.5, 3.5]},
+            "output": {"basename": "cosh", "formats": ["json"]},
+        }
+        assert run(tmp_path, "verify", cfg) == 0
+        report = json.loads((tmp_path / "cosh.verify.json").read_text())
+        assert report["pass"] is True
+        assert report["checks"]["first_form"]["value"] < 1e-6
+
     def test_perturbed_explicit_fails(self, tmp_path):
         cfg = {
             "space": {"kappa": 0.0, "tau": 0.0},
