@@ -2,13 +2,17 @@
 
 One quadrature kernel, CumulativeQuadrature: an antiderivative-style
 G7/K15 Gauss-Kronrod rule over fixed cells with panel caching, behind every
-chart antiderivative and gauge.  Its cells and their walk live in one
-one-directional half-line from u0 outward; the side below u0 is the same
-walk over the mirror image f(-x).  One Richardson difference kernel behind
-every finite difference, and one bisection loop behind the outward interval
-scan that locates domain endpoints.  All kernels are deterministic:
-identical inputs give bit-identical outputs, and a CumulativeQuadrature
-value does not depend on which abscissae were queried before it.
+chart antiderivative and gauge.  Its cells live in one one-directional
+half-line from u0 outward; the side below u0 is the same half-line over the
+mirror image f(-x).  A query adds a prefix sum of whole cells, found by
+bisection, to the dense output of the leaf that holds u: the integral of the
+degree-14 interpolant of the 15 samples the leaf's K15 panel already took,
+so a query on a filled cell calls no integrand.  One Richardson difference
+kernel behind every finite difference, and one bisection loop behind the
+outward interval scan that locates domain endpoints.  All kernels are
+deterministic: identical inputs give bit-identical outputs, and a
+CumulativeQuadrature value does not depend on which abscissae were queried
+before it.
 
 CumulativeQuadrature stops refining a cell at the integrand's rounding floor
 (QUADPACK's roundoff test, see ``_ROUNDOFF_RATIO``).  A leaf kept that way
@@ -20,10 +24,13 @@ singular or divergent integrand is accepted the same way, without error.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import BcvHelixError, QuadratureFailure, StencilOutOfDomain
 
@@ -77,20 +84,54 @@ _WGK = (
 _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469)
 
 
-def _kronrod_panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """One G7/K15 application on [lo, hi]: (K15 value, |K15-G7| estimate)."""
+def _kronrod_panel(
+    f: Callable[[float], float], lo: float, hi: float
+) -> tuple[float, float, list[float]]:
+    """One G7/K15 application on [lo, hi]: (K15 value, |K15-G7| estimate,
+    the 15 samples of f in the order of ``_NODES``)."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     fc = f(mid)
+    samples = [fc]
     kron = _WGK[7] * fc
     gauss = _WG[3] * fc
     for i in range(7):
         x = half * _XGK[i]
-        fsum = f(mid - x) + f(mid + x)
+        fl, fr = f(mid - x), f(mid + x)
+        samples += (fl, fr)
+        fsum = fl + fr
         kron += _WGK[i] * fsum
         if i % 2 == 1:  # K15 odd indices are the G7 nodes
             gauss += _WG[i // 2] * fsum
-    return kron * half, abs((kron - gauss) * half)
+    return kron * half, abs((kron - gauss) * half), samples
+
+
+# The K15 nodes and weights on [-1, 1] in the order _kronrod_panel samples
+# f, and the 16 x 15 map from those samples to the Legendre coefficients of
+# the antiderivative (zero at -1) of their degree-14 interpolant.  K15 is
+# interpolatory, so that antiderivative at +1 is the panel's K15 value; the
+# tabulated nodes and weights carry 15 digits, and a term (P_0 + P_1) / 2 per
+# sample, zero at -1 and of size 1e-15, makes it so to rounding.
+_NODES = (0.0,) + tuple(s * x for x in _XGK[:7] for s in (-1.0, 1.0))
+_WEIGHTS = (_WGK[7],) + tuple(w for w in _WGK[:7] for _ in range(2))
+_ANTIDERIVATIVE = np.polynomial.legendre.legint(
+    np.linalg.inv(np.polynomial.legendre.legvander(np.array(_NODES), 14)), lbnd=-1.0
+)
+_ANTIDERIVATIVE[:2] += 0.5 * (np.array(_WEIGHTS) - _ANTIDERIVATIVE.sum(axis=0))
+
+
+# (2k - 1) / k and (k - 1) / k of P_k = ((2k - 1) s P_{k-1} - (k - 1) P_{k-2}) / k
+_LEGENDRE_STEPS = tuple(((2 * k - 1) / k, (k - 1) / k) for k in range(2, 16))
+
+
+def _legendre_series(coef: list[float], s: float) -> float:
+    """sum_k coef[k] P_k(s), k < 16, by the three-term recurrence of the P_k."""
+    p_prev, p = 1.0, s
+    total = coef[0] + coef[1] * s
+    for c, (a, b) in zip(coef[2:], _LEGENDRE_STEPS):
+        p_prev, p = p, a * s * p - b * p_prev
+        total += c * p
+    return total
 
 
 # QUADPACK's roundoff test (dqagse): once the two halves of a bisected panel
@@ -100,9 +141,12 @@ _ROUNDOFF_RATIO = 0.99
 
 
 class _Leaf:
-    """A cached cumulative-quadrature cell: either a K15 value or two halves."""
+    """A cached cumulative-quadrature cell: either a K15 value or two halves.
 
-    __slots__ = ("lo", "hi", "value", "err", "children")
+    A final leaf keeps its panel's samples and, once a query lands inside it,
+    the Legendre coefficients of their interpolant's antiderivative."""
+
+    __slots__ = ("lo", "hi", "value", "err", "children", "samples", "dense")
 
     def __init__(self, lo: float, hi: float):
         self.lo = lo
@@ -110,10 +154,12 @@ class _Leaf:
         self.value: Optional[float] = None
         self.err = 0.0
         self.children: Optional[tuple["_Leaf", "_Leaf"]] = None
+        self.samples: Optional[list[float]] = None
+        self.dense: Optional[list[float]] = None
 
 
 class _HalfLine:
-    """The cells of [u0, hi] of a CumulativeQuadrature and the walk from u0
+    """The cells of [u0, hi] of a CumulativeQuadrature and the queries from u0
     outward; ``per_unit`` is the budget per unit length of both sides."""
 
     def __init__(self, f, u0, hi, per_unit, abs_tol, cell_width, max_depth):
@@ -126,15 +172,18 @@ class _HalfLine:
         self.cells = [
             _Leaf(u0 + (hi - u0) * i / n, u0 + (hi - u0) * (i + 1) / n) for i in range(n)
         ]
+        self.edges = [cell.hi for cell in self.cells]
+        # prefix[i] is the sum of the first i cell values, added left to right
+        self.prefix = [0.0]
 
     def _ensure(
-        self, leaf: _Leaf, depth: int = 0, panel: Optional[tuple[float, float]] = None
+        self, leaf: _Leaf, depth: int = 0, panel: Optional[tuple[float, float, list]] = None
     ) -> float:
-        # ``panel`` is the cell's K15 (value, estimate) when the parent has
-        # already computed it, so no panel is evaluated twice.
+        # ``panel`` is the cell's K15 (value, estimate, samples) when the
+        # parent has already computed it, so no panel is evaluated twice.
         if leaf.value is not None:
             return leaf.value
-        val, err = panel or _kronrod_panel(self.f, leaf.lo, leaf.hi)
+        val, err, samples = panel or _kronrod_panel(self.f, leaf.lo, leaf.hi)
         floor = max(self.per_unit * (leaf.hi - leaf.lo), 1e-3 * self.abs_tol)
         if err > floor and err > 1e-16 * abs(val):
             if depth >= self.max_depth:
@@ -148,41 +197,49 @@ class _HalfLine:
             if lp[1] + rp[1] >= _ROUNDOFF_RATIO * err:
                 # halving did not lower the estimate: it is rounding noise of
                 # the integrand, so the halves are kept as they are
-                (left.value, left.err), (right.value, right.err) = lp, rp
+                left.value, left.err, left.samples = lp
+                right.value, right.err, right.samples = rp
                 val = lp[0] + rp[0]
                 self.rounding_stops += 1
             else:
                 val = self._ensure(left, depth + 1, lp) + self._ensure(right, depth + 1, rp)
             err = left.err + right.err
             leaf.children = (left, right)
+        else:
+            leaf.samples = samples
         leaf.err = err
         leaf.value = val
         return val
 
-    def _partial(self, leaf: _Leaf, u: float) -> float:
-        # Integral over the part of `leaf` left of u.  The cell is refined
-        # first, so the walk below does not depend on which queries came
-        # before.
-        self._ensure(leaf)
-        if leaf.children is not None:
+    @staticmethod
+    def _partial(leaf: _Leaf, u: float) -> float:
+        # Integral over the part of the filled `leaf` left of u, lo < u < hi:
+        # the whole leaves left of u, then the dense output of u's leaf.
+        total = 0.0
+        while leaf.children is not None:
             left, right = leaf.children
-            if u >= right.lo:
-                return self._ensure(left) + self._partial(right, u)
-            return self._partial(left, u)
-        if u >= leaf.hi:
-            return self._ensure(leaf)
-        return _kronrod_panel(self.f, leaf.lo, u)[0]
+            if u < right.lo:
+                leaf = left
+            else:
+                total += left.value
+                leaf = right
+        if leaf.dense is None:
+            leaf.dense = (_ANTIDERIVATIVE @ leaf.samples).tolist()
+        half = 0.5 * (leaf.hi - leaf.lo)
+        return total + half * _legendre_series(leaf.dense, (u - 0.5 * (leaf.hi + leaf.lo)) / half)
 
     def __call__(self, u: float) -> float:
         """The integral of f from u0 to u, for u0 < u <= hi."""
-        total = 0.0
-        for leaf in self.cells:
-            if u < leaf.hi:
-                if u > leaf.lo:
-                    total += self._partial(leaf, u)
-                break
-            total += self._ensure(leaf)
-        return total
+        i = bisect.bisect_right(self.edges, u)  # u lies in cells[i], or i = n at hi
+        prefix = self.prefix
+        while len(prefix) <= i:
+            prefix.append(prefix[-1] + self._ensure(self.cells[len(prefix) - 1]))
+        if i == len(self.cells) or u == self.cells[i].lo:
+            return prefix[i]
+        # the cell is refined first, so the value does not depend on which
+        # queries came before
+        self._ensure(self.cells[i])
+        return prefix[i] + self._partial(self.cells[i], u)
 
 
 class CumulativeQuadrature:
@@ -190,15 +247,23 @@ class CumulativeQuadrature:
 
     The interval around ``u0`` is covered by fixed cells; each cell holds one
     K15 value (refined by static bisection where the G7/K15 estimate exceeds
-    its share of the budget).  A query sums whole cells and finishes with a
-    single K15 application on the partial cell, so F is smooth inside cells
-    and exactly continuous across cell boundaries -- finite differences of F
-    recover f without cache-boundary noise.  Thread-safe; values are
-    deterministic, so racing writes are benign and guarded anyway.
+    its share of the budget).  A query fills the cells from u0 up to u once,
+    adds the prefix sum of the whole cells before u (found by bisection on
+    the cell edges; the sums are added left to right, whatever the query
+    order) and the whole leaves of u's cell left of u, and ends with the
+    leaf's dense output: the integral from the leaf's edge to u of the
+    degree-14 interpolant of its 15 K15 samples.  That makes no integrand
+    call.  K15 is interpolatory, so the interpolant's integral over a whole
+    leaf is the leaf's K15 value up to rounding: F is a polynomial inside
+    each leaf and continuous across leaf edges to a few ulps, and finite
+    differences of F recover f without cache-boundary noise.  Thread-safe;
+    values are deterministic, so racing writes are benign and guarded anyway.
 
-    Both sides of u0 are one walk: f on [u0, hi], and its mirror image f(-x)
-    on [-u0, -lo] with F(u) = -left(-u) below u0.  Negation is exact, so the
-    left side's nodes, panels and sums are those of a walk from u0 to lo.
+    Both sides of u0 are one half-line: f on [u0, hi], and its mirror image
+    f(-x) on [-u0, -lo] with F(u) = 0.0 - left(-u) below u0 (so an
+    antiderivative that is exactly zero is +0.0 on both sides).  Negation is
+    exact, so the left side's nodes, panels and sums are those of a walk from
+    u0 to lo.
 
     Rounding stop: a cell whose two halves do not lower the summed estimate
     below ``_ROUNDOFF_RATIO`` of its own is split once more and not further;
@@ -240,7 +305,7 @@ class CumulativeQuadrature:
             raise ValueError(f"u={u} outside cumulative domain [{self.lo}, {self.hi}]")
         u = min(max(u, self.lo), self.hi)
         with self._lock:
-            return self._right(u) if u > self.u0 else -self._left(-u)
+            return self._right(u) if u > self.u0 else 0.0 - self._left(-u)
 
 
 def richardson(d: Callable[[float], float], h: float, h_min: Optional[float] = None):

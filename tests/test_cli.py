@@ -357,6 +357,18 @@ class TestChartAndCmcModes:
             assert abs(xi2 - math.asinh(u)) < 1e-8
             assert th0 == 0.0
 
+    def test_catenoid_profile_has_no_negative_zero(self, tmp_path):
+        # theta0 of the catenoid (a = 0) is exactly zero on both sides of u0
+        cfg = json.loads(json.dumps(HELICOID))
+        cfg["seed"].update(a=0.0, u_range=[-2.0, 2.0])
+        cfg["grid"] = {"nu": 200}
+        cfg["output"] = {"basename": "cat", "formats": ["csv"]}
+        assert run(tmp_path, "chart", cfg) == 0
+        rows = (tmp_path / "cat.profile.csv").read_text().strip().splitlines()
+        assert [row.split(",")[3] for row in rows[1:]] == ["0.0000000000000000e+00"] * 200
+        assert not any(cell.startswith("-0.0000000000000000e+00")
+                       for row in rows[1:] for cell in row.split(","))
+
     def test_cmc_mode_reports_case(self, tmp_path, capsys):
         cfg = {
             "space": {"kappa": -4.0, "tau": 0.0},
