@@ -15,7 +15,10 @@ wrote under ``out/``.  Paths handed to the CLI are relative to that
 directory, so two runs in different places can be compared byte for byte.
 
 ``diff`` lists every file present in only one of two run directories or
-with different bytes, and exits 1 if there is any, else 0.
+with different bytes, and exits 1 if there is any, else 0.  Under each
+differing file it says what moved: a changed exit code, and for a JSON
+report (``*.json``, ``stdout``) or a CSV file the largest absolute change of
+a number, with its place and both values, and every changed ``pass`` field.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import traceback
@@ -97,6 +101,83 @@ def _files(top: str) -> dict[str, str]:
     return found
 
 
+def _number(x):
+    """x as a float if it is a JSON or CSV number, else None."""
+    if isinstance(x, bool):
+        return None
+    if isinstance(x, (int, float)):
+        return float(x)
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
+def _leaves(x, path=""):
+    """(path, value) of every scalar in a parsed JSON value."""
+    if isinstance(x, dict):
+        for key in sorted(x):
+            yield from _leaves(x[key], f"{path}.{key}" if path else str(key))
+    elif isinstance(x, list):
+        for i, item in enumerate(x):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, x
+
+
+def _csv_cells(text: str):
+    """(path, cell) of every CSV cell; the path names the row and the header."""
+    rows = [line.split(",") for line in text.splitlines()]
+    header = rows[0] if rows else []
+    for r, row in enumerate(rows[1:], start=1):
+        for c, cell in enumerate(row):
+            yield f"row {r} {header[c] if c < len(header) else c}", cell
+
+
+def _moves(rel: str, old: bytes, new: bytes) -> list[str]:
+    """What moved between two versions of one file, one line each."""
+    name = os.path.basename(rel)
+    old_t, new_t = old.decode(errors="replace"), new.decode(errors="replace")
+    if name == "exit_code":
+        return [f"exit code {old_t.strip()} -> {new_t.strip()}"]
+    try:
+        if name.endswith(".csv"):
+            cells_a, cells_b = dict(_csv_cells(old_t)), dict(_csv_cells(new_t))
+        elif name.endswith(".json") or name == "stdout":
+            cells_a = dict(_leaves(json.loads(old_t)))
+            cells_b = dict(_leaves(json.loads(new_t)))
+        else:
+            return []
+    except ValueError:
+        return ["not parsed"]
+    lines = []
+    if cells_a.keys() != cells_b.keys():
+        lines.append(f"{len(cells_a.keys() ^ cells_b.keys())} places in only one file")
+    worst = None
+    for path in sorted(cells_a.keys() & cells_b.keys()):
+        x, y = cells_a[path], cells_b[path]
+        if x == y:
+            continue
+        if path == "pass" or path.endswith(".pass"):
+            lines.append(f"pass at {path}: {json.dumps(x)} -> {json.dumps(y)}")
+            continue
+        fx, fy = _number(x), _number(y)
+        if fx is None or fy is None:
+            lines.append(f"{path}: {x!r} -> {y!r}")
+            continue
+        if math.isnan(fx) and math.isnan(fy):
+            continue
+        change = abs(fy - fx)
+        if math.isnan(change):
+            change = math.inf
+        if worst is None or change > worst[0]:
+            worst = (change, path, x, y)
+    if worst is not None:
+        change, path, x, y = worst
+        lines.insert(0, f"max |change| {change:.3g} at {path}: {x} -> {y}")
+    return lines
+
+
 def diff(a: str, b: str) -> int:
     fa, fb = _files(a), _files(b)
     differing = []
@@ -105,12 +186,15 @@ def diff(a: str, b: str) -> int:
             differing.append(f"{rel}: only in {a if rel in fa else b}")
             continue
         with open(fa[rel], "rb") as ha, open(fb[rel], "rb") as hb:
-            if ha.read() != hb.read():
-                differing.append(f"{rel}: bytes differ")
+            old, new = ha.read(), hb.read()
+        if old != new:
+            differing.append(f"{rel}: bytes differ")
+            differing += [f"  {line}" for line in _moves(rel, old, new)]
     for line in differing:
         print(line)
     total = len(fa.keys() | fb.keys())
-    print(f"{len(differing)} of {total} files differ", file=sys.stderr)
+    count = sum(not line.startswith(" ") for line in differing)
+    print(f"{count} of {total} files differ", file=sys.stderr)
     return 1 if differing else 0
 
 
