@@ -105,8 +105,6 @@ def _number(x):
     """x as a float if it is a JSON or CSV number, else None."""
     if isinstance(x, bool):
         return None
-    if isinstance(x, (int, float)):
-        return float(x)
     try:
         return float(x)
     except (TypeError, ValueError):
