@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import (
     BcvHelixError,
     DegenerateOrbit,
@@ -231,8 +233,9 @@ class NaturalChart:
     """A natural parametrization (xi1, xi2, theta0) with its validity domain.
 
     xi2 and theta0 are quadrature-backed antiderivatives vanishing at u0;
-    theta(u, t) = t/m + theta0(u).  Immutable after construction; evaluation
-    is reentrant.
+    theta(u, t) = t/m + theta0(u).  Both also take a 1-D array of u and
+    return the column of values in one array query.  Immutable after
+    construction; evaluation is reentrant.
     """
 
     space: BcvSpace
@@ -259,17 +262,26 @@ class NaturalChart:
         self._check(u)
         return self._dxi1_fn(u)
 
-    def xi2(self, u: float) -> float:
-        self._check(u)
-        return self._xi2_quad(min(max(u, self.u_valid[0]), self.u_valid[1]))
+    def _clamped(self, u):
+        # u checked against u_valid and clamped into it, scalar or 1-D array
+        lo, hi = self.u_valid
+        if not isinstance(u, np.ndarray):
+            self._check(u)
+            return min(max(u, lo), hi)
+        outside = ~((lo - 1e-12 <= u) & (u <= hi + 1e-12))
+        if outside.any():
+            raise DomainError(f"u={u[outside][0]} outside chart validity [{lo}, {hi}]")
+        return np.minimum(np.maximum(u, lo), hi)
+
+    def xi2(self, u):
+        return self._xi2_quad(self._clamped(u))
 
     def dxi2(self, u: float) -> float:
         self._check(u)
         return self._xi2_integrand(u)
 
-    def theta0(self, u: float) -> float:
-        self._check(u)
-        return self._theta0_quad(min(max(u, self.u_valid[0]), self.u_valid[1]))
+    def theta0(self, u):
+        return self._theta0_quad(self._clamped(u))
 
     def dtheta0(self, u: float) -> float:
         self._check(u)

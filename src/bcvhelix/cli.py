@@ -127,6 +127,22 @@ def _as_float(value, path: str) -> float:
         raise ConfigError(f"{path}: expected a number, got {value!r}")
 
 
+def _as_int(value, path: str) -> int:
+    number = _as_float(value, path)
+    if not number.is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return int(number)
+
+
+def _as_range(value, path: str) -> tuple[float, float]:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{path}: need [lo, hi] with lo < hi, got {value!r}")
+    lo, hi = _as_float(value[0], path), _as_float(value[1], path)
+    if not lo < hi:
+        raise ConfigError(f"{path}: need [lo, hi] with lo < hi, got {value!r}")
+    return lo, hi
+
+
 def parse_config(cfg: dict, mode: str) -> JobConfig:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -146,14 +162,7 @@ def parse_config(cfg: dict, mode: str) -> JobConfig:
     a = _as_float(_get(cfg, "seed.a", 0.0), "seed.a")
     H = _as_float(_get(cfg, "seed.H", 0.0), "seed.H")
     c = _as_float(_get(cfg, "seed.c", 0.0), "seed.c")
-    u_range = _get(cfg, "seed.u_range", [-2.0, 2.0])
-    if (
-        not isinstance(u_range, (list, tuple))
-        or len(u_range) != 2
-        or not u_range[0] < u_range[1]
-    ):
-        raise ConfigError(f"seed.u_range: need [lo, hi] with lo < hi, got {u_range!r}")
-    u_range = (float(u_range[0]), float(u_range[1]))
+    u_range = _as_range(_get(cfg, "seed.u_range", [-2.0, 2.0]), "seed.u_range")
     u_expr = _get(cfg, "seed.U")
     du_expr = _get(cfg, "seed.dU")
     if family == "explicit" and mode != "classify" and not u_expr:
@@ -165,14 +174,11 @@ def parse_config(cfg: dict, mode: str) -> JobConfig:
         raise ConfigError(f"sweep.parameter: only 'a' is supported, got {sweep_param!r}")
     sweep_values = [_as_float(v, "sweep.values") for v in sweep_values]
 
-    nu = int(_get(cfg, "grid.nu", 41))
-    nt = int(_get(cfg, "grid.nt", 41))
+    nu = _as_int(_get(cfg, "grid.nu", 41), "grid.nu")
+    nt = _as_int(_get(cfg, "grid.nt", 41), "grid.nt")
     if nu < 2 or nt < 2:
         raise ConfigError("grid.nu and grid.nt must be >= 2")
-    t_range = _get(cfg, "grid.t_range", [-math.pi, math.pi])
-    if not (isinstance(t_range, (list, tuple)) and len(t_range) == 2 and t_range[0] < t_range[1]):
-        raise ConfigError(f"grid.t_range: need [lo, hi] with lo < hi, got {t_range!r}")
-    t_range = (float(t_range[0]), float(t_range[1]))
+    t_range = _as_range(_get(cfg, "grid.t_range", [-math.pi, math.pi]), "grid.t_range")
 
     tol_over = _get(cfg, "tolerances", {}) or {}
     if not isinstance(tol_over, dict):
@@ -288,10 +294,6 @@ def make_chart(
     return chart, meta
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.16e}"
-
-
 def _write_atomic(path: str, data: str):
     tmp = path + ".tmp"
     try:
@@ -308,44 +310,43 @@ def write_json(path: str, obj) -> None:
     _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+# Every number is written as "%.16e" of a Python float: 17 significant
+# digits, enough to read each double back bit for bit.
 def write_profile_csv(path: str, chart: NaturalChart, nu: int, margin: float = 1e-9):
     lo, hi = chart.u_valid
-    lo, hi = lo + margin, hi - margin
+    us = np.linspace(lo + margin, hi - margin, nu)
     lines = ["u,xi1,xi2,theta0,U"]
-    for u in np.linspace(lo, hi, nu):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (u, chart.xi1(u), chart.xi2(u), chart.theta0(u), chart.U(u))
-            )
-        )
+    for u, xi2, theta0 in zip(us.tolist(), chart.xi2(us).tolist(), chart.theta0(us).tolist()):
+        lines.append("%.16e,%.16e,%.16e,%.16e,%.16e" % (u, chart.xi1(u), xi2, theta0, chart.U(u)))
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_mesh_csv(path: str, mesh: MeshGrid, resid_per_u):
     lines = ["u,t,x,y,z,H_ext,K,cmc_residual"]
-    for i, u in enumerate(mesh.us):
+    ts = mesh.ts.tolist()
+    vertices, h_ext, gauss = mesh.vertices.tolist(), mesh.h_ext.tolist(), mesh.gauss.tolist()
+    for i, u in enumerate(mesh.us.tolist()):
         ru = resid_per_u[i]
-        for j, t in enumerate(mesh.ts):
+        for j, t in enumerate(ts):
             idx = i * mesh.nt + j
-            x, y, z = mesh.vertices[idx]
+            x, y, z = vertices[idx]
             lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (u, t, x, y, z, mesh.h_ext[idx], mesh.gauss[idx], ru)
-                )
+                "%.16e,%.16e,%.16e,%.16e,%.16e,%.16e,%.16e,%.16e"
+                % (u, t, x, y, z, h_ext[idx], gauss[idx], ru)
             )
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_obj(path: str, mesh: MeshGrid):
-    """Wavefront OBJ with quads split into triangles; ASCII, LF endings."""
+    """Wavefront OBJ with quads split into triangles; ASCII, LF endings.
+    Vertices with a NaN coordinate are left out, with every face they touch."""
     lines = []
     index = {}
-    for idx, v in enumerate(mesh.vertices):
-        if not np.any(np.isnan(v)):
+    kept = ~np.isnan(mesh.vertices).any(axis=1)
+    for idx, (keep, v) in enumerate(zip(kept.tolist(), mesh.vertices.tolist())):
+        if keep:
             index[idx] = len(index) + 1  # OBJ indices are 1-based
-            lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
+            lines.append("v %.16e %.16e %.16e" % tuple(v))
     for i in range(mesh.nu - 1):
         for j in range(mesh.nt - 1):
             q = (

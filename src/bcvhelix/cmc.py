@@ -161,7 +161,7 @@ def _family_domain(
     m: float,
     a: float,
     U2: Callable[[float], float],
-    extra: Optional[Callable[[float], bool]],
+    extra: Optional[Callable[[float, float], bool]],
     window: tuple[float, float],
     tol: Tolerances,
     freq: float = 0.0,
@@ -169,33 +169,41 @@ def _family_domain(
     """Maximal subinterval of window where U^2 > 0, m^2 U^2 >= a^2, and the
     case's signed sqrt(Delta) expression is admissible; anchored at the best
     valid scan point.  The scan density follows the family's oscillation
-    frequency so touching arch boundaries cannot slip between samples."""
+    frequency so touching arch boundaries cannot slip between samples.
 
-    def ok(u: float) -> bool:
+    U^2 is evaluated once per grid point, for the verdict and the margin
+    m^2 U^2 - a^2 that picks the anchor; the outward walk reads the grid's
+    verdict wherever its abscissa is a grid point and evaluates elsewhere."""
+
+    def margin(u: float) -> Optional[float]:
+        # m^2 U^2 - a^2 where u is admissible, else None
         try:
             v = U2(u)
         except (BcvHelixError, ArithmeticError, ValueError):
             # mathematical failures only: anything else is a bug and propagates
-            return False
+            return None
         if not (math.isfinite(v) and v > 0.0):
-            return False
-        if m * m * v - a * a < -tol.radicand_clamp:
-            return False
-        return extra(u) if extra is not None else True
+            return None
+        mg = m * m * v - a * a
+        if mg < -tol.radicand_clamp:
+            return None
+        return mg if extra is None or extra(u, v) else None
 
     lo, hi = window
     n = max(4097, 1 + int(512.0 * (hi - lo) * freq / (2.0 * math.pi)))
+    grid = {u: margin(u) for u in (lo + (hi - lo) * i / (n - 1) for i in range(n))}
     best_u, best_margin = None, -math.inf
-    for i in range(n):
-        u = lo + (hi - lo) * i / (n - 1)
-        if ok(u):
-            margin = m * m * U2(u) - a * a
-            if margin > best_margin:
-                best_u, best_margin = u, margin
+    for u, mg in grid.items():
+        if mg is not None and mg > best_margin:
+            best_u, best_margin = u, mg
     if best_u is None:
         raise NoRealFamily(
             f"U^2 admits no valid point in the window [{lo}, {hi}]"
         )
+
+    def ok(u: float) -> bool:
+        return (grid[u] if u in grid else margin(u)) is not None
+
     return scan_interval(ok, best_u, window, (hi - lo) / (n - 1), tol.bisect)
 
 
@@ -211,7 +219,8 @@ def _build_case(
     case: CmcCase,
     tol: Tolerances,
 ):
-    """U^2 closed form with analytic derivatives plus the admissibility test.
+    """U^2 closed form with analytic derivatives plus the admissibility test
+    extra(u, v), v = U^2(u).
 
     Admissibility cuts the u-line down to one branch of the actual CMC-H
     solution: sqrt(Delta) must stay on its positive arch (Delta = 0 is a
@@ -247,7 +256,7 @@ def _build_case(
         U2 = lambda u: (k.c1 + amp * math.sin(rl * u)) / (m2 * lam)
         dU2 = lambda u: amp * rl * math.cos(rl * u) / (m2 * lam)
         d2U2 = lambda u: -amp * math.sin(rl * u) / m2
-        extra = (lambda u: H * m2 * U2(u) + c >= 0.0) if has_h else None
+        extra = (lambda u, v: H * m2 * v + c >= 0.0) if has_h else None
         return U2, dU2, d2U2, extra, rl
 
     if case is CmcCase.CRITICAL_KAPPA:
@@ -267,7 +276,7 @@ def _build_case(
         d2U2 = lambda u: 2.0 * b1 * (1.5 * b1 * u * u + b2) / (m2 * mu)
         floor = _ARCH_FLOOR * max(abs(b1), abs(b2), 1.0)
 
-        def extra(u: float) -> bool:
+        def extra(u: float, v: float) -> bool:
             sd = w(u)
             if sd < floor:
                 return False
@@ -314,7 +323,7 @@ def _build_case(
     d2U2 = lambda u: 2.0 * (dw(u) ** 2 + w(u) * d2w(u)) / denom
     floor = _ARCH_FLOOR * (abs(k.b1) + S) / abs(nu)
 
-    def extra(u: float) -> bool:
+    def extra(u: float, v: float) -> bool:
         sd = w(u) / nu  # the family's sqrt(Delta)
         if sd < floor:
             return False

@@ -4,10 +4,13 @@ One quadrature kernel, CumulativeQuadrature: an antiderivative-style
 G7/K15 Gauss-Kronrod rule over fixed cells with panel caching, behind every
 chart antiderivative and gauge.  Its cells live in one one-directional
 half-line from u0 outward; the side below u0 is the same half-line over the
-mirror image f(-x).  A query adds a prefix sum of whole cells, found by
-bisection, to the dense output of the leaf that holds u: the integral of the
-degree-14 interpolant of the 15 samples the leaf's K15 panel already took,
-so a query on a filled cell calls no integrand.  One Richardson difference
+mirror image f(-x).  Filled cells enter their final leaves into a flat
+table; a query reads the entry of the leaf that holds u, found by bisection,
+and adds the prefix sum of whole cells before it to the leaf's dense output:
+the integral of the degree-14 interpolant of the 15 samples the leaf's K15
+panel already took, so a query on a filled cell calls no integrand.  A 1-D
+array of u is served by one searchsorted and one recurrence over the array,
+with the scalar query's values bit for bit.  One Richardson difference
 kernel behind every finite difference, and one bisection loop behind the
 outward interval scan that locates domain endpoints.  All kernels are
 deterministic: identical inputs give bit-identical outputs, and a
@@ -124,8 +127,11 @@ _ANTIDERIVATIVE[:2] += 0.5 * (np.array(_WEIGHTS) - _ANTIDERIVATIVE.sum(axis=0))
 _LEGENDRE_STEPS = tuple(((2 * k - 1) / k, (k - 1) / k) for k in range(2, 16))
 
 
-def _legendre_series(coef: list[float], s: float) -> float:
-    """sum_k coef[k] P_k(s), k < 16, by the three-term recurrence of the P_k."""
+def _legendre_series(coef, s):
+    """sum_k coef[k] P_k(s), k < 16, by the three-term recurrence of the P_k.
+
+    Scalar s with a list of 16 coefficients, or an array s with a (16, len(s))
+    array of them: the same operations in the same order, elementwise."""
     p_prev, p = 1.0, s
     total = coef[0] + coef[1] * s
     for c, (a, b) in zip(coef[2:], _LEGENDRE_STEPS):
@@ -143,8 +149,8 @@ _ROUNDOFF_RATIO = 0.99
 class _Leaf:
     """A cached cumulative-quadrature cell: either a K15 value or two halves.
 
-    A final leaf keeps its panel's samples and, once a query lands inside it,
-    the Legendre coefficients of their interpolant's antiderivative."""
+    A final leaf keeps its panel's samples and, once a query reads it, the
+    Legendre coefficients of their interpolant's antiderivative."""
 
     __slots__ = ("lo", "hi", "value", "err", "children", "samples", "dense")
 
@@ -157,10 +163,22 @@ class _Leaf:
         self.samples: Optional[list[float]] = None
         self.dense: Optional[list[float]] = None
 
+    def coefficients(self) -> list[float]:
+        if self.dense is None:
+            self.dense = (_ANTIDERIVATIVE @ self.samples).tolist()
+        return self.dense
+
 
 class _HalfLine:
     """The cells of [u0, hi] of a CumulativeQuadrature and the queries from u0
-    outward; ``per_unit`` is the budget per unit length of both sides."""
+    outward; ``per_unit`` is the budget per unit length of both sides.
+
+    Cells fill left to right, and each filled cell appends its final leaves
+    to a flat table, so the table only grows.  ``his[k]`` is the right edge
+    of table leaf k and ``rows[k]`` is (leaf, pre, desc, edge): the leaf,
+    the prefix sum of the whole cells before its cell, the sum of the whole
+    leaves of its cell left of it, and the cell's left edge for the cell's
+    first leaf (NaN for the others, which no u equals)."""
 
     def __init__(self, f, u0, hi, per_unit, abs_tol, cell_width, max_depth):
         self.f = f
@@ -172,9 +190,11 @@ class _HalfLine:
         self.cells = [
             _Leaf(u0 + (hi - u0) * i / n, u0 + (hi - u0) * (i + 1) / n) for i in range(n)
         ]
-        self.edges = [cell.hi for cell in self.cells]
         # prefix[i] is the sum of the first i cell values, added left to right
         self.prefix = [0.0]
+        self.his: list[float] = []
+        self.rows: list[tuple] = []
+        self._columns: Optional[tuple] = None  # ``rows`` as arrays, see _table
 
     def _ensure(
         self, leaf: _Leaf, depth: int = 0, panel: Optional[tuple[float, float, list]] = None
@@ -211,35 +231,66 @@ class _HalfLine:
         leaf.value = val
         return val
 
-    @staticmethod
-    def _partial(leaf: _Leaf, u: float) -> float:
-        # Integral over the part of the filled `leaf` left of u, lo < u < hi:
-        # the whole leaves left of u, then the dense output of u's leaf.
-        total = 0.0
-        while leaf.children is not None:
+    def _tabulate(self, leaf: _Leaf, pre: float, desc: float, edge: float):
+        # the final leaves of a filled cell, left to right; desc adds the
+        # whole leaves left of each one in the order of a descent from the cell
+        if leaf.children is not None:
             left, right = leaf.children
-            if u < right.lo:
-                leaf = left
-            else:
-                total += left.value
-                leaf = right
-        if leaf.dense is None:
-            leaf.dense = (_ANTIDERIVATIVE @ leaf.samples).tolist()
-        half = 0.5 * (leaf.hi - leaf.lo)
-        return total + half * _legendre_series(leaf.dense, (u - 0.5 * (leaf.hi + leaf.lo)) / half)
+            self._tabulate(left, pre, desc, edge)
+            self._tabulate(right, pre, desc + left.value, math.nan)
+            return
+        self.his.append(leaf.hi)
+        self.rows.append((leaf, pre, desc, edge))
+
+    def _fill(self, u: float):
+        # Fill cells until one ends beyond u or none is left.  A cell is
+        # refined whole before any query reads it, so a value does not
+        # depend on which queries came before.
+        while len(self.prefix) <= len(self.cells) and (not self.his or self.his[-1] <= u):
+            cell = self.cells[len(self.prefix) - 1]
+            pre = self.prefix[-1]
+            self.prefix.append(pre + self._ensure(cell))
+            self._tabulate(cell, pre, 0.0, cell.lo)
 
     def __call__(self, u: float) -> float:
         """The integral of f from u0 to u, for u0 < u <= hi."""
-        i = bisect.bisect_right(self.edges, u)  # u lies in cells[i], or i = n at hi
-        prefix = self.prefix
-        while len(prefix) <= i:
-            prefix.append(prefix[-1] + self._ensure(self.cells[len(prefix) - 1]))
-        if i == len(self.cells) or u == self.cells[i].lo:
-            return prefix[i]
-        # the cell is refined first, so the value does not depend on which
-        # queries came before
-        self._ensure(self.cells[i])
-        return prefix[i] + self._partial(self.cells[i], u)
+        self._fill(u)
+        k = bisect.bisect_right(self.his, u)
+        if k == len(self.his):  # u at hi, past the last leaf
+            return self.prefix[-1]
+        leaf, pre, desc, edge = self.rows[k]
+        if u == edge:
+            return pre
+        half = 0.5 * (leaf.hi - leaf.lo)
+        s = (u - 0.5 * (leaf.hi + leaf.lo)) / half
+        return pre + (desc + half * _legendre_series(leaf.coefficients(), s))
+
+    def _table(self) -> tuple:
+        # (his, mid, half, pre, desc, edge, dense) as arrays, dense of shape
+        # (16, leaves); rebuilt when cells were filled since the last call
+        if self._columns is None or len(self._columns[0]) != len(self.his):
+            leaves, pre, desc, edge = zip(*self.rows)
+            his, los = np.array(self.his), np.array([leaf.lo for leaf in leaves])
+            self._columns = (
+                his, 0.5 * (his + los), 0.5 * (his - los), np.array(pre), np.array(desc),
+                np.array(edge), np.array([leaf.coefficients() for leaf in leaves]).T.copy(),
+            )
+        return self._columns
+
+    def values(self, us: np.ndarray) -> np.ndarray:
+        """``__call__`` over a 1-D array of u in (u0, hi], bit for bit."""
+        if us.size == 0:
+            return us.copy()
+        self._fill(float(us.max()))
+        his, mid, half, pre, desc, edge, dense = self._table()
+        k = np.searchsorted(his, us, side="right")
+        past = k == len(his)
+        k[past] = len(his) - 1
+        half_k, pre_k = half[k], pre[k]
+        out = pre_k + (desc[k] + half_k * _legendre_series(dense[:, k], (us - mid[k]) / half_k))
+        out = np.where(us == edge[k], pre_k, out)
+        out[past] = self.prefix[-1]
+        return out
 
 
 class CumulativeQuadrature:
@@ -248,16 +299,18 @@ class CumulativeQuadrature:
     The interval around ``u0`` is covered by fixed cells; each cell holds one
     K15 value (refined by static bisection where the G7/K15 estimate exceeds
     its share of the budget).  A query fills the cells from u0 up to u once,
-    adds the prefix sum of the whole cells before u (found by bisection on
-    the cell edges; the sums are added left to right, whatever the query
-    order) and the whole leaves of u's cell left of u, and ends with the
-    leaf's dense output: the integral from the leaf's edge to u of the
-    degree-14 interpolant of its 15 K15 samples.  That makes no integrand
-    call.  K15 is interpolatory, so the interpolant's integral over a whole
-    leaf is the leaf's K15 value up to rounding: F is a polynomial inside
-    each leaf and continuous across leaf edges to a few ulps, and finite
-    differences of F recover f without cache-boundary noise.  Thread-safe;
-    values are deterministic, so racing writes are benign and guarded anyway.
+    left to right, and each filled cell enters its final leaves into a flat
+    table.  The value at u is read from the table entry of the leaf that
+    holds u (found by bisection on the leaf edges): the prefix sum of the
+    whole cells before u (added left to right, whatever the query order),
+    plus the whole leaves of u's cell left of u, plus the leaf's dense
+    output: the integral from the leaf's edge to u of the degree-14
+    interpolant of its 15 K15 samples.  That makes no integrand call.  K15
+    is interpolatory, so the interpolant's integral over a whole leaf is the
+    leaf's K15 value up to rounding: F is a polynomial inside each leaf and
+    continuous across leaf edges to a few ulps, and finite differences of F
+    recover f without cache-boundary noise.  Thread-safe; values are
+    deterministic, so racing writes are benign and guarded anyway.
 
     Both sides of u0 are one half-line: f on [u0, hi], and its mirror image
     f(-x) on [-u0, -lo] with F(u) = 0.0 - left(-u) below u0 (so an
@@ -270,6 +323,14 @@ class CumulativeQuadrature:
     each half keeps its value and estimate, so a leaf's ``err`` is then an
     estimate of rounding noise above the leaf's share of the budget.
     ``rounding_stops`` counts the cells accepted this way.
+
+    Array queries: a 1-D numpy array of u, in any order and with repeats,
+    gives the array of values, each bit for bit the scalar query's.  The
+    cells are filled up to the largest |u - u0| on each side, and the whole
+    array is then one ``searchsorted`` on the leaf edges, one gather from the
+    table and the 16-term recurrence over the array.  Any other u is a
+    scalar query, which keeps the per-value path: numpy's overhead would
+    outweigh one point.
     """
 
     def __init__(
@@ -296,7 +357,9 @@ class CumulativeQuadrature:
     def rounding_stops(self) -> int:
         return self._right.rounding_stops + self._left.rounding_stops
 
-    def __call__(self, u: float) -> float:
+    def __call__(self, u):
+        if isinstance(u, np.ndarray):
+            return self._column(u)
         u = float(u)
         if u == self.u0:
             return 0.0
@@ -306,6 +369,24 @@ class CumulativeQuadrature:
         u = min(max(u, self.lo), self.hi)
         with self._lock:
             return self._right(u) if u > self.u0 else 0.0 - self._left(-u)
+
+    def _column(self, us: np.ndarray) -> np.ndarray:
+        if us.ndim != 1:
+            raise ValueError(f"array queries take a 1-D array, got shape {us.shape}")
+        us = us.astype(float)
+        eps = 1e-12 * max(1.0, abs(self.hi), abs(self.lo))
+        outside = ~((self.lo - eps <= us) & (us <= self.hi + eps))
+        if outside.any():
+            raise ValueError(
+                f"u={us[outside][0]} outside cumulative domain [{self.lo}, {self.hi}]"
+            )
+        us = np.minimum(np.maximum(us, self.lo), self.hi)
+        right, left = us > self.u0, us < self.u0
+        out = np.zeros_like(us)  # u == u0 gives 0.0
+        with self._lock:
+            out[right] = self._right.values(us[right])
+            out[left] = 0.0 - self._left.values(-us[left])
+        return out
 
 
 def richardson(d: Callable[[float], float], h: float, h_min: Optional[float] = None):

@@ -104,6 +104,19 @@ class TestXi2Theta:
             th_exact = -math.atan(u) + math.sqrt(2) * math.atan(u / math.sqrt(2))
             assert abs(c.theta0(u) - th_exact) < 1e-8
 
+    def test_array_columns_are_scalar_values_bitwise(self):
+        # a fresh chart per path, so neither reads cells the other filled;
+        # the ends of u_valid and points 1e-13 beyond them are clamped
+        lo, hi = nil_seed().u_domain
+        scalar, column = build_chart(NIL, nil_seed()), build_chart(NIL, nil_seed())
+        vlo, vhi = column.u_valid
+        us = np.concatenate([np.linspace(hi, lo, 37), [vlo, vhi, vlo - 1e-13, vhi + 1e-13]])
+        us = np.clip(us, vlo - 1e-13, vhi + 1e-13)
+        for name in ("xi2", "theta0"):
+            values = getattr(column, name)(us)
+            expected = [getattr(scalar, name)(u) for u in us.tolist()]
+            assert values.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
     def test_helicoid_degenerate_radicand(self, helicoid_chart):
         for u in (-2.0, -0.5, 0.3, 1.7):
             assert helicoid_chart.xi2(u) == 0.0
@@ -348,6 +361,9 @@ class TestErrorPaths:
         chart = build_chart(R3, seed)
         with pytest.raises(bcvhelix.DomainError):
             chart.xi2(1.0)
+        for query in (chart.xi2, chart.theta0):
+            with pytest.raises(bcvhelix.DomainError, match="u=1.0 outside"):
+                query(np.array([0.0, 0.1, 1.0, -0.2]))
 
 
 class TestOscillatoryChart:

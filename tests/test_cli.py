@@ -2,10 +2,12 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from bcvhelix import cli
 from bcvhelix.cli import main
+from bcvhelix.oracle import MeshGrid
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -138,6 +140,35 @@ class TestExport:
             vals = [float(tok) for tok in row.split(",")]
             rewritten = ",".join(f"{v:.16e}" for v in vals)
             assert rewritten == row
+
+    def test_writers_match_per_value_format(self, tmp_path):
+        # a 2 x 3 mesh holding the values whose text is easiest to get wrong;
+        # the OBJ leaves out its NaN vertex (number 2) and the second quad
+        specials = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324]
+        vertices = np.array(
+            [[1.5, -0.0, 1e-300], [math.inf, -math.inf, 2.0], [math.nan, 1.0, 1.0],
+             [3.0, 4.0, 5.0], [0.25, 5e-324, -7.0], [-1e300, 0.0, 1.0 / 3.0]]
+        )
+        mesh = MeshGrid(
+            nu=2, nt=3, us=np.array([-0.0, 1e-300]), ts=np.array([math.nan, 0.5, -math.inf]),
+            vertices=vertices, h_ext=np.array(specials), gauss=np.array(specials[::-1]),
+            residual=np.full(6, math.nan),
+        )
+        resid = [math.inf, -0.0]
+        cli.write_mesh_csv(str(tmp_path / "m.csv"), mesh, resid)
+        cli.write_obj(str(tmp_path / "m.obj"), mesh)
+
+        fmt = lambda values: [f"{float(v):.16e}" for v in values]
+        csv = ["u,t,x,y,z,H_ext,K,cmc_residual"]
+        for i in range(2):
+            for j in range(3):
+                k = 3 * i + j
+                row = (mesh.us[i], mesh.ts[j], *vertices[k], mesh.h_ext[k], mesh.gauss[k])
+                csv.append(",".join(fmt(row + (resid[i],))))
+        assert (tmp_path / "m.csv").read_bytes() == ("\n".join(csv) + "\n").encode()
+        obj = ["v " + " ".join(fmt(vertices[k])) for k in (0, 1, 3, 4, 5)]
+        obj += ["f 1 3 4", "f 1 4 2"]  # the quad (0, 3, 4, 1) in OBJ numbering
+        assert (tmp_path / "m.obj").read_bytes() == ("\n".join(obj) + "\n").encode()
 
     def test_reruns_byte_identical(self, tmp_path):
         out1 = tmp_path / "r1"
@@ -333,6 +364,23 @@ class TestConfigValidation:
         cfg["seed"]["U"] = expr
         assert run(tmp_path, "chart", cfg) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            'grid.nu="abc"',
+            "grid.nt=[3]",
+            "grid.nu=2.7",
+            'grid.t_range=["a","b"]',
+            'seed.u_range=["x","y"]',
+            'seed.u_range=[0,"y"]',
+        ],
+    )
+    def test_malformed_field_is_config_error(self, tmp_path, capsys, override):
+        # a field of the wrong type exits 2 with a message, never 1 with a
+        # traceback, and a fractional grid size is not truncated
+        assert run(tmp_path, "verify", NIL_MINIMAL, overrides=[override]) == 2
+        assert f"config error: {override.split('=')[0]}:" in capsys.readouterr().err
 
     def test_override_changes_grid(self, tmp_path, capsys):
         assert run(tmp_path, "classify", NIL_MINIMAL, overrides=["space.kappa=1.0"]) == 0

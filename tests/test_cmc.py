@@ -22,6 +22,7 @@ from bcvhelix import (
     sqrt_delta_ode_residual,
     z_ode_residual,
 )
+from bcvhelix import cmc
 from bcvhelix.cmc import _family_domain
 from bcvhelix.numerics import DEFAULT_TOL
 from conftest import NIL, R3, S2XR, SPHERE, SU2_SPACE
@@ -221,6 +222,33 @@ class TestFamilyDomain:
         U2 = lambda u: math.sqrt(0.5 - u)
         lo, hi = _family_domain(1.0, 0.0, U2, None, (-1.0, 1.0), DEFAULT_TOL)
         assert lo == -1.0 and 0.5 - DEFAULT_TOL.bisect <= hi < 0.5
+
+    @pytest.mark.parametrize(
+        "space,a,c", [(NIL, 0.5, 1.0), (S2XR, 0.3, 0.5)], ids=["whole-window", "arch"]
+    )
+    def test_one_u2_evaluation_per_grid_point(self, monkeypatch, space, a, c):
+        # the anchor search and the outward walk share the grid's verdicts,
+        # so U^2 is evaluated once per grid point and per bisection step; the
+        # Nil3 family is valid on the whole window, the S^2 x R one on one arch
+        calls = []
+        build = cmc._build_case
+
+        def counting_build(*args):
+            U2, *rest = build(*args)
+
+            def counted(u):
+                calls.append(u)
+                return U2(u)
+
+            return (counted, *rest)
+
+        monkeypatch.setattr(cmc, "_build_case", counting_build)
+        window = (-3.5, 3.5)
+        U, _ = cmc_U(space, 1.0, a, 0.0, c, u_window=window)
+        assert (U.domain == window) == (space is NIL)
+        step = (window[1] - window[0]) / 4096
+        bisections = 2 * math.ceil(math.log2(step / DEFAULT_TOL.bisect))
+        assert len(calls) <= 4097 + bisections
 
 
 class TestResiduals:

@@ -126,6 +126,10 @@ def _peak(x):
     return 1.0 / (1e-3 + x * x)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
 class TestCumulativeQuadrature:
     def test_matches_antiderivative(self):
         F = CumulativeQuadrature(math.cos, 0.0, -6.0, 6.0)
@@ -189,8 +193,10 @@ class TestCumulativeQuadrature:
         F(1.5)
         filled = f.calls
         assert filled % 15 == 0
-        for u in (-1.5, -1.234567, -0.3, 0.0, 1e-7, 0.30001, 0.7, 1.4999, 1.5):
+        us = (-1.5, -1.234567, -0.3, 0.0, 1e-7, 0.30001, 0.7, 1.4999, 1.5)
+        for u in us:
             F(u)
+        F(np.array(us[::-1]))
         assert f.calls == filled
         F(1.9)  # cells beyond 1.5 are filled on first use, one K15 panel each
         assert f.calls > filled
@@ -206,6 +212,30 @@ class TestCumulativeQuadrature:
             value = F(u)
             estimate = sum(leaf.err for leaf in _final_leaves(side) if leaf.lo < x)
             assert abs(value - math.sin(u)) <= estimate
+
+    @pytest.mark.parametrize(
+        "f", [_peak, lambda x: 2.0 + math.cos(40.0 * x)], ids=["peak", "oscillating"]
+    )
+    def test_array_query_is_scalar_queries_bitwise(self, f):
+        # both sides of u0, u0, lo, hi, every cell edge and every leaf edge of
+        # the refined cells, points between, unsorted and repeated
+        scalar = CumulativeQuadrature(f, 0.3, -2.0, 2.0, cell_width=0.5)
+        scalar(-2.0)
+        scalar(2.0)
+        edges = [
+            sign * x
+            for side, sign in ((scalar._left, -1.0), (scalar._right, 1.0))
+            for leaf in _final_leaves(side)
+            for x in (leaf.lo, leaf.hi)
+        ]
+        assert len(edges) > 2 * (len(scalar._left.cells) + len(scalar._right.cells))
+        us = np.array(
+            edges + [0.3, -2.0, 2.0, math.nextafter(2.0, 3.0), math.nextafter(0.3, 1.0)]
+            + np.linspace(-2.0, 2.0, 101).tolist()
+        )
+        us = np.random.default_rng(7).permutation(np.concatenate([us, us[:40]]))
+        column = CumulativeQuadrature(f, 0.3, -2.0, 2.0, cell_width=0.5)(us)
+        assert _bits(column) == _bits([scalar(u) for u in us.tolist()])
 
     def test_left_side_is_mirror_of_right(self):
         # the side below u0 is the walk over the mirror image f(-x), bit for bit
@@ -223,6 +253,8 @@ class TestCumulativeQuadrature:
         F = CumulativeQuadrature(math.cos, 0.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             F(3.0)
+        with pytest.raises(ValueError, match="u=-3.0 outside"):
+            F(np.array([0.5, -3.0, 0.2]))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -237,7 +269,8 @@ class TestCumulativeQuadrature:
         used = CumulativeQuadrature(f, 0.3, -2.0, 2.0)
         for v in before:
             used(v)
-        assert used(u) == fresh(u)
+        column = CumulativeQuadrature(f, 0.3, -2.0, 2.0)(np.array(before + [u]))
+        assert used(u) == fresh(u) == column[-1]
 
     def test_rounding_stop_ends_noisy_integrand(self):
         # float-hash noise of 1e-9 never meets the 1e-13 leaf floor; without
