@@ -172,7 +172,18 @@ def parse_config(cfg: dict, mode: str) -> JobConfig:
     sweep_param = _get(cfg, "sweep.parameter", "a")
     if sweep_param != "a":
         raise ConfigError(f"sweep.parameter: only 'a' is supported, got {sweep_param!r}")
+    if not isinstance(sweep_values, list):
+        raise ConfigError(f"sweep.values: expected a list of numbers, got {sweep_values!r}")
     sweep_values = [_as_float(v, "sweep.values") for v in sweep_values]
+    tags: dict = {}
+    for value in sweep_values:
+        # each frame's files are named by the value's %g tag
+        tag = f"{value:g}"
+        if tag in tags:
+            raise ConfigError(
+                f"sweep.values: {tags[tag]!r} and {value!r} share the frame tag a={tag}"
+            )
+        tags[tag] = value
 
     nu = _as_int(_get(cfg, "grid.nu", 41), "grid.nu")
     nt = _as_int(_get(cfg, "grid.nt", 41), "grid.nt")
@@ -204,7 +215,9 @@ def parse_config(cfg: dict, mode: str) -> JobConfig:
     formats = _get(cfg, "output.formats", ["json"])
     if not isinstance(formats, list) or not set(formats) <= set(FORMATS):
         raise ConfigError(f"output.formats: must be a subset of {FORMATS}, got {formats!r}")
-    raw_theta = bool(_get(cfg, "output.raw_theta", False))
+    raw_theta = _get(cfg, "output.raw_theta", False)
+    if not isinstance(raw_theta, bool):
+        raise ConfigError(f"output.raw_theta: expected true or false, got {raw_theta!r}")
 
     return JobConfig(
         space=space,
@@ -422,15 +435,16 @@ def cmd_verify(job: JobConfig, out_dir: str) -> int:
     max_h_dev = 0.0
     max_form_dev = 0.0
     H_target = abs(meta.get("H", job.H))
-    for u in us[:: max(1, len(us) // 12)]:
-        geo = local_geometry(job.space, sc, u, ts, job.tol).checked()
+    rows = us[:: max(1, len(us) // 12)]
+    geo = local_geometry(job.space, sc, rows, ts, job.tol).checked()
+    for u, H, E, F, G in zip(rows, geo.H, geo.E, geo.F, geo.G):
         Uv = chart.U(u)
-        max_h_dev = max(max_h_dev, float(np.max(np.abs(np.abs(geo.H) - H_target))))
+        max_h_dev = max(max_h_dev, float(np.max(np.abs(np.abs(H) - H_target))))
         max_form_dev = max(
             max_form_dev,
-            float(np.max(np.abs(geo.E - 1.0))),
-            float(np.max(np.abs(geo.F))),
-            float(np.max(np.abs(geo.G - Uv * Uv))),
+            float(np.max(np.abs(E - 1.0))),
+            float(np.max(np.abs(F))),
+            float(np.max(np.abs(G - Uv * Uv))),
         )
     checks = {
         "cmc_residual": {"value": max_resid, "tol": job.check_tol["cmc_residual"]},

@@ -4,7 +4,12 @@ Charts are embedded into the ambient space and differentiated numerically;
 first and second fundamental forms come from the ambient metric and its
 finite-difference Christoffels only -- no reduction-theorem or
 transform-side algebra enters, so agreement is evidence, not tautology.
-Measurements run one mesh row (fixed u) at a time through ``local_geometry``.
+Measurements run through one kernel, ``local_geometry``, over a whole set of
+mesh rows (fixed u) at once: the chart is evaluated per row and stencil
+abscissa, and the stencils, metric, Christoffels, normals and forms run once
+over all vertices of all rows.  A row whose stencil cannot fit the chart's
+domain is measured alone, shrinking its stencil.  Errors kept in results are
+fresh instances that were never raised, so they hold no traceback.
 
 H is the trace of the shape operator (sum of principal curvatures), the
 convention fixed by the Euclidean cylinder of radius R giving |H| = 1/R.
@@ -128,34 +133,91 @@ class SurfaceChart:
 
 
 class _RowPoints:
-    """Chart points of one mesh row u, with a cache local to one kernel call.
+    """Chart points of a set of mesh rows, with a cache local to one kernel call.
 
-    Calling it with (v, dt) gives the (nt, 3) array of points at (v, ts + dt).
-    The first request for an abscissa v evaluates the chart there once, for
-    the row itself and every t-offset the default stencils use; other offsets
-    (a stencil shrunk at a domain edge) are evaluated on request.
+    Calling it with (s, dt) gives the stacked (rows * nt, 3) array of the
+    points at (u + s, ts + dt), row after row.  The abscissa is computed per
+    row (u itself at s = 0), with one ``chart.point`` call per (row, s).  The
+    default stencils of the derivatives up to ``order`` (1 or 2) read the
+    (s, dt) pairs listed in ``plan``, 9 for order 1 and 25 for order 2: the
+    first request for such an s evaluates all of its pairs.  Other pairs (a
+    stencil shrunk at a domain edge) are evaluated on request.
     """
 
-    def __init__(self, chart: SurfaceChart, ts: np.ndarray, tol: Tolerances):
+    def __init__(self, chart: SurfaceChart, us, ts: np.ndarray, tol: Tolerances, order: int = 2):
         self.chart = chart
+        self.us = tuple(us)
         self.ts = ts
-        self.offsets = (0.0,) + tuple(
-            sign * step
-            for h in (tol.fd_first, tol.fd_second)
-            for step in (h, 0.5 * h)
-            for sign in (1.0, -1.0)
-        )
+        self.nt = len(ts)
+        first = (tol.fd_first, 0.5 * tol.fd_first)
+        second = (tol.fd_second, 0.5 * tol.fd_second) if order == 2 else ()
+        # every t-stencil at u; psi_uu and psi_ut at u +- h; psi_u at u +- h
+        plan = {0.0: [0.0] + [sign * h for h in first + second for sign in (1.0, -1.0)]}
+        for h in second:
+            for s in (h, -h):
+                plan.setdefault(s, [0.0]).extend((h, -h))
+        for h in first:
+            for s in (h, -h):
+                plan.setdefault(s, [0.0])
+        self.plan = {s: (dts, self._grid(dts)) for s, dts in plan.items()}
         self._cache: dict = {}
 
-    def __call__(self, v: float, dt: float = 0.0) -> np.ndarray:
-        rows = self._cache.get(v)
-        if rows is None:
-            ts = self.ts
-            grid = np.stack([ts] + [ts + d for d in self.offsets[1:]])
-            rows = dict(zip(self.offsets, self.chart.point(v, grid)))
-            self._cache[v] = rows
-        pts = rows.get(dt)
-        return pts if pts is not None else self.chart.point(v, self.ts + dt)
+    def _grid(self, dts) -> np.ndarray:
+        return np.stack([self.ts if dt == 0.0 else self.ts + dt for dt in dts])
+
+    def _row(self, u: float, s: float, grid: np.ndarray) -> np.ndarray:
+        return self.chart.point(u if s == 0.0 else u + s, grid)
+
+    def _store(self, s: float, dts, blocks: list):
+        block = np.stack(blocks)  # (rows, len(dts), nt, 3)
+        for j, dt in enumerate(dts):
+            self._cache[(s, dt)] = block[:, j].reshape(-1, 3)
+
+    def fit(self) -> tuple[list, list]:
+        """Evaluate every planned pair of every row and keep only the rows
+        where that succeeded: (kept, left) indices into the rows given."""
+        kept, left, rows = [], [], []
+        for i, u in enumerate(self.us):
+            try:
+                rows.append([self._row(u, s, grid) for s, (_, grid) in self.plan.items()])
+            except BcvHelixError:
+                left.append(i)
+                continue
+            kept.append(i)
+        self.us = tuple(self.us[i] for i in kept)
+        if rows:
+            for (s, (dts, _)), blocks in zip(self.plan.items(), zip(*rows)):
+                self._store(s, dts, blocks)
+        return kept, left
+
+    def __call__(self, s: float = 0.0, dt: float = 0.0) -> np.ndarray:
+        pts = self._cache.get((s, dt))
+        if pts is None:
+            dts, grid = self.plan.get(s, ((), None))
+            if dt not in dts:
+                dts = (dt,)
+                grid = self._grid(dts)
+            self._store(s, dts, [self._row(u, s, grid) for u in self.us])
+            pts = self._cache[(s, dt)]
+        return pts
+
+
+def _untraced(exc: BcvHelixError) -> BcvHelixError:
+    """A fresh error of exc's class and message, never raised.
+
+    It holds no traceback.  A stored raised error would keep the kernel's
+    frames, and through them every array of the call, in a reference cycle
+    until the cyclic collector runs.
+    """
+    return type(exc)(*exc.args)
+
+
+def _raise_first(rows):
+    """Raise the first error of the rows of errors, in row-major order."""
+    for row in rows:
+        for exc in row:
+            if exc is not None:
+                raise _untraced(exc)
 
 
 def _quad_form(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,52 +225,58 @@ def _quad_form(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(np.matmul(a[:, None, :], g), b[:, :, None])[:, 0, 0]
 
 
-def _pointwise(fn, pts: np.ndarray, errors: list, shape: tuple) -> np.ndarray:
-    """fn over all points at once; if that raises, point by point, so only
-    the points whose own evaluation fails get NaN and their error."""
+def _pointwise(fn, pts: np.ndarray, errors: list, shape: tuple, nt: int, first: int = 0):
+    """fn over all points at once; if that raises, one mesh row (nt points)
+    at a time, and in a row that raises point by point, so only the points
+    whose own evaluation fails get NaN and their error in ``errors`` (from
+    index ``first`` on)."""
     try:
         return fn(pts)
     except BcvHelixError:
         pass
     out = np.full((len(pts),) + shape, np.nan)
+    if len(pts) > nt:
+        for lo in range(0, len(pts), nt):
+            out[lo : lo + nt] = _pointwise(fn, pts[lo : lo + nt], errors, shape, nt, first + lo)
+        return out
     for k in range(len(pts)):
         try:
             out[k] = fn(pts[k])
         except BcvHelixError as exc:
-            if errors[k] is None:
-                errors[k] = exc
+            if errors[first + k] is None:
+                errors[first + k] = _untraced(exc)
     return out
 
 
-def _first_order(space: BcvSpace, at: _RowPoints, u: float, tol: Tolerances, errors: list):
-    """Tangents, metric and first form along the row: (psi_u, psi_t, g, E, F, G).
+def _first_order(space: BcvSpace, at: _RowPoints, tol: Tolerances):
+    """Tangents, metric and first form at every vertex of the rows,
+    ((psi_u, psi_t, g, E, F, G), errors).
 
-    The u-stencil shrinks for the whole row at once, so StencilOutOfDomain is
-    raised for the row; a vertex outside the metric domain is NaN in ``errors``.
+    The u-stencil shrinks for all rows at once, so StencilOutOfDomain is
+    raised for them; a vertex outside the metric domain is NaN with its error
+    in ``errors`` (None elsewhere).
     """
-    psi_u = richardson(lambda s: (at(u + s) - at(u - s)) / (2.0 * s), tol.fd_first, tol.fd_min)
-    psi_t = richardson(lambda s: (at(u, s) - at(u, -s)) / (2.0 * s), tol.fd_first, tol.fd_min)
-    g = _pointwise(lambda p: metric_cartesian(space, p, tol), at(u), errors, (3, 3))
-    return (
-        psi_u,
-        psi_t,
-        g,
-        _quad_form(psi_u, g, psi_u),
-        _quad_form(psi_u, g, psi_t),
-        _quad_form(psi_t, g, psi_t),
-    )
+    errors: list = [None] * (len(at.us) * at.nt)
+    psi_u = richardson(lambda s: (at(s) - at(-s)) / (2.0 * s), tol.fd_first, tol.fd_min)
+    psi_t = richardson(lambda s: (at(0.0, s) - at(0.0, -s)) / (2.0 * s), tol.fd_first, tol.fd_min)
+    g = _pointwise(lambda p: metric_cartesian(space, p, tol), at(), errors, (3, 3), at.nt)
+    forms = (_quad_form(psi_u, g, psi_u), _quad_form(psi_u, g, psi_t), _quad_form(psi_t, g, psi_t))
+    return (psi_u, psi_t, g) + forms, errors
 
 
 @dataclass(frozen=True)
 class LocalGeometry:
-    """Extrinsic geometry measured along one mesh row (u fixed, one entry per t).
+    """Extrinsic geometry measured along mesh rows (u fixed, one entry per t).
 
-    ``E, F, G`` and ``L, M, N`` are the first and second fundamental forms
-    (the latter against the oriented unit ``normal``), ``H`` the trace and
-    ``K`` the determinant of the shape operator.  ``K`` is extrinsic: the
-    intrinsic Gaussian curvature adds the ambient sectional curvature of the
-    tangent plane.  A vertex whose measurement failed holds NaN from the
-    failing stage on, and ``errors`` holds its error (None elsewhere).
+    Each field has shape (nt,) for one row u and (rows, nt) for an array of
+    u; ``points`` and ``normal`` add a last axis of 3.  ``E, F, G`` and
+    ``L, M, N`` are the first and second fundamental forms (the latter
+    against the oriented unit ``normal``), ``H`` the trace and ``K`` the
+    determinant of the shape operator.  ``K`` is extrinsic: the intrinsic
+    Gaussian curvature adds the ambient sectional curvature of the tangent
+    plane.  A vertex whose measurement failed holds NaN from the failing
+    stage on, and ``errors`` holds its error (None elsewhere): one tuple for
+    one row, one tuple per row for an array.
     """
 
     points: np.ndarray
@@ -224,24 +292,20 @@ class LocalGeometry:
     errors: tuple
 
     def checked(self) -> "LocalGeometry":
-        """This row, after raising the error of its first failed vertex, if any."""
-        for exc in self.errors:
-            if exc is not None:
-                raise exc
+        """These rows, after raising the error of the first failed vertex
+        (in row-major order), if any."""
+        _raise_first(self.errors if self.H.ndim == 2 else (self.errors,))
         return self
 
 
-def _geometry(
-    space: BcvSpace,
-    chart: SurfaceChart,
-    u: float,
-    ts: np.ndarray,
-    tol: Tolerances,
-    sign: float,
-) -> LocalGeometry:
-    at = _RowPoints(chart, ts, tol)
-    errors: list = [None] * len(ts)
-    psi_u, psi_t, g, E, F, G = _first_order(space, at, u, tol, errors)
+_GEOMETRY_SHAPES = ((3,), (3,)) + ((),) * 8  # trailing shapes of LocalGeometry's fields
+
+
+def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
+    """The fields of ``LocalGeometry`` at every vertex of the rows, flat, and
+    their errors."""
+    nt = at.nt
+    (psi_u, psi_t, g, E, F, G), errors = _first_order(space, at, tol)
     det = E * G - F * F
     with np.errstate(invalid="ignore", divide="ignore"):
         v = np.linalg.solve(g, np.cross(psi_u, psi_t)[:, :, None])[:, :, 0]
@@ -249,23 +313,27 @@ def _geometry(
         n = sign * (v / np.sqrt(norm_sq)[:, None])
     for k in np.flatnonzero(det <= 0.0):
         if errors[k] is None:
-            errors[k] = DegenerateImmersion(f"EG - F^2 = {det[k]:.6e} <= 0 at (u={u}, t={ts[k]})")
+            errors[k] = DegenerateImmersion(
+                f"EG - F^2 = {det[k]:.6e} <= 0 at (u={at.us[k // nt]}, t={at.ts[k % nt]})"
+            )
     for k in np.flatnonzero(~(np.isfinite(norm_sq) & (norm_sq > 0.0))):
         if errors[k] is None:
-            errors[k] = DegenerateImmersion(f"normal degenerates at (u={u}, t={ts[k]})")
-    fc = at(u)
+            errors[k] = DegenerateImmersion(
+                f"normal degenerates at (u={at.us[k // nt]}, t={at.ts[k % nt]})"
+            )
+    fc = at()
     psi_uu = richardson(
-        lambda s: (at(u + s) - 2.0 * fc + at(u - s)) / (s * s), tol.fd_second, tol.fd_min
+        lambda s: (at(s) - 2.0 * fc + at(-s)) / (s * s), tol.fd_second, tol.fd_min
     )
     psi_tt = richardson(
-        lambda s: (at(u, s) - 2.0 * fc + at(u, -s)) / (s * s), tol.fd_second, tol.fd_min
+        lambda s: (at(0.0, s) - 2.0 * fc + at(0.0, -s)) / (s * s), tol.fd_second, tol.fd_min
     )
     psi_ut = richardson(
-        lambda h: (at(u + h, h) - at(u + h, -h) - at(u - h, h) + at(u - h, -h)) / (4.0 * h * h),
+        lambda h: (at(h, h) - at(h, -h) - at(-h, h) + at(-h, -h)) / (4.0 * h * h),
         tol.fd_second,
         tol.fd_min,
     )
-    gamma = _pointwise(lambda p: christoffels(space, p, tol=tol), fc, errors, (3, 3, 3))
+    gamma = _pointwise(lambda p: christoffels(space, p, tol=tol), fc, errors, (3, 3, 3), nt)
     gn = np.matmul(g, n[:, :, None])
 
     def second_form(da: np.ndarray, db: np.ndarray, dd: np.ndarray) -> np.ndarray:
@@ -281,7 +349,47 @@ def _geometry(
     failed = np.array([e is not None for e in errors])
     for arr in (L, M, N, H, K):
         arr[failed] = np.nan
-    return LocalGeometry(fc, n, E, F, G, L, M, N, H, K, tuple(errors))
+    return (fc, n, E, F, G, L, M, N, H, K), errors
+
+
+def _row_geometry(
+    space: BcvSpace, chart: SurfaceChart, u: float, ts: np.ndarray, tol: Tolerances, sign: float
+) -> LocalGeometry:
+    """``local_geometry`` of the one row u; raises if its stencil cannot fit."""
+    values, errors = _geometry(space, _RowPoints(chart, (u,), ts, tol), tol, sign)
+    return LocalGeometry(*values, tuple(errors))
+
+
+def _by_rows(measure, order: int, shapes: tuple, chart: SurfaceChart, us, ts, tol: Tolerances):
+    """``measure`` (of derivatives up to ``order``) over every row of us: its
+    values as arrays of shape (len(us), nt) + shape, one per entry of
+    ``shapes``, and its errors as one tuple per row.
+
+    The rows whose default stencil pairs all evaluate are measured in one
+    call.  Each other row is measured alone, its stencil shrinking at the
+    domain edge as in a one-row call; a row that still cannot fit holds that
+    error on every vertex, with NaN values.
+    """
+    nt = len(ts)
+    values = [np.full((len(us), nt) + shape, np.nan) for shape in shapes]
+    errors: list = [None] * len(us)
+
+    def put(rows: list, got: tuple, errs: list):
+        for out, value in zip(values, got):
+            out[rows] = value.reshape((len(rows), nt) + value.shape[1:])
+        for k, i in enumerate(rows):
+            errors[i] = tuple(errs[k * nt : (k + 1) * nt])
+
+    at = _RowPoints(chart, us, ts, tol, order)
+    kept, left = at.fit()
+    if kept:
+        put(kept, *measure(at))
+    for i in left:
+        try:
+            put([i], *measure(_RowPoints(chart, us[i : i + 1], ts, tol, order)))
+        except BcvHelixError as exc:
+            errors[i] = (_untraced(exc),) * nt
+    return values, tuple(errors)
 
 
 def _orientation(space: BcvSpace, chart: SurfaceChart, tol: Tolerances) -> float:
@@ -295,7 +403,7 @@ def _orientation(space: BcvSpace, chart: SurfaceChart, tol: Tolerances) -> float
     for frac in (0.5, 0.35, 0.65, 0.25, 0.75, 0.45, 0.55):
         u = lo + (hi - lo) * frac
         try:
-            geo = _geometry(space, chart, u, np.array([t_ref]), tol, 1.0)
+            geo = _row_geometry(space, chart, u, np.array([t_ref]), tol, 1.0)
         except BcvHelixError:
             continue
         p, n = geo.points[0], geo.normal[0]
@@ -316,22 +424,36 @@ def _orientation(space: BcvSpace, chart: SurfaceChart, tol: Tolerances) -> float
 def local_geometry(
     space: BcvSpace,
     chart: SurfaceChart,
-    u: float,
+    u,
     ts,
     tol: Tolerances = DEFAULT_TOL,
 ) -> LocalGeometry:
-    """First and second fundamental forms, H and K along the row u, one entry per t.
+    """First and second fundamental forms, H and K along the row u (or rows), one entry per t.
 
     The embedding is differentiated numerically at every vertex and the
     second form is corrected by the ambient Christoffels; no structure of
-    the chart is assumed.  The chart is evaluated once per distinct stencil
-    abscissa; the stencils, metric, Christoffels, normals and forms run over
-    the whole row.  A stencil that cannot fit the domain raises for the row;
-    a vertex whose metric or Christoffel stencil leaves the domain, or whose
+    the chart is assumed.  ``u`` is one abscissa, or a 1-D numpy array of
+    them (fields of shape (len(u), nt)); the input's type picks the path.
+    The chart is evaluated once per row and distinct stencil abscissa; the
+    stencils, metric, Christoffels, normals and forms run once over all
+    vertices of all rows, per vertex in the same order as for one row.
+
+    A stencil that cannot fit the domain raises for one row u.  In an
+    array, such a row is measured alone, shrinking its stencil as one row
+    would, and if it still cannot fit it holds that error on every vertex.
+    A vertex whose metric or Christoffel stencil leaves the domain, or whose
     immersion degenerates, is NaN with its error in ``errors``.
     """
+
+    def measure(at: _RowPoints):
+        return _geometry(space, at, tol, sign)
+
     ts = np.asarray(ts, dtype=float)
-    return _geometry(space, chart, u, ts, tol, _orientation(space, chart, tol))
+    sign = _orientation(space, chart, tol)
+    if not isinstance(u, np.ndarray):
+        return _row_geometry(space, chart, u, ts, tol, sign)
+    values, errors = _by_rows(measure, 2, _GEOMETRY_SHAPES, chart, u.astype(float), ts, tol)
+    return LocalGeometry(*values, errors)
 
 
 def first_form_grid(
@@ -343,18 +465,18 @@ def first_form_grid(
 ) -> np.ndarray:
     """(E, F, G) measured on the grid us x ts, shape (len(us), len(ts), 3).
 
-    One row evaluation per u; raises the error of the first vertex that fails.
+    One kernel call for all rows, as in ``local_geometry`` with an array of
+    u; raises the error of the first vertex that fails, in row-major order.
     """
+
+    def measure(at: _RowPoints):
+        values, errors = _first_order(space, at, tol)
+        return values[3:], errors
+
     ts = np.asarray(ts, dtype=float)
-    rows = []
-    for u in us:
-        errors: list = [None] * len(ts)
-        *_, E, F, G = _first_order(space, _RowPoints(chart, ts, tol), u, tol, errors)
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        rows.append(np.stack([E, F, G], axis=-1))
-    return np.stack(rows)
+    forms, errors = _by_rows(measure, 1, ((),) * 3, chart, np.asarray(us, dtype=float), ts, tol)
+    _raise_first(errors)
+    return np.stack(forms, axis=-1)
 
 
 def first_form_numeric(
@@ -514,11 +636,11 @@ def sample_mesh(
 ) -> MeshGrid:
     """Uniform mesh over the chart's (u, t) rectangle with diagnostics.
 
-    Diagnostics per vertex, one ``local_geometry`` row at a time: extrinsic
-    mean curvature, Gaussian curvature (-U''/U when the metric profile is
-    known, else NaN), and for natural charts the max deviation of the
-    measured first form from (1, 0, U^2).  Rows at invalid u are dropped,
-    not clamped.
+    Diagnostics per vertex, from one ``local_geometry`` call over the rows
+    whose u the chart accepts: extrinsic mean curvature, Gaussian curvature
+    (-U''/U when the metric profile is known, else NaN), and for natural
+    charts the max deviation of the measured first form from (1, 0, U^2).
+    Rows at invalid u are dropped, not clamped.
     """
     if nu < 2 or nt < 2:
         raise ValueError("nu and nt must both be >= 2")
@@ -528,34 +650,32 @@ def sample_mesh(
     h_ext = np.full(nu * nt, np.nan)
     gauss = np.full(nu * nt, np.nan)
     residual = np.full(nu * nt, np.nan)
-    dropped = []
+    dropped, kept = [], []
     failures: Counter = Counter()
     for i, u in enumerate(us):
-        row = slice(i * nt, (i + 1) * nt)
         try:
-            vertices[row] = chart.point(u, ts)
+            vertices[i * nt : (i + 1) * nt] = chart.point(u, ts)
         except BcvHelixError:
             dropped.append(i)
             continue
-        if not with_curvature:
-            continue
-        try:
-            geo = local_geometry(space, chart, u, ts, tol)
-        except BcvHelixError as exc:
-            failures[type(exc).__name__] += nt
-            continue
-        failures.update(type(e).__name__ for e in geo.errors if e is not None)
-        ok = np.array([e is None for e in geo.errors])
-        h_ext[row] = geo.H
-        if chart.U is None or not ok.any():
-            continue
-        try:
-            gauss[row][ok] = gauss_intrinsic(chart.U, u)
-            Uv = chart.U(u)
-        except BcvHelixError:
-            continue
-        dev = np.maximum.reduce([np.abs(geo.E - 1.0), np.abs(geo.F), np.abs(geo.G - Uv * Uv)])
-        residual[row][ok] = dev[ok]
+        kept.append(i)
+    if with_curvature and kept:
+        geo = local_geometry(space, chart, us[kept], ts, tol)
+        for i, H, E, F, G, errors in zip(kept, geo.H, geo.E, geo.F, geo.G, geo.errors):
+            row = slice(i * nt, (i + 1) * nt)
+            failures.update(type(e).__name__ for e in errors if e is not None)
+            ok = np.array([e is None for e in errors])
+            h_ext[row] = H
+            if chart.U is None or not ok.any():
+                continue
+            u = us[i]
+            try:
+                gauss[row][ok] = gauss_intrinsic(chart.U, u)
+                Uv = chart.U(u)
+            except BcvHelixError:
+                continue
+            dev = np.maximum.reduce([np.abs(E - 1.0), np.abs(F), np.abs(G - Uv * Uv)])
+            residual[row][ok] = dev[ok]
     return MeshGrid(
         nu=nu,
         nt=nt,

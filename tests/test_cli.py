@@ -374,6 +374,8 @@ class TestConfigValidation:
             'grid.t_range=["a","b"]',
             'seed.u_range=["x","y"]',
             'seed.u_range=[0,"y"]',
+            "sweep.values=0.5",
+            'output.raw_theta="false"',
         ],
     )
     def test_malformed_field_is_config_error(self, tmp_path, capsys, override):
@@ -381,6 +383,19 @@ class TestConfigValidation:
         # traceback, and a fractional grid size is not truncated
         assert run(tmp_path, "verify", NIL_MINIMAL, overrides=[override]) == 2
         assert f"config error: {override.split('=')[0]}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "values", [[0.1234567, 0.1234568], [0.5, 0.25, 0.5]], ids=["close", "repeated"]
+    )
+    def test_sweep_values_sharing_a_frame_tag_rejected(self, tmp_path, capsys, values):
+        # frames are named by the %g tag of their value: a shared tag would
+        # overwrite one frame's files with the other's
+        overrides = [f"sweep.values={json.dumps(values)}"]
+        assert run(tmp_path, "deform", NIL_MINIMAL, overrides=overrides) == 2
+        err = capsys.readouterr().err
+        assert f"config error: sweep.values: {values[0]!r} and {values[-1]!r}" in err
+        assert f"a={values[0]:g}" in err
+        assert not list(tmp_path.glob("nilcat_a=*"))
 
     def test_override_changes_grid(self, tmp_path, capsys):
         assert run(tmp_path, "classify", NIL_MINIMAL, overrides=["space.kappa=1.0"]) == 0

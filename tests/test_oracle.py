@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from bcvhelix import (
     HelicoidalAction,
     ProfileCurve,
     SmoothFunction,
+    StencilOutOfDomain,
     SurfaceChart,
     build_chart,
     christoffels,
@@ -27,6 +29,7 @@ from bcvhelix import (
     sample_mesh,
     shared_grid,
 )
+from bcvhelix import oracle
 from bcvhelix.numerics import DEFAULT_TOL, diff_central, richardson
 from conftest import NIL, R3, SU2_SPACE, catenoid_profile, nil_catenoid_profile
 from test_orbit import random_wiggle_curve, vertical_line_curve
@@ -63,6 +66,26 @@ def reference_geometry(space, chart, u, t, tol=DEFAULT_TOL):
     )
     det = E * G - F * F
     return (E, F, G, L, M, N, (G * L - 2.0 * F * M + E * N) / det, (L * N - M * M) / det), n
+
+
+FIELDS = ("points", "normal", "E", "F", "G", "L", "M", "N", "H", "K")
+
+
+def assert_row_is(batch, i, row):
+    """Row i of an array ``local_geometry`` is the one-row call, bit for bit,
+    with errors of the same class and message on the same vertices."""
+    for name in FIELDS:
+        assert np.array_equal(getattr(batch, name)[i], getattr(row, name), equal_nan=True), name
+    assert [(type(e), str(e)) for e in batch.errors[i]] == [(type(e), str(e)) for e in row.errors]
+
+
+def cylinder_near_domain_edge():
+    # a vertical cylinder in H2 x R just inside the metric domain r < 2:
+    # B = 0.9e-4 on the cylinder, so the Christoffel stencil's +-1e-4 offset
+    # along x (near t = 0, pi) or along y (near t = +-pi/2) leaves the domain
+    space = BcvSpace(-1.0, 0.0)
+    act, curve = vertical_line_curve(space, R=2.0 * math.sqrt(1.0 - 0.9e-4))
+    return space, SurfaceChart.from_profile(act, curve)
 
 
 def su2_minimal_chart():
@@ -178,9 +201,13 @@ class TestLocalGeometry:
         lo, hi = chart.u_valid
         ts = np.linspace(-math.pi, math.pi, 7)
         names = ("E", "F", "G", "L", "M", "N", "H", "K")
-        for u in np.linspace(lo, hi, 5)[1:-1]:
+        us = np.linspace(lo, hi, 5)[1:-1]
+        batch = local_geometry(space, sc, us, ts)
+        assert batch.H.shape == (len(us), len(ts)) and batch.points.shape == (len(us), len(ts), 3)
+        for i, u in enumerate(us):
             geo = local_geometry(space, sc, u, ts)
             assert not any(geo.errors)
+            assert_row_is(batch, i, geo)
             for k, t in enumerate(ts):
                 assert abs(geo.H[k] - mean_curvature_extrinsic(space, sc, u, t)) <= 1e-15
                 one = first_form_numeric(space, sc, u, t)
@@ -194,6 +221,45 @@ class TestLocalGeometry:
                         value *= sign
                     assert abs(getattr(geo, name)[k] - value) <= 1e-15 * max(1.0, abs(value))
 
+    def test_rows_at_validity_edges_fail_alone(self, nil_catenoid_chart):
+        # the stencil cannot fit at u_valid's ends: those rows hold the one-row
+        # error on every vertex, and the rows between are the one-row calls
+        sc = SurfaceChart.from_natural(nil_catenoid_chart)
+        us = np.linspace(*nil_catenoid_chart.u_valid, 9)
+        ts = np.linspace(-math.pi, math.pi, 5)
+        batch = local_geometry(NIL, sc, us, ts)
+        for i, u in enumerate(us):
+            if i in (0, len(us) - 1):
+                with pytest.raises(StencilOutOfDomain) as one:
+                    local_geometry(NIL, sc, u, ts)
+                assert [(type(e), str(e)) for e in batch.errors[i]] == [
+                    (StencilOutOfDomain, str(one.value))
+                ] * len(ts)
+                for name in FIELDS:
+                    assert np.all(np.isnan(getattr(batch, name)[i])), name
+            else:
+                assert_row_is(batch, i, local_geometry(NIL, sc, u, ts))
+        assert all(e.__traceback__ is None for row in batch.errors for e in row if e is not None)
+        with pytest.raises(StencilOutOfDomain, match="cannot fit"):
+            batch.checked()
+        assert local_geometry(NIL, sc, us[1:-1], ts).checked().H.shape == (7, 5)
+
+    def test_one_christoffel_call_per_mesh(self, nil_catenoid_chart, monkeypatch):
+        # the rows that fit are measured in one kernel call; the edge rows
+        # fail at their u-stencil, before the Christoffels
+        sc = SurfaceChart.from_natural(nil_catenoid_chart)
+        local_geometry(NIL, sc, 0.0, [0.0])  # the chart's orientation, once
+        calls = []
+
+        def counted(space, p, *args, **kwargs):
+            calls.append(np.shape(p))
+            return christoffels(space, p, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "christoffels", counted)
+        mesh = sample_mesh(NIL, sc, 11, 6)
+        assert calls == [(9 * 6, 3)]
+        assert mesh.diagnostic_failures == {"StencilOutOfDomain": 12}
+
     def test_extrinsic_K_is_gauss_curvature_in_R3(self, catenoid_chart):
         # flat ambient: det of the shape operator is the intrinsic curvature
         sc = SurfaceChart.from_natural(catenoid_chart)
@@ -202,12 +268,7 @@ class TestLocalGeometry:
             assert np.max(np.abs(geo.K - gauss_intrinsic(catenoid_chart.U, u))) < 1e-6
 
     def test_vertex_errors_stay_isolated(self):
-        # a vertical cylinder in H2 x R just inside the metric domain r < 2:
-        # B = 0.9e-4 on the cylinder, so the Christoffel stencil's +-1e-4 offset
-        # along x (near t = 0, pi) or along y (near t = +-pi/2) leaves the domain
-        space = BcvSpace(-1.0, 0.0)
-        act, curve = vertical_line_curve(space, R=2.0 * math.sqrt(1.0 - 0.9e-4))
-        sc = SurfaceChart.from_profile(act, curve)
+        space, sc = cylinder_near_domain_edge()
         ts = np.linspace(-math.pi, math.pi, 25)
         geo = local_geometry(space, sc, 0.1, ts)
         expected = []
@@ -224,6 +285,44 @@ class TestLocalGeometry:
         assert np.all(np.isfinite(geo.E)) and np.all(np.isfinite(geo.G))
         for k in np.flatnonzero(~expected):
             assert geo.H[k] == mean_curvature_extrinsic(space, sc, 0.1, ts[k])
+
+    def test_vertex_errors_stay_isolated_across_rows(self):
+        # several rows in one call: each failing vertex is NaN on its own, with
+        # the values and errors of its one-row call
+        space, sc = cylinder_near_domain_edge()
+        ts = np.linspace(-math.pi, math.pi, 25)
+        us = np.array([-0.5, 0.1, 0.3, 0.7])
+        batch = local_geometry(space, sc, us, ts)
+        for i, u in enumerate(us):
+            row = local_geometry(space, sc, u, ts)
+            assert_row_is(batch, i, row)
+            assert np.array_equal(np.isnan(batch.H[i]), [e is not None for e in row.errors])
+        assert np.isnan(batch.H).any() and not np.isnan(batch.E).any()
+        # stored errors were never raised: no traceback keeps the call's frames
+        stored = [e for row in batch.errors for e in row if e is not None]
+        assert stored and all(e.__traceback__ is None for e in stored)
+
+    def test_stored_errors_leave_no_cyclic_garbage(self, nil_catenoid_chart):
+        # a stored error that was raised keeps the kernel's frames, and every
+        # array of the call, alive in a reference cycle
+        space, sc = cylinder_near_domain_edge()
+        ts = np.linspace(-math.pi, math.pi, 25)
+        natural = SurfaceChart.from_natural(nil_catenoid_chart)
+        local_geometry(space, sc, 0.1, ts)
+        sample_mesh(NIL, natural, 9, 5)  # warm both charts
+        gc.collect()
+        gc.disable()
+        try:
+            geo = local_geometry(space, sc, 0.1, ts)
+            assert any(geo.errors)
+            del geo
+            assert gc.collect() == 0
+            mesh = sample_mesh(NIL, natural, 9, 5)
+            assert mesh.diagnostic_failures == {"StencilOutOfDomain": 10}
+            del mesh
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGauss:
@@ -289,9 +388,11 @@ class TestIsometryDeviation:
         us, ts = shared_grid(a, b, (9, 5))
         grid_a, grid_b = first_form_grid(NIL, a, us, ts), first_form_grid(NIL, b, us, ts)
         assert isometry_deviation(NIL, a, b, grid=(9, 5)) == np.max(np.abs(grid_a - grid_b))
-        for i in (0, 4, 8):
-            for j, t in enumerate(ts):
-                assert tuple(grid_a[i, j]) == reference_first_form(NIL, a, us[i], t)[3]
+        # rows 0 and 8 sit at the shared_grid margins, where the stencil shrinks
+        for chart, grid in ((a, grid_a), (b, grid_b)):
+            for i, u in enumerate(us):
+                for j, t in enumerate(ts):
+                    assert tuple(grid[i, j]) == reference_first_form(NIL, chart, u, t)[3]
 
 
 class TestSampleMesh:
