@@ -92,7 +92,8 @@ def _discriminant(
     radicand_clamp below zero counts as 0, further below it raises."""
     m2U2 = m * m * Uv * Uv
     num = m2U2 - a * a
-    d = (1.0 - 2.0 * a * space.tau) ** 2 + num * (4.0 * space.tau * space.tau - space.kappa)
+    b = 1.0 - 2.0 * a * space.tau
+    d = b * b + num * (4.0 * space.tau * space.tau - space.kappa)
     if d < 0.0:
         if d <= -tol.radicand_clamp:
             raise NegativeDiscriminant(f"Delta(u={u}) = {d:.6e} < 0")
@@ -112,7 +113,8 @@ def chart_terms(
     """
     m2U2, num, d = _discriminant(space, m, a, Uv, u, tol)
     sd = math.sqrt(d)
-    den = (1.0 + sd) ** 2 - 4.0 * space.tau * space.tau * m2U2
+    one = 1.0 + sd
+    den = one * one - 4.0 * space.tau * space.tau * m2U2
     if num < 0.0:
         if num < -tol.radicand_clamp:
             raise NegativeRadicand(f"m^2 U^2 - a^2 = {num:.6e} < 0 at u={u}")
@@ -144,7 +146,8 @@ def _xi2_radicand(
 ) -> float:
     """R = xi1^2 - p^2 (4 + kappa xi1^2)^2 / (16 D) with p = m^2 U U'; raises below
     the cancellation band, and values inside it count as 0."""
-    sub = p ** 2 * (4.0 + space.kappa * xi1sq) ** 2 / (16.0 * d)
+    q = 4.0 + space.kappa * xi1sq
+    sub = p * p * (q * q) / (16.0 * d)
     rad = xi1sq - sub
     # cancellation band: a radicand this small relative to its terms is the
     # boundary of validity (e.g. the helicoid's identically-zero radicand)

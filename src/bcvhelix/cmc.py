@@ -96,8 +96,10 @@ def cmc_constants(space: BcvSpace, a: float, H: float, c: float) -> CmcConstants
     b1 = 4.0 * tau * tau - 2.0 * a * kappa * tau - c * H
     b2 = -b / (2.0 * b1) if b1 != 0.0 else None
     b3 = 4.0 * a * tau - a * a * kappa - 1.0
-    c1 = 1.0 + (1.0 - 2.0 * a * tau) ** 2 - c * H
-    c2 = -c * c - 4.0 * a * a * (1.0 - a * tau) ** 2
+    e = 1.0 - 2.0 * a * tau
+    f = 1.0 - a * tau
+    c1 = 1.0 + e * e - c * H
+    c2 = -c * c - 4.0 * a * a * (f * f)
     return CmcConstants(b=b, b1=b1, b2=b2, b3=b3, c1=c1, c2=c2, c=c, H=H)
 
 
@@ -271,7 +273,11 @@ def _build_case(
         b3p = a * a * H * H + 4.0 * a * tau - 1.0
         mu = 4.0 * tau * tau + H * H
         w = lambda u: 0.5 * b1 * u * u + b2
-        U2 = lambda u: (w(u) ** 2 + b3p) / (m2 * mu)
+
+        def U2(u: float) -> float:
+            wv = w(u)
+            return (wv * wv + b3p) / (m2 * mu)
+
         dU2 = lambda u: 2.0 * w(u) * b1 * u / (m2 * mu)
         d2U2 = lambda u: 2.0 * b1 * (1.5 * b1 * u * u + b2) / (m2 * mu)
         floor = _ARCH_FLOOR * max(abs(b1), abs(b2), 1.0)
@@ -318,9 +324,16 @@ def _build_case(
     else:  # pragma: no cover
         raise ValueError(f"unhandled case {case}")
 
-    U2 = lambda u: (nu * nu * k.b3 + w(u) ** 2) / denom
+    def U2(u: float) -> float:
+        wv = w(u)
+        return (nu * nu * k.b3 + wv * wv) / denom
+
     dU2 = lambda u: 2.0 * w(u) * dw(u) / denom
-    d2U2 = lambda u: 2.0 * (dw(u) ** 2 + w(u) * d2w(u)) / denom
+
+    def d2U2(u: float) -> float:
+        dwv = dw(u)
+        return 2.0 * (dwv * dwv + w(u) * d2w(u)) / denom
+
     floor = _ARCH_FLOOR * (abs(k.b1) + S) / abs(nu)
 
     def extra(u: float, v: float) -> bool:
@@ -465,7 +478,8 @@ def first_integral_check(
     Uv, dU, m2U2, d, sd, den, xi1sq, B = _eq_principal_pieces(space, seed, u, tol)
     x = m * Uv
     dx = m * dU
-    rad = (x * x - a * a) * den / (1.0 - 2.0 * a * tau + sd) ** 2 - x * x * dx * dx / d
+    B0 = 1.0 - 2.0 * a * tau + sd
+    rad = (x * x - a * a) * den / (B0 * B0) - x * x * dx * dx / d
     if rad < 0.0:
         if rad < -tol.radicand_clamp:
             raise NegativeRadicand(f"first-integral radicand {rad:.6e} < 0 at u={u}")

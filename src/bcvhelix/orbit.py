@@ -228,7 +228,8 @@ def induced_metric(
     if omega_sq <= 0:
         raise DomainError(f"orbit degenerates at u={u} (omega = 0)")
     omega = math.sqrt(omega_sq)
-    E = 1.0 + (dxi2 * w / (B * omega)) ** 2
+    g = dxi2 * w / (B * omega)
+    E = 1.0 + g * g
     F = dxi2 * w / B
     return E, F, omega_sq
 
