@@ -37,7 +37,10 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    SCALAR,
+    ArrayOps,
     CumulativeQuadrature,
+    Integrand,
     SmoothFunction,
     Tolerances,
     scan_interval,
@@ -86,44 +89,45 @@ class BourSeed:
 
 
 def _discriminant(
-    space: BcvSpace, m: float, a: float, Uv: float, u: float, tol: Tolerances
-) -> tuple[float, float, float]:
+    space: BcvSpace, m: float, a: float, Uv, u, tol: Tolerances, xp=SCALAR
+) -> tuple:
     """(m^2 U^2, m^2 U^2 - a^2, Delta) at U(u) = Uv; Delta within
     radicand_clamp below zero counts as 0, further below it raises."""
     m2U2 = m * m * Uv * Uv
     num = m2U2 - a * a
     b = 1.0 - 2.0 * a * space.tau
     d = b * b + num * (4.0 * space.tau * space.tau - space.kappa)
-    if d < 0.0:
-        if d <= -tol.radicand_clamp:
-            raise NegativeDiscriminant(f"Delta(u={u}) = {d:.6e} < 0")
-        d = 0.0
-    return m2U2, num, d
+    negative = d < 0.0
+    if xp.fails(negative & (d <= -tol.radicand_clamp)):
+        raise NegativeDiscriminant(f"Delta(u={u}) = {d:.6e} < 0")
+    return m2U2, num, xp.where(negative, 0.0, d)
 
 
 def chart_terms(
-    space: BcvSpace, m: float, a: float, Uv: float, u: float, tol: Tolerances
+    space: BcvSpace, m: float, a: float, Uv, u, tol: Tolerances, xp=SCALAR
 ) -> tuple:
     """(m^2 U^2, Delta, sqrt(Delta), numerator, denominator, xi1^2) at U(u) = Uv.
 
     The one evaluation of the discriminant and the radius
     xi1^2 = 4 num / den, num = m^2 U^2 - a^2, den = (1 + sqrt(D))^2 - 4 tau^2 m^2 U^2.
     Delta and num within radicand_clamp below zero count as 0; further below
-    they raise, as does a nonpositive denominator.
+    they raise, as does a nonpositive denominator.  On a float with xp =
+    SCALAR, or on arrays Uv and u with an ``ArrayOps`` (see ``numerics``).
     """
-    m2U2, num, d = _discriminant(space, m, a, Uv, u, tol)
-    sd = math.sqrt(d)
+    m2U2, num, d = _discriminant(space, m, a, Uv, u, tol, xp)
+    sd = xp.sqrt(d)
     one = 1.0 + sd
     den = one * one - 4.0 * space.tau * space.tau * m2U2
-    if num < 0.0:
-        if num < -tol.radicand_clamp:
-            raise NegativeRadicand(f"m^2 U^2 - a^2 = {num:.6e} < 0 at u={u}")
-        num = 0.0
-    if den <= 0.0:
-        if num <= tol.radicand_clamp:
-            raise DegenerateRadius(
-                f"radius formula degenerates at u={u} (num={num:.3e}, den={den:.3e})"
-            )
+    negative = num < 0.0
+    if xp.fails(negative & (num < -tol.radicand_clamp)):
+        raise NegativeRadicand(f"m^2 U^2 - a^2 = {num:.6e} < 0 at u={u}")
+    num = xp.where(negative, 0.0, num)
+    degenerate = den <= 0.0
+    if xp.fails(degenerate & (num <= tol.radicand_clamp)):
+        raise DegenerateRadius(
+            f"radius formula degenerates at u={u} (num={num:.3e}, den={den:.3e})"
+        )
+    if xp.fails(degenerate):
         raise DomainError(f"(1+sqrt(D))^2 - 4 tau^2 m^2 U^2 = {den:.6e} <= 0 at u={u}")
     return m2U2, d, sd, num, den, 4.0 * num / den
 
@@ -142,8 +146,8 @@ def xi1_from_seed(
 
 
 def _xi2_radicand(
-    space: BcvSpace, p: float, d: float, xi1sq: float, u: float, tol: Tolerances
-) -> float:
+    space: BcvSpace, p, d, xi1sq, u, tol: Tolerances, xp=SCALAR
+):
     """R = xi1^2 - p^2 (4 + kappa xi1^2)^2 / (16 D) with p = m^2 U U'; raises below
     the cancellation band, and values inside it count as 0."""
     q = 4.0 + space.kappa * xi1sq
@@ -151,42 +155,97 @@ def _xi2_radicand(
     rad = xi1sq - sub
     # cancellation band: a radicand this small relative to its terms is the
     # boundary of validity (e.g. the helicoid's identically-zero radicand)
-    band = max(tol.radicand_clamp, 4e-15 * (xi1sq + abs(sub)))
-    if not rad >= -band:
+    band = xp.maximum(tol.radicand_clamp, 4e-15 * (xi1sq + abs(sub)))
+    if xp.fails(xp.not_(rad >= -band)):
         raise NegativeRadicand(f"xi2 radicand = {rad:.6e} < 0 at u={u}")
-    return 0.0 if rad < band else rad
+    return xp.where(rad < band, 0.0, rad)
 
 
-def _radicand(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances) -> tuple:
-    Uv, dU = seed.U(u), seed.U.deriv(u)
-    _, d, _, _, _, xi1sq = chart_terms(space, seed.m, seed.a, Uv, u, tol)
-    if d == 0.0:
+def _radicand(space: BcvSpace, seed: BourSeed, Uv, dU, u, tol: Tolerances, xp=SCALAR) -> tuple:
+    """(xi1^2, the xi2 radicand) at U(u) = Uv, U'(u) = dU: one evaluation
+    for both integrands."""
+    _, d, _, _, _, xi1sq = chart_terms(space, seed.m, seed.a, Uv, u, tol, xp)
+    if xp.fails(d == 0.0):
         raise NegativeDiscriminant(f"Delta vanishes at u={u}: radicand undefined")
-    return Uv, xi1sq, _xi2_radicand(space, seed.m * seed.m * Uv * dU, d, xi1sq, u, tol)
+    return xi1sq, _xi2_radicand(space, seed.m * seed.m * Uv * dU, d, xi1sq, u, tol, xp)
+
+
+def _xi2_value(space: BcvSpace, seed: BourSeed, Uv, xi1sq, rad, u, xp=SCALAR):
+    if xp.fails(xi1sq == 0.0):
+        raise DegenerateRadius(f"xi1 = 0 at u={u}: xi2 integrand singular")
+    pref = seed.m * Uv * (4.0 + space.kappa * xi1sq) / (4.0 * xi1sq)
+    return pref * xp.sqrt(rad)
+
+
+def _theta0_value(space: BcvSpace, seed: BourSeed, Uv, xi1sq, rad, u, xp=SCALAR):
+    if xp.fails(xi1sq == 0.0):
+        raise DegenerateRadius(f"xi1 = 0 at u={u}: theta integrand singular")
+    pref = ((4.0 * space.tau - seed.a * space.kappa) * xi1sq - 4.0 * seed.a) / (
+        4.0 * seed.m * Uv * xi1sq
+    )
+    return pref * xp.sqrt(rad)
 
 
 def xi2_integrand(
     space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances = DEFAULT_TOL
 ) -> float:
     """Integrand of the vertical coordinate xi2 of the profile curve."""
-    Uv, xi1sq, rad = _radicand(space, seed, u, tol)
-    if xi1sq == 0.0:
-        raise DegenerateRadius(f"xi1 = 0 at u={u}: xi2 integrand singular")
-    pref = seed.m * Uv * (4.0 + space.kappa * xi1sq) / (4.0 * xi1sq)
-    return pref * math.sqrt(rad)
+    Uv, dU = seed.U(u), seed.U.deriv(u)
+    xi1sq, rad = _radicand(space, seed, Uv, dU, u, tol)
+    return _xi2_value(space, seed, Uv, xi1sq, rad, u)
 
 
 def theta0_integrand(
     space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances = DEFAULT_TOL
 ) -> float:
     """Integrand of the u-dependent gauge part of theta(u, t) = t/m + theta0(u)."""
-    Uv, xi1sq, rad = _radicand(space, seed, u, tol)
-    if xi1sq == 0.0:
-        raise DegenerateRadius(f"xi1 = 0 at u={u}: theta integrand singular")
-    pref = ((4.0 * space.tau - seed.a * space.kappa) * xi1sq - 4.0 * seed.a) / (
-        4.0 * seed.m * Uv * xi1sq
+    Uv, dU = seed.U(u), seed.U.deriv(u)
+    xi1sq, rad = _radicand(space, seed, Uv, dU, u, tol)
+    return _theta0_value(space, seed, Uv, xi1sq, rad, u)
+
+
+def _chart_integrands(space: BcvSpace, seed: BourSeed, tol: Tolerances = DEFAULT_TOL) -> Integrand:
+    """The xi2 and theta0 integrands as one ``Integrand``: at an array of
+    nodes, U, U' and the radicand are evaluated once for both, and a node
+    is failed where a check fails or a value is not finite; failed nodes
+    are evaluated again by ``xi2_integrand`` and ``theta0_integrand``."""
+
+    def batch(us: np.ndarray):
+        Uv, dU = seed.U.values(us)
+        ops = ArrayOps(us.size)
+        with np.errstate(all="ignore"):
+            xi1sq, rad = _radicand(space, seed, Uv, dU, us, tol, ops)
+            values = np.stack(
+                [
+                    _xi2_value(space, seed, Uv, xi1sq, rad, us, ops),
+                    _theta0_value(space, seed, Uv, xi1sq, rad, us, ops),
+                ]
+            )
+        failed = ops.failed | ~np.isfinite(Uv) | ~np.isfinite(dU)
+        return values, failed | ~np.isfinite(values)
+
+    return Integrand(
+        batch,
+        (
+            lambda u: xi2_integrand(space, seed, u, tol),
+            lambda u: theta0_integrand(space, seed, u, tol),
+        ),
     )
-    return pref * math.sqrt(rad)
+
+
+def _check_chart(space: BcvSpace, seed: BourSeed, Uv, dU, u, tol: Tolerances, xp=SCALAR):
+    """Raise (record, with ArrayOps) where the chart fails to exist at
+    U(u) = Uv, U'(u) = dU: chart_terms' checks, B > 0, and the xi2 radicand,
+    which Delta = 0 admits only with a vanishing prefactor m^2 U U'."""
+    _, d, sd, _, _, xi1sq = chart_terms(space, seed.m, seed.a, Uv, u, tol, xp)
+    if xp.fails(1.0 - 2.0 * seed.a * space.tau + sd <= 0.0):
+        raise DomainError(f"B <= 0 at u={u}")
+    p = seed.m * seed.m * Uv * dU
+    flat = d == 0.0
+    if xp.fails(flat & (p != 0.0)):
+        raise NegativeDiscriminant(f"Delta vanishes at u={u} with m^2 U U' = {p:.6e}")
+    # at Delta = 0 (with p = 0) the radicand is xi1^2 >= 0
+    _xi2_radicand(space, p, xp.where(flat, 1.0, d), xi1sq, u, tol, xp)
 
 
 def _valid_at(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances) -> bool:
@@ -197,18 +256,24 @@ def _valid_at(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances) -> boo
         dU = seed.U.deriv(u)
         if not math.isfinite(dU):
             return False
-        _, d, sd, _, _, xi1sq = chart_terms(space, seed.m, seed.a, Uv, u, tol)
-        if 1.0 - 2.0 * seed.a * space.tau + sd <= 0.0:  # B > 0
-            return False
-        p = seed.m * seed.m * Uv * dU
-        if d == 0.0:
-            # acceptable only if the radicand prefactor vanishes too
-            return p == 0.0
-        _xi2_radicand(space, p, d, xi1sq, u, tol)
+        _check_chart(space, seed, Uv, dU, u, tol)
         return True
     except (BcvHelixError, ArithmeticError, ValueError):
         # mathematical failures only: anything else is a bug and propagates
         return False
+
+
+def _valid_on(space: BcvSpace, seed: BourSeed, us: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``_valid_at`` at each element of a 1-D array of u, in one array pass."""
+    Uv, dU = seed.U.values(us)
+    ops = ArrayOps(us.size)
+    with np.errstate(all="ignore"):
+        _check_chart(space, seed, Uv, dU, us, tol, ops)
+    ok = np.isfinite(Uv) & (Uv > 0.0) & np.isfinite(dU) & ~ops.failed
+    # a NaN U or U' is a point the array evaluation does not vouch for
+    for i in np.flatnonzero(np.isnan(Uv) | np.isnan(dU)).tolist():
+        ok[i] = _valid_at(space, seed, float(us[i]), tol)
+    return ok
 
 
 def domain_of_validity(

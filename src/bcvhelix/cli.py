@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ import numpy as np
 from .bour import BourSeed, NaturalChart, build_chart
 from .cmc import cmc_U, cmc_residual, minimal_U
 from .errors import BcvHelixError, ConfigError
-from .numerics import SmoothFunction, Tolerances
+from .numerics import ArrayFunction, SmoothFunction, Tolerances
 from .oracle import (
     MeshGrid,
     SurfaceChart,
@@ -242,7 +244,57 @@ def parse_config(cfg: dict, mode: str) -> JobConfig:
     )
 
 
+class _ArrayOperators(ast.NodeTransformer):
+    """** and / as calls of _pow and _div, which an array evaluation defines."""
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        name = {ast.Pow: "_pow", ast.Div: "_div"}.get(type(node.op))
+        if name is None:
+            return node
+        call = ast.Call(ast.Name(name, ast.Load()), [node.left, node.right], [])
+        return ast.copy_location(call, node)
+
+
+def _array_namespace(failed: np.ndarray) -> dict:
+    """The names of an expression evaluated at a 1-D array u: each function
+    and ** per element, with the float evaluation's bits, and / as numpy's
+    IEEE division; ``failed`` records the elements where the float
+    evaluation raises (or leaves the reals)."""
+
+    def lift(fn):
+        def apply(*args):
+            if not any(isinstance(x, np.ndarray) for x in args):
+                return fn(*args)
+            columns = [x.tolist() if isinstance(x, np.ndarray) else itertools.repeat(x) for x in args]
+            try:
+                return np.fromiter(map(fn, *columns), float, failed.size)
+            except Exception:
+                out = np.full(failed.size, math.nan)
+                for i, xs in enumerate(zip(*columns)):
+                    try:
+                        out[i] = fn(*xs)
+                    except Exception:
+                        failed[i] = True
+                return out
+
+        return apply
+
+    def div(a, b):
+        if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            return a / b
+        failed[...] |= b == 0  # ZeroDivisionError for floats
+        return np.true_divide(a, b)
+
+    names = {name: lift(fn) if callable(fn) else fn for name, fn in _EXPR_NS.items()}
+    names["abs"] = lambda x: np.abs(x) if isinstance(x, np.ndarray) else abs(x)
+    names["_pow"], names["_div"] = lift(operator.pow), div
+    return names
+
+
 def _compile_expr(expr: str, path: str):
+    """The expression as a function of u: a float, or elementwise a 1-D array
+    with NaN where the float evaluation fails."""
     # a config file must not run code: only the checked grammar is compiled
     if not isinstance(expr, str):
         raise ConfigError(f"{path}: expected an expression string, got {expr!r}")
@@ -257,8 +309,21 @@ def _compile_expr(expr: str, path: str):
             f"+ - * / **, and {', '.join(sorted(_EXPR_NS))}"
         )
     code = compile(tree, f"<{path}>", "eval")
+    array_tree = ast.fix_missing_locations(_ArrayOperators().visit(tree))
+    array_code = compile(array_tree, f"<{path}>", "eval")
 
-    def fn(u: float) -> float:
+    def fn(u):
+        if isinstance(u, np.ndarray):
+            failed = np.zeros(u.size, dtype=bool)
+            try:
+                with np.errstate(all="ignore"):
+                    out = eval(array_code, {"__builtins__": {}}, {**_array_namespace(failed), "u": u})
+                out = np.broadcast_to(np.asarray(out, dtype=float), u.shape).copy()
+            except Exception:
+                # fails at every u: the float evaluation says how
+                return np.full(u.size, math.nan)
+            out[failed] = math.nan
+            return out
         try:
             return float(eval(code, {"__builtins__": {}}, {**_EXPR_NS, "u": u}))
         except Exception as exc:
@@ -282,7 +347,7 @@ def resolve_profile(job: JobConfig):
     else:
         f = _compile_expr(job.u_expr, "seed.U")
         df = _compile_expr(job.du_expr, "seed.dU") if job.du_expr else None
-        U = SmoothFunction(f, df)
+        U = ArrayFunction(f, df)
         meta["domain"] = list(job.u_range)
     return U, meta
 

@@ -51,7 +51,16 @@ from .errors import (
     NoRealFamily,
     ParameterOutOfRange,
 )
-from .numerics import DEFAULT_TOL, SmoothFunction, Tolerances, scan_interval
+from .numerics import (
+    DEFAULT_TOL,
+    MATH_ERRORS,
+    ArrayFunction,
+    SmoothFunction,
+    Tolerances,
+    elementwise,
+    ops_for,
+    scan_interval,
+)
 from .spaces import BcvSpace, SpaceClass, classify
 
 __all__ = [
@@ -137,33 +146,56 @@ def select_case(
     return CmcCase.HYPERBOLIC_COSH if disc > 0.0 else CmcCase.HYPERBOLIC_SINH
 
 
+# math's functions, elementwise on arrays: the closed forms below take a
+# float or a 1-D array of u, and give each element the float's bits
+sin, cos, sinh, cosh = map(elementwise, (math.sin, math.cos, math.sinh, math.cosh))
+
+
 def _u_from_squared(
     f2: Callable[[float], float],
     df2: Callable[[float], float],
     d2f2: Callable[[float], float],
-) -> SmoothFunction:
-    def f(u: float) -> float:
+) -> ArrayFunction:
+    def f(u):
+        xp = ops_for(u)
         v = f2(u)
-        if v <= 0.0:
+        if xp.fails(v <= 0.0):
             raise DomainError(f"U^2(u={u}) = {v:.6e} <= 0")
-        return math.sqrt(v)
+        return xp.checked(xp.sqrt(v))
 
-    def df(u: float) -> float:
+    def df(u):
         return df2(u) / (2.0 * f(u))
 
-    def d2f(u: float) -> float:
+    def d2f(u):
         Uv = f(u)
         dU = df2(u) / (2.0 * Uv)
         return (d2f2(u) - 2.0 * dU * dU) / (2.0 * Uv)
 
-    return SmoothFunction(f, df, d2f)
+    return ArrayFunction(f, df, d2f)
+
+
+def _margin(m: float, a: float, U2, excluded, tol: Tolerances, u):
+    """m^2 U^2 - a^2 where u is admissible, and -inf where it is not: where
+    U^2 fails or is not positive and finite, m^2 U^2 - a^2 < -radicand_clamp,
+    or excluded(u, U^2) holds.  At a float u, or elementwise at a 1-D array
+    (where U^2 is NaN at the points where the float U^2 raises)."""
+    xp = ops_for(u)
+    try:
+        v = U2(u)
+        out = excluded is not None and excluded(u, v)
+    except MATH_ERRORS:
+        # mathematical failures only: anything else is a bug and propagates
+        return -math.inf
+    mg = m * m * v - a * a
+    out = out | xp.not_(xp.isfinite(v) & (v > 0.0)) | (mg < -tol.radicand_clamp)
+    return xp.where(out, -math.inf, mg)
 
 
 def _family_domain(
     m: float,
     a: float,
     U2: Callable[[float], float],
-    extra: Optional[Callable[[float, float], bool]],
+    excluded: Optional[Callable],
     window: tuple[float, float],
     tol: Tolerances,
     freq: float = 0.0,
@@ -177,26 +209,15 @@ def _family_domain(
     m^2 U^2 - a^2 that picks the anchor; the outward walk reads the grid's
     verdict wherever its abscissa is a grid point and evaluates elsewhere."""
 
-    def margin(u: float) -> Optional[float]:
-        # m^2 U^2 - a^2 where u is admissible, else None
-        try:
-            v = U2(u)
-        except (BcvHelixError, ArithmeticError, ValueError):
-            # mathematical failures only: anything else is a bug and propagates
-            return None
-        if not (math.isfinite(v) and v > 0.0):
-            return None
-        mg = m * m * v - a * a
-        if mg < -tol.radicand_clamp:
-            return None
-        return mg if extra is None or extra(u, v) else None
+    def margin(u: float) -> float:
+        return _margin(m, a, U2, excluded, tol, u)
 
     lo, hi = window
     n = max(4097, 1 + int(512.0 * (hi - lo) * freq / (2.0 * math.pi)))
     grid = {u: margin(u) for u in (lo + (hi - lo) * i / (n - 1) for i in range(n))}
     best_u, best_margin = None, -math.inf
     for u, mg in grid.items():
-        if mg is not None and mg > best_margin:
+        if mg > best_margin:
             best_u, best_margin = u, mg
     if best_u is None:
         raise NoRealFamily(
@@ -204,7 +225,7 @@ def _family_domain(
         )
 
     def ok(u: float) -> bool:
-        return (grid[u] if u in grid else margin(u)) is not None
+        return (grid[u] if u in grid else margin(u)) > -math.inf
 
     return scan_interval(ok, best_u, window, (hi - lo) / (n - 1), tol.bisect)
 
@@ -221,8 +242,9 @@ def _build_case(
     case: CmcCase,
     tol: Tolerances,
 ):
-    """U^2 closed form with analytic derivatives plus the admissibility test
-    extra(u, v), v = U^2(u).
+    """U^2 closed form with analytic derivatives, the exclusion test
+    excluded(u, v), v = U^2(u), and the oscillation frequency.  Each takes a
+    float u or, elementwise, a 1-D array.
 
     Admissibility cuts the u-line down to one branch of the actual CMC-H
     solution: sqrt(Delta) must stay on its positive arch (Delta = 0 is a
@@ -255,11 +277,12 @@ def _build_case(
             )
         amp = math.sqrt(max(amp_sq, 0.0))
         rl = math.sqrt(lam)
-        U2 = lambda u: (k.c1 + amp * math.sin(rl * u)) / (m2 * lam)
-        dU2 = lambda u: amp * rl * math.cos(rl * u) / (m2 * lam)
-        d2U2 = lambda u: -amp * math.sin(rl * u) / m2
-        extra = (lambda u, v: H * m2 * v + c >= 0.0) if has_h else None
-        return U2, dU2, d2U2, extra, rl
+        U2 = lambda u: (k.c1 + amp * sin(rl * u)) / (m2 * lam)
+        dU2 = lambda u: amp * rl * cos(rl * u) / (m2 * lam)
+        d2U2 = lambda u: -amp * sin(rl * u) / m2
+        # v is finite wherever the verdict depends on this test
+        excluded = (lambda u, v: H * m2 * v + c < 0.0) if has_h else None
+        return U2, dU2, d2U2, excluded, rl
 
     if case is CmcCase.CRITICAL_KAPPA:
         # proof-variant constants (stable on the band kappa ~ -H^2):
@@ -282,15 +305,14 @@ def _build_case(
         d2U2 = lambda u: 2.0 * b1 * (1.5 * b1 * u * u + b2) / (m2 * mu)
         floor = _ARCH_FLOOR * max(abs(b1), abs(b2), 1.0)
 
-        def extra(u: float, v: float) -> bool:
+        def excluded(u, v):
             sd = w(u)
-            if sd < floor:
-                return False
-            if has_h and (H * sd + c) / (4.0 * tau * tau - kappa) < 0.0:
-                return False
-            return True
+            out = sd < floor
+            if has_h:
+                out = out | ((H * sd + c) / (4.0 * tau * tau - kappa) < 0.0)
+            return out
 
-        return U2, dU2, d2U2, extra, math.sqrt(abs(b1))
+        return U2, dU2, d2U2, excluded, math.sqrt(abs(b1))
 
     nu = H * H + kappa
     denom = m2 * (4.0 * tau * tau - kappa) * nu * nu
@@ -301,26 +323,26 @@ def _build_case(
             raise NoRealFamily(f"b1^2 + b (H^2+kappa) = {disc:.6e} < 0")
         S = math.sqrt(max(disc, 0.0))
         rn = math.sqrt(nu)
-        w = lambda u: k.b1 + S * math.sin(rn * u)
-        dw = lambda u: S * rn * math.cos(rn * u)
-        d2w = lambda u: -S * nu * math.sin(rn * u)
+        w = lambda u: k.b1 + S * sin(rn * u)
+        dw = lambda u: S * rn * cos(rn * u)
+        d2w = lambda u: -S * nu * sin(rn * u)
     elif case is CmcCase.HYPERBOLIC_COSH:
         if disc <= tol.case_band:
             raise DegenerateFamily(f"cosh branch needs b1^2 + b nu > 0, got {disc:.3e}")
         S = math.sqrt(disc)
         beta = math.sqrt(-nu)  # beta^2 = -nu, so w'' = -S beta^2 cosh = S nu cosh
-        w = lambda u: k.b1 - S * math.cosh(beta * u)
-        dw = lambda u: -S * beta * math.sinh(beta * u)
-        d2w = lambda u: S * nu * math.cosh(beta * u)
+        w = lambda u: k.b1 - S * cosh(beta * u)
+        dw = lambda u: -S * beta * sinh(beta * u)
+        d2w = lambda u: S * nu * cosh(beta * u)
     elif case is CmcCase.HYPERBOLIC_SINH:
         if disc >= -tol.case_band:
             raise DegenerateFamily(f"sinh branch needs b1^2 + b nu < 0, got {disc:.3e}")
         Sb = math.sqrt(-disc)
         S = Sb
         beta = math.sqrt(-nu)
-        w = lambda u: k.b1 - Sb * math.sinh(beta * u)
-        dw = lambda u: -Sb * beta * math.cosh(beta * u)
-        d2w = lambda u: Sb * nu * math.sinh(beta * u)
+        w = lambda u: k.b1 - Sb * sinh(beta * u)
+        dw = lambda u: -Sb * beta * cosh(beta * u)
+        d2w = lambda u: Sb * nu * sinh(beta * u)
     else:  # pragma: no cover
         raise ValueError(f"unhandled case {case}")
 
@@ -336,15 +358,14 @@ def _build_case(
 
     floor = _ARCH_FLOOR * (abs(k.b1) + S) / abs(nu)
 
-    def extra(u: float, v: float) -> bool:
+    def excluded(u, v):
         sd = w(u) / nu  # the family's sqrt(Delta)
-        if sd < floor:
-            return False
-        if has_h and (H * sd + c) / (4.0 * tau * tau - kappa) < 0.0:
-            return False
-        return True
+        out = sd < floor
+        if has_h:
+            out = out | ((H * sd + c) / (4.0 * tau * tau - kappa) < 0.0)
+        return out
 
-    return U2, dU2, d2U2, extra, math.sqrt(abs(nu))
+    return U2, dU2, d2U2, excluded, math.sqrt(abs(nu))
 
 
 def cmc_U(
@@ -366,8 +387,8 @@ def cmc_U(
     if m == 0:
         raise ValueError("m must be nonzero")
     case = select_case(space, H, a, c, tol)
-    U2, dU2, d2U2, extra, freq = _build_case(space, m, a, H, c, case, tol)
-    domain = _family_domain(m, a, U2, extra, u_window, tol, freq)
+    U2, dU2, d2U2, excluded, freq = _build_case(space, m, a, H, c, case, tol)
+    domain = _family_domain(m, a, U2, excluded, u_window, tol, freq)
     U = _u_from_squared(U2, dU2, d2U2)
     U.domain = domain
     return U, case

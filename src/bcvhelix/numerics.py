@@ -17,6 +17,15 @@ deterministic: identical inputs give bit-identical outputs, and a
 CumulativeQuadrature value does not depend on which abscissae were queried
 before it.
 
+Formulas written once for a float and for an array take the operations
+``xp`` they run with: ``SCALAR`` on one float, where a failed check raises,
+or an ``ArrayOps`` over a 1-D array, which records the failed points
+instead; the caller evaluates those again as floats, which raises the
+float path's error.  Both do the same IEEE operations in the same order, so
+every array element is bit for bit the float result.  Transcendental
+functions go through ``elementwise``, math's function per element: numpy's
+exp, cosh, sinh and log differ from math's in the last bit on some hosts.
+
 CumulativeQuadrature stops refining a cell at the integrand's rounding floor
 (QUADPACK's roundoff test, see ``_ROUNDOFF_RATIO``).  A leaf kept that way
 carries its honest K15/G7 estimate, which may exceed its share of the
@@ -28,10 +37,12 @@ singular or divergent integrand is accepted the same way, without error.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +51,13 @@ from .errors import BcvHelixError, QuadratureFailure, StencilOutOfDomain
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
+    "SCALAR",
+    "ArrayOps",
+    "ops_for",
+    "elementwise",
     "SmoothFunction",
+    "ArrayFunction",
+    "Integrand",
     "CumulativeQuadrature",
     "richardson",
     "diff_central",
@@ -73,6 +90,94 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+# "Invalid point" means one of these: anything else is a bug and propagates.
+MATH_ERRORS = (BcvHelixError, ArithmeticError, ValueError)
+
+
+class _ScalarOps:
+    """The operations of a formula written once, on one float: math's
+    functions, and a check that fails raises (``if xp.fails(c): raise ...``)."""
+
+    sqrt = staticmethod(math.sqrt)
+    isfinite = staticmethod(math.isfinite)
+    maximum = staticmethod(max)
+    not_ = staticmethod(operator.not_)
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
+
+    @staticmethod
+    def fails(cond) -> bool:
+        return cond
+
+    @staticmethod
+    def checked(value):
+        return value
+
+
+SCALAR = _ScalarOps()
+
+
+class ArrayOps:
+    """The same operations elementwise over 1-D arrays, each element bit for
+    bit the float operation's.  A failed check raises nothing: ``fails``
+    records its points in ``failed`` and returns False, so the formula runs
+    on over every point, and the values at failed points mean nothing."""
+
+    sqrt = staticmethod(np.sqrt)
+    isfinite = staticmethod(np.isfinite)
+    not_ = staticmethod(np.logical_not)
+    where = staticmethod(np.where)
+
+    def __init__(self, n: int):
+        self.failed = np.zeros(n, dtype=bool)
+
+    @staticmethod
+    def maximum(a, b):
+        # Python's max(a, b): a unless b > a
+        return np.where(b > a, b, a)
+
+    def fails(self, cond) -> bool:
+        self.failed |= cond
+        return False
+
+    def checked(self, values):
+        """values with NaN at the failed points."""
+        return np.where(self.failed, np.nan, values)
+
+
+def ops_for(u):
+    """SCALAR for a float u, a fresh ArrayOps for a 1-D array."""
+    return ArrayOps(u.size) if isinstance(u, np.ndarray) else SCALAR
+
+
+def _or_nan(fn, x):
+    try:
+        return fn(x)
+    except MATH_ERRORS:
+        return math.nan
+
+
+def elementwise(fn: Callable[[float], float]) -> Callable:
+    """fn, a function of one float, on a float or elementwise on a 1-D array.
+
+    Each array element is fn's own result for that float, and NaN where fn
+    raises a mathematical error; any other error propagates."""
+
+    @functools.wraps(fn)
+    def apply(x):
+        if not isinstance(x, np.ndarray):
+            return fn(x)
+        values = x.tolist()
+        try:
+            return np.fromiter(map(fn, values), float, len(values))
+        except MATH_ERRORS:
+            return np.array([_or_nan(fn, v) for v in values], dtype=float)
+
+    return apply
+
+
 # 7-point Gauss / 15-point Kronrod node-weight pairs on [-1, 1] (QUADPACK dqk15).
 _XGK = (
     0.991455371120813, 0.949107912342759, 0.864864423359769,
@@ -85,6 +190,46 @@ _WGK = (
     0.204432940075298, 0.209482141084728,
 )
 _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469)
+
+
+class Integrand:
+    """Integrands evaluated together at a 1-D array of abscissae.
+
+    ``batch(xs)`` returns ``(values, failed)``, both of shape (k, len(xs)),
+    for the k components.  A failed node is one the batch does not vouch
+    for: its value is ``scalars[j](x)``, the float integrand of component j,
+    which raises the node's error if it has one.  ``batch`` turns only
+    mathematical failures (``MATH_ERRORS``) into failed nodes; anything else
+    propagates from it at once.
+    """
+
+    def __init__(self, batch: Callable, scalars: Sequence[Callable[[float], float]]):
+        self.batch = batch
+        self.scalars = tuple(scalars)
+
+    @classmethod
+    def of(cls, f) -> "Integrand":
+        """f if it is an Integrand, else the float integrand f node by node."""
+        if isinstance(f, Integrand):
+            return f
+
+        def batch(xs: np.ndarray):
+            values = np.zeros((1, xs.size))
+            failed = np.zeros((1, xs.size), dtype=bool)
+            for i, x in enumerate(xs.tolist()):
+                try:
+                    values[0, i] = f(x)
+                except MATH_ERRORS:
+                    failed[0, i] = True
+            return values, failed
+
+        return cls(batch, (f,))
+
+    def mirrored(self) -> "Integrand":
+        """The integrands of -x (negation is exact)."""
+        return Integrand(
+            lambda xs: self.batch(-xs), [lambda x, g=g: g(-x) for g in self.scalars]
+        )
 
 
 def _kronrod_panel(
@@ -505,6 +650,21 @@ class SmoothFunction:
             return diff_central(self._df, u, order=1, h=DEFAULT_TOL.fd_second)
         return diff_central(self.f, u, order=2, h=DEFAULT_TOL.fd_second)
 
+    def values(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(f, f') at a 1-D array of u: each element the float calls' value,
+        and NaN where they raise a mathematical error."""
+        return elementwise(self.__call__)(us), elementwise(self.deriv)(us)
+
     @classmethod
     def wrap(cls, f) -> "SmoothFunction":
         return f if isinstance(f, SmoothFunction) else cls(f)
+
+
+class ArrayFunction(SmoothFunction):
+    """A SmoothFunction whose f, df and d2f also take a 1-D array of u and
+    return, elementwise, the float call's value, or NaN where the float call
+    raises a mathematical error.  ``values`` is then two array calls."""
+
+    def values(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(all="ignore"):
+            return self.f(us), self.deriv(us)
