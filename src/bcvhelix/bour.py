@@ -404,8 +404,11 @@ def build_chart(space: BcvSpace, seed: BourSeed, tol: Tolerances = DEFAULT_TOL) 
     u_valid = domain_of_validity(space, seed, tol)
     lo, hi = seed.u_domain
     u0 = 0.5 * (lo + hi)
-    xi2_f = lambda u: xi2_integrand(space, seed, u, tol)
-    th0_f = lambda u: theta0_integrand(space, seed, u, tol)
+    integrands = _chart_integrands(space, seed, tol)
+    xi2_f, th0_f = integrands.scalars
+    xi2_quad, theta0_quad = CumulativeQuadrature.components(
+        integrands, u0, u_valid[0], u_valid[1], tol.quad_abs
+    )
     return NaturalChart(
         space=space,
         seed=seed,
@@ -413,8 +416,8 @@ def build_chart(space: BcvSpace, seed: BourSeed, tol: Tolerances = DEFAULT_TOL) 
         u0=u0,
         _xi1_fn=lambda u: xi1_from_seed(space, seed, u, tol),
         _dxi1_fn=_analytic_dxi1(space, seed, tol),
-        _xi2_quad=CumulativeQuadrature(xi2_f, u0, u_valid[0], u_valid[1], tol.quad_abs),
-        _theta0_quad=CumulativeQuadrature(th0_f, u0, u_valid[0], u_valid[1], tol.quad_abs),
+        _xi2_quad=xi2_quad,
+        _theta0_quad=theta0_quad,
         _xi2_integrand=xi2_f,
         _theta0_integrand=th0_f,
     )

@@ -4,18 +4,21 @@ One quadrature kernel, CumulativeQuadrature: an antiderivative-style
 G7/K15 Gauss-Kronrod rule over fixed cells with panel caching, behind every
 chart antiderivative and gauge.  Its cells live in one one-directional
 half-line from u0 outward; the side below u0 is the same half-line over the
-mirror image f(-x).  Filled cells enter their final leaves into a flat
-table; a query reads the entry of the leaf that holds u, found by bisection,
-and adds the prefix sum of whole cells before it to the leaf's dense output:
-the integral of the degree-14 interpolant of the 15 samples the leaf's K15
-panel already took, so a query on a filled cell calls no integrand.  A 1-D
-array of u is served by one searchsorted and one recurrence over the array,
-with the scalar query's values bit for bit.  One Richardson difference
-kernel behind every finite difference, and one bisection loop behind the
-outward interval scan that locates domain endpoints.  All kernels are
-deterministic: identical inputs give bit-identical outputs, and a
-CumulativeQuadrature value does not depend on which abscissae were queried
-before it.
+mirror image f(-x).  The first query of a half-line grows the trees of all
+its cells at once: one array call of the integrand at the K15 nodes of every
+cell, then one call per refinement level at the nodes of the panels that
+level needs.  A failed node is kept with its cell and raised when a query
+reaches that cell.  Filled cells enter their final leaves into a flat table;
+a query reads the entry of the leaf that holds u, found by bisection, and
+adds the prefix sum of whole cells before it to the leaf's dense output: the
+integral of the degree-14 interpolant of the 15 samples the leaf's K15 panel
+already took, so a query on a filled cell calls no integrand.  A 1-D array
+of u is served by one searchsorted and one recurrence over the array, with
+the scalar query's values bit for bit.  One Richardson difference kernel
+behind every finite difference, and one bisection loop behind the outward
+interval scan that locates domain endpoints.  All kernels are deterministic: identical inputs give
+bit-identical outputs, and a CumulativeQuadrature value does not depend on
+which abscissae were queried before it.
 
 Formulas written once for a float and for an array take the operations
 ``xp`` they run with: ``SCALAR`` on one float, where a failed check raises,
@@ -37,6 +40,7 @@ singular or divergent integrand is accepted the same way, without error.
 from __future__ import annotations
 
 import bisect
+import copy
 import functools
 import math
 import operator
@@ -232,40 +236,49 @@ class Integrand:
         )
 
 
-def _kronrod_panel(
-    f: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float, list[float]]:
-    """One G7/K15 application on [lo, hi]: (K15 value, |K15-G7| estimate,
-    the 15 samples of f in the order of ``_NODES``)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    fc = f(mid)
-    samples = [fc]
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for i in range(7):
-        x = half * _XGK[i]
-        fl, fr = f(mid - x), f(mid + x)
-        samples += (fl, fr)
-        fsum = fl + fr
-        kron += _WGK[i] * fsum
-        if i % 2 == 1:  # K15 odd indices are the G7 nodes
-            gauss += _WG[i // 2] * fsum
-    return kron * half, abs((kron - gauss) * half), samples
-
-
-# The K15 nodes and weights on [-1, 1] in the order _kronrod_panel samples
-# f, and the 16 x 15 map from those samples to the Legendre coefficients of
-# the antiderivative (zero at -1) of their degree-14 interpolant.  K15 is
-# interpolatory, so that antiderivative at +1 is the panel's K15 value; the
-# tabulated nodes and weights carry 15 digits, and a term (P_0 + P_1) / 2 per
-# sample, zero at -1 and of size 1e-15, makes it so to rounding.
+# The K15 nodes and weights on [-1, 1] in the order a panel samples f (the
+# centre, then -x and +x for each node x of _XGK), and the 16 x 15 map from
+# those samples to the Legendre coefficients of the antiderivative (zero at
+# -1) of their degree-14 interpolant.  K15 is interpolatory, so that
+# antiderivative at +1 is the panel's K15 value; the tabulated nodes and
+# weights carry 15 digits, and a term (P_0 + P_1) / 2 per sample, zero at -1
+# and of size 1e-15, makes it so to rounding.
 _NODES = (0.0,) + tuple(s * x for x in _XGK[:7] for s in (-1.0, 1.0))
+_XGK7 = np.array(_XGK[:7])
 _WEIGHTS = (_WGK[7],) + tuple(w for w in _WGK[:7] for _ in range(2))
 _ANTIDERIVATIVE = np.polynomial.legendre.legint(
     np.linalg.inv(np.polynomial.legendre.legvander(np.array(_NODES), 14)), lbnd=-1.0
 )
 _ANTIDERIVATIVE[:2] += 0.5 * (np.array(_WEIGHTS) - _ANTIDERIVATIVE.sum(axis=0))
+
+
+def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The K15 nodes of the panels [lo[i], hi[i]], shape (len(lo), 15), each
+    row in the order of ``_NODES``: mid, then mid -/+ half * x for each node
+    x of ``_XGK``."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    x = half[:, None] * _XGK7
+    nodes = np.empty((lo.size, 15))
+    nodes[:, 0] = mid
+    nodes[:, 1::2] = mid[:, None] - x
+    nodes[:, 2::2] = mid[:, None] + x
+    return nodes
+
+
+def _kronrod_sums(samples: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K15 value, |K15 - G7| estimate) of panels from their samples, shape
+    (..., 15) in ``_NODES`` order, and half-widths; each panel's sums are
+    added node pair by node pair, centre first, as for one panel alone."""
+    fc = samples[..., 0]
+    kron = _WGK[7] * fc
+    gauss = _WG[3] * fc
+    for i in range(7):
+        fsum = samples[..., 1 + 2 * i] + samples[..., 2 + 2 * i]
+        kron = kron + _WGK[i] * fsum
+        if i % 2 == 1:  # K15 odd indices are the G7 nodes
+            gauss = gauss + _WG[i // 2] * fsum
+    return kron * half, np.abs((kron - gauss) * half)
 
 
 # (2k - 1) / k and (k - 1) / k of P_k = ((2k - 1) s P_{k-1} - (k - 1) P_{k-2}) / k
@@ -292,12 +305,15 @@ _ROUNDOFF_RATIO = 0.99
 
 
 class _Leaf:
-    """A cached cumulative-quadrature cell: either a K15 value or two halves.
+    """A cumulative-quadrature cell: either a K15 value or two halves.
 
     A final leaf keeps its panel's samples and, once a query reads it, the
-    Legendre coefficients of their interpolant's antiderivative."""
+    Legendre coefficients of their interpolant's antiderivative.  ``stop``
+    marks a node whose halves were kept by the rounding stop; ``fault`` is
+    set on a node whose refinement failed, and raises its error when called
+    (see ``_Cells.grow``)."""
 
-    __slots__ = ("lo", "hi", "value", "err", "children", "samples", "dense")
+    __slots__ = ("lo", "hi", "value", "err", "children", "samples", "dense", "stop", "fault")
 
     def __init__(self, lo: float, hi: float):
         self.lo = lo
@@ -307,6 +323,8 @@ class _Leaf:
         self.children: Optional[tuple["_Leaf", "_Leaf"]] = None
         self.samples: Optional[list[float]] = None
         self.dense: Optional[list[float]] = None
+        self.stop = False
+        self.fault: Optional[Callable[[], None]] = None
 
     def coefficients(self) -> list[float]:
         if self.dense is None:
@@ -314,9 +332,131 @@ class _Leaf:
         return self.dense
 
 
+def _failed_node(f: Callable[[float], float], x: float):
+    f(x)  # raises the node's error, evaluated again by the float integrand
+    raise QuadratureFailure(f"integrand raised at x={x} once but not again")
+
+
+def _not_converging(message: str):
+    raise QuadratureFailure(message)
+
+
+class _Cells:
+    """The cells of [u0, hi] and, for each component of an integrand, their
+    refinement trees; ``per_unit`` is the budget per unit length of both
+    sides of u0.
+
+    ``grow`` builds every tree of every cell at once, level by level, with
+    one integrand batch per level over the panels that level needs.  The
+    decisions are those of a recursive refinement of one cell: a panel whose
+    estimate exceeds max(per_unit * width, 1e-3 abs_tol) and 1e-16 of its
+    value is halved, unless it is max_depth deep; the halves are kept as
+    they are when together they estimate at least ``_ROUNDOFF_RATIO`` of
+    it (the rounding stop), and are decided in turn otherwise.  A node whose
+    refinement fails gets a ``fault`` and is not refined further: the
+    recursive refinement would have raised there.  A fault is the first
+    failed node of the node's own panel (root cells only), then the max_depth
+    limit, then the first failed node of the left half's panel, then of the
+    right's, each in panel sample order.
+    """
+
+    def __init__(self, integrand: Integrand, u0, hi, per_unit, abs_tol, cell_width, max_depth):
+        self.integrand = integrand
+        self.per_unit = per_unit
+        self.abs_tol = abs_tol
+        self.max_depth = max_depth
+        n = max(1, math.ceil((hi - u0) / cell_width)) if hi > u0 else 0
+        edges = [(u0 + (hi - u0) * i / n, u0 + (hi - u0) * (i + 1) / n) for i in range(n)]
+        self.roots = [[_Leaf(lo, hi) for lo, hi in edges] for _ in integrand.scalars]
+        self.grown = False
+
+    def _panels(self, wanted: list[tuple[int, _Leaf]]) -> list[tuple]:
+        """(value, estimate, samples, fault) of the K15 panel of each
+        (component, leaf) in wanted, from one integrand batch over the
+        distinct intervals; samples are None and fault is set where the
+        panel has a failed node."""
+        if not wanted:
+            return []
+        index: dict[tuple[float, float], int] = {}
+        for _, leaf in wanted:
+            index.setdefault((leaf.lo, leaf.hi), len(index))
+        bounds = np.array(list(index), dtype=float).reshape(-1, 2)
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        nodes = _kronrod_nodes(lo, hi)
+        values, failed = self.integrand.batch(nodes.ravel())
+        shape = (values.shape[0],) + nodes.shape
+        values, failed = values.reshape(shape), failed.reshape(shape)
+        faults: dict[tuple[int, int], Callable] = {}
+        for j, i, q in zip(*np.nonzero(failed)):
+            if (j, i) in faults:
+                continue
+            f, x = self.integrand.scalars[j], float(nodes[i, q])
+            try:
+                values[j, i, q] = f(x)
+            except MATH_ERRORS:
+                faults[j, i] = functools.partial(_failed_node, f, x)
+        value, err = _kronrod_sums(values, 0.5 * (hi - lo))
+        value, err, samples = value.tolist(), err.tolist(), values.tolist()
+        out = []
+        for j, leaf in wanted:
+            i = index[leaf.lo, leaf.hi]
+            fault = faults.get((j, i))
+            out.append((value[j][i], err[j][i], None if fault else samples[j][i], fault))
+        return out
+
+    def _split(self, leaf: _Leaf, val: float, err: float, samples, depth: int) -> bool:
+        """Keep the panel as the leaf's, or give the leaf two halves (True)."""
+        floor = max(self.per_unit * (leaf.hi - leaf.lo), 1e-3 * self.abs_tol)
+        if not (err > floor and err > 1e-16 * abs(val)):
+            leaf.value, leaf.err, leaf.samples = val, err, samples
+            return False
+        if depth >= self.max_depth:
+            leaf.fault = functools.partial(
+                _not_converging, f"cell [{leaf.lo}, {leaf.hi}] not converging (err {err:.3e})"
+            )
+            return False
+        mid = 0.5 * (leaf.lo + leaf.hi)
+        leaf.children = (_Leaf(leaf.lo, mid), _Leaf(mid, leaf.hi))
+        return True
+
+    def grow(self):
+        if self.grown:
+            return
+        self.grown = True
+        wanted = [(j, leaf) for j, roots in enumerate(self.roots) for leaf in roots]
+        split = []  # (component, node, its panel's estimate) of the nodes halved
+        for (j, leaf), (val, err, samples, fault) in zip(wanted, self._panels(wanted)):
+            if fault is not None:
+                leaf.fault = fault
+            elif self._split(leaf, val, err, samples, 0):
+                split.append((j, leaf, err))
+        depth = 1
+        while split:
+            wanted = [(j, half) for j, leaf, _ in split for half in leaf.children]
+            panels = iter(self._panels(wanted))
+            halved = []
+            for j, leaf, err in split:
+                (lv, le, ls, lf), (rv, re, rs, rf) = next(panels), next(panels)
+                left, right = leaf.children
+                if lf is not None or rf is not None:
+                    leaf.children, leaf.fault = None, lf or rf
+                elif le + re >= _ROUNDOFF_RATIO * err:
+                    # halving did not lower the estimate: it is rounding noise
+                    # of the integrand, so the halves are kept as they are
+                    left.value, left.err, left.samples = lv, le, ls
+                    right.value, right.err, right.samples = rv, re, rs
+                    leaf.stop = True
+                else:
+                    for half, (v, e, smp) in ((left, (lv, le, ls)), (right, (rv, re, rs))):
+                        if self._split(half, v, e, smp, depth):
+                            halved.append((j, half, e))
+            split = halved
+            depth += 1
+
+
 class _HalfLine:
-    """The cells of [u0, hi] of a CumulativeQuadrature and the queries from u0
-    outward; ``per_unit`` is the budget per unit length of both sides.
+    """One component's cells of [u0, hi] of a CumulativeQuadrature, and the
+    queries from u0 outward.
 
     Cells fill left to right, and each filled cell appends its final leaves
     to a flat table, so the table only grows.  ``his[k]`` is the right edge
@@ -325,56 +465,29 @@ class _HalfLine:
     leaves of its cell left of it, and the cell's left edge for the cell's
     first leaf (NaN for the others, which no u equals)."""
 
-    def __init__(self, f, u0, hi, per_unit, abs_tol, cell_width, max_depth):
-        self.f = f
-        self.per_unit = per_unit
-        self.abs_tol = abs_tol
-        self.max_depth = max_depth
+    def __init__(self, cells: _Cells, component: int):
+        self.trees = cells
+        self.cells = cells.roots[component]
         self.rounding_stops = 0
-        n = max(1, math.ceil((hi - u0) / cell_width)) if hi > u0 else 0
-        self.cells = [
-            _Leaf(u0 + (hi - u0) * i / n, u0 + (hi - u0) * (i + 1) / n) for i in range(n)
-        ]
         # prefix[i] is the sum of the first i cell values, added left to right
         self.prefix = [0.0]
         self.his: list[float] = []
         self.rows: list[tuple] = []
         self._columns: Optional[tuple] = None  # ``rows`` as arrays, see _table
 
-    def _ensure(
-        self, leaf: _Leaf, depth: int = 0, panel: Optional[tuple[float, float, list]] = None
-    ) -> float:
-        # ``panel`` is the cell's K15 (value, estimate, samples) when the
-        # parent has already computed it, so no panel is evaluated twice.
-        if leaf.value is not None:
+    def _settle(self, leaf: _Leaf) -> float:
+        # a grown cell's value, each node the sum of its halves, left first;
+        # raises the cell's first fault in the order refinement met them
+        if leaf.fault is not None:
+            leaf.fault()
+        if leaf.children is None:
             return leaf.value
-        val, err, samples = panel or _kronrod_panel(self.f, leaf.lo, leaf.hi)
-        floor = max(self.per_unit * (leaf.hi - leaf.lo), 1e-3 * self.abs_tol)
-        if err > floor and err > 1e-16 * abs(val):
-            if depth >= self.max_depth:
-                raise QuadratureFailure(
-                    f"cell [{leaf.lo}, {leaf.hi}] not converging (err {err:.3e})"
-                )
-            mid = 0.5 * (leaf.lo + leaf.hi)
-            left, right = _Leaf(leaf.lo, mid), _Leaf(mid, leaf.hi)
-            lp = _kronrod_panel(self.f, leaf.lo, mid)
-            rp = _kronrod_panel(self.f, mid, leaf.hi)
-            if lp[1] + rp[1] >= _ROUNDOFF_RATIO * err:
-                # halving did not lower the estimate: it is rounding noise of
-                # the integrand, so the halves are kept as they are
-                left.value, left.err, left.samples = lp
-                right.value, right.err, right.samples = rp
-                val = lp[0] + rp[0]
-                self.rounding_stops += 1
-            else:
-                val = self._ensure(left, depth + 1, lp) + self._ensure(right, depth + 1, rp)
-            err = left.err + right.err
-            leaf.children = (left, right)
-        else:
-            leaf.samples = samples
-        leaf.err = err
-        leaf.value = val
-        return val
+        left, right = leaf.children
+        if leaf.stop:
+            self.rounding_stops += 1
+        leaf.value = self._settle(left) + self._settle(right)
+        leaf.err = left.err + right.err
+        return leaf.value
 
     def _tabulate(self, leaf: _Leaf, pre: float, desc: float, edge: float):
         # the final leaves of a filled cell, left to right; desc adds the
@@ -388,13 +501,14 @@ class _HalfLine:
         self.rows.append((leaf, pre, desc, edge))
 
     def _fill(self, u: float):
-        # Fill cells until one ends beyond u or none is left.  A cell is
-        # refined whole before any query reads it, so a value does not
-        # depend on which queries came before.
+        # Fill cells until one ends beyond u or none is left.  Every cell is
+        # grown whole before any query reads it, so a value does not depend
+        # on which queries came before.
+        self.trees.grow()
         while len(self.prefix) <= len(self.cells) and (not self.his or self.his[-1] <= u):
             cell = self.cells[len(self.prefix) - 1]
             pre = self.prefix[-1]
-            self.prefix.append(pre + self._ensure(cell))
+            self.prefix.append(pre + self._settle(cell))
             self._tabulate(cell, pre, 0.0, cell.lo)
 
     def __call__(self, u: float) -> float:
@@ -443,19 +557,37 @@ class CumulativeQuadrature:
 
     The interval around ``u0`` is covered by fixed cells; each cell holds one
     K15 value (refined by static bisection where the G7/K15 estimate exceeds
-    its share of the budget).  A query fills the cells from u0 up to u once,
-    left to right, and each filled cell enters its final leaves into a flat
-    table.  The value at u is read from the table entry of the leaf that
-    holds u (found by bisection on the leaf edges): the prefix sum of the
-    whole cells before u (added left to right, whatever the query order),
-    plus the whole leaves of u's cell left of u, plus the leaf's dense
-    output: the integral from the leaf's edge to u of the degree-14
+    its share of the budget).  The first query of each side grows the trees
+    of all its cells (see ``_Cells``): one array call of the integrand at the
+    K15 nodes of every cell, then one call per refinement level at the nodes
+    of the panels that level halves.  Each panel's sums are added in the
+    order of a single panel, so the trees, values and estimates are those of
+    refining each cell on its own.  A query then fills the cells from u0 up
+    to u once, left to right, and each filled cell enters its final leaves
+    into a flat table.  The value at u is read from the table entry of the
+    leaf that holds u (found by bisection on the leaf edges): the prefix sum
+    of the whole cells before u (added left to right, whatever the query
+    order), plus the whole leaves of u's cell left of u, plus the leaf's
+    dense output: the integral from the leaf's edge to u of the degree-14
     interpolant of its 15 K15 samples.  That makes no integrand call.  K15
     is interpolatory, so the interpolant's integral over a whole leaf is the
     leaf's K15 value up to rounding: F is a polynomial inside each leaf and
     continuous across leaf edges to a few ulps, and finite differences of F
     recover f without cache-boundary noise.  Thread-safe; values are
     deterministic, so racing writes are benign and guarded anyway.
+
+    ``f`` is a float integrand, which the growth calls node by node, or an
+    ``Integrand`` evaluated over arrays, whose first component is integrated
+    (``components`` integrates all of them over shared panels).
+
+    Failures are deferred.  A node where the integrand raises a
+    mathematical error (``MATH_ERRORS``) fails its panel, and a panel that
+    cannot meet its share by ``max_depth`` fails its cell; the cell raises
+    only when a query reaches it, with the error a recursive refinement of
+    that cell alone would raise first: the first failed node in panel order,
+    evaluated again by the float integrand, or QuadratureFailure.  A cell no
+    query reaches never raises.  Any other error of the integrand propagates
+    from the first query.
 
     Both sides of u0 are one half-line: f on [u0, hi], and its mirror image
     f(-x) on [-u0, -lo] with F(u) = 0.0 - left(-u) below u0 (so an
@@ -467,7 +599,8 @@ class CumulativeQuadrature:
     below ``_ROUNDOFF_RATIO`` of its own is split once more and not further;
     each half keeps its value and estimate, so a leaf's ``err`` is then an
     estimate of rounding noise above the leaf's share of the budget.
-    ``rounding_stops`` counts the cells accepted this way.
+    ``rounding_stops`` counts the cells accepted this way among the cells
+    queries have filled.
 
     Array queries: a 1-D numpy array of u, in any order and with repeats,
     gives the array of values, each bit for bit the scalar query's.  The
@@ -480,7 +613,7 @@ class CumulativeQuadrature:
 
     def __init__(
         self,
-        f: Callable[[float], float],
+        f,
         u0: float,
         lo: float,
         hi: float,
@@ -495,8 +628,29 @@ class CumulativeQuadrature:
         self.hi = hi
         self._lock = threading.Lock()
         per_unit = abs_tol / max(hi - u0, u0 - lo, cell_width)
-        self._right = _HalfLine(f, u0, hi, per_unit, abs_tol, cell_width, max_depth)
-        self._left = _HalfLine(lambda x: f(-x), -u0, -lo, per_unit, abs_tol, cell_width, max_depth)
+        f = Integrand.of(f)
+        self._sides = (
+            _Cells(f, u0, hi, per_unit, abs_tol, cell_width, max_depth),
+            _Cells(f.mirrored(), -u0, -lo, per_unit, abs_tol, cell_width, max_depth),
+        )
+        self._right, self._left = (_HalfLine(side, 0) for side in self._sides)
+
+    @classmethod
+    def components(
+        cls, f: Integrand, u0: float, lo: float, hi: float, abs_tol: float = DEFAULT_TOL.quad_abs
+    ) -> tuple["CumulativeQuadrature", ...]:
+        """One antiderivative per component of f, all over the same cells.
+
+        The first query of any of them grows every component's trees, with
+        one batch per level for all components (each has its own tree), and
+        all of them share one lock."""
+        first = cls(f, u0, lo, hi, abs_tol)
+        rest = []
+        for j in range(1, len(f.scalars)):
+            other = copy.copy(first)
+            other._right, other._left = (_HalfLine(side, j) for side in first._sides)
+            rest.append(other)
+        return (first, *rest)
 
     @property
     def rounding_stops(self) -> int:

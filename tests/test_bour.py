@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -304,6 +305,33 @@ class TestConcurrentEvaluation:
             NIL, BourSeed(nil_catenoid_profile(), 1.0, 0.5, (-3.3, 3.3))
         )
         serial = [fresh.xi2(u) for u in us]
+        assert threaded == serial
+
+
+    def test_threads_race_the_first_fill_of_a_fresh_chart(self):
+        # xi2 and theta0 share their cells' first growth and one lock: eight
+        # threads reading both, interleaved, on a chart nobody has read yet
+        from concurrent.futures import ThreadPoolExecutor
+
+        us = list(np.linspace(-2.9, 2.9, 97))
+        seed = BourSeed(nil_catenoid_profile(), 1.0, 0.5, (-3.3, 3.3))
+        fresh = build_chart(NIL, seed)
+        serial = [(fresh.xi2(u), fresh.theta0(u)) for u in us]
+        chart = build_chart(NIL, seed)
+        reads = [
+            (name, k)
+            for k in range(len(us))
+            for name in (("xi2", "theta0") if k % 2 else ("theta0", "xi2"))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(getattr(chart, name), us[k]) for name, k in reads]
+                got = {read: f.result(timeout=60) for read, f in zip(reads, futures)}
+        finally:
+            sys.setswitchinterval(interval)
+        threaded = [(got["xi2", k], got["theta0", k]) for k in range(len(us))]
         assert threaded == serial
 
 

@@ -198,8 +198,11 @@ class TestCumulativeQuadrature:
             F(u)
         F(np.array(us[::-1]))
         assert f.calls == filled
-        F(1.9)  # cells beyond 1.5 are filled on first use, one K15 panel each
-        assert f.calls > filled
+        # the first query of each side grew the trees of all its cells, so
+        # the cells beyond 1.5 cost no integrand call either
+        assert filled >= 15 * (len(F._left.cells) + len(F._right.cells))
+        F(1.9)
+        assert f.calls == filled
 
     @pytest.mark.parametrize("cell_width, abs_tol", [(2.0, 1e-6), (1.0, 1e-8), (3.0, 1e-6)])
     def test_partial_leaves_match_closed_form(self, cell_width, abs_tol):
@@ -312,6 +315,53 @@ class TestCumulativeQuadrature:
         F = CumulativeQuadrature(lambda x: 1.0 if x >= step else 0.0, 0.0, -2.0, 2.0)
         assert abs(F(2.0) - F(-2.0) - (2.0 - step)) <= 1e-10
         assert F.rounding_stops == 0
+
+    def test_failure_waits_for_the_cell_that_holds_it(self):
+        # exp_below_one fails at every node beyond 1: the cells there are
+        # grown with the rest at the first query, but only a query that
+        # reaches one raises, with the error of the first failed node of the
+        # first such cell (the centre of [1.0, 1.05])
+        F = CumulativeQuadrature(exp_below_one, 0.0, -2.0, 2.0)
+        assert abs(F(0.9) - (math.exp(0.9) - 1.0)) < 1e-12
+        assert abs(F(-1.9) - (math.exp(-1.9) - 1.0)) < 1e-12
+        for u in (1.02, 1.5, np.array([0.3, 1.7])):
+            with pytest.raises(DomainError, match=r"^x=1\.025 > 1$"):
+                F(u)
+        assert F(0.5) == F(np.array([0.5]))[0]
+
+    def test_failure_inside_refinement_waits_too(self):
+        # the peak at 0.71 is refined; only a panel two or more halvings
+        # deep has a node within 3e-5 of it, where the integrand fails
+        def narrow(x):
+            if abs(x - 0.71) < 3e-5:
+                raise DomainError(f"x={x} within 3e-05 of 0.71")
+            return 1.0 / (1e-6 + (x - 0.71) * (x - 0.71))
+
+        F = CumulativeQuadrature(narrow, 0.0, -2.0, 2.0)
+        first_level = numerics._kronrod_nodes(
+            np.array([c.lo for c in F._right.cells]), np.array([c.hi for c in F._right.cells])
+        )
+        assert np.min(np.abs(first_level - 0.71)) > 3e-5
+        assert F(0.69) == pytest.approx(48.549945949046176, rel=1e-15)
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"^x=0\.7100243279843995 within"):
+                F(0.75)
+
+    def test_non_mathematical_error_propagates_at_first_query(self):
+        # a bug is not an invalid point: it surfaces at the first query of
+        # a side, from any of its cells
+        def buggy(x):
+            if abs(x) > 1.5:
+                raise TypeError("bug in the integrand")
+            return math.cos(x)
+
+        for u in (0.2, -0.2):
+            F = CumulativeQuadrature(buggy, 0.0, -2.0, 2.0)
+            with pytest.raises(TypeError, match="bug in the integrand"):
+                F(u)
+        batched = numerics.Integrand(lambda xs: (_ for _ in ()).throw(TypeError("bug")), [math.cos])
+        with pytest.raises(TypeError, match="bug"):
+            CumulativeQuadrature(batched, 0.0, -1.0, 1.0)(0.1)
 
     def test_failure_at_max_depth(self):
         # one cell, no bisection allowed: sin(40 x) cannot meet the floor
