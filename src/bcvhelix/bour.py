@@ -284,7 +284,8 @@ def domain_of_validity(
     """Maximal subinterval of u_domain around its midpoint where the chart
     exists: Delta >= 0, m^2 U^2 >= a^2, positive radius denominator, B > 0,
     and the xi2 radicand >= 0.  The scan walks out from the midpoint in steps
-    of 1/2048 of u_domain; endpoints are located by bisection to tol.bisect.
+    of 1/2048 of u_domain, evaluating the walk's abscissae in one array pass;
+    endpoints are located by bisection to tol.bisect, point by point.
     """
     lo, hi = seed.u_domain
     u0 = 0.5 * (lo + hi)
@@ -293,7 +294,10 @@ def domain_of_validity(
         raise EmptyDomain(
             f"chart invalid at the u_domain midpoint u0={u0}; no validity interval"
         )
-    return scan_interval(pred, u0, seed.u_domain, (hi - lo) / 2048, tol.bisect)
+    return scan_interval(
+        pred, u0, seed.u_domain, (hi - lo) / 2048, tol.bisect,
+        lambda us: _valid_on(space, seed, us, tol),
+    )
 
 
 @dataclass

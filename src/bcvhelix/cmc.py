@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
+import numpy as np
+
 from .bour import BourSeed, chart_terms
 from .errors import (
     BcvHelixError,
@@ -205,29 +207,31 @@ def _family_domain(
     valid scan point.  The scan density follows the family's oscillation
     frequency so touching arch boundaries cannot slip between samples.
 
-    U^2 is evaluated once per grid point, for the verdict and the margin
-    m^2 U^2 - a^2 that picks the anchor; the outward walk reads the grid's
-    verdict wherever its abscissa is a grid point and evaluates elsewhere."""
-
-    def margin(u: float) -> float:
-        return _margin(m, a, U2, excluded, tol, u)
-
+    The margins m^2 U^2 - a^2 of the grid are one array evaluation, and the
+    anchor is the first grid point of largest margin; the outward walk
+    evaluates its abscissae in one more, and bisection point by point."""
     lo, hi = window
     n = max(4097, 1 + int(512.0 * (hi - lo) * freq / (2.0 * math.pi)))
-    grid = {u: margin(u) for u in (lo + (hi - lo) * i / (n - 1) for i in range(n))}
-    best_u, best_margin = None, -math.inf
-    for u, mg in grid.items():
-        if mg > best_margin:
-            best_u, best_margin = u, mg
-    if best_u is None:
+
+    def margins(u):
+        with np.errstate(all="ignore"):
+            return _margin(m, a, U2, excluded, tol, u)
+
+    grid = lo + (hi - lo) * np.arange(n) / (n - 1)
+    on_grid = margins(grid)
+    best = int(np.argmax(on_grid))
+    if on_grid[best] == -math.inf:
         raise NoRealFamily(
             f"U^2 admits no valid point in the window [{lo}, {hi}]"
         )
-
-    def ok(u: float) -> bool:
-        return (grid[u] if u in grid else margin(u)) > -math.inf
-
-    return scan_interval(ok, best_u, window, (hi - lo) / (n - 1), tol.bisect)
+    return scan_interval(
+        lambda u: _margin(m, a, U2, excluded, tol, u) > -math.inf,
+        float(grid[best]),
+        window,
+        (hi - lo) / (n - 1),
+        tol.bisect,
+        lambda us: margins(us) > -math.inf,
+    )
 
 
 _ARCH_FLOOR = 1e-4  # relative inset from sqrt(Delta) = 0 arch boundaries

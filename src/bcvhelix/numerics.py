@@ -15,8 +15,9 @@ integral of the degree-14 interpolant of the 15 samples the leaf's K15 panel
 already took, so a query on a filled cell calls no integrand.  A 1-D array
 of u is served by one searchsorted and one recurrence over the array, with
 the scalar query's values bit for bit.  One Richardson difference kernel
-behind every finite difference, and one bisection loop behind the outward
-interval scan that locates domain endpoints.  All kernels are deterministic: identical inputs give
+behind every finite difference, and one outward interval scan, which
+evaluates its walk in one array call and bisects the flip on floats, behind
+every domain endpoint.  All kernels are deterministic: identical inputs give
 bit-identical outputs, and a CumulativeQuadrature value does not depend on
 which abscissae were queried before it.
 
@@ -742,12 +743,33 @@ def _bisect(same: Callable[[float], bool], a: float, b: float, tol: float) -> tu
     return a, b
 
 
+def _walk(anchor: float, edge: float, step: float) -> np.ndarray:
+    """The abscissae of the walk from anchor to edge in steps of ``step``:
+    each is the one before plus the signed step, as a loop ``u = u + step``
+    adds them, up to the first one at or beyond the edge, which is replaced
+    by the edge."""
+    if edge == anchor:
+        return np.empty(0)
+    sign = 1.0 if edge > anchor else -1.0
+    n = math.ceil(abs(edge - anchor) / step) + 1
+    while True:
+        # np.add.accumulate adds left to right, one element after the other
+        us = np.add.accumulate(np.concatenate(([anchor], np.full(n, sign * step))))[1:]
+        beyond = np.flatnonzero(sign * (edge - us) <= 0.0)
+        if beyond.size:
+            us = us[: beyond[0] + 1]
+            us[-1] = edge
+            return us
+        n *= 2
+
+
 def scan_interval(
     pred: Callable[[float], bool],
     anchor: float,
     window: tuple[float, float],
     step: float,
     tol: float,
+    verdicts: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> tuple[float, float]:
     """Maximal interval around ``anchor`` inside ``window`` where pred holds.
 
@@ -755,20 +777,27 @@ def scan_interval(
     clipped to the window, and bisects the first failing step down to tol.
     Each endpoint is a window edge or a point where pred holds, within tol of
     the flip, so downstream evaluation never lands outside.
+
+    The walk's abscissae on both sides are evaluated at once: by
+    ``verdicts``, pred over a 1-D array (an array of bools, each pred's
+    verdict), in one call, or else by pred at each.  The endpoints are those
+    of a walk that calls pred step by step; the bisection calls pred.
     """
+    right = _walk(anchor, window[1], step)
+    left = _walk(anchor, window[0], step)
+    us = np.concatenate((right, left))
+    ok = verdicts(us) if verdicts is not None else [pred(u) for u in us.tolist()]
 
-    def walk(edge: float, sign: float) -> float:
-        u = anchor
-        while sign * (edge - u) > 0.0:
-            nxt = u + sign * step
-            nxt = min(nxt, edge) if sign > 0.0 else max(nxt, edge)
-            if not pred(nxt):
-                return _bisect(pred, u, nxt, tol)[0]
-            u = nxt
-        return edge
+    def end(walk: np.ndarray, holds, edge: float) -> float:
+        failing = np.flatnonzero(np.logical_not(holds))
+        if failing.size == 0:
+            return edge
+        k = failing[0]
+        inside = anchor if k == 0 else float(walk[k - 1])
+        return _bisect(pred, inside, float(walk[k]), tol)[0]
 
-    right = walk(window[1], 1.0)
-    return walk(window[0], -1.0), right
+    hi = end(right, ok[: right.size], window[1])
+    return end(left, ok[right.size :], window[0]), hi
 
 
 class SmoothFunction:

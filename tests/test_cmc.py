@@ -24,7 +24,7 @@ from bcvhelix import (
 )
 from bcvhelix import cmc
 from bcvhelix.cmc import _family_domain
-from bcvhelix.numerics import DEFAULT_TOL
+from bcvhelix.numerics import DEFAULT_TOL, elementwise
 from conftest import NIL, R3, S2XR, SPHERE, SU2_SPACE
 
 # representative (space, H, a, c, m) per solution case; all verified to have
@@ -208,7 +208,9 @@ class TestMinimalU:
 
 
 class TestFamilyDomain:
+    # _family_domain's U^2 takes a float or, elementwise, a 1-D array
     def test_scan_propagates_bugs(self):
+        @elementwise
         def U2(u):
             if u > 0.5:
                 raise TypeError("bug in U^2")
@@ -219,7 +221,7 @@ class TestFamilyDomain:
 
     def test_math_failure_bounds_domain(self):
         # math.sqrt's ValueError past u = 0.5 is a mathematical failure
-        U2 = lambda u: math.sqrt(0.5 - u)
+        U2 = elementwise(lambda u: math.sqrt(0.5 - u))
         lo, hi = _family_domain(1.0, 0.0, U2, None, (-1.0, 1.0), DEFAULT_TOL)
         assert lo == -1.0 and 0.5 - DEFAULT_TOL.bisect <= hi < 0.5
 
