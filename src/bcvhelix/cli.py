@@ -347,7 +347,7 @@ def resolve_profile(job: JobConfig):
     else:
         f = _compile_expr(job.u_expr, "seed.U")
         df = _compile_expr(job.du_expr, "seed.dU") if job.du_expr else None
-        U = ArrayFunction(f, df)
+        U = ArrayFunction(f, df, tol=job.tol)
         meta["domain"] = list(job.u_range)
     return U, meta
 

@@ -804,8 +804,8 @@ class SmoothFunction:
     """A scalar function of one variable with first and second derivatives.
 
     Analytic derivatives are used when supplied; otherwise central finite
-    differences with the documented default steps fill in.  All closed-form
-    solution families supply analytic derivatives.
+    differences with the steps ``tol.fd_first`` and ``tol.fd_second`` fill
+    in.  All closed-form solution families supply analytic derivatives.
     """
 
     def __init__(
@@ -813,10 +813,12 @@ class SmoothFunction:
         f: Callable[[float], float],
         df: Optional[Callable[[float], float]] = None,
         d2f: Optional[Callable[[float], float]] = None,
+        tol: Tolerances = DEFAULT_TOL,
     ):
         self.f = f
         self._df = df
         self._d2f = d2f
+        self.tol = tol
 
     def __call__(self, u: float) -> float:
         return self.f(u)
@@ -824,14 +826,14 @@ class SmoothFunction:
     def deriv(self, u: float) -> float:
         if self._df is not None:
             return self._df(u)
-        return diff_central(self.f, u, order=1, h=DEFAULT_TOL.fd_first)
+        return diff_central(self.f, u, order=1, h=self.tol.fd_first)
 
     def second(self, u: float) -> float:
         if self._d2f is not None:
             return self._d2f(u)
         if self._df is not None:
-            return diff_central(self._df, u, order=1, h=DEFAULT_TOL.fd_second)
-        return diff_central(self.f, u, order=2, h=DEFAULT_TOL.fd_second)
+            return diff_central(self._df, u, order=1, h=self.tol.fd_second)
+        return diff_central(self.f, u, order=2, h=self.tol.fd_second)
 
     def values(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(f, f') at a 1-D array of u: each element the float calls' value,

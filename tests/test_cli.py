@@ -420,6 +420,24 @@ class TestChartAndCmcModes:
             assert abs(xi2 - math.asinh(u)) < 1e-8
             assert th0 == 0.0
 
+    def test_fd_steps_reach_explicit_seed_without_dU(self, tmp_path):
+        # with no dU, U' is a difference of U with the job's fd_first step
+        cfg = {
+            "space": {"kappa": 0.0, "tau": 0.0},
+            "seed": {"family": "explicit", "m": 1.0, "a": 0.3,
+                     "u_range": [-2.0, 2.0], "U": "sqrt(u*u + 1)"},
+            "grid": {"nu": 21},
+            "output": {"basename": "cat", "formats": ["csv"]},
+        }
+        profiles = {}
+        for step in (None, 3e-4, 1e-2):
+            out = tmp_path / str(step)
+            overrides = () if step is None else (f"tolerances.fd_first={step}",)
+            assert run(tmp_path, "chart", cfg, overrides, out=out) == 0
+            profiles[step] = (out / "cat.profile.csv").read_bytes()
+        assert profiles[None] == profiles[3e-4]  # the default step
+        assert profiles[1e-2] != profiles[None]
+
     def test_catenoid_profile_has_no_negative_zero(self, tmp_path):
         # theta0 of the catenoid (a = 0) is exactly zero on both sides of u0
         cfg = json.loads(json.dumps(HELICOID))
