@@ -27,7 +27,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    BcvHelixError,
     DegenerateOrbit,
     DegenerateRadius,
     DomainError,
@@ -37,6 +36,7 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    MATH_ERRORS,
     SCALAR,
     ArrayOps,
     CumulativeQuadrature,
@@ -258,7 +258,7 @@ def _valid_at(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances) -> boo
             return False
         _check_chart(space, seed, Uv, dU, u, tol)
         return True
-    except (BcvHelixError, ArithmeticError, ValueError):
+    except MATH_ERRORS:
         # mathematical failures only: anything else is a bug and propagates
         return False
 

@@ -130,7 +130,68 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
+def _recursive_leaves(f, u0, hi, per_unit, abs_tol=1e-10, cell_width=0.05, max_depth=42):
+    """(lo, hi, value, err) of the final leaves of refining each cell of
+    [u0, hi] on its own, panel by panel and node by node: the reference for
+    the batched growth of a CumulativeQuadrature half-line."""
+
+    def panel(lo, hi):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        fc = f(mid)
+        kron, gauss = numerics._WGK[7] * fc, numerics._WG[3] * fc
+        for i in range(7):
+            x = half * numerics._XGK[i]
+            fsum = f(mid - x) + f(mid + x)
+            kron += numerics._WGK[i] * fsum
+            if i % 2 == 1:
+                gauss += numerics._WG[i // 2] * fsum
+        return kron * half, abs((kron - gauss) * half)
+
+    def refine(lo, hi, val, err, depth, out):
+        floor = max(per_unit * (hi - lo), 1e-3 * abs_tol)
+        if not (err > floor and err > 1e-16 * abs(val)):
+            out.append((lo, hi, val, err))
+            return
+        assert depth < max_depth
+        mid = 0.5 * (lo + hi)
+        lp, rp = panel(lo, mid), panel(mid, hi)
+        if lp[1] + rp[1] >= numerics._ROUNDOFF_RATIO * err:
+            out += [(lo, mid, *lp), (mid, hi, *rp)]
+        else:
+            refine(lo, mid, *lp, depth + 1, out)
+            refine(mid, hi, *rp, depth + 1, out)
+
+    n = max(1, math.ceil((hi - u0) / cell_width))
+    out = []
+    for i in range(n):
+        lo_i, hi_i = u0 + (hi - u0) * i / n, u0 + (hi - u0) * (i + 1) / n
+        refine(lo_i, hi_i, *panel(lo_i, hi_i), 0, out)
+    return out
+
+
 class TestCumulativeQuadrature:
+    @pytest.mark.parametrize(
+        "f",
+        [
+            _peak,
+            lambda x: 2.0 + math.cos(40.0 * x),
+            lambda x: math.cos(x) + 1e-9 * _hash_noise(x),
+            lambda x: 1.0 if x >= 0.3141 else 0.0,
+        ],
+        ids=["peak", "oscillating", "noisy", "step"],
+    )
+    def test_batched_growth_is_each_cell_refined_alone(self, f):
+        # the level-by-level batches reproduce, bit for bit, the leaves of a
+        # recursive refinement of each cell, rounding stops included
+        F = CumulativeQuadrature(f, 0.3, -2.0, 2.0, cell_width=0.5)
+        F(-2.0)
+        F(2.0)
+        per_unit = 1e-10 / 2.3
+        assert _leaves(F) == (
+            _recursive_leaves(lambda x: f(-x), -0.3, 2.0, per_unit, cell_width=0.5)
+            + _recursive_leaves(f, 0.3, 2.0, per_unit, cell_width=0.5)
+        )
+
     def test_matches_antiderivative(self):
         F = CumulativeQuadrature(math.cos, 0.0, -6.0, 6.0)
         for u in [-5.5, -2.0, -0.2, 0.0, 0.013, 1.7, 5.9]:
