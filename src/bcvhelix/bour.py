@@ -16,6 +16,13 @@ Sign conventions: m > 0 with the positive square-root branch throughout
 (seeds with m < 0 are normalized, a theta-orientation flip being an ambient
 isometry); integration constants fix xi2(u0) = theta0(u0) = 0 at the domain
 midpoint u0 (vertical translations and rotations are ambient isometries).
+
+Each formula is written once, for a float or for a 1-D array of u, with the
+operations ``xp`` of ``numerics`` (SCALAR raises at a failed check, an
+ArrayOps marks the point).  The chart's quadratures evaluate both
+integrands at all nodes of a refinement level in one array pass, and the
+validity scan evaluates its walk in one; one-point callers keep the float
+path, and a point the array pass fails is evaluated again on it.
 """
 
 from __future__ import annotations

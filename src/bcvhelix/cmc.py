@@ -32,6 +32,11 @@ in c, b1^2 + b (H^2+kappa) has leading coefficient -kappa > 0 and
 discriminant 4 (H^2+kappa)(4 tau^2 - kappa)^2 < 0, so its minimum
 (H^2+kappa)(4 tau^2 - kappa)^2 / kappa is strictly positive whenever
 H^2 + kappa < 0.
+
+The closed forms take a float u or a 1-D array, elementwise with the
+float's bits (math's sin, cos, sinh and cosh per element) and NaN where the
+float call raises; the family scan evaluates its grid and its walk as
+arrays.
 """
 
 from __future__ import annotations
@@ -208,8 +213,10 @@ def _family_domain(
     frequency so touching arch boundaries cannot slip between samples.
 
     The margins m^2 U^2 - a^2 of the grid are one array evaluation, and the
-    anchor is the first grid point of largest margin; the outward walk
-    evaluates its abscissae in one more, and bisection point by point."""
+    anchor is the first grid point of largest margin.  The outward walk
+    reads the grid's verdict wherever its abscissa is a grid point and
+    evaluates the others in one more array call; bisection evaluates point
+    by point."""
     lo, hi = window
     n = max(4097, 1 + int(512.0 * (hi - lo) * freq / (2.0 * math.pi)))
 
@@ -224,13 +231,21 @@ def _family_domain(
         raise NoRealFamily(
             f"U^2 admits no valid point in the window [{lo}, {hi}]"
         )
+
+    def verdicts(us: np.ndarray) -> np.ndarray:
+        k = np.minimum(np.searchsorted(grid, us), n - 1)
+        hit = grid[k] == us
+        mg = on_grid[k]
+        mg[~hit] = margins(us[~hit])
+        return mg > -math.inf
+
     return scan_interval(
         lambda u: _margin(m, a, U2, excluded, tol, u) > -math.inf,
         float(grid[best]),
         window,
         (hi - lo) / (n - 1),
         tol.bisect,
-        lambda us: margins(us) > -math.inf,
+        verdicts,
     )
 
 
