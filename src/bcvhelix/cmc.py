@@ -50,7 +50,6 @@ import numpy as np
 
 from .bour import BourSeed, chart_terms
 from .errors import (
-    BcvHelixError,
     DegenerateFamily,
     DomainError,
     NegativeDiscriminant,
@@ -316,7 +315,7 @@ def _build_case(
         mu = 4.0 * tau * tau + H * H
         w = lambda u: 0.5 * b1 * u * u + b2
 
-        def U2(u: float) -> float:
+        def U2(u):
             wv = w(u)
             return (wv * wv + b3p) / (m2 * mu)
 
@@ -365,13 +364,13 @@ def _build_case(
     else:  # pragma: no cover
         raise ValueError(f"unhandled case {case}")
 
-    def U2(u: float) -> float:
+    def U2(u):
         wv = w(u)
         return (nu * nu * k.b3 + wv * wv) / denom
 
     dU2 = lambda u: 2.0 * w(u) * dw(u) / denom
 
-    def d2U2(u: float) -> float:
+    def d2U2(u):
         dwv = dw(u)
         return 2.0 * (dwv * dwv + w(u) * d2w(u)) / denom
 

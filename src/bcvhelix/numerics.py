@@ -421,9 +421,10 @@ class _Cells:
         return True
 
     def grow(self):
+        # marked grown only once whole: an error that propagates (a bug in
+        # the integrand) is raised again by the next query, not hidden
         if self.grown:
             return
-        self.grown = True
         wanted = [(j, leaf) for j, roots in enumerate(self.roots) for leaf in roots]
         split = []  # (component, node, its panel's estimate) of the nodes halved
         for (j, leaf), (val, err, samples, fault) in zip(wanted, self._panels(wanted)):
@@ -453,6 +454,7 @@ class _Cells:
                             halved.append((j, half, e))
             split = halved
             depth += 1
+        self.grown = True
 
 
 class _HalfLine:
