@@ -6,7 +6,10 @@ kernel is evaluated by both paths at the abscissae the library evaluates it
 at: the validity scan's walk, the family scan's grid and walk, and the K15
 nodes of the first panel of every quadrature cell.  Values, verdicts, margins
 and failure masks must agree bit for bit, and every point the array path
-fails must raise on the float path.
+fails must raise on the float path.  The benchmark families are valid at
+nearly all of these points, so three explicit seeds whose domains reach past
+their charts' validity (a negative radicand, a profile expression that
+fails, m^2 U^2 < a^2) exercise the failure masks.
 """
 
 import json
@@ -42,6 +45,21 @@ def _families():
 FAMILIES = _families()
 
 
+def _explicit(label, kappa, tau, m, a, u_range, U, dU=None):
+    seed = {"family": "explicit", "m": m, "a": a, "u_range": u_range, "U": U}
+    if dU is not None:
+        seed["dU"] = dU
+    config = {"space": {"kappa": kappa, "tau": tau}, "seed": seed}
+    return pytest.param(config, [a], id=f"failing-{label}")
+
+
+FAILING = [
+    _explicit("radicand", 0.0, 0.0, 2.0, 0.0, [-2.0, 2.0], "sqrt(u*u + 1)", "u / sqrt(u*u + 1)"),
+    _explicit("expression", 0.0, 0.5, 1.0, 0.3, [-2.0, 2.0], "sqrt(1.5 - u*u)"),
+    _explicit("pitch", 0.0, 0.5, 1.0, 1.2, [0.5, 3.0], "(u*u + 2)/2", "u"),
+]
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
@@ -74,7 +92,7 @@ def _fill_nodes(chart):
     return np.concatenate(sides)
 
 
-@pytest.mark.parametrize("config, pitches", FAMILIES)
+@pytest.mark.parametrize("config, pitches", FAMILIES + FAILING)
 def test_profile_and_chart_kernel_match_float_path(config, pitches):
     job, U, charts = _charts(config, pitches)
     for chart in charts:
@@ -102,6 +120,8 @@ def test_profile_and_chart_kernel_match_float_path(config, pitches):
         integrands = bour._chart_integrands(space, seed, tol)
         values, failed = integrands.batch(us)
         assert failed[:, len(scan):].sum() == 0  # every fill node is valid
+        if config in [p.values[0] for p in FAILING]:
+            assert failed[:, : len(scan)].any() and not verdicts.all()
         for j, f in enumerate(integrands.scalars):
             want = [_float_or_error(f, u) for u in floats]
             raised = [isinstance(w, Exception) for w in want]
