@@ -326,7 +326,6 @@ class NaturalChart:
     _xi2_quad: CumulativeQuadrature
     _theta0_quad: CumulativeQuadrature
     _xi2_integrand: Callable[[float], float]
-    _theta0_integrand: Callable[[float], float]
 
     def _check(self, u: float):
         lo, hi = self.u_valid
@@ -361,10 +360,6 @@ class NaturalChart:
 
     def theta0(self, u):
         return self._theta0_quad(self._clamped(u))
-
-    def dtheta0(self, u: float) -> float:
-        self._check(u)
-        return self._theta0_integrand(u)
 
     def theta(self, u: float, t: float) -> float:
         return t / self.seed.m + self.theta0(u)
@@ -416,7 +411,6 @@ def build_chart(space: BcvSpace, seed: BourSeed, tol: Tolerances = DEFAULT_TOL) 
     lo, hi = seed.u_domain
     u0 = 0.5 * (lo + hi)
     integrands = _chart_integrands(space, seed, tol)
-    xi2_f, th0_f = integrands.scalars
     xi2_quad, theta0_quad = CumulativeQuadrature.components(
         integrands, u0, u_valid[0], u_valid[1], tol.quad_abs
     )
@@ -429,8 +423,7 @@ def build_chart(space: BcvSpace, seed: BourSeed, tol: Tolerances = DEFAULT_TOL) 
         _dxi1_fn=_analytic_dxi1(space, seed, tol),
         _xi2_quad=xi2_quad,
         _theta0_quad=theta0_quad,
-        _xi2_integrand=xi2_f,
-        _theta0_integrand=th0_f,
+        _xi2_integrand=integrands.scalars[0],
     )
 
 

@@ -41,7 +41,6 @@ from .oracle import (
 )
 from .spaces import BcvSpace, classify
 
-COMMANDS = ("classify", "chart", "cmc", "minimal", "deform", "verify", "export")
 FORMATS = ("csv", "obj", "json")
 
 # names available to "explicit" profile expressions
@@ -440,14 +439,13 @@ def write_obj(path: str, mesh: MeshGrid):
 
 
 def _surface(job: JobConfig, chart: NaturalChart) -> SurfaceChart:
-    sc = SurfaceChart.from_natural(chart, t_range=job.t_range)
     if job.raw_theta:
-        # raw (u, theta) parametrization of the same surface
-        sc = SurfaceChart(
-            chart.space, chart.xi1, chart.xi2, lambda u, t: t, chart.a,
-            chart.u_valid, job.t_range, U=chart.U, source=chart,
+        # raw (u, theta) parametrization of the same surface: theta0 = 0, m = 1
+        return SurfaceChart(
+            chart.space, chart.xi1, chart.xi2, lambda u: 0.0, 1.0, chart.a,
+            chart.u_valid, job.t_range, U=chart.U,
         )
-    return sc
+    return SurfaceChart.from_natural(chart, t_range=job.t_range)
 
 
 def _interior_grid(chart: NaturalChart, job: JobConfig, margin_frac: float = 0.02):
@@ -533,7 +531,6 @@ def cmd_verify(job: JobConfig, out_dir: str) -> int:
 def _export_mesh(job: JobConfig, chart: NaturalChart, out_dir: str, suffix: str = ""):
     sc = _surface(job, chart)
     mesh = sample_mesh(job.space, sc, job.nu, job.nt, job.tol)
-    resid = _residual_per_u(job, chart, mesh.us)
     files = []
     if "obj" in job.formats:
         path = os.path.join(out_dir, f"{job.basename}{suffix}.obj")
@@ -541,7 +538,7 @@ def _export_mesh(job: JobConfig, chart: NaturalChart, out_dir: str, suffix: str 
         files.append(path)
     if "csv" in job.formats:
         path = os.path.join(out_dir, f"{job.basename}{suffix}.csv")
-        write_mesh_csv(path, mesh, resid)
+        write_mesh_csv(path, mesh, _residual_per_u(job, chart, mesh.us))
         files.append(path)
     return mesh, files
 
@@ -638,23 +635,32 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
+_HANDLERS = {
+    "classify": cmd_classify,
+    "chart": _cmd_profile,
+    "cmc": _cmd_profile,
+    "minimal": _cmd_profile,
+    "deform": cmd_deform,
+    "verify": cmd_verify,
+    "export": cmd_export,
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bcvhelix",
         description="helicoidal CMC surfaces in BCV spaces: build, deform, verify, export",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON job config")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--override",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="dotted-path config override (value parsed as JSON)",
-        )
+    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("--config", required=True, help="path to the JSON job config")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument(
+        "--override",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="dotted-path config override (value parsed as JSON)",
+    )
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:
@@ -666,16 +672,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = apply_overrides(cfg, args.override)
         job = parse_config(cfg, args.command)
         os.makedirs(args.out, exist_ok=True)
-        handler = {
-            "classify": cmd_classify,
-            "chart": _cmd_profile,
-            "cmc": _cmd_profile,
-            "minimal": _cmd_profile,
-            "deform": cmd_deform,
-            "verify": cmd_verify,
-            "export": cmd_export,
-        }[args.command]
-        return handler(job, args.out)
+        return _HANDLERS[args.command](job, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

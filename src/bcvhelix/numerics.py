@@ -486,17 +486,17 @@ class _HalfLine:
         if leaf.children is None:
             return leaf.value
         left, right = leaf.children
-        if leaf.stop:
-            self.rounding_stops += 1
         leaf.value = self._settle(left) + self._settle(right)
         leaf.err = left.err + right.err
         return leaf.value
 
     def _tabulate(self, leaf: _Leaf, pre: float, desc: float, edge: float):
         # the final leaves of a filled cell, left to right; desc adds the
-        # whole leaves left of each one in the order of a descent from the cell
+        # whole leaves left of each one in the order of a descent from the
+        # cell.  Runs once per filled cell, so each rounding stop counts once.
         if leaf.children is not None:
             left, right = leaf.children
+            self.rounding_stops += leaf.stop
             self._tabulate(left, pre, desc, edge)
             self._tabulate(right, pre, desc + left.value, math.nan)
             return

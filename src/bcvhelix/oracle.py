@@ -55,11 +55,11 @@ __all__ = [
 
 
 class SurfaceChart:
-    """A parametrized helicoidal surface (u, t) -> (xi1(u), theta(u,t),
-    xi2(u) + a theta(u,t)) in cylindrical coordinates.
+    """A helicoidal surface (u, t) -> (xi1(u), theta, xi2(u) + a theta) in
+    cylindrical coordinates, swept by the screw motion: theta = t/m + theta0(u).
 
-    Built either from a NaturalChart (theta = t/m + theta0(u)) or from a raw
-    profile curve with pitch a (theta = t).  ``U`` is carried when known so
+    Built either from a NaturalChart or from a raw profile curve with pitch
+    a (theta0 = 0, m = 1, so theta = t).  ``U`` is carried when known so
     intrinsic diagnostics can refer to the metric profile.
     """
 
@@ -68,22 +68,22 @@ class SurfaceChart:
         space: BcvSpace,
         xi1: Callable[[float], float],
         xi2: Callable[[float], float],
-        theta: Callable[[float, float], float],
+        theta0: Callable[[float], float],
+        m: float,
         a: float,
         u_range: tuple[float, float],
         t_range: tuple[float, float],
         U: Optional[SmoothFunction] = None,
-        source=None,
     ):
         self.space = space
         self.xi1 = xi1
         self.xi2 = xi2
-        self.theta = theta
+        self.theta0 = theta0
+        self.m = m
         self.a = a
         self.u_range = u_range
         self.t_range = t_range
         self.U = U
-        self.source = source
         self._orient: Optional[float] = None
 
     @classmethod
@@ -97,12 +97,12 @@ class SurfaceChart:
             chart.space,
             chart.xi1,
             chart.xi2,
-            chart.theta,
+            chart.theta0,
+            chart.m,
             chart.a,
             u_range if u_range is not None else chart.u_valid,
             t_range,
             U=chart.U,
-            source=chart,
         )
 
     @classmethod
@@ -117,31 +117,38 @@ class SurfaceChart:
             act.space,
             curve.xi1,
             curve.xi2,
-            lambda u, t: t,
+            lambda u: 0.0,
+            1.0,
             act.a,
             u_range if u_range is not None else curve.u_range,
             t_range,
-            U=None,
-            source=curve,
         )
+
+    def profile(self, u: float) -> tuple[float, float, float]:
+        """(theta0, xi1, xi2) at u, evaluated in that order."""
+        return self.theta0(u), self.xi1(u), self.xi2(u)
+
+    def embed(self, theta0, xi1, xi2, t) -> np.ndarray:
+        """Cartesian points at t of the profile values (theta0, xi1, xi2),
+        broadcast against t, with a last axis of 3."""
+        th = t / self.m + theta0
+        return np.stack([xi1 * np.cos(th), xi1 * np.sin(th), xi2 + self.a * th], axis=-1)
 
     def point(self, u: float, t) -> np.ndarray:
         """Cartesian point at (u, t); an array t gives shape t.shape + (3,)."""
-        th = self.theta(u, t)
-        r = self.xi1(u)
-        return np.stack([r * np.cos(th), r * np.sin(th), self.xi2(u) + self.a * th], axis=-1)
+        return self.embed(*self.profile(u), t)
 
 
 class _RowPoints:
     """Chart points of a set of mesh rows, with a cache local to one kernel call.
 
     Calling it with (s, dt) gives the stacked (rows * nt, 3) array of the
-    points at (u + s, ts + dt), row after row.  The abscissa is computed per
-    row (u itself at s = 0), with one ``chart.point`` call per (row, s).  The
-    default stencils of the derivatives up to ``order`` (1 or 2) read the
-    (s, dt) pairs listed in ``plan``, 9 for order 1 and 25 for order 2: the
-    first request for such an s evaluates all of its pairs.  Other pairs (a
-    stencil shrunk at a domain edge) are evaluated on request.
+    points at (u + s, ts + dt), row after row: one ``embed`` over all rows.
+    The chart's profile is evaluated once per row and abscissa u + s (u
+    itself at s = 0) and kept for every t-offset.  ``fit`` evaluates the
+    abscissae of the default stencils of the derivatives up to ``order``
+    (1 or 2): 5 for order 1, 9 for order 2.  Any other abscissa (a stencil
+    shrunk at a domain edge) is evaluated on request.
     """
 
     def __init__(self, chart: SurfaceChart, us, ts: np.ndarray, tol: Tolerances, order: int = 2):
@@ -149,56 +156,42 @@ class _RowPoints:
         self.us = tuple(us)
         self.ts = ts
         self.nt = len(ts)
-        first = (tol.fd_first, 0.5 * tol.fd_first)
-        second = (tol.fd_second, 0.5 * tol.fd_second) if order == 2 else ()
-        # every t-stencil at u; psi_uu and psi_ut at u +- h; psi_u at u +- h
-        plan = {0.0: [0.0] + [sign * h for h in first + second for sign in (1.0, -1.0)]}
-        for h in second:
-            for s in (h, -h):
-                plan.setdefault(s, [0.0]).extend((h, -h))
-        for h in first:
-            for s in (h, -h):
-                plan.setdefault(s, [0.0])
-        self.plan = {s: (dts, self._grid(dts)) for s, dts in plan.items()}
-        self._cache: dict = {}
+        steps = (tol.fd_second, 0.5 * tol.fd_second) if order == 2 else ()
+        steps += (tol.fd_first, 0.5 * tol.fd_first)
+        self.offsets = list(dict.fromkeys([0.0] + [s for h in steps for s in (h, -h)]))
+        self._profiles: dict = {}  # s -> (theta0, xi1, xi2), each of shape (rows, 1)
+        self._points: dict = {}
 
-    def _grid(self, dts) -> np.ndarray:
-        return np.stack([self.ts if dt == 0.0 else self.ts + dt for dt in dts])
+    def _profile(self, u: float, s: float) -> tuple:
+        return self.chart.profile(u if s == 0.0 else u + s)
 
-    def _row(self, u: float, s: float, grid: np.ndarray) -> np.ndarray:
-        return self.chart.point(u if s == 0.0 else u + s, grid)
-
-    def _store(self, s: float, dts, blocks: list):
-        block = np.stack(blocks)  # (rows, len(dts), nt, 3)
-        for j, dt in enumerate(dts):
-            self._cache[(s, dt)] = block[:, j].reshape(-1, 3)
+    def _keep(self, s: float, rows) -> None:
+        self._profiles[s] = [np.array(column)[:, None] for column in zip(*rows)]
 
     def fit(self) -> tuple[list, list]:
-        """Evaluate every planned pair of every row and keep only the rows
-        where that succeeded: (kept, left) indices into the rows given."""
+        """Evaluate the profile at every default abscissa of every row and
+        keep only the rows where that succeeded: (kept, left) indices into
+        the rows given."""
         kept, left, rows = [], [], []
         for i, u in enumerate(self.us):
             try:
-                rows.append([self._row(u, s, grid) for s, (_, grid) in self.plan.items()])
+                rows.append([self._profile(u, s) for s in self.offsets])
             except BcvHelixError:
                 left.append(i)
                 continue
             kept.append(i)
         self.us = tuple(self.us[i] for i in kept)
-        if rows:
-            for (s, (dts, _)), blocks in zip(self.plan.items(), zip(*rows)):
-                self._store(s, dts, blocks)
+        for s, column in zip(self.offsets, zip(*rows)):
+            self._keep(s, column)
         return kept, left
 
     def __call__(self, s: float = 0.0, dt: float = 0.0) -> np.ndarray:
-        pts = self._cache.get((s, dt))
+        pts = self._points.get((s, dt))
         if pts is None:
-            dts, grid = self.plan.get(s, ((), None))
-            if dt not in dts:
-                dts = (dt,)
-                grid = self._grid(dts)
-            self._store(s, dts, [self._row(u, s, grid) for u in self.us])
-            pts = self._cache[(s, dt)]
+            if s not in self._profiles:
+                self._keep(s, [self._profile(u, s) for u in self.us])
+            t = self.ts if dt == 0.0 else self.ts + dt
+            pts = self._points[s, dt] = self.chart.embed(*self._profiles[s], t).reshape(-1, 3)
         return pts
 
 
@@ -365,8 +358,8 @@ def _by_rows(measure, order: int, shapes: tuple, chart: SurfaceChart, us, ts, to
     values as arrays of shape (len(us), nt) + shape, one per entry of
     ``shapes``, and its errors as one tuple per row.
 
-    The rows whose default stencil pairs all evaluate are measured in one
-    call.  Each other row is measured alone, its stencil shrinking at the
+    The rows where the chart evaluates at every default stencil abscissa
+    are measured in one call.  Each other row is measured alone, its stencil shrinking at the
     domain edge as in a one-row call; a row that still cannot fit holds that
     error on every vertex, with NaN values.
     """

@@ -111,10 +111,6 @@ class ProfileCurve:
             raise DomainError("profile curve must keep xi1 > 0")
         self.act = act
         self.u_grid = u_grid
-        self.xi1_samples = xi1
-        self.xi2_samples = xi2
-        self.dxi1_samples = dxi1
-        self.dxi2_samples = dxi2
         self.tol = tol
         self._fns = _fns
         self._xi1_sp = CubicHermiteSpline(u_grid, xi1, dxi1)
@@ -130,8 +126,7 @@ class ProfileCurve:
         sig = np.empty(len(u_grid))
         for i in range(len(u_grid)):
             sig[i] = _sigma_raw(act, xi1[i], dxi1[i], dxi2[i], tol)
-        self._sigma_samples = np.unwrap(sig)
-        self._sigma_sp = CubicSpline(u_grid, self._sigma_samples)
+        self._sigma_sp = CubicSpline(u_grid, np.unwrap(sig))
 
     @classmethod
     def from_functions(

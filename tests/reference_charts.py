@@ -149,5 +149,4 @@ def rotation_chart(
         _xi2_quad=CumulativeQuadrature(xi2_f, u0, u_valid[0], u_valid[1], tol.quad_abs),
         _theta0_quad=CumulativeQuadrature(th0_f, u0, u_valid[0], u_valid[1], tol.quad_abs),
         _xi2_integrand=xi2_f,
-        _theta0_integrand=th0_f,
     )

@@ -180,6 +180,25 @@ class TestExport:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+    def test_raw_theta_vertices(self, tmp_path):
+        # output.raw_theta sweeps the profile with theta = t (theta0 = 0,
+        # m = 1): each vertex is (xi1 cos t, xi1 sin t, xi2 + a t) of the chart
+        cfg = json.loads(json.dumps(NIL_MINIMAL))
+        cfg["output"] = {"basename": "raw", "formats": ["csv"], "raw_theta": True}
+        assert run(tmp_path, "export", cfg) == 0
+        job = cli.parse_config(cfg, "export")
+        chart = cli.make_chart(job, *cli.resolve_profile(job))[0]
+        data = np.loadtxt(tmp_path / "raw.csv", delimiter=",", skiprows=1)
+        data = data[~np.isnan(data[:, 2])]
+        assert len(data) >= (job.nu - 2) * job.nt
+        xi1 = np.array([chart.xi1(u) for u in data[:, 0]])
+        xi2 = np.array([chart.xi2(u) for u in data[:, 0]])
+        t = data[:, 1]
+        expected = np.stack([xi1 * np.cos(t), xi1 * np.sin(t), xi2 + job.a * t], axis=-1)
+        assert np.max(np.abs(data[:, 2:5] - expected)) <= 1e-14
+        theta0 = np.array([chart.theta0(u) for u in data[:, 0]])
+        assert np.max(np.abs(theta0)) > 0.1  # the natural chart would differ
+
 class TestDiagnosticFailures:
     def test_counts_every_nan_h_ext_outside_dropped_rows(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "euclidean_cmc.json").read_text())
@@ -345,6 +364,12 @@ class TestConfigValidation:
         # a tolerance no kernel reads must not be accepted and silently ignored
         assert run(tmp_path, "verify", NIL_MINIMAL, overrides=[f"tolerances.{key}=0.5"]) == 2
         assert f"tolerances.{key}: unknown tolerance" in capsys.readouterr().err
+
+    def test_unknown_command_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "render", NIL_MINIMAL)
+        assert exc.value.code == 2
+        assert "invalid choice: 'render'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2

@@ -377,6 +377,35 @@ class TestCumulativeQuadrature:
         assert abs(F(2.0) - F(-2.0) - (2.0 - step)) <= 1e-10
         assert F.rounding_stops == 0
 
+    @pytest.mark.parametrize("fails", [True, False], ids=["failing", "filled"])
+    def test_rounding_stops_count_once(self, fails):
+        # one cell: noise of 1e-6 on its left half ends refinement there by
+        # the rounding stop, and the peak at 0.04 refines its right half down
+        # to nodes within 3e-6 of the peak.  Where those nodes fail, the cell
+        # never fills and its stops count for no query; otherwise each stop
+        # counts once, however many queries read the cell
+        def f(x):
+            if fails and abs(x - 0.04) < 3e-6:
+                raise DomainError(f"x={x} within 3e-06 of 0.04")
+            noise = 1e-6 * _hash_noise(x) if x < 0.025 else 0.0
+            return noise + 1.0 / (1e-6 + (x - 0.04) * (x - 0.04))
+
+        def stops(leaf):
+            if leaf.children is None:
+                return 0
+            return leaf.stop + sum(stops(half) for half in leaf.children)
+
+        F = CumulativeQuadrature(f, 0.0, 0.0, 0.05)
+        for _ in range(3):
+            if fails:
+                with pytest.raises(DomainError, match="within 3e-06 of 0.04"):
+                    F(0.03)
+            else:
+                F(0.03)
+            (cell,) = F._right.cells
+            assert stops(cell) > 0
+            assert F.rounding_stops == (0 if fails else stops(cell))
+
     def test_failure_waits_for_the_cell_that_holds_it(self):
         # exp_below_one fails at every node beyond 1: the cells there are
         # grown with the rest at the first query, but only a query that

@@ -1,5 +1,8 @@
 import gc
+import json
 import math
+import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,10 +32,13 @@ from bcvhelix import (
     sample_mesh,
     shared_grid,
 )
-from bcvhelix import oracle
+from bcvhelix import cli, oracle
+from bcvhelix.bour import NaturalChart
 from bcvhelix.numerics import DEFAULT_TOL, diff_central, richardson
 from conftest import NIL, R3, SU2_SPACE, catenoid_profile, nil_catenoid_profile
 from test_orbit import random_wiggle_curve, vertical_line_curve
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def reference_first_form(space, chart, u, t, tol=DEFAULT_TOL):
@@ -260,6 +266,32 @@ class TestLocalGeometry:
         assert calls == [(9 * 6, 3)]
         assert mesh.diagnostic_failures == {"StencilOutOfDomain": 12}
 
+    def test_one_chart_evaluation_per_row_and_abscissa(self, monkeypatch):
+        # the deform frame of the shipped heisenberg_minimal config at a = 0.25:
+        # xi1, xi2 and theta0 are each evaluated once per row and stencil
+        # abscissa, 9 for the second-order stencils and 5 for the first form
+        cfg = json.loads((CONFIG_DIR / "heisenberg_minimal.json").read_text())
+        job = cli.parse_config(cfg, "deform")
+        chart = cli.make_chart(job, *cli.resolve_profile(job), a=0.25)[0]
+        calls = Counter()
+        for name in ("xi1", "xi2", "theta0"):
+
+            def counted(self, u, real=getattr(NaturalChart, name), name=name):
+                calls[name] += 1
+                return real(self, u)
+
+            monkeypatch.setattr(NaturalChart, name, counted)
+        sc = SurfaceChart.from_natural(chart, t_range=job.t_range)
+        us = np.linspace(*sc.u_range, job.nu)[1:-1]
+        ts = np.linspace(*job.t_range, job.nt)
+        local_geometry(job.space, sc, us, ts, job.tol)  # the chart's orientation, once
+        calls.clear()
+        assert not any(any(row) for row in local_geometry(job.space, sc, us, ts, job.tol).errors)
+        assert calls == {name: 39 * 9 for name in ("xi1", "xi2", "theta0")}
+        calls.clear()
+        first_form_grid(job.space, sc, np.linspace(us[0], us[-1], 21), ts[::5], job.tol)
+        assert calls == {name: 21 * 5 for name in ("xi1", "xi2", "theta0")}
+
     def test_extrinsic_K_is_gauss_curvature_in_R3(self, catenoid_chart):
         # flat ambient: det of the shape operator is the intrinsic curvature
         sc = SurfaceChart.from_natural(catenoid_chart)
@@ -417,10 +449,7 @@ class TestSampleMesh:
         # outside the validity interval must be dropped, not clamped
         seed = BourSeed(catenoid_profile(), 2.0, 0.0, (-2.0, 2.0))
         chart = build_chart(R3, seed)
-        sc = SurfaceChart.from_natural(chart)
-        sc = SurfaceChart(
-            R3, sc.xi1, sc.xi2, sc.theta, sc.a, (-1.0, 1.0), sc.t_range, U=sc.U
-        )
+        sc = SurfaceChart.from_natural(chart, u_range=(-1.0, 1.0))
         mesh = sample_mesh(R3, sc, 9, 4, with_curvature=False)
         assert len(mesh.dropped_rows) > 0
         assert mesh.vertex_count == 36
