@@ -20,8 +20,9 @@ midpoint u0 (vertical translations and rotations are ambient isometries).
 Each formula is written once, for a float or for a 1-D array of u, with the
 operations ``xp`` of ``numerics`` (SCALAR raises at a failed check, an
 ArrayOps marks the point).  The chart's quadratures evaluate both
-integrands at all nodes of a refinement level in one array pass, and the
-validity scan evaluates its walk in one; one-point callers keep the float
+integrands at all nodes of a refinement level in one array pass, the
+validity scan evaluates its walk in one, and a chart query for xi1, xi2 or
+theta0 at an array of u is one array pass; one-point callers keep the float
 path, and a point the array pass fails is evaluated again on it.
 """
 
@@ -144,12 +145,27 @@ def delta(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances = DEFAULT_T
     return _discriminant(space, seed.m, seed.a, seed.U(u), u, tol)[2]
 
 
-def xi1_from_seed(
-    space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances = DEFAULT_TOL
-) -> float:
-    """Profile radius xi1(u) = 2 sqrt(num/den)."""
-    *_, xi1sq = chart_terms(space, seed.m, seed.a, seed.U(u), u, tol)
-    return math.sqrt(xi1sq)
+def xi1_from_seed(space: BcvSpace, seed: BourSeed, u, tol: Tolerances = DEFAULT_TOL):
+    """Profile radius xi1(u) = 2 sqrt(num/den) at a float u, or the column of
+    radii at a 1-D array of u.
+
+    The array goes through ``chart_terms`` with an ``ArrayOps``, over U
+    evaluated once for the whole array; each element is the float call's
+    value bit for bit.  The float call evaluates again only the elements the
+    array pass fails (or whose U is NaN), so the first of them that fails
+    raises the float path's own error.
+    """
+    if not isinstance(u, np.ndarray):
+        *_, xi1sq = chart_terms(space, seed.m, seed.a, seed.U(u), u, tol)
+        return math.sqrt(xi1sq)
+    Uv = seed.U.column(u)
+    ops = ArrayOps(u.size)
+    with np.errstate(all="ignore"):
+        *_, xi1sq = chart_terms(space, seed.m, seed.a, Uv, u, tol, ops)
+        out = np.sqrt(xi1sq)
+    for i in np.flatnonzero(ops.failed | np.isnan(Uv)).tolist():
+        out[i] = xi1_from_seed(space, seed, float(u[i]), tol)
+    return out
 
 
 def _xi2_radicand(
@@ -312,8 +328,9 @@ class NaturalChart:
     """A natural parametrization (xi1, xi2, theta0) with its validity domain.
 
     xi2 and theta0 are quadrature-backed antiderivatives vanishing at u0;
-    theta(u, t) = t/m + theta0(u).  Both also take a 1-D array of u and
-    return the column of values in one array query.  Immutable after
+    theta(u, t) = t/m + theta0(u).  xi1, xi2 and theta0 take a float u, or
+    a 1-D array of u and return the column of values in one array query,
+    each element bit for bit the float query's.  Immutable after
     construction; evaluation is reentrant.
     """
 
@@ -321,18 +338,26 @@ class NaturalChart:
     seed: BourSeed
     u_valid: tuple[float, float]
     u0: float
-    _xi1_fn: Callable[[float], float]
+    _xi1_fn: Callable
     _dxi1_fn: Callable[[float], float]
     _xi2_quad: CumulativeQuadrature
     _theta0_quad: CumulativeQuadrature
     _xi2_integrand: Callable[[float], float]
 
-    def _check(self, u: float):
+    def _check(self, u):
+        # raises at the first u outside u_valid, scalar or 1-D array
         lo, hi = self.u_valid
-        if not (lo - 1e-12 <= u <= hi + 1e-12):
-            raise DomainError(f"u={u} outside chart validity [{lo}, {hi}]")
+        if isinstance(u, np.ndarray):
+            outside = ~((lo - 1e-12 <= u) & (u <= hi + 1e-12))
+            if not outside.any():
+                return
+            u = u[outside][0]
+        elif lo - 1e-12 <= u <= hi + 1e-12:
+            return
+        raise DomainError(f"u={u} outside chart validity [{lo}, {hi}]")
 
-    def xi1(self, u: float) -> float:
+    def xi1(self, u):
+        """The profile radius at a float u, or its column at a 1-D array."""
         self._check(u)
         return self._xi1_fn(u)
 
@@ -342,16 +367,14 @@ class NaturalChart:
 
     def _clamped(self, u):
         # u checked against u_valid and clamped into it, scalar or 1-D array
+        self._check(u)
         lo, hi = self.u_valid
         if not isinstance(u, np.ndarray):
-            self._check(u)
             return min(max(u, lo), hi)
-        outside = ~((lo - 1e-12 <= u) & (u <= hi + 1e-12))
-        if outside.any():
-            raise DomainError(f"u={u[outside][0]} outside chart validity [{lo}, {hi}]")
         return np.minimum(np.maximum(u, lo), hi)
 
     def xi2(self, u):
+        """The profile height at a float u, or its column at a 1-D array."""
         return self._xi2_quad(self._clamped(u))
 
     def dxi2(self, u: float) -> float:
@@ -359,6 +382,7 @@ class NaturalChart:
         return self._xi2_integrand(u)
 
     def theta0(self, u):
+        """The gauge theta0 at a float u, or its column at a 1-D array."""
         return self._theta0_quad(self._clamped(u))
 
     def theta(self, u: float, t: float) -> float:

@@ -390,12 +390,15 @@ def write_json(path: str, obj) -> None:
 # Every number is written as "%.16e" of a Python float: 17 significant
 # digits, enough to read each double back bit for bit.
 def write_profile_csv(path: str, chart: NaturalChart, nu: int, margin: float = 1e-9):
+    """The chart at nu abscissae: each column is one array query."""
     lo, hi = chart.u_valid
     us = np.linspace(lo + margin, hi - margin, nu)
-    lines = ["u,xi1,xi2,theta0,U"]
-    for u, xi2, theta0 in zip(us.tolist(), chart.xi2(us).tolist(), chart.theta0(us).tolist()):
-        lines.append("%.16e,%.16e,%.16e,%.16e,%.16e" % (u, chart.xi1(u), xi2, theta0, chart.U(u)))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    xi2, theta0, xi1 = chart.xi2(us), chart.theta0(us), chart.xi1(us)
+    # xi1(us) raised nowhere, so U's float call raises at no u: U's column
+    # is the float values
+    table = np.stack([us, xi1, xi2, theta0, chart.U.column(us)], axis=1)
+    rows = "%.16e,%.16e,%.16e,%.16e,%.16e\n" * nu
+    _write_atomic(path, "u,xi1,xi2,theta0,U\n" + rows % tuple(table.ravel().tolist()))
 
 
 def write_mesh_csv(path: str, mesh: MeshGrid, resid_per_u):
@@ -416,34 +419,29 @@ def write_mesh_csv(path: str, mesh: MeshGrid, resid_per_u):
 
 def write_obj(path: str, mesh: MeshGrid):
     """Wavefront OBJ with quads split into triangles; ASCII, LF endings.
-    Vertices with a NaN coordinate are left out, with every face they touch."""
-    lines = []
-    index = {}
+    Vertices with a NaN coordinate are left out, with every face they touch.
+
+    Each block is one format: the kept vertices' coordinates, then the
+    faces, from index arrays."""
     kept = ~np.isnan(mesh.vertices).any(axis=1)
-    for idx, (keep, v) in enumerate(zip(kept.tolist(), mesh.vertices.tolist())):
-        if keep:
-            index[idx] = len(index) + 1  # OBJ indices are 1-based
-            lines.append("v %.16e %.16e %.16e" % tuple(v))
-    for i in range(mesh.nu - 1):
-        for j in range(mesh.nt - 1):
-            q = (
-                i * mesh.nt + j,
-                (i + 1) * mesh.nt + j,
-                (i + 1) * mesh.nt + j + 1,
-                i * mesh.nt + j + 1,
-            )
-            if all(k in index for k in q):
-                lines.append(f"f {index[q[0]]} {index[q[1]]} {index[q[2]]}")
-                lines.append(f"f {index[q[0]]} {index[q[2]]} {index[q[3]]}")
-    _write_atomic(path, "\n".join(lines) + "\n")
+    number = np.cumsum(kept)  # OBJ indices are 1-based: the k-th kept vertex is k
+    grid = np.arange(mesh.nu * mesh.nt).reshape(mesh.nu, mesh.nt)
+    # the corners of each quad (i, j), row-major, in the order (i, j),
+    # (i+1, j), (i+1, j+1), (i, j+1); a quad is kept when all four are
+    quads = np.stack([grid[:-1, :-1], grid[1:, :-1], grid[1:, 1:], grid[:-1, 1:]], axis=-1)
+    quads = quads.reshape(-1, 4)
+    quads = number[quads[kept[quads].all(axis=1)]]
+    faces = quads[:, [0, 1, 2, 0, 2, 3]]  # triangles (q0, q1, q2) and (q0, q2, q3)
+    text = ("v %.16e %.16e %.16e\n" * int(kept.sum())) % tuple(mesh.vertices[kept].ravel().tolist())
+    text += ("f %d %d %d\n" * (2 * len(quads))) % tuple(faces.ravel().tolist())
+    _write_atomic(path, text or "\n")
 
 
 def _surface(job: JobConfig, chart: NaturalChart) -> SurfaceChart:
     if job.raw_theta:
         # raw (u, theta) parametrization of the same surface: theta0 = 0, m = 1
-        return SurfaceChart(
-            chart.space, chart.xi1, chart.xi2, lambda u: 0.0, 1.0, chart.a,
-            chart.u_valid, job.t_range, U=chart.U,
+        return SurfaceChart.raw(
+            chart.space, chart.xi1, chart.xi2, chart.a, chart.u_valid, job.t_range, U=chart.U
         )
     return SurfaceChart.from_natural(chart, t_range=job.t_range)
 
@@ -617,6 +615,8 @@ def cmd_deform(job: JobConfig, out_dir: str) -> int:
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be a JSON object")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--override needs key=value, got {item!r}")

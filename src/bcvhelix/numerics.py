@@ -837,10 +837,14 @@ class SmoothFunction:
             return diff_central(self._df, u, order=1, h=self.tol.fd_second)
         return diff_central(self.f, u, order=2, h=self.tol.fd_second)
 
+    def column(self, us: np.ndarray) -> np.ndarray:
+        """f at a 1-D array of u: each element the float call's value, and
+        NaN where it raises a mathematical error."""
+        return elementwise(self.__call__)(us)
+
     def values(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(f, f') at a 1-D array of u: each element the float calls' value,
-        and NaN where they raise a mathematical error."""
-        return elementwise(self.__call__)(us), elementwise(self.deriv)(us)
+        """(f, f') at a 1-D array of u, each as ``column``."""
+        return self.column(us), elementwise(self.deriv)(us)
 
     @classmethod
     def wrap(cls, f) -> "SmoothFunction":
@@ -850,7 +854,12 @@ class SmoothFunction:
 class ArrayFunction(SmoothFunction):
     """A SmoothFunction whose f, df and d2f also take a 1-D array of u and
     return, elementwise, the float call's value, or NaN where the float call
-    raises a mathematical error.  ``values`` is then two array calls."""
+    raises a mathematical error.  ``column`` is then one array call and
+    ``values`` two."""
+
+    def column(self, us: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return self.f(us)
 
     def values(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(all="ignore"):

@@ -5,11 +5,12 @@ first and second fundamental forms come from the ambient metric and its
 finite-difference Christoffels only -- no reduction-theorem or
 transform-side algebra enters, so agreement is evidence, not tautology.
 Measurements run through one kernel, ``local_geometry``, over a whole set of
-mesh rows (fixed u) at once: the chart is evaluated per row and stencil
-abscissa, and the stencils, metric, Christoffels, normals and forms run once
-over all vertices of all rows.  A row whose stencil cannot fit the chart's
-domain is measured alone, shrinking its stencil.  Errors kept in results are
-fresh instances that were never raised, so they hold no traceback.
+mesh rows (fixed u) at once: the chart's profile is one array query per
+component over every (row, stencil abscissa) pair, and the stencils, metric,
+Christoffels, normals and forms run once over all vertices of all rows.  A
+row whose stencil cannot fit the chart's domain is measured alone, shrinking
+its stencil.  Errors kept in results are fresh instances that were never
+raised, so they hold no traceback.
 
 H is the trace of the shape operator (sum of principal curvatures), the
 convention fixed by the Euclidean cylinder of radius R giving |H| = 1/R.
@@ -58,8 +59,10 @@ class SurfaceChart:
     """A helicoidal surface (u, t) -> (xi1(u), theta, xi2(u) + a theta) in
     cylindrical coordinates, swept by the screw motion: theta = t/m + theta0(u).
 
-    Built either from a NaturalChart or from a raw profile curve with pitch
-    a (theta0 = 0, m = 1, so theta = t).  ``U`` is carried when known so
+    Built either from a NaturalChart or as a raw chart with pitch a
+    (theta0 = 0, m = 1, so theta = t).  ``xi1``, ``xi2`` and ``theta0`` take
+    a float u, or a 1-D array of u and return the column of values; a
+    failure raises a BcvHelixError.  ``U`` is carried when known so
     intrinsic diagnostics can refer to the metric profile.
     """
 
@@ -106,6 +109,20 @@ class SurfaceChart:
         )
 
     @classmethod
+    def raw(
+        cls,
+        space: BcvSpace,
+        xi1: Callable,
+        xi2: Callable,
+        a: float,
+        u_range: tuple[float, float],
+        t_range: tuple[float, float],
+        U: Optional[SmoothFunction] = None,
+    ) -> "SurfaceChart":
+        """The chart with theta = t: theta0 = 0 and m = 1."""
+        return cls(space, xi1, xi2, _no_gauge, 1.0, a, u_range, t_range, U=U)
+
+    @classmethod
     def from_profile(
         cls,
         act: HelicoidalAction,
@@ -113,19 +130,19 @@ class SurfaceChart:
         t_range: tuple[float, float] = (-math.pi, math.pi),
         u_range: Optional[tuple[float, float]] = None,
     ) -> "SurfaceChart":
-        return cls(
+        """The raw chart of a profile curve, which is evaluated point by point."""
+        return cls.raw(
             act.space,
-            curve.xi1,
-            curve.xi2,
-            lambda u: 0.0,
-            1.0,
+            _per_point(curve.xi1),
+            _per_point(curve.xi2),
             act.a,
             u_range if u_range is not None else curve.u_range,
             t_range,
         )
 
-    def profile(self, u: float) -> tuple[float, float, float]:
-        """(theta0, xi1, xi2) at u, evaluated in that order."""
+    def profile(self, u):
+        """(theta0, xi1, xi2) at a float u, evaluated in that order; at a
+        1-D array of u, the three columns, one query each."""
         return self.theta0(u), self.xi1(u), self.xi2(u)
 
     def embed(self, theta0, xi1, xi2, t) -> np.ndarray:
@@ -139,6 +156,65 @@ class SurfaceChart:
         return self.embed(*self.profile(u), t)
 
 
+def _no_gauge(u):
+    """theta0 = 0 at a float u, or its column at a 1-D array."""
+    return np.zeros(u.shape) if isinstance(u, np.ndarray) else 0.0
+
+
+def _per_point(fn: Callable[[float], float]) -> Callable:
+    """fn, a function of one float, on a float or point by point on a 1-D array."""
+
+    def apply(u):
+        if not isinstance(u, np.ndarray):
+            return fn(u)
+        return np.fromiter(map(fn, u.tolist()), float, u.size)
+
+    return apply
+
+
+# Below this many points a profile is evaluated by float queries: up to a
+# few hundred points an array query costs about 60-150 us whatever its
+# size, a float query about 5 us per point (Nil3 minimal chart, one
+# component, 2-vCPU host).
+_ARRAY_POINTS = 16
+
+
+def _profile_columns(chart: SurfaceChart, us: np.ndarray) -> list:
+    """The chart's (theta0, xi1, xi2) at a 1-D array of u, as three arrays:
+    one array query per component, or float queries point by point below
+    ``_ARRAY_POINTS`` points.  Raises a BcvHelixError where the chart does."""
+    if us.size >= _ARRAY_POINTS:
+        return [np.asarray(column, dtype=float) for column in chart.profile(us)]
+    return list(np.array(list(map(chart.profile, us.tolist())), dtype=float).reshape(-1, 3).T)
+
+
+def _fit_rows(chart: SurfaceChart, us: np.ndarray) -> tuple[list, list]:
+    """The rows of us (shape (rows, k)) at all of whose abscissae the chart
+    evaluates, and the profile there: (kept, [theta0, xi1, xi2]), each
+    column of shape (len(kept), k).
+
+    All rows are one query per component.  A batch the chart raises a
+    BcvHelixError on is split, down to single rows, so only the rows whose
+    own evaluation raises are left out: into its first row, its last row
+    and the two halves of the rest.  Rows at the ends of a mesh fail most
+    (their stencils leave the domain), and this splits them off at once."""
+    n = len(us)
+    try:
+        columns = _profile_columns(chart, us.ravel())
+        return list(range(n)), [c.reshape(us.shape) for c in columns]
+    except BcvHelixError:
+        if n == 1:
+            return [], [np.empty((0, us.shape[1]))] * 3
+    mid = (n + 1) // 2
+    cuts = sorted({0, 1, mid, n - 1, n})
+    kept, columns = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        part, part_columns = _fit_rows(chart, us[lo:hi])
+        kept += [lo + i for i in part]
+        columns.append(part_columns)
+    return kept, [np.concatenate(c) for c in zip(*columns)]
+
+
 class _RowPoints:
     """Chart points of a set of mesh rows, with a cache local to one kernel call.
 
@@ -147,13 +223,14 @@ class _RowPoints:
     The chart's profile is evaluated once per row and abscissa u + s (u
     itself at s = 0) and kept for every t-offset.  ``fit`` evaluates the
     abscissae of the default stencils of the derivatives up to ``order``
-    (1 or 2): 5 for order 1, 9 for order 2.  Any other abscissa (a stencil
-    shrunk at a domain edge) is evaluated on request.
+    (1 or 2), 5 for order 1 and 9 for order 2, of all rows in one query per
+    component.  Any other abscissa (a stencil shrunk at a domain edge) is
+    evaluated on request, for all rows in one query per component.
     """
 
     def __init__(self, chart: SurfaceChart, us, ts: np.ndarray, tol: Tolerances, order: int = 2):
         self.chart = chart
-        self.us = tuple(us)
+        self.us = np.array(us, dtype=float)
         self.ts = ts
         self.nt = len(ts)
         steps = (tol.fd_second, 0.5 * tol.fd_second) if order == 2 else ()
@@ -162,34 +239,29 @@ class _RowPoints:
         self._profiles: dict = {}  # s -> (theta0, xi1, xi2), each of shape (rows, 1)
         self._points: dict = {}
 
-    def _profile(self, u: float, s: float) -> tuple:
-        return self.chart.profile(u if s == 0.0 else u + s)
+    def _abscissae(self, s: float) -> np.ndarray:
+        return self.us if s == 0.0 else self.us + s
 
-    def _keep(self, s: float, rows) -> None:
-        self._profiles[s] = [np.array(column)[:, None] for column in zip(*rows)]
+    def _keep(self, s: float, columns) -> None:
+        self._profiles[s] = [column[:, None] for column in columns]
 
     def fit(self) -> tuple[list, list]:
         """Evaluate the profile at every default abscissa of every row and
         keep only the rows where that succeeded: (kept, left) indices into
         the rows given."""
-        kept, left, rows = [], [], []
-        for i, u in enumerate(self.us):
-            try:
-                rows.append([self._profile(u, s) for s in self.offsets])
-            except BcvHelixError:
-                left.append(i)
-                continue
-            kept.append(i)
-        self.us = tuple(self.us[i] for i in kept)
-        for s, column in zip(self.offsets, zip(*rows)):
-            self._keep(s, column)
+        grid = np.stack([self._abscissae(s) for s in self.offsets], axis=1)
+        kept, columns = _fit_rows(self.chart, grid)
+        left = sorted(set(range(len(self.us))) - set(kept))
+        self.us = self.us[kept]
+        for j, s in enumerate(self.offsets):
+            self._keep(s, [column[:, j] for column in columns])
         return kept, left
 
     def __call__(self, s: float = 0.0, dt: float = 0.0) -> np.ndarray:
         pts = self._points.get((s, dt))
         if pts is None:
             if s not in self._profiles:
-                self._keep(s, [self._profile(u, s) for u in self.us])
+                self._keep(s, _profile_columns(self.chart, self._abscissae(s)))
             t = self.ts if dt == 0.0 else self.ts + dt
             pts = self._points[s, dt] = self.chart.embed(*self._profiles[s], t).reshape(-1, 3)
         return pts
@@ -359,9 +431,9 @@ def _by_rows(measure, order: int, shapes: tuple, chart: SurfaceChart, us, ts, to
     ``shapes``, and its errors as one tuple per row.
 
     The rows where the chart evaluates at every default stencil abscissa
-    are measured in one call.  Each other row is measured alone, its stencil shrinking at the
-    domain edge as in a one-row call; a row that still cannot fit holds that
-    error on every vertex, with NaN values.
+    are measured in one call.  Each other row is measured alone, its stencil
+    shrinking at the domain edge as in a one-row call; a row that still
+    cannot fit holds that error on every vertex, with NaN values.
     """
     nt = len(ts)
     values = [np.full((len(us), nt) + shape, np.nan) for shape in shapes]
@@ -427,9 +499,10 @@ def local_geometry(
     second form is corrected by the ambient Christoffels; no structure of
     the chart is assumed.  ``u`` is one abscissa, or a 1-D numpy array of
     them (fields of shape (len(u), nt)); the input's type picks the path.
-    The chart is evaluated once per row and distinct stencil abscissa; the
-    stencils, metric, Christoffels, normals and forms run once over all
-    vertices of all rows, per vertex in the same order as for one row.
+    The chart is evaluated once per row and distinct stencil abscissa, in
+    one query per component for all rows; the stencils, metric,
+    Christoffels, normals and forms run once over all vertices of all rows,
+    per vertex in the same order as for one row.
 
     A stencil that cannot fit the domain raises for one row u.  In an
     array, such a row is measured alone, shrinking its stencil as one row
@@ -629,11 +702,12 @@ def sample_mesh(
 ) -> MeshGrid:
     """Uniform mesh over the chart's (u, t) rectangle with diagnostics.
 
-    Diagnostics per vertex, from one ``local_geometry`` call over the rows
-    whose u the chart accepts: extrinsic mean curvature, Gaussian curvature
-    (-U''/U when the metric profile is known, else NaN), and for natural
-    charts the max deviation of the measured first form from (1, 0, U^2).
-    Rows at invalid u are dropped, not clamped.
+    The vertices of all rows are one profile query per component and one
+    ``embed``.  Diagnostics per vertex, from one ``local_geometry`` call
+    over the rows whose u the chart accepts: extrinsic mean curvature,
+    Gaussian curvature (-U''/U when the metric profile is known, else NaN),
+    and for natural charts the max deviation of the measured first form from
+    (1, 0, U^2).  Rows at invalid u are dropped, not clamped.
     """
     if nu < 2 or nt < 2:
         raise ValueError("nu and nt must both be >= 2")
@@ -643,15 +717,10 @@ def sample_mesh(
     h_ext = np.full(nu * nt, np.nan)
     gauss = np.full(nu * nt, np.nan)
     residual = np.full(nu * nt, np.nan)
-    dropped, kept = [], []
     failures: Counter = Counter()
-    for i, u in enumerate(us):
-        try:
-            vertices[i * nt : (i + 1) * nt] = chart.point(u, ts)
-        except BcvHelixError:
-            dropped.append(i)
-            continue
-        kept.append(i)
+    kept, columns = _fit_rows(chart, us[:, None])
+    dropped = sorted(set(range(nu)) - set(kept))
+    vertices.reshape(nu, nt, 3)[kept] = chart.embed(*columns, ts)
     if with_curvature and kept:
         geo = local_geometry(space, chart, us[kept], ts, tol)
         for i, H, E, F, G, errors in zip(kept, geo.H, geo.E, geo.F, geo.G, geo.errors):

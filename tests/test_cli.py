@@ -371,6 +371,13 @@ class TestConfigValidation:
         assert exc.value.code == 2
         assert "invalid choice: 'render'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("root", [[], 3, "text", None])
+    def test_non_object_root_with_override_exits_2(self, tmp_path, capsys, root):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(root))
+        assert main(["verify", "--config", str(path), "--override", "a=1"]) == 2
+        assert "config root must be a JSON object" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
 

@@ -153,3 +153,32 @@ def test_family_margins_match_float_path(config, pitches):
         got = cmc._margin(job.m, job.a, U2, excluded, tol, us)
         want = [cmc._margin(job.m, job.a, U2, excluded, tol, u) for u in us.tolist()]
         assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("config, pitches", FAMILIES + FAILING)
+def test_xi1_column_matches_float_path(config, pitches):
+    # NaturalChart.xi1 on an array, bit for bit the float calls, inside the
+    # validity; over the seed's whole domain the array call raises the float
+    # path's error at the first element whose float call raises
+    job, _, charts = _charts(config, pitches)
+    failing = config in [p.values[0] for p in FAILING]
+    for chart in charts:
+        space, seed, tol = chart.space, chart.seed, job.tol
+        inside = np.concatenate((np.linspace(*chart.u_valid, 2001), _fill_nodes(chart)))
+        assert _bits(chart.xi1(inside)) == _bits([chart.xi1(u) for u in inside.tolist()])
+
+        lo, hi = seed.u_domain
+        us = _scan_abscissae(lo, hi, 0.5 * (lo + hi), (hi - lo) / 2048)
+        want = [_float_or_error(lambda u: bour.xi1_from_seed(space, seed, u, tol), u) for u in us.tolist()]
+        raised = np.array([isinstance(w, Exception) for w in want])
+        values = [w for w in want if not isinstance(w, Exception)]
+        if raised.any():
+            first = want[int(np.argmax(raised))]
+            with pytest.raises(type(first)) as got:
+                bour.xi1_from_seed(space, seed, us, tol)
+            assert str(got.value) == str(first)
+        else:
+            assert _bits(bour.xi1_from_seed(space, seed, us, tol)) == _bits(values)
+        assert _bits(bour.xi1_from_seed(space, seed, us[~raised], tol)) == _bits(values)
+        # the radicand member fails in its xi2 radicand only, not in xi1
+        assert raised.any() == (failing and "sqrt(u*u + 1)" not in config["seed"]["U"])

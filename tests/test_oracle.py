@@ -269,15 +269,17 @@ class TestLocalGeometry:
     def test_one_chart_evaluation_per_row_and_abscissa(self, monkeypatch):
         # the deform frame of the shipped heisenberg_minimal config at a = 0.25:
         # xi1, xi2 and theta0 are each evaluated once per row and stencil
-        # abscissa, 9 for the second-order stencils and 5 for the first form
+        # abscissa, 9 for the second-order stencils and 5 for the first form,
+        # in one array query per component for the whole batch
         cfg = json.loads((CONFIG_DIR / "heisenberg_minimal.json").read_text())
         job = cli.parse_config(cfg, "deform")
         chart = cli.make_chart(job, *cli.resolve_profile(job), a=0.25)[0]
-        calls = Counter()
+        calls, points = Counter(), Counter()
         for name in ("xi1", "xi2", "theta0"):
 
             def counted(self, u, real=getattr(NaturalChart, name), name=name):
                 calls[name] += 1
+                points[name] += np.size(u)
                 return real(self, u)
 
             monkeypatch.setattr(NaturalChart, name, counted)
@@ -285,12 +287,53 @@ class TestLocalGeometry:
         us = np.linspace(*sc.u_range, job.nu)[1:-1]
         ts = np.linspace(*job.t_range, job.nt)
         local_geometry(job.space, sc, us, ts, job.tol)  # the chart's orientation, once
-        calls.clear()
-        assert not any(any(row) for row in local_geometry(job.space, sc, us, ts, job.tol).errors)
-        assert calls == {name: 39 * 9 for name in ("xi1", "xi2", "theta0")}
-        calls.clear()
-        first_form_grid(job.space, sc, np.linspace(us[0], us[-1], 21), ts[::5], job.tol)
-        assert calls == {name: 21 * 5 for name in ("xi1", "xi2", "theta0")}
+        for measure, rows, abscissae in (
+            (lambda: local_geometry(job.space, sc, us, ts, job.tol).checked(), us, 9),
+            (lambda: first_form_grid(job.space, sc, np.linspace(us[0], us[-1], 21), ts[::5], job.tol), range(21), 5),
+        ):
+            calls.clear()
+            points.clear()
+            measure()
+            assert points == {name: len(rows) * abscissae for name in ("xi1", "xi2", "theta0")}
+            assert max(calls.values()) == 1
+
+    def test_interior_row_that_cannot_be_evaluated_fails_alone(self, nil_catenoid_chart):
+        # xi1 refuses every u near one interior row: only that row leaves the
+        # batch, with its one-row error; every other row is its one-row call
+        us = np.linspace(-1.0, 1.0, 21)
+        bad = 7
+        chart = nil_catenoid_chart
+
+        def xi1(u):
+            if np.any(np.abs(np.asarray(u) - us[bad]) < 1e-3):
+                raise DomainError(f"xi1 refused at u={u}")
+            return chart.xi1(u)
+
+        sc = SurfaceChart(NIL, xi1, chart.xi2, chart.theta0, chart.m, chart.a, (-1.0, 1.0),
+                          (-math.pi, math.pi), U=chart.U)
+        ts = np.linspace(-math.pi, math.pi, 6)
+        batch = local_geometry(NIL, sc, us, ts)
+        for i, u in enumerate(us):
+            if i == bad:
+                with pytest.raises(StencilOutOfDomain) as one:
+                    local_geometry(NIL, sc, u, ts)
+                assert [(type(e), str(e)) for e in batch.errors[i]] == [
+                    (StencilOutOfDomain, str(one.value))
+                ] * len(ts)
+                for name in FIELDS:
+                    assert np.all(np.isnan(getattr(batch, name)[i])), name
+            else:
+                assert_row_is(batch, i, local_geometry(NIL, sc, u, ts))
+        # the mesh drops that row only, and its other vertices are the chart's points
+        mesh = sample_mesh(NIL, sc, len(us), len(ts), with_curvature=False)
+        assert mesh.dropped_rows == [bad]
+        assert np.array_equal(mesh.us, us)
+        for i, u in enumerate(us):
+            row = mesh.vertices[i * len(ts) : (i + 1) * len(ts)]
+            if i == bad:
+                assert np.isnan(row).all()
+            else:
+                assert np.array_equal(row, sc.point(u, ts))
 
     def test_extrinsic_K_is_gauss_curvature_in_R3(self, catenoid_chart):
         # flat ambient: det of the shape operator is the intrinsic curvature
