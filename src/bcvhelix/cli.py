@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import itertools
 import json
 import math
@@ -122,10 +123,15 @@ def _get(cfg: dict, path: str, default=None, required: bool = False):
 
 
 def _as_float(value, path: str) -> float:
+    # true is no number, and a NaN or infinite parameter or tolerance has no
+    # meaning (a NaN difference step would never stop halving)
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -213,6 +219,16 @@ def parse_config(cfg: dict, mode: str) -> JobConfig:
     tol = Tolerances(**tol_kwargs)
 
     basename = _get(cfg, "output.basename", "surface")
+    # every output file is <out>/<basename>...: the name must stay in <out>
+    separators = {"/", os.sep, os.altsep} - {None}
+    if (
+        not isinstance(basename, str)
+        or basename in ("", ".", "..")
+        or any(sep in basename for sep in separators)
+    ):
+        raise ConfigError(
+            f"output.basename: expected a file name without a path separator, got {basename!r}"
+        )
     formats = _get(cfg, "output.formats", ["json"])
     if not isinstance(formats, list) or not set(formats) <= set(FORMATS):
         raise ConfigError(f"output.formats: must be a subset of {FORMATS}, got {formats!r}")
@@ -387,8 +403,149 @@ def write_json(path: str, obj) -> None:
     _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-# Every number is written as "%.16e" of a Python float: 17 significant
-# digits, enough to read each double back bit for bit.
+# The text of a double is its "%.16e": 17 significant digits, enough to read
+# each double back bit for bit.  The writers format a whole float table with
+# one call of _e16_rows, which gives the same bytes as "%.16e" % v per value.
+_E16_WIDTH = 24  # "-d.dddddddddddddddde-ddd", the longest "%.16e" of a double
+_K_MIN, _K_MAX = -272, 271  # decimal exponents of the fast path
+_FAST_MIN, _FAST_MAX = 2.0 ** -900, 2.0 ** 900
+_TIE_BAND = 2.0 ** -30
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
+
+
+def _split(a):
+    """Dekker's split: a = hi + lo, each half with at most 26 bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _e16_tables():
+    """10**(16 - k) for k in [_K_MIN, _K_MAX] as a double-double (th, tl),
+    th split for the two-product, indexed k - _K_MIN; the ASCII digits of
+    0..9999 and of the exponents |k| <= -_K_MIN (two digits, or three)."""
+    th, tl = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k <= 16:
+            power = 10 ** (16 - k)
+            hi = float(power)
+            lo = float(power - int(hi))
+        else:
+            power = 10 ** (k - 16)
+            hi = 1 / power  # correctly rounded
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * power) / (den * power)  # 1/power - hi, rounded
+        th.append(hi)
+        tl.append(lo)
+    th = np.array(th)
+    th_hi, th_lo = _split(th)
+
+    def ascii_table(texts, width):
+        data = "".join(t.ljust(width, "\0") for t in texts).encode("ascii")
+        return np.frombuffer(data, np.uint8).reshape(len(texts), width)
+
+    digits = ascii_table([f"{i:04d}" for i in range(10_000)], 4).view(np.uint32).ravel()
+    exponents = ascii_table([f"{k:02d}" for k in range(-_K_MIN + 1)], 3)
+    return th, th_hi, th_lo, np.array(tl), digits, exponents
+
+
+def _e16_rows(table, sep: str, prefix: str = "") -> str:
+    """The rows of a 2-D float table as text, each
+    ``prefix + sep.join("%.16e" % v for v in row) + "\n"``, byte for byte.
+
+    The 17 digits of |x| are D = round-half-even(P), P = |x| * 10**(16 - k)
+    in [1e16, 1e17), so that 10**k <= |x| < 10**(k+1).  10**(16 - k) is a
+    double-double th + tl, within 2**-106 relative; |x| * th is Dekker's
+    two-product (exact without FMA) and |x| * tl is added to its error, so
+    P = s + e with s whole (s >= 2**53), |e| <= ulp(s) / 2 and an error
+    below 1e-14.  k starts as floor(log10 |x|) and moves by one where the
+    *unrounded* P leaves the range; a D that then rounds up to 1e17 is 1e16
+    with k + 1.  (Choosing k from the rounded D would print
+    1.0000000000000000e-304 for 9.9999999999999997e-305.)  The fast path
+    covers ±0 and 2**-900 < |x| < 2**900; NaN, ±inf, any other |x| and a P
+    whose fraction is within 2**-30 of 1/2 (exact ties such as 2**50 + 0.25
+    occur) go through "%.16e" itself.
+    """
+    table = np.asarray(table, dtype=float)
+    rows, cols = table.shape
+    th, th_hi, th_lo, tl, digits, exponents = _e16_tables()
+    x = table.ravel()
+    ax = np.abs(x)
+    zero = ax == 0.0
+    fast = (ax > _FAST_MIN) & (ax < _FAST_MAX)  # False for NaN
+    v = np.where(fast, ax, 1.0)
+    v_hi, v_lo = _split(v)
+    k = np.floor(np.log10(v)).astype(np.int64)
+
+    def scaled(i):
+        # P = s + e for the elements i, with |e| <= ulp(s) / 2
+        t = k[i] - _K_MIN
+        vi = v[i]
+        p = vi * th[t]
+        a_hi, a_lo, b_hi, b_lo = v_hi[i], v_lo[i], th_hi[t], th_lo[t]
+        lo = (((a_hi * b_hi - p) + a_hi * b_lo) + a_lo * b_hi) + a_lo * b_lo + vi * tl[t]
+        s = p + lo
+        return s, lo - (s - p)
+
+    s, e = scaled(slice(None))
+    # k moves by one where the unrounded P < 1e16 or P >= 1e17
+    below = (s < 1e16) | ((s == 1e16) & (e < 0))
+    step = ((s > 1e17) | ((s == 1e17) & (e >= 0))).astype(np.int64) - below
+    moved = np.flatnonzero(step)
+    if moved.size:
+        k[moved] += step[moved]
+        s[moved], e[moved] = scaled(moved)
+    whole = np.floor(e)
+    frac = e - whole
+    D = s.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = D == 10**17
+    D[carry] = 10**16
+    k += carry
+    # a D outside [1e16, 1e17) would need a k further off than one step
+    ok = fast & (np.abs(frac - 0.5) >= _TIE_BAND) & (D >= 10**16) & (D < 10**17)
+    D[zero] = 0
+    k[zero] = 0
+    ok |= zero
+
+    # rows of prefix, fields and separators; a field is NUL-padded to
+    # _E16_WIDTH and the newline takes the last field's separator slot
+    pre, gap = len(prefix), max(len(sep), 1)
+    buf = np.zeros((rows, pre + cols * (_E16_WIDTH + gap)), np.uint8)
+    buf[:, :pre] = np.frombuffer(prefix.encode("ascii"), np.uint8)
+    cells = buf[:, pre:].reshape(rows, cols, _E16_WIDTH + gap)
+    cells[:, :-1, _E16_WIDTH:_E16_WIDTH + len(sep)] = np.frombuffer(sep.encode("ascii"), np.uint8)
+    cells[:, -1, _E16_WIDTH] = ord("\n")
+    field = cells[..., :_E16_WIDTH]
+    shape = (rows, cols)
+    field[..., 0] = (np.signbit(x) * np.uint8(ord("-"))).reshape(shape)
+    # D = lead * 10**16 + high * 10**8 + low, then four 4-digit chunks
+    top = D // 10**8
+    low = (D - top * 10**8).astype(np.int32)
+    top = top.astype(np.int32)
+    lead = top // 10**8
+    high = top - lead * 10**8
+    field[..., 1] = (lead + ord("0")).reshape(shape)
+    field[..., 2] = ord(".")
+    chunks = np.empty((rows * cols, 4), np.int32)
+    chunks[:, 0] = high // 10**4
+    chunks[:, 1] = high - chunks[:, 0] * 10**4
+    chunks[:, 2] = low // 10**4
+    chunks[:, 3] = low - chunks[:, 2] * 10**4
+    field[..., 3:19] = digits[chunks].view(np.uint8).reshape(*shape, 16)
+    field[..., 19] = ord("e")
+    field[..., 20] = np.where(k < 0, ord("-"), ord("+")).reshape(shape)
+    field[..., 21:] = exponents[np.abs(k)].reshape(*shape, 3)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        texts = ["%.16e" % value for value in x[slow].tolist()]
+        field[slow // cols, slow % cols] = np.frombuffer(
+            "".join(t.ljust(_E16_WIDTH, "\0") for t in texts).encode("ascii"), np.uint8
+        ).reshape(-1, _E16_WIDTH)
+    out = buf.ravel()
+    return out[out != 0].tobytes().decode("ascii")
+
+
 def write_profile_csv(path: str, chart: NaturalChart, nu: int, margin: float = 1e-9):
     """The chart at nu abscissae: each column is one array query."""
     lo, hi = chart.u_valid
@@ -397,32 +554,28 @@ def write_profile_csv(path: str, chart: NaturalChart, nu: int, margin: float = 1
     # xi1(us) raised nowhere, so U's float call raises at no u: U's column
     # is the float values
     table = np.stack([us, xi1, xi2, theta0, chart.U.column(us)], axis=1)
-    rows = "%.16e,%.16e,%.16e,%.16e,%.16e\n" * nu
-    _write_atomic(path, "u,xi1,xi2,theta0,U\n" + rows % tuple(table.ravel().tolist()))
+    _write_atomic(path, "u,xi1,xi2,theta0,U\n" + _e16_rows(table, ","))
 
 
 def write_mesh_csv(path: str, mesh: MeshGrid, resid_per_u):
-    lines = ["u,t,x,y,z,H_ext,K,cmc_residual"]
-    ts = mesh.ts.tolist()
-    vertices, h_ext, gauss = mesh.vertices.tolist(), mesh.h_ext.tolist(), mesh.gauss.tolist()
-    for i, u in enumerate(mesh.us.tolist()):
-        ru = resid_per_u[i]
-        for j, t in enumerate(ts):
-            idx = i * mesh.nt + j
-            x, y, z = vertices[idx]
-            lines.append(
-                "%.16e,%.16e,%.16e,%.16e,%.16e,%.16e,%.16e,%.16e"
-                % (u, t, x, y, z, h_ext[idx], gauss[idx], ru)
-            )
-    _write_atomic(path, "\n".join(lines) + "\n")
+    """One row per vertex, (u, t) row-major, with the row's CMC residual."""
+    table = np.column_stack([
+        np.repeat(mesh.us, mesh.nt),
+        np.tile(mesh.ts, mesh.nu),
+        mesh.vertices,
+        mesh.h_ext,
+        mesh.gauss,
+        np.repeat(np.asarray(resid_per_u, dtype=float), mesh.nt),
+    ])
+    _write_atomic(path, "u,t,x,y,z,H_ext,K,cmc_residual\n" + _e16_rows(table, ","))
 
 
 def write_obj(path: str, mesh: MeshGrid):
     """Wavefront OBJ with quads split into triangles; ASCII, LF endings.
     Vertices with a NaN coordinate are left out, with every face they touch.
 
-    Each block is one format: the kept vertices' coordinates, then the
-    faces, from index arrays."""
+    The kept vertices' coordinates are one table, the faces one format over
+    index arrays."""
     kept = ~np.isnan(mesh.vertices).any(axis=1)
     number = np.cumsum(kept)  # OBJ indices are 1-based: the k-th kept vertex is k
     grid = np.arange(mesh.nu * mesh.nt).reshape(mesh.nu, mesh.nt)
@@ -432,7 +585,7 @@ def write_obj(path: str, mesh: MeshGrid):
     quads = quads.reshape(-1, 4)
     quads = number[quads[kept[quads].all(axis=1)]]
     faces = quads[:, [0, 1, 2, 0, 2, 3]]  # triangles (q0, q1, q2) and (q0, q2, q3)
-    text = ("v %.16e %.16e %.16e\n" * int(kept.sum())) % tuple(mesh.vertices[kept].ravel().tolist())
+    text = _e16_rows(mesh.vertices[kept], " ", "v ")
     text += ("f %d %d %d\n" * (2 * len(quads))) % tuple(faces.ravel().tolist())
     _write_atomic(path, text or "\n")
 

@@ -707,7 +707,7 @@ def richardson(d: Callable[[float], float], h: float, h_min: Optional[float] = N
             if h_min is None:
                 raise
             h *= 0.5
-            if h < h_min:
+            if not h >= h_min:  # a NaN step stops too
                 raise StencilOutOfDomain(
                     f"difference stencil cannot fit the domain above h_min={h_min}"
                 )

@@ -7,6 +7,7 @@ import pytest
 
 from bcvhelix import cli
 from bcvhelix.cli import main
+from bcvhelix.errors import ConfigError
 from bcvhelix.oracle import MeshGrid
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -198,6 +199,71 @@ class TestExport:
         assert np.max(np.abs(data[:, 2:5] - expected)) <= 1e-14
         theta0 = np.array([chart.theta0(u) for u in data[:, 0]])
         assert np.max(np.abs(theta0)) > 0.1  # the natural chart would differ
+
+
+def _per_value(table, sep, prefix=""):
+    return "".join(prefix + sep.join("%.16e" % v for v in row) + "\n" for row in table.tolist())
+
+
+def _from_bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+class TestE16Rows:
+    """The writers' table kernel gives the bytes of "%.16e" % v per value."""
+
+    def assert_per_value(self, values, cols=1, sep=",", prefix=""):
+        table = np.asarray(values, dtype=float).reshape(-1, cols)
+        got, expected = cli._e16_rows(table, sep, prefix), _per_value(table, sep, prefix)
+        if got != expected:
+            bad = [(g, e) for g, e in zip(got.splitlines(), expected.splitlines()) if g != e]
+            pytest.fail(f"{len(bad)} of {len(table)} rows differ, e.g. {bad[:3]}")
+
+    def test_random_bit_patterns(self):
+        # every class of double: NaN payloads, infinities, subnormals, zeros
+        bits = np.random.default_rng(14).integers(0, 2**64, 200_000, dtype=np.uint64)
+        extra = _from_bits(0x7FF0000000000001, 0xFFF8000000000123, 0x1, 0x800FFFFFFFFFFFFF)
+        self.assert_per_value(np.concatenate([bits.view(np.float64), extra]), cols=4)
+
+    def test_powers_of_ten_and_neighbours(self):
+        # 10**k, rounded, with 8 ulps on each side: where the unrounded
+        # scaled value leaves [1e16, 1e17) and the exponent must move
+        powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+        values = [powers]
+        for direction in (-np.inf, np.inf):
+            near = powers
+            for _ in range(8):
+                near = np.nextafter(near, direction)
+                values.append(near)
+        values = np.concatenate(values)
+        self.assert_per_value(np.concatenate([values, -values]))
+
+    def test_exact_ties(self):
+        # 2**50 + 0.25 j: the 17th digit is the tenths, so .25 and .75 are ties
+        self.assert_per_value(2.0**50 + 0.25 * np.arange(40_000), cols=8)
+
+    def test_fast_path_edges_and_specials(self):
+        edges = [2.0**900, 2.0**-900]
+        edges += [np.nextafter(x, d) for x in edges for d in (0.0, np.inf)]
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 9.9999999999999997e-305]
+        self.assert_per_value([*edges, *(-x for x in edges), *specials])
+
+    def test_separators_and_prefix(self):
+        rng = np.random.default_rng(15)
+        table = rng.standard_normal(300) * 10.0 ** rng.integers(-200, 200, 300)
+        self.assert_per_value(table, cols=5, sep=",")
+        self.assert_per_value(table, cols=3, sep=" ", prefix="v ")
+
+    def test_empty_table(self, tmp_path):
+        assert cli._e16_rows(np.empty((0, 3)), " ", "v ") == ""
+        # a mesh with no kept vertex still writes one newline
+        mesh = MeshGrid(
+            nu=2, nt=2, us=np.array([0.0, 1.0]), ts=np.array([0.0, 1.0]),
+            vertices=np.full((4, 3), math.nan), h_ext=np.full(4, math.nan),
+            gauss=np.full(4, math.nan), residual=np.full(4, math.nan),
+        )
+        cli.write_obj(str(tmp_path / "m.obj"), mesh)
+        assert (tmp_path / "m.obj").read_bytes() == b"\n"
 
 class TestDiagnosticFailures:
     def test_counts_every_nan_h_ext_outside_dropped_rows(self, tmp_path):
@@ -408,13 +474,39 @@ class TestConfigValidation:
             'seed.u_range=[0,"y"]',
             "sweep.values=0.5",
             'output.raw_theta="false"',
+            "seed.a=NaN",
+            "space.kappa=-Infinity",
+            'seed.u_range=[-2,"inf"]',
+            "seed.c=true",
         ],
     )
     def test_malformed_field_is_config_error(self, tmp_path, capsys, override):
         # a field of the wrong type exits 2 with a message, never 1 with a
-        # traceback, and a fractional grid size is not truncated
+        # traceback, and a fractional grid size is not truncated; a number
+        # must be finite, and true is no number
         assert run(tmp_path, "verify", NIL_MINIMAL, overrides=[override]) == 2
         assert f"config error: {override.split('=')[0]}:" in capsys.readouterr().err
+
+    def test_nan_tolerance_is_config_error(self):
+        # a NaN difference step would never stop the stencil's halving
+        cfg = json.loads(json.dumps(NIL_MINIMAL))
+        cfg["tolerances"] = {"fd_first": "nan"}
+        with pytest.raises(ConfigError, match="tolerances.fd_first"):
+            cli.parse_config(cfg, "verify")
+
+    @pytest.mark.parametrize("basename", ["../escaped", "sub/name", "", ".", "..", 7])
+    def test_basename_must_be_a_file_name(self, tmp_path, capsys, basename):
+        # every file goes to <out>/<basename>...: a path would write elsewhere
+        out = tmp_path / "out"
+        cfg = json.loads(json.dumps(NIL_MINIMAL))
+        cfg["output"]["basename"] = basename
+        assert run(tmp_path, "verify", cfg, out=out) == 2
+        assert "config error: output.basename:" in capsys.readouterr().err
+        outside = [
+            p for p in tmp_path.rglob("*")
+            if p.name != "job.json" and p != out and out not in p.parents
+        ]
+        assert outside == []
 
     @pytest.mark.parametrize(
         "values", [[0.1234567, 0.1234568], [0.5, 0.25, 0.5]], ids=["close", "repeated"]

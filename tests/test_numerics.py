@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcvhelix import (
+    BcvHelixError,
     CumulativeQuadrature,
     DomainError,
     QuadratureFailure,
@@ -56,6 +57,21 @@ class TestDiffCentral:
     def test_stencil_out_of_domain_below_h_min(self):
         with pytest.raises(StencilOutOfDomain):
             diff_central(exp_below_one, 1.0 - 1e-9, order=1, h=1e-5, h_min=1e-7)
+
+    def test_nan_step_stops_halving(self):
+        # a NaN step is never >= h_min: the first failure ends the halving,
+        # however long the difference quotient would go on failing
+        calls = []
+
+        def quotient(h):
+            calls.append(h)
+            if len(calls) <= 200:
+                raise BcvHelixError("stencil leaves the domain")
+            return 1.0
+
+        with pytest.raises(StencilOutOfDomain):
+            numerics.richardson(quotient, math.nan, h_min=1e-7)
+        assert len(calls) == 1
 
 
 class TestScanInterval:
