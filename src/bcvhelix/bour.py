@@ -365,8 +365,9 @@ class NaturalChart:
         self._check(u)
         return self._dxi1_fn(u)
 
-    def _clamped(self, u):
-        # u checked against u_valid and clamped into it, scalar or 1-D array
+    def clamped(self, u):
+        """u checked against u_valid (within 1e-12) and clamped into it, a
+        float or a 1-D array: the abscissa where xi2 and theta0 are read."""
         self._check(u)
         lo, hi = self.u_valid
         if not isinstance(u, np.ndarray):
@@ -375,7 +376,7 @@ class NaturalChart:
 
     def xi2(self, u):
         """The profile height at a float u, or its column at a 1-D array."""
-        return self._xi2_quad(self._clamped(u))
+        return self._xi2_quad(self.clamped(u))
 
     def dxi2(self, u: float) -> float:
         self._check(u)
@@ -383,7 +384,7 @@ class NaturalChart:
 
     def theta0(self, u):
         """The gauge theta0 at a float u, or its column at a 1-D array."""
-        return self._theta0_quad(self._clamped(u))
+        return self._theta0_quad(self.clamped(u))
 
     def theta(self, u: float, t: float) -> float:
         return t / self.seed.m + self.theta0(u)

@@ -20,7 +20,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -150,6 +149,10 @@ def _as_range(value, path: str) -> tuple[float, float]:
     return lo, hi
 
 
+# tolerances that are steps or widths; every other tolerance may also be 0
+_POSITIVE_TOLERANCES = ("fd_first", "fd_second", "fd_min", "brioschi_step", "bisect")
+
+
 def parse_config(cfg: dict, mode: str) -> JobConfig:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -210,12 +213,15 @@ def parse_config(cfg: dict, mode: str) -> JobConfig:
         "isometry": 1e-6,
     }
     for key, value in tol_over.items():
-        if key in tol_fields:
-            tol_kwargs[key] = _as_float(value, f"tolerances.{key}")
-        elif key in check_tol:
-            check_tol[key] = _as_float(value, f"tolerances.{key}")
-        else:
+        if key not in tol_fields and key not in check_tol:
             raise ConfigError(f"tolerances.{key}: unknown tolerance")
+        number = _as_float(value, f"tolerances.{key}")
+        # a zero step never fits a stencil, and a zero bisection width never ends
+        if key in _POSITIVE_TOLERANCES and not number > 0:
+            raise ConfigError(f"tolerances.{key}: must be > 0, got {value!r}")
+        if not number >= 0:
+            raise ConfigError(f"tolerances.{key}: must be >= 0, got {value!r}")
+        (tol_kwargs if key in tol_fields else check_tol)[key] = number
     tol = Tolerances(**tol_kwargs)
 
     basename = _get(cfg, "output.basename", "surface")
@@ -259,16 +265,28 @@ def parse_config(cfg: dict, mode: str) -> JobConfig:
     )
 
 
-class _ArrayOperators(ast.NodeTransformer):
-    """** and / as calls of _pow and _div, which an array evaluation defines."""
+class _Calls(ast.NodeTransformer):
+    """The binary operators of ``names`` as calls of the names they map to."""
+
+    def __init__(self, names: dict):
+        self.names = names
 
     def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
         self.generic_visit(node)
-        name = {ast.Pow: "_pow", ast.Div: "_div"}.get(type(node.op))
+        name = self.names.get(type(node.op))
         if name is None:
             return node
         call = ast.Call(ast.Name(name, ast.Load()), [node.left, node.right], [])
         return ast.copy_location(call, node)
+
+
+def _pow(a, b) -> float:
+    # a float power: integer operands must not start an exact integer power,
+    # which can take unbounded time and memory (9**9**9)
+    return float(a) ** float(b)
+
+
+_FLOAT_NS = {**_EXPR_NS, "_pow": _pow}
 
 
 def _array_namespace(failed: np.ndarray) -> dict:
@@ -303,7 +321,7 @@ def _array_namespace(failed: np.ndarray) -> dict:
 
     names = {name: lift(fn) if callable(fn) else fn for name, fn in _EXPR_NS.items()}
     names["abs"] = lambda x: np.abs(x) if isinstance(x, np.ndarray) else abs(x)
-    names["_pow"], names["_div"] = lift(operator.pow), div
+    names["_pow"], names["_div"] = lift(_pow), div
     return names
 
 
@@ -323,8 +341,10 @@ def _compile_expr(expr: str, path: str):
             f"{path}: {ast.unparse(bad)!r} is not allowed in {expr!r}; use u, numbers, "
             f"+ - * / **, and {', '.join(sorted(_EXPR_NS))}"
         )
+    # ** is _pow on both paths; / is numpy's IEEE division on arrays
+    tree = ast.fix_missing_locations(_Calls({ast.Pow: "_pow"}).visit(tree))
     code = compile(tree, f"<{path}>", "eval")
-    array_tree = ast.fix_missing_locations(_ArrayOperators().visit(tree))
+    array_tree = ast.fix_missing_locations(_Calls({ast.Div: "_div"}).visit(tree))
     array_code = compile(array_tree, f"<{path}>", "eval")
 
     def fn(u):
@@ -340,7 +360,7 @@ def _compile_expr(expr: str, path: str):
             out[failed] = math.nan
             return out
         try:
-            return float(eval(code, {"__builtins__": {}}, {**_EXPR_NS, "u": u}))
+            return float(eval(code, {"__builtins__": {}}, {**_FLOAT_NS, "u": u}))
         except Exception as exc:
             raise BcvHelixError(f"{path}: evaluation failed at u={u}: {exc}")
 
@@ -594,7 +614,8 @@ def _surface(job: JobConfig, chart: NaturalChart) -> SurfaceChart:
     if job.raw_theta:
         # raw (u, theta) parametrization of the same surface: theta0 = 0, m = 1
         return SurfaceChart.raw(
-            chart.space, chart.xi1, chart.xi2, chart.a, chart.u_valid, job.t_range, U=chart.U
+            chart.space, chart.xi1, chart.xi2, chart.a, chart.u_valid, job.t_range, U=chart.U,
+            clamp=chart.clamped,
         )
     return SurfaceChart.from_natural(chart, t_range=job.t_range)
 

@@ -246,6 +246,7 @@ class Integrand:
 # and of size 1e-15, makes it so to rounding.
 _NODES = (0.0,) + tuple(s * x for x in _XGK[:7] for s in (-1.0, 1.0))
 _XGK7 = np.array(_XGK[:7])
+_WGK7, _WG3 = np.array(_WGK[:7]), np.array(_WG[:3])
 _WEIGHTS = (_WGK[7],) + tuple(w for w in _WGK[:7] for _ in range(2))
 _ANTIDERIVATIVE = np.polynomial.legendre.legint(
     np.linalg.inv(np.polynomial.legendre.legvander(np.array(_NODES), 14)), lbnd=-1.0
@@ -272,13 +273,15 @@ def _kronrod_sums(samples: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np
     (..., 15) in ``_NODES`` order, and half-widths; each panel's sums are
     added node pair by node pair, centre first, as for one panel alone."""
     fc = samples[..., 0]
+    fsum = samples[..., 1::2] + samples[..., 2::2]
+    terms = fsum * _WGK7
     kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
     for i in range(7):
-        fsum = samples[..., 1 + 2 * i] + samples[..., 2 + 2 * i]
-        kron = kron + _WGK[i] * fsum
-        if i % 2 == 1:  # K15 odd indices are the G7 nodes
-            gauss = gauss + _WG[i // 2] * fsum
+        kron = kron + terms[..., i]
+    terms = fsum[..., 1::2] * _WG3  # K15 odd indices are the G7 nodes
+    gauss = _WG[3] * fc
+    for i in range(3):
+        gauss = gauss + terms[..., i]
     return kron * half, np.abs((kron - gauss) * half)
 
 
@@ -305,34 +308,6 @@ def _legendre_series(coef, s):
 _ROUNDOFF_RATIO = 0.99
 
 
-class _Leaf:
-    """A cumulative-quadrature cell: either a K15 value or two halves.
-
-    A final leaf keeps its panel's samples and, once a query reads it, the
-    Legendre coefficients of their interpolant's antiderivative.  ``stop``
-    marks a node whose halves were kept by the rounding stop; ``fault`` is
-    set on a node whose refinement failed, and raises its error when called
-    (see ``_Cells.grow``)."""
-
-    __slots__ = ("lo", "hi", "value", "err", "children", "samples", "dense", "stop", "fault")
-
-    def __init__(self, lo: float, hi: float):
-        self.lo = lo
-        self.hi = hi
-        self.value: Optional[float] = None
-        self.err = 0.0
-        self.children: Optional[tuple["_Leaf", "_Leaf"]] = None
-        self.samples: Optional[list[float]] = None
-        self.dense: Optional[list[float]] = None
-        self.stop = False
-        self.fault: Optional[Callable[[], None]] = None
-
-    def coefficients(self) -> list[float]:
-        if self.dense is None:
-            self.dense = (_ANTIDERIVATIVE @ self.samples).tolist()
-        return self.dense
-
-
 def _failed_node(f: Callable[[float], float], x: float):
     f(x)  # raises the node's error, evaluated again by the float integrand
     raise QuadratureFailure(f"integrand raised at x={x} once but not again")
@@ -342,10 +317,50 @@ def _not_converging(message: str):
     raise QuadratureFailure(message)
 
 
+class _Level:
+    """One refinement depth of a side's trees: its distinct panels [lo, hi]
+    and their cells, arrays over the panels, and each component's node at
+    each panel on a first axis of components.  ``alive`` marks the nodes
+    the component's tree has; value, estimate, samples (k, panels, 15) and
+    fault (an index into the side's faults, -1 for none) are its panel's.
+    ``halved`` lists the panels some component halves, whose halves make
+    the next level, left then right; ``kept`` (k, len(halved)) marks the
+    nodes that keep their halves, and ``stop`` those the rounding stop kept."""
+
+    def __init__(self, lo, hi, cell, panels):
+        self.lo, self.hi, self.cell = lo, hi, cell
+        self.val, self.err, self.samples, self.fault = panels
+        self.alive = self.stop = np.zeros(self.fault.shape, dtype=bool)
+        self.halved, self.kept = np.empty(0, dtype=int), self.stop[:, :0]
+
+
+class _Table:
+    """One component's final leaves of a grown side in walk order (sorted by
+    lo), as columns, and its cells: ``prefix[i]``, the sum of the first i
+    cell values added left to right; ``stops[i]``, the rounding stops of
+    the first i cells; ``faulted``, the index of the first cell that has a
+    fault (the number of cells if none) and ``fault``, its first fault."""
+
+    def __init__(self, lo, hi, val, err, pre, desc, edge, dense, cells, faulted, fault):
+        self.lo, self.hi, self.val, self.err = lo, hi, val, err
+        self.mid, self.half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        self.pre, self.desc, self.edge, self.dense = pre, desc, edge, dense
+        self.prefix, self.cell_err, self.stops = cells
+        self.total = float(self.prefix[-1])
+        self.faulted, self.fault = faulted, fault
+        self._floats: Optional[tuple] = None
+
+    def floats(self) -> tuple:
+        """(hi, lo, pre, desc, edge) as lists of Python floats, for scalar queries."""
+        if self._floats is None:
+            self._floats = tuple(c.tolist() for c in (self.hi, self.lo, self.pre, self.desc, self.edge))
+        return self._floats
+
+
 class _Cells:
     """The cells of [u0, hi] and, for each component of an integrand, their
-    refinement trees; ``per_unit`` is the budget per unit length of both
-    sides of u0.
+    refinement trees as flat arrays; ``per_unit`` is the budget per unit
+    length of both sides of u0.
 
     ``grow`` builds every tree of every cell at once, level by level, with
     one integrand batch per level over the panels that level needs.  The
@@ -354,11 +369,21 @@ class _Cells:
     value is halved, unless it is max_depth deep; the halves are kept as
     they are when together they estimate at least ``_ROUNDOFF_RATIO`` of
     it (the rounding stop), and are decided in turn otherwise.  A node whose
-    refinement fails gets a ``fault`` and is not refined further: the
-    recursive refinement would have raised there.  A fault is the first
-    failed node of the node's own panel (root cells only), then the max_depth
-    limit, then the first failed node of the left half's panel, then of the
-    right's, each in panel sample order.
+    refinement fails gets a fault and is not refined further: the recursive
+    refinement would have raised there.  A fault is the first failed node of
+    the node's own panel (root cells only), then the max_depth limit, then
+    the first failed node of the left half's panel, then of the right's,
+    each in panel sample order.  Faulted nodes have no halves, so a cell's
+    first fault, the one a left-first walk meets, is its faulted node with
+    the smallest lo.
+
+    The trees are then settled into one ``_Table`` per component: each
+    node's value and estimate, bottom-up, the sum of its halves' (left
+    first); the whole leaves of its cell left of each leaf, top-down, a
+    right half adding its left sibling's value to its parent's; the prefix
+    sums of the cells; and every leaf's Legendre coefficients, in one
+    ``np.matmul`` of ``_ANTIDERIVATIVE`` over the stacked samples, which is
+    each leaf's ``_ANTIDERIVATIVE @ samples`` bit for bit (one gemv each).
     """
 
     def __init__(self, integrand: Integrand, u0, hi, per_unit, abs_tol, cell_width, max_depth):
@@ -367,191 +392,193 @@ class _Cells:
         self.abs_tol = abs_tol
         self.max_depth = max_depth
         n = max(1, math.ceil((hi - u0) / cell_width)) if hi > u0 else 0
-        edges = [(u0 + (hi - u0) * i / n, u0 + (hi - u0) * (i + 1) / n) for i in range(n)]
-        self.roots = [[_Leaf(lo, hi) for lo, hi in edges] for _ in integrand.scalars]
-        self.grown = False
+        edges = u0 + (hi - u0) * np.arange(n + 1) / max(n, 1)
+        self.lo, self.hi = edges[:-1], edges[1:]
+        self.his = self.hi.tolist()
+        self.tables: Optional[list[_Table]] = None
 
-    def _panels(self, wanted: list[tuple[int, _Leaf]]) -> list[tuple]:
-        """(value, estimate, samples, fault) of the K15 panel of each
-        (component, leaf) in wanted, from one integrand batch over the
-        distinct intervals; samples are None and fault is set where the
-        panel has a failed node."""
-        if not wanted:
-            return []
-        index: dict[tuple[float, float], int] = {}
-        for _, leaf in wanted:
-            index.setdefault((leaf.lo, leaf.hi), len(index))
-        bounds = np.array(list(index), dtype=float).reshape(-1, 2)
-        lo, hi = bounds[:, 0], bounds[:, 1]
-        nodes = _kronrod_nodes(lo, hi)
-        values, failed = self.integrand.batch(nodes.ravel())
-        shape = (values.shape[0],) + nodes.shape
-        values, failed = values.reshape(shape), failed.reshape(shape)
-        faults: dict[tuple[int, int], Callable] = {}
+    def _panels(self, lo, hi, faults: list) -> tuple:
+        """(value, estimate, samples, fault) of the K15 panels [lo, hi] of
+        every component, from one integrand batch.  A panel with a failed
+        node appends its first failed node to faults, and its samples are
+        NaN: they are never read."""
+        k, nodes = len(self.integrand.scalars), _kronrod_nodes(lo, hi)
+        if lo.size:
+            values, failed = self.integrand.batch(nodes.ravel())
+        else:
+            values, failed = np.empty((k, 0)), np.empty((k, 0), dtype=bool)
+        values, failed = values.reshape((k,) + nodes.shape), failed.reshape((k,) + nodes.shape)
+        fault = np.full((k, lo.size), -1)
         for j, i, q in zip(*np.nonzero(failed)):
-            if (j, i) in faults:
-                continue
-            f, x = self.integrand.scalars[j], float(nodes[i, q])
-            try:
-                values[j, i, q] = f(x)
-            except MATH_ERRORS:
-                faults[j, i] = functools.partial(_failed_node, f, x)
-        value, err = _kronrod_sums(values, 0.5 * (hi - lo))
-        value, err, samples = value.tolist(), err.tolist(), values.tolist()
-        out = []
-        for j, leaf in wanted:
-            i = index[leaf.lo, leaf.hi]
-            fault = faults.get((j, i))
-            out.append((value[j][i], err[j][i], None if fault else samples[j][i], fault))
-        return out
+            if fault[j, i] < 0:
+                f, x = self.integrand.scalars[j], float(nodes[i, q])
+                try:
+                    values[j, i, q] = f(x)
+                except MATH_ERRORS:
+                    fault[j, i] = len(faults)
+                    faults.append(functools.partial(_failed_node, f, x))
+                    values[j, i] = np.nan
+        return (*_kronrod_sums(values, 0.5 * (hi - lo)), values, fault)
 
-    def _split(self, leaf: _Leaf, val: float, err: float, samples, depth: int) -> bool:
-        """Keep the panel as the leaf's, or give the leaf two halves (True)."""
-        floor = max(self.per_unit * (leaf.hi - leaf.lo), 1e-3 * self.abs_tol)
-        if not (err > floor and err > 1e-16 * abs(val)):
-            leaf.value, leaf.err, leaf.samples = val, err, samples
-            return False
+    def _split(self, level: _Level, test, depth: int, faults: list) -> np.ndarray:
+        """The nodes of level that test marks and whose estimate exceeds the
+        leaf floor: halved, or faulted past max_depth."""
+        width = self.per_unit * (level.hi - level.lo)
+        floor = np.where(1e-3 * self.abs_tol > width, 1e-3 * self.abs_tol, width)
+        split = test & (level.err > floor) & (level.err > 1e-16 * np.abs(level.val))
         if depth >= self.max_depth:
-            leaf.fault = functools.partial(
-                _not_converging, f"cell [{leaf.lo}, {leaf.hi}] not converging (err {err:.3e})"
-            )
-            return False
-        mid = 0.5 * (leaf.lo + leaf.hi)
-        leaf.children = (_Leaf(leaf.lo, mid), _Leaf(mid, leaf.hi))
-        return True
+            for j, i in zip(*np.nonzero(split)):
+                lo, hi, err = float(level.lo[i]), float(level.hi[i]), float(level.err[j, i])
+                level.fault[j, i] = len(faults)
+                faults.append(functools.partial(
+                    _not_converging, f"cell [{lo}, {hi}] not converging (err {err:.3e})"
+                ))
+            split[:] = False
+        return split
 
     def grow(self):
-        # marked grown only once whole: an error that propagates (a bug in
-        # the integrand) is raised again by the next query, not hidden
-        if self.grown:
-            return
-        wanted = [(j, leaf) for j, roots in enumerate(self.roots) for leaf in roots]
-        split = []  # (component, node, its panel's estimate) of the nodes halved
-        for (j, leaf), (val, err, samples, fault) in zip(wanted, self._panels(wanted)):
-            if fault is not None:
-                leaf.fault = fault
-            elif self._split(leaf, val, err, samples, 0):
-                split.append((j, leaf, err))
-        depth = 1
-        while split:
-            wanted = [(j, half) for j, leaf, _ in split for half in leaf.children]
-            panels = iter(self._panels(wanted))
-            halved = []
-            for j, leaf, err in split:
-                (lv, le, ls, lf), (rv, re, rs, rf) = next(panels), next(panels)
-                left, right = leaf.children
-                if lf is not None or rf is not None:
-                    leaf.children, leaf.fault = None, lf or rf
-                elif le + re >= _ROUNDOFF_RATIO * err:
-                    # halving did not lower the estimate: it is rounding noise
-                    # of the integrand, so the halves are kept as they are
-                    left.value, left.err, left.samples = lv, le, ls
-                    right.value, right.err, right.samples = rv, re, rs
-                    leaf.stop = True
-                else:
-                    for half, (v, e, smp) in ((left, (lv, le, ls)), (right, (rv, re, rs))):
-                        if self._split(half, v, e, smp, depth):
-                            halved.append((j, half, e))
-            split = halved
-            depth += 1
-        self.grown = True
+        # kept only once whole: an error that propagates (a bug in the
+        # integrand) is raised again by the next query, not hidden
+        if self.tables is None:
+            self.tables = self._settle(*self._grow())
+
+    def _grow(self) -> tuple[list[_Level], list]:
+        k, n = len(self.integrand.scalars), self.lo.size
+        faults: list = []
+        up = _Level(self.lo, self.hi, np.arange(n), self._panels(self.lo, self.hi, faults))
+        up.alive = np.ones((k, n), dtype=bool)
+        levels = [up]
+        split = self._split(up, up.fault < 0, 0, faults)
+        while split.any():
+            up.halved = p = np.flatnonzero(split.any(axis=0))
+            mid = 0.5 * (up.lo[p] + up.hi[p])
+            lo, hi = np.repeat(up.lo[p], 2), np.repeat(up.hi[p], 2)
+            lo[1::2], hi[0::2] = mid, mid
+            count = len(faults)
+            down = _Level(lo, hi, np.repeat(up.cell[p], 2), self._panels(lo, hi, faults))
+            up.kept = split[:, p]
+            if len(faults) > count:
+                # a failed half faults its parent, which then keeps no halves
+                lf, rf, pair = down.fault[:, 0::2], down.fault[:, 1::2], up.kept
+                up.kept = pair & (lf < 0) & (rf < 0)
+                up.fault[:, p] = np.where(pair & ~up.kept, np.where(lf >= 0, lf, rf), up.fault[:, p])
+                down.fault[:] = -1
+            # halving did not lower the estimate: it is rounding noise of the
+            # integrand, so the halves are kept as they are
+            stop = up.kept & (down.err[:, 0::2] + down.err[:, 1::2] >= _ROUNDOFF_RATIO * up.err[:, p])
+            up.stop[:, p] = stop
+            down.alive = np.repeat(up.kept, 2, axis=1)
+            split = self._split(down, np.repeat(up.kept & ~stop, 2, axis=1), len(levels), faults)
+            levels.append(up := down)
+        return levels, faults
+
+    def _settle(self, levels: list[_Level], faults: list) -> list[_Table]:
+        k, n = len(self.integrand.scalars), self.lo.size
+        with np.errstate(all="ignore"):  # the float arithmetic of Python, which never traps
+            for up, down in reversed(list(zip(levels, levels[1:]))):
+                p = up.halved
+                up.val[:, p] = np.where(up.kept, down.val[:, 0::2] + down.val[:, 1::2], up.val[:, p])
+                up.err[:, p] = np.where(up.kept, down.err[:, 0::2] + down.err[:, 1::2], up.err[:, p])
+            levels[0].desc = np.zeros((k, n))
+            for up, down in zip(levels, levels[1:]):
+                down.desc = np.repeat(up.desc[:, up.halved], 2, axis=1)
+                down.desc[:, 1::2] += down.val[:, 0::2]
+            for level in levels:  # the final leaves: faulted nodes are among them
+                level.leaf = level.alive.copy()
+                level.leaf[:, level.halved] &= ~level.kept
+
+            def joined(name: str) -> np.ndarray:
+                arrays = [getattr(level, name) for level in levels]
+                return np.concatenate(arrays, axis=int(arrays[0].ndim > 1))
+
+            lo, hi, cell, val, err, desc, samples, leaf, stop, fault = (
+                joined(name)
+                for name in ("lo", "hi", "cell", "val", "err", "desc", "samples", "leaf", "stop", "fault")
+            )
+            comp, at = np.nonzero(leaf)
+            order = np.lexsort((hi[at], lo[at], comp))
+            comp, at = comp[order], at[order]
+            dense = np.matmul(_ANTIDERIVATIVE, samples[comp, at][:, :, None])[:, :, 0]
+            prefix = np.add.accumulate(np.concatenate((np.zeros((k, 1)), val[:, :n]), axis=1), axis=1)
+        first = np.ones(at.size, dtype=bool)
+        first[1:] = (cell[at[1:]] != cell[at[:-1]]) | (comp[1:] != comp[:-1])
+        columns = (lo[at], hi[at], val[comp, at], err[comp, at], prefix[comp, cell[at]], desc[comp, at],
+                   np.where(first, lo[at], np.nan), dense)
+        sc, si = np.nonzero(stop)
+        stops = np.bincount(sc * n + cell[si], minlength=k * n).reshape(k, n)
+        stops = np.concatenate((np.zeros((k, 1), dtype=int), np.cumsum(stops, axis=1)), axis=1)
+        fc, fi = np.nonzero(fault >= 0)
+        bounds = np.searchsorted(comp, np.arange(k + 1))
+        tables = []
+        for j in range(k):
+            mine = fi[fc == j]
+            first_fault = mine[np.argmin(lo[mine])] if mine.size else None  # in its first faulted cell
+            leaves = slice(bounds[j], bounds[j + 1])
+            tables.append(_Table(
+                *(column[leaves] for column in columns), (prefix[j], err[j, :n], stops[j]),
+                n if first_fault is None else int(cell[first_fault]),
+                None if first_fault is None else faults[fault[j, first_fault]],
+            ))
+        return tables
 
 
 class _HalfLine:
-    """One component's cells of [u0, hi] of a CumulativeQuadrature, and the
-    queries from u0 outward.
+    """One component's queries of a grown side of a CumulativeQuadrature,
+    from u0 outward.
 
-    Cells fill left to right, and each filled cell appends its final leaves
-    to a flat table, so the table only grows.  ``his[k]`` is the right edge
-    of table leaf k and ``rows[k]`` is (leaf, pre, desc, edge): the leaf,
-    the prefix sum of the whole cells before its cell, the sum of the whole
-    leaves of its cell left of it, and the cell's left edge for the cell's
-    first leaf (NaN for the others, which no u equals)."""
+    The side's table holds every leaf of every cell, so a query reads it
+    directly; ``filled``, the frontier, counts the cells queries have
+    reached: 1 plus the number of cells that end at or before u, as a fill
+    from u0 outward would.  A query that reaches the first cell with a fault
+    raises that cell's first fault, and ``rounding_stops`` counts the stops
+    of the cells below the frontier."""
 
     def __init__(self, cells: _Cells, component: int):
-        self.trees = cells
-        self.cells = cells.roots[component]
-        self.rounding_stops = 0
-        # prefix[i] is the sum of the first i cell values, added left to right
-        self.prefix = [0.0]
-        self.his: list[float] = []
-        self.rows: list[tuple] = []
-        self._columns: Optional[tuple] = None  # ``rows`` as arrays, see _table
+        self.cells = cells
+        self.component = component
+        self.filled = 0
 
-    def _settle(self, leaf: _Leaf) -> float:
-        # a grown cell's value, each node the sum of its halves, left first;
-        # raises the cell's first fault in the order refinement met them
-        if leaf.fault is not None:
-            leaf.fault()
-        if leaf.children is None:
-            return leaf.value
-        left, right = leaf.children
-        leaf.value = self._settle(left) + self._settle(right)
-        leaf.err = left.err + right.err
-        return leaf.value
+    @property
+    def rounding_stops(self) -> int:
+        return int(self.cells.tables[self.component].stops[self.filled]) if self.filled else 0
 
-    def _tabulate(self, leaf: _Leaf, pre: float, desc: float, edge: float):
-        # the final leaves of a filled cell, left to right; desc adds the
-        # whole leaves left of each one in the order of a descent from the
-        # cell.  Runs once per filled cell, so each rounding stop counts once.
-        if leaf.children is not None:
-            left, right = leaf.children
-            self.rounding_stops += leaf.stop
-            self._tabulate(left, pre, desc, edge)
-            self._tabulate(right, pre, desc + left.value, math.nan)
-            return
-        self.his.append(leaf.hi)
-        self.rows.append((leaf, pre, desc, edge))
-
-    def _fill(self, u: float):
-        # Fill cells until one ends beyond u or none is left.  Every cell is
-        # grown whole before any query reads it, so a value does not depend
-        # on which queries came before.
-        self.trees.grow()
-        while len(self.prefix) <= len(self.cells) and (not self.his or self.his[-1] <= u):
-            cell = self.cells[len(self.prefix) - 1]
-            pre = self.prefix[-1]
-            self.prefix.append(pre + self._settle(cell))
-            self._tabulate(cell, pre, 0.0, cell.lo)
+    def _fill(self, u: float) -> _Table:
+        # every cell is grown whole before any query reads it, so a value
+        # does not depend on which queries came before
+        self.cells.grow()
+        table = self.cells.tables[self.component]
+        reach = min(bisect.bisect_right(self.cells.his, u) + 1, len(self.cells.his))
+        if reach > table.faulted:
+            self.filled = max(self.filled, table.faulted)
+            table.fault()
+        self.filled = max(self.filled, reach)
+        return table
 
     def __call__(self, u: float) -> float:
         """The integral of f from u0 to u, for u0 < u <= hi."""
-        self._fill(u)
-        k = bisect.bisect_right(self.his, u)
-        if k == len(self.his):  # u at hi, past the last leaf
-            return self.prefix[-1]
-        leaf, pre, desc, edge = self.rows[k]
-        if u == edge:
-            return pre
-        half = 0.5 * (leaf.hi - leaf.lo)
-        s = (u - 0.5 * (leaf.hi + leaf.lo)) / half
-        return pre + (desc + half * _legendre_series(leaf.coefficients(), s))
-
-    def _table(self) -> tuple:
-        # (his, mid, half, pre, desc, edge, dense) as arrays, dense of shape
-        # (16, leaves); rebuilt when cells were filled since the last call
-        if self._columns is None or len(self._columns[0]) != len(self.his):
-            leaves, pre, desc, edge = zip(*self.rows)
-            his, los = np.array(self.his), np.array([leaf.lo for leaf in leaves])
-            self._columns = (
-                his, 0.5 * (his + los), 0.5 * (his - los), np.array(pre), np.array(desc),
-                np.array(edge), np.array([leaf.coefficients() for leaf in leaves]).T.copy(),
-            )
-        return self._columns
+        table = self._fill(u)
+        his, los, pre, desc, edge = table.floats()
+        k = bisect.bisect_right(his, u)
+        if k == len(his):  # u at hi, past the last leaf
+            return table.total
+        if u == edge[k]:
+            return pre[k]
+        half = 0.5 * (his[k] - los[k])
+        s = (u - 0.5 * (his[k] + los[k])) / half
+        return pre[k] + (desc[k] + half * _legendre_series(table.dense[k].tolist(), s))
 
     def values(self, us: np.ndarray) -> np.ndarray:
         """``__call__`` over a 1-D array of u in (u0, hi], bit for bit."""
         if us.size == 0:
             return us.copy()
-        self._fill(float(us.max()))
-        his, mid, half, pre, desc, edge, dense = self._table()
-        k = np.searchsorted(his, us, side="right")
-        past = k == len(his)
-        k[past] = len(his) - 1
-        half_k, pre_k = half[k], pre[k]
-        out = pre_k + (desc[k] + half_k * _legendre_series(dense[:, k], (us - mid[k]) / half_k))
-        out = np.where(us == edge[k], pre_k, out)
-        out[past] = self.prefix[-1]
+        t = self._fill(float(us.max()))
+        k = np.searchsorted(t.hi, us, side="right")
+        past = k == t.hi.size
+        k[past] = t.hi.size - 1
+        half_k, pre_k = t.half[k], t.pre[k]
+        out = pre_k + (t.desc[k] + half_k * _legendre_series(t.dense[k].T, (us - t.mid[k]) / half_k))
+        out = np.where(us == t.edge[k], pre_k, out)
+        out[past] = t.total
         return out
 
 

@@ -63,7 +63,9 @@ class SurfaceChart:
     (theta0 = 0, m = 1, so theta = t).  ``xi1``, ``xi2`` and ``theta0`` take
     a float u, or a 1-D array of u and return the column of values; a
     failure raises a BcvHelixError.  ``U`` is carried when known so
-    intrinsic diagnostics can refer to the metric profile.
+    intrinsic diagnostics can refer to the metric profile.  ``clamp`` maps
+    the u of a query to the abscissa the chart reads it at, where that is
+    not u itself (a natural chart clamps u within 1e-12 of u_valid into it).
     """
 
     def __init__(
@@ -77,6 +79,7 @@ class SurfaceChart:
         u_range: tuple[float, float],
         t_range: tuple[float, float],
         U: Optional[SmoothFunction] = None,
+        clamp: Optional[Callable] = None,
     ):
         self.space = space
         self.xi1 = xi1
@@ -87,6 +90,7 @@ class SurfaceChart:
         self.u_range = u_range
         self.t_range = t_range
         self.U = U
+        self.clamp = clamp
         self._orient: Optional[float] = None
 
     @classmethod
@@ -106,6 +110,7 @@ class SurfaceChart:
             u_range if u_range is not None else chart.u_valid,
             t_range,
             U=chart.U,
+            clamp=chart.clamped,
         )
 
     @classmethod
@@ -118,9 +123,10 @@ class SurfaceChart:
         u_range: tuple[float, float],
         t_range: tuple[float, float],
         U: Optional[SmoothFunction] = None,
+        clamp: Optional[Callable] = None,
     ) -> "SurfaceChart":
         """The chart with theta = t: theta0 = 0 and m = 1."""
-        return cls(space, xi1, xi2, _no_gauge, 1.0, a, u_range, t_range, U=U)
+        return cls(space, xi1, xi2, _no_gauge, 1.0, a, u_range, t_range, U=U, clamp=clamp)
 
     @classmethod
     def from_profile(
@@ -225,7 +231,10 @@ class _RowPoints:
     abscissae of the default stencils of the derivatives up to ``order``
     (1 or 2), 5 for order 1 and 9 for order 2, of all rows in one query per
     component.  Any other abscissa (a stencil shrunk at a domain edge) is
-    evaluated on request, for all rows in one query per component.
+    evaluated on request, for all rows in one query per component.  A
+    nonzero offset that leaves some u (or t) unchanged does not fit: it
+    raises StencilOutOfDomain, so a shrinking stencil keeps shrinking; so
+    does one the chart's ``clamp`` takes back to u.
     """
 
     def __init__(self, chart: SurfaceChart, us, ts: np.ndarray, tol: Tolerances, order: int = 2):
@@ -241,6 +250,11 @@ class _RowPoints:
 
     def _abscissae(self, s: float) -> np.ndarray:
         return self.us if s == 0.0 else self.us + s
+
+    def _unmoved(self, s: float) -> np.ndarray:
+        # the rows whose u + s the chart reads at u itself
+        moved = self._abscissae(s)
+        return (moved if self.chart.clamp is None else self.chart.clamp(moved)) == self.us
 
     def _keep(self, s: float, columns) -> None:
         self._profiles[s] = [column[:, None] for column in columns]
@@ -260,9 +274,12 @@ class _RowPoints:
     def __call__(self, s: float = 0.0, dt: float = 0.0) -> np.ndarray:
         pts = self._points.get((s, dt))
         if pts is None:
+            t = self.ts if dt == 0.0 else self.ts + dt
+            if (s != 0.0 and np.any(self._unmoved(s))) or (dt != 0.0 and np.any(t == self.ts)):
+                # a difference of a point with itself is no derivative
+                raise StencilOutOfDomain(f"stencil offset (s={s}, dt={dt}) leaves u or t unchanged")
             if s not in self._profiles:
                 self._keep(s, _profile_columns(self.chart, self._abscissae(s)))
-            t = self.ts if dt == 0.0 else self.ts + dt
             pts = self._points[s, dt] = self.chart.embed(*self._profiles[s], t).reshape(-1, 3)
         return pts
 
@@ -366,16 +383,28 @@ class LocalGeometry:
 _GEOMETRY_SHAPES = ((3,), (3,)) + ((),) * 8  # trailing shapes of LocalGeometry's fields
 
 
+def _normal(psi_u: np.ndarray, psi_t: np.ndarray, g: np.ndarray, sign: float):
+    """(n, |v|^2): the unit normal sign * v / |v| at every vertex, with v the
+    g-dual of psi_u x psi_t and |v|^2 its squared g-norm."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v = np.linalg.solve(g, np.cross(psi_u, psi_t)[:, :, None])[:, :, 0]
+        norm_sq = _quad_form(v, g, v)
+        return sign * (v / np.sqrt(norm_sq)[:, None]), norm_sq
+
+
+def _second_u(at: _RowPoints, fc: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """psi_uu at every vertex; raises StencilOutOfDomain if the u-stencil
+    cannot fit (psi_ut shares its u-offsets, psi_tt has none)."""
+    return richardson(lambda s: (at(s) - 2.0 * fc + at(-s)) / (s * s), tol.fd_second, tol.fd_min)
+
+
 def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
     """The fields of ``LocalGeometry`` at every vertex of the rows, flat, and
     their errors."""
     nt = at.nt
     (psi_u, psi_t, g, E, F, G), errors = _first_order(space, at, tol)
     det = E * G - F * F
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v = np.linalg.solve(g, np.cross(psi_u, psi_t)[:, :, None])[:, :, 0]
-        norm_sq = _quad_form(v, g, v)
-        n = sign * (v / np.sqrt(norm_sq)[:, None])
+    n, norm_sq = _normal(psi_u, psi_t, g, sign)
     for k in np.flatnonzero(det <= 0.0):
         if errors[k] is None:
             errors[k] = DegenerateImmersion(
@@ -387,9 +416,7 @@ def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
                 f"normal degenerates at (u={at.us[k // nt]}, t={at.ts[k % nt]})"
             )
     fc = at()
-    psi_uu = richardson(
-        lambda s: (at(s) - 2.0 * fc + at(-s)) / (s * s), tol.fd_second, tol.fd_min
-    )
+    psi_uu = _second_u(at, fc, tol)
     psi_tt = richardson(
         lambda s: (at(0.0, s) - 2.0 * fc + at(0.0, -s)) / (s * s), tol.fd_second, tol.fd_min
     )
@@ -459,7 +486,11 @@ def _by_rows(measure, order: int, shapes: tuple, chart: SurfaceChart, us, ts, to
 
 def _orientation(space: BcvSpace, chart: SurfaceChart, tol: Tolerances) -> float:
     """Sign making g(n, e_r) >= 0 at the chart reference point, walking
-    along u when the radial pairing vanishes there."""
+    along u when the radial pairing vanishes there.
+
+    A candidate row is accepted where ``local_geometry`` of it would not
+    raise: its first-order stencils and psi_uu's fit.  Only the point and
+    the normal are measured, as ``_geometry`` measures them."""
     if chart._orient is not None:
         return chart._orient
     lo, hi = chart.u_range
@@ -467,11 +498,14 @@ def _orientation(space: BcvSpace, chart: SurfaceChart, tol: Tolerances) -> float
     sign = 1.0
     for frac in (0.5, 0.35, 0.65, 0.25, 0.75, 0.45, 0.55):
         u = lo + (hi - lo) * frac
+        at = _RowPoints(chart, (u,), np.array([t_ref]), tol)
         try:
-            geo = _row_geometry(space, chart, u, np.array([t_ref]), tol, 1.0)
+            (psi_u, psi_t, g, *_), _ = _first_order(space, at, tol)
+            n = _normal(psi_u, psi_t, g, 1.0)[0][0]
+            _second_u(at, at(), tol)  # the fit check only
         except BcvHelixError:
             continue
-        p, n = geo.points[0], geo.normal[0]
+        p = at()[0]
         if not np.all(np.isfinite(n)):
             continue
         r = math.hypot(p[0], p[1])

@@ -431,7 +431,12 @@ class TestOscillatoryChart:
             # the quadrature's summed estimate over both sides: below u0 the
             # shift comes mostly from one leaf on the noisy edge of the
             # radicand clamp band, whose own estimate is smaller than it
-            estimate = sum(cell.err for cell in quad._left.cells + quad._right.cells)
+            # (the cells' own estimates, read from the flat tables)
+            estimate = sum(
+                err
+                for side in (quad._left, quad._right)
+                for err in side.cells.tables[side.component].cell_err[: side.filled].tolist()
+            )
             for shift in (-0.5, 0.5):
                 value = getattr(chart, name)(chart.u0 + shift)
                 assert abs(value - self.BEFORE[name, shift]) <= estimate

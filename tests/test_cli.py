@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from bcvhelix import cli
 from bcvhelix.cli import main
-from bcvhelix.errors import ConfigError
+from bcvhelix.errors import BcvHelixError, ConfigError
 from bcvhelix.oracle import MeshGrid
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -282,6 +285,23 @@ class TestDiagnosticFailures:
         assert sum(report["diagnostic_failures"].values()) == nan_h
 
 
+    def test_stencil_below_the_chart_rounding_is_no_derivative(self, tmp_path):
+        # at the validity edges the u-stencil halves down to fd_min; below
+        # 1e-12 the chart reads u + s at u itself, and that offset must not
+        # pass as a derivative: fd_min=1e-300 fails the same 82 vertices
+        cfg = json.loads((CONFIG_DIR / "heisenberg_minimal.json").read_text())
+        cfg["output"]["formats"] = ["json"]
+        reports = []
+        for fd_min in (None, 1e-300):
+            if fd_min is not None:
+                cfg["tolerances"] = {"fd_min": fd_min}
+            assert run(tmp_path, "export", cfg) == 0
+            reports.append(json.loads((tmp_path / "nilcat.export.json").read_text()))
+        for report in reports:
+            assert report["diagnostic_failures"] == {"StencilOutOfDomain": 82}
+        assert reports[1]["max_abs_h_ext"] == reports[0]["max_abs_h_ext"] < 1e-8
+
+
 class TestDeform:
     def test_three_frame_sweep(self, tmp_path):
         cfg = {
@@ -493,6 +513,65 @@ class TestConfigValidation:
         cfg["tolerances"] = {"fd_first": "nan"}
         with pytest.raises(ConfigError, match="tolerances.fd_first"):
             cli.parse_config(cfg, "verify")
+
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("bisect", 0, "> 0"),
+            ("fd_min", 0, "> 0"),
+            ("fd_min", -1, "> 0"),
+            ("fd_first", 0.0, "> 0"),
+            ("fd_second", -3e-3, "> 0"),
+            ("brioschi_step", 0, "> 0"),
+            ("radicand_clamp", -1, ">= 0"),
+            ("quad_abs", -1e-10, ">= 0"),
+            ("h_ext", -1e-4, ">= 0"),
+        ],
+    )
+    def test_tolerance_sign_is_config_error(self, tmp_path, capsys, key, value, rule):
+        # a zero step never fits a stencil, a zero bisection width never
+        # ends, and no tolerance is negative: each exits 2 at once
+        cfg = json.loads(json.dumps(NIL_MINIMAL))
+        cfg["tolerances"] = {key: value}
+        with pytest.raises(ConfigError, match=f"tolerances.{key}: must be {rule}, got {value!r}"):
+            cli.parse_config(cfg, "verify")
+        assert run(tmp_path, "verify", cfg) == 2
+        assert f"config error: tolerances.{key}: must be {rule}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["radicand_clamp", "domain_margin", "quad_abs", "isometry"])
+    def test_zero_tolerance_accepted(self, key):
+        cfg = json.loads(json.dumps(NIL_MINIMAL))
+        cfg["tolerances"] = {key: 0}
+        job = cli.parse_config(cfg, "verify")
+        assert (job.check_tol[key] if key in job.check_tol else getattr(job.tol, key)) == 0.0
+
+    def test_power_of_integer_literals_cannot_hang(self, tmp_path):
+        # ** is a float power: 9**9**9 overflows at once instead of starting
+        # an exact integer power, so the chart has no validity interval
+        cfg = {
+            "space": {"kappa": 0.0, "tau": 0.0},
+            "seed": {"family": "explicit", "m": 1.0, "a": 0.0, "u_range": [-2.0, 2.0],
+                     "U": "2 + u*u + 0*9**9**9"},
+        }
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(json.dumps(cfg))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        done = subprocess.run(
+            [sys.executable, "-m", "bcvhelix.cli", "chart", "--config", str(cfg_path),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 1
+        assert "no validity interval" in done.stderr
+
+    def test_power_is_float_power_on_both_paths(self):
+        fn = cli._compile_expr("u ** 2 + 2 ** 0.5 * u ** -1 + 3 ** 2", "seed.U")
+        us = np.array([0.5, 1.3, -2.25])
+        want = [u ** 2 + 2.0 ** 0.5 * u ** -1.0 + 9.0 for u in us.tolist()]
+        assert fn(us).tolist() == want == [fn(u) for u in us.tolist()]
+        assert math.isnan(cli._compile_expr("u ** 0.5", "seed.U")(np.array([-1.0]))[0])
+        with pytest.raises(BcvHelixError, match="evaluation failed at u=-1.0"):
+            cli._compile_expr("u ** 0.5", "seed.U")(-1.0)
 
     @pytest.mark.parametrize("basename", ["../escaped", "sub/name", "", ".", "..", 7])
     def test_basename_must_be_a_file_name(self, tmp_path, capsys, basename):

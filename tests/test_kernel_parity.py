@@ -86,9 +86,7 @@ def _fill_nodes(chart):
     quad = chart._xi2_quad
     sides = []
     for side, sign in ((quad._right, 1.0), (quad._left, -1.0)):
-        lo = np.array([cell.lo for cell in side.cells])
-        hi = np.array([cell.hi for cell in side.cells])
-        sides.append(sign * _kronrod_nodes(lo, hi).ravel())
+        sides.append(sign * _kronrod_nodes(side.cells.lo, side.cells.hi).ravel())
     return np.concatenate(sides)
 
 

@@ -1,3 +1,4 @@
+import collections
 import math
 import struct
 
@@ -111,31 +112,36 @@ def _counted(f):
     return g
 
 
+Leaf = collections.namedtuple("Leaf", "lo hi value err")
+
+
+def _table(side):
+    return side.cells.tables[side.component]
+
+
 def _final_leaves(side):
-    """The final leaves of one half-line's filled cells, in walk order."""
-    out = []
-
-    def walk(leaf):
-        if leaf.children is None:
-            out.append(leaf)
-        else:
-            for child in leaf.children:
-                walk(child)
-
-    for cell in side.cells:
-        if cell.value is not None:
-            walk(cell)
-    return out
+    """The final leaves of one half-line's filled cells (those below its
+    frontier), in walk order, read from its flat table."""
+    if not side.filled:
+        return []
+    table = _table(side)
+    n = np.searchsorted(table.hi, side.cells.hi[side.filled - 1], side="right")
+    return [Leaf(*row) for row in zip(*(c[:n].tolist() for c in (table.lo, table.hi, table.val, table.err)))]
 
 
 def _leaves(F):
     """(lo, hi, value, err) of every leaf of both half-line trees, in walk order
     (the left side's in its mirror coordinates)."""
-    return [
-        (leaf.lo, leaf.hi, leaf.value, leaf.err)
-        for side in (F._left, F._right)
-        for leaf in _final_leaves(side)
-    ]
+    return [tuple(leaf) for side in (F._left, F._right) for leaf in _final_leaves(side)]
+
+
+def _cell_estimates(side):
+    """The estimates of the filled cells of one half-line, each the sum of its leaves'."""
+    return _table(side).cell_err[: side.filled].tolist()
+
+
+def _cell_count(F):
+    return F._left.cells.lo.size + F._right.cells.lo.size
 
 
 def _peak(x):
@@ -245,7 +251,7 @@ class TestCumulativeQuadrature:
             for side, sign in ((F._left, -1.0), (F._right, 1.0))
             for leaf in _final_leaves(side)[:-1]
         ]
-        assert len(edges) > len(F._left.cells) + len(F._right.cells)  # refined cells
+        assert len(edges) > _cell_count(F)  # refined cells
         for e in edges:
             a, b = math.nextafter(e, -math.inf), math.nextafter(e, math.inf)
             jump = F(b) - F(a) - f(e) * (b - a)
@@ -277,7 +283,7 @@ class TestCumulativeQuadrature:
         assert f.calls == filled
         # the first query of each side grew the trees of all its cells, so
         # the cells beyond 1.5 cost no integrand call either
-        assert filled >= 15 * (len(F._left.cells) + len(F._right.cells))
+        assert filled >= 15 * (_cell_count(F))
         F(1.9)
         assert f.calls == filled
 
@@ -308,7 +314,7 @@ class TestCumulativeQuadrature:
             for leaf in _final_leaves(side)
             for x in (leaf.lo, leaf.hi)
         ]
-        assert len(edges) > 2 * (len(scalar._left.cells) + len(scalar._right.cells))
+        assert len(edges) > 2 * _cell_count(scalar)
         us = np.array(
             edges + [0.3, -2.0, 2.0, math.nextafter(2.0, 3.0), math.nextafter(0.3, 1.0)]
             + np.linspace(-2.0, 2.0, 101).tolist()
@@ -359,8 +365,7 @@ class TestCumulativeQuadrature:
         F = CumulativeQuadrature(f, 0.0, -2.0, 2.0, max_depth=16)
         for u in (-2.0, 2.0):
             value = F(u)
-            cells = (F._right if u > 0 else F._left).cells
-            estimate = sum(cell.err for cell in cells)
+            estimate = sum(_cell_estimates(F._right if u > 0 else F._left))
             assert abs(value - math.sin(u)) <= estimate
         assert F.rounding_stops > 0
         assert f.calls <= 15 * 1000
@@ -384,7 +389,7 @@ class TestCumulativeQuadrature:
         ref = CumulativeQuadrature(f, 0.0, lo, hi, cell_width=cell_width)
         assert [ref(u) for u in us] == values
         assert _leaves(F) == _leaves(ref)
-        assert len(_leaves(F)) > len(F._left.cells) + len(F._right.cells)
+        assert len(_leaves(F)) > _cell_count(F)
         assert F.rounding_stops == 0
 
     @pytest.mark.parametrize("step", [0.3141, -1.2345, 0.777])
@@ -406,10 +411,10 @@ class TestCumulativeQuadrature:
             noise = 1e-6 * _hash_noise(x) if x < 0.025 else 0.0
             return noise + 1.0 / (1e-6 + (x - 0.04) * (x - 0.04))
 
-        def stops(leaf):
-            if leaf.children is None:
-                return 0
-            return leaf.stop + sum(stops(half) for half in leaf.children)
+        def stops(side):
+            # the rounding stops of the side's one cell, filled or not
+            counts = _table(side).stops
+            return int(counts[1] - counts[0])
 
         F = CumulativeQuadrature(f, 0.0, 0.0, 0.05)
         for _ in range(3):
@@ -418,9 +423,9 @@ class TestCumulativeQuadrature:
                     F(0.03)
             else:
                 F(0.03)
-            (cell,) = F._right.cells
-            assert stops(cell) > 0
-            assert F.rounding_stops == (0 if fails else stops(cell))
+            assert F._right.cells.lo.size == 1
+            assert stops(F._right) > 0
+            assert F.rounding_stops == (0 if fails else stops(F._right))
 
     def test_failure_waits_for_the_cell_that_holds_it(self):
         # exp_below_one fails at every node beyond 1: the cells there are
@@ -444,14 +449,38 @@ class TestCumulativeQuadrature:
             return 1.0 / (1e-6 + (x - 0.71) * (x - 0.71))
 
         F = CumulativeQuadrature(narrow, 0.0, -2.0, 2.0)
-        first_level = numerics._kronrod_nodes(
-            np.array([c.lo for c in F._right.cells]), np.array([c.hi for c in F._right.cells])
-        )
+        first_level = numerics._kronrod_nodes(F._right.cells.lo, F._right.cells.hi)
         assert np.min(np.abs(first_level - 0.71)) > 3e-5
         assert F(0.69) == pytest.approx(48.549945949046176, rel=1e-15)
         for _ in range(2):
             with pytest.raises(DomainError, match=r"^x=0\.7100243279843995 within"):
                 F(0.75)
+
+    def test_first_fault_is_the_leftmost_failed_node(self):
+        # one cell, two failing nodes: the centre of [0.75, 1] fails its
+        # parent [0.5, 1] at depth 2, the centre of [0.125, 0.1875] fails
+        # [0.125, 0.25] at depth 4.  Level by level the right one is met
+        # first; a left-first refinement of the cell meets the left one
+        # first, and so must a query
+        failing = (0.875, 0.15625)
+
+        def f(x):
+            if x in failing:
+                raise DomainError(f"x={x} fails")
+            return 1.0 / (0.01 + (x - 0.2) ** 2) + 0.3 / (0.01 + (x - 0.85) ** 2)
+
+        with pytest.raises(DomainError) as want:
+            _recursive_leaves(f, 0.0, 1.0, 1e-10, cell_width=1.0)
+        assert str(want.value) == "x=0.15625 fails"
+        F = CumulativeQuadrature(f, 0.0, 0.0, 1.0, cell_width=1.0)
+        for u in (0.9, 0.1, np.array([0.3, 0.6])):
+            with pytest.raises(DomainError, match=r"^x=0\.15625 fails$"):
+                F(u)
+        assert F.rounding_stops == 0
+        # both faulted nodes kept no halves: each is a leaf of the cell
+        table = _table(F._right)
+        leaves = list(zip(table.lo.tolist(), table.hi.tolist()))
+        assert (0.5, 1.0) in leaves and (0.125, 0.25) in leaves
 
     def test_non_mathematical_error_propagates_at_first_query(self):
         # a bug is not an invalid point: it surfaces at the first query of
@@ -476,6 +505,22 @@ class TestCumulativeQuadrature:
         F = CumulativeQuadrature(f, 0.0, 0.0, 2.0, cell_width=2.0, max_depth=0)
         with pytest.raises(QuadratureFailure):
             F(2.0)
+
+
+class TestStackedCoefficientKernel:
+    @pytest.mark.parametrize("size", [1, 2, 3, 16, 257, 1000])
+    @pytest.mark.parametrize("offset", [0, 1, 7])
+    def test_stacked_matmul_is_each_rows_gemv_bitwise(self, size, offset):
+        # the tables compute every leaf's Legendre coefficients with one
+        # stacked matmul; numpy runs the same matrix-vector product per
+        # stacked matrix, so each row is its own _ANTIDERIVATIVE @ row,
+        # whatever the batch size and the row's place in it
+        rng = np.random.default_rng(size * 31 + offset)
+        rows = rng.standard_normal((size + offset, 15)) * rng.uniform(0.0, 50.0, (size + offset, 1))
+        rows = rows[offset:]
+        stacked = np.matmul(numerics._ANTIDERIVATIVE, rows[:, :, None])[:, :, 0]
+        alone = [numerics._ANTIDERIVATIVE @ row.tolist() for row in rows]
+        assert _bits(stacked) == _bits(alone)
 
 
 class TestSmoothFunction:

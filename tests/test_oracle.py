@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bcvhelix import (
+    BcvHelixError,
     BcvSpace,
     BourSeed,
     DomainError,
@@ -36,6 +37,7 @@ from bcvhelix import cli, oracle
 from bcvhelix.bour import NaturalChart
 from bcvhelix.numerics import DEFAULT_TOL, diff_central, richardson
 from conftest import NIL, R3, SU2_SPACE, catenoid_profile, nil_catenoid_profile
+from test_kernel_parity import FAILING, FAMILIES, _charts
 from test_orbit import random_wiggle_curve, vertical_line_curve
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -501,3 +503,48 @@ class TestSampleMesh:
         sc = SurfaceChart.from_natural(catenoid_chart)
         with pytest.raises(ValueError):
             sample_mesh(R3, sc, 1, 5)
+
+
+def _orientation_by_row_kernel(space, chart, tol):
+    """The orientation sign as found by measuring each candidate row with
+    the whole row kernel, the reference for ``oracle._orientation``."""
+    lo, hi = chart.u_range
+    t_ref = 0.5 * (chart.t_range[0] + chart.t_range[1])
+    for frac in (0.5, 0.35, 0.65, 0.25, 0.75, 0.45, 0.55):
+        u = lo + (hi - lo) * frac
+        try:
+            geo = oracle._row_geometry(space, chart, u, np.array([t_ref]), tol, 1.0)
+        except BcvHelixError:
+            continue
+        p, n = geo.points[0], geo.normal[0]
+        if not np.all(np.isfinite(n)):
+            continue
+        r = math.hypot(p[0], p[1])
+        if r < tol.r_min:
+            continue
+        e_r = np.array([p[0] / r, p[1] / r, 0.0])
+        pairing = float(n @ metric_cartesian(space, p, tol) @ e_r)
+        if abs(pairing) > 1e-8:
+            return 1.0 if pairing >= 0 else -1.0
+    return 1.0
+
+
+@pytest.mark.parametrize("config, pitches", FAMILIES + FAILING)
+def test_orientation_matches_row_kernel(config, pitches):
+    # the orientation probe measures only the point, the normal and the
+    # fit of psi_uu; its sign is the whole row kernel's on every family: the
+    # chart, the chart over the seed's whole window (candidate rows outside
+    # the validity) and its mirror image u -> -u (the other sign)
+    job, _, charts = _charts(config, pitches)
+    signs = []
+    for chart in charts:
+        lo, hi = chart.u_valid
+        mirror = SurfaceChart.raw(
+            chart.space, lambda u: chart.xi1(-u), lambda u: chart.xi2(-u), chart.a, (-hi, -lo),
+            job.t_range,
+        )
+        for surface in (cli._surface(job, chart), SurfaceChart.from_natural(chart, u_range=job.u_range), mirror):
+            want = _orientation_by_row_kernel(chart.space, surface, job.tol)
+            assert oracle._orientation(chart.space, surface, job.tol) == want
+            signs.append(want)
+    assert set(signs) == {-1.0, 1.0}
