@@ -5,15 +5,15 @@ G7/K15 Gauss-Kronrod rule over fixed cells with panel caching, behind every
 chart antiderivative and gauge.  Its cells live in one one-directional
 half-line from u0 outward; the side below u0 is the same half-line over the
 mirror image f(-x).  The first query of a half-line grows the trees of all
-its cells at once: one array call of the integrand at the K15 nodes of every
-cell, then one call per refinement level at the nodes of the panels that
-level needs.  A failed node is kept with its cell and raised when a query
-reaches that cell.  Filled cells enter their final leaves into a flat table;
-a query reads the entry of the leaf that holds u, found by bisection, and
-adds the prefix sum of whole cells before it to the leaf's dense output: the
-integral of the degree-14 interpolant of the 15 samples the leaf's K15 panel
-already took, so a query on a filled cell calls no integrand.  A 1-D array
-of u is served by one searchsorted and one recurrence over the array, with
+its cells at once, as flat arrays: one array call of the integrand at the
+K15 nodes of every cell, then one call per refinement level.  The trees are
+settled into one flat table per component, whose leaves carry prefix sums
+and the Legendre coefficients of their dense output (the integral of the
+degree-14 interpolant of the 15 samples a leaf's K15 panel already took),
+all leaves in one stacked matrix product.  A query reads the leaf that holds
+u and calls no integrand; a frontier counts the cells queries have reached,
+and a failed node is raised by the first query that reaches its cell.  A
+1-D array of u is one searchsorted and one recurrence over the array, with
 the scalar query's values bit for bit.  One Richardson difference kernel
 behind every finite difference, and one outward interval scan, which
 evaluates its walk in one array call and bisects the flip on floats, behind
@@ -318,28 +318,25 @@ def _not_converging(message: str):
 
 
 class _Level:
-    """One refinement depth of a side's trees: its distinct panels [lo, hi]
-    and their cells, arrays over the panels, and each component's node at
-    each panel on a first axis of components.  ``alive`` marks the nodes
-    the component's tree has; value, estimate, samples (k, panels, 15) and
-    fault (an index into the side's faults, -1 for none) are its panel's.
-    ``halved`` lists the panels some component halves, whose halves make
-    the next level, left then right; ``kept`` (k, len(halved)) marks the
-    nodes that keep their halves, and ``stop`` those the rounding stop kept."""
+    """One refinement depth of a side's trees: its panels [lo, hi] and their
+    cells, and on a first axis of components the node each tree has there
+    (``alive``), with its panel's value, estimate, samples and fault (an
+    index into the side's faults, -1 for none).  The halves of the panels
+    ``halved`` make the next level, left then right; ``kept`` marks the
+    nodes that keep them, and ``stop`` those the rounding stop kept."""
 
     def __init__(self, lo, hi, cell, panels):
         self.lo, self.hi, self.cell = lo, hi, cell
         self.val, self.err, self.samples, self.fault = panels
-        self.alive = self.stop = np.zeros(self.fault.shape, dtype=bool)
+        self.stop = np.zeros(self.fault.shape, dtype=bool)
         self.halved, self.kept = np.empty(0, dtype=int), self.stop[:, :0]
 
 
 class _Table:
     """One component's final leaves of a grown side in walk order (sorted by
-    lo), as columns, and its cells: ``prefix[i]``, the sum of the first i
-    cell values added left to right; ``stops[i]``, the rounding stops of
-    the first i cells; ``faulted``, the index of the first cell that has a
-    fault (the number of cells if none) and ``fault``, its first fault."""
+    lo), as columns, and its cells: ``prefix[i]`` sums the first i cells
+    left to right and ``stops[i]`` counts their rounding stops; ``fault`` is
+    the first fault of cell ``faulted``, the first with one (or None, n)."""
 
     def __init__(self, lo, hi, val, err, pre, desc, edge, dense, cells, faulted, fault):
         self.lo, self.hi, self.val, self.err = lo, hi, val, err
@@ -375,15 +372,7 @@ class _Cells:
     the first failed node of the left half's panel, then of the right's,
     each in panel sample order.  Faulted nodes have no halves, so a cell's
     first fault, the one a left-first walk meets, is its faulted node with
-    the smallest lo.
-
-    The trees are then settled into one ``_Table`` per component: each
-    node's value and estimate, bottom-up, the sum of its halves' (left
-    first); the whole leaves of its cell left of each leaf, top-down, a
-    right half adding its left sibling's value to its parent's; the prefix
-    sums of the cells; and every leaf's Legendre coefficients, in one
-    ``np.matmul`` of ``_ANTIDERIVATIVE`` over the stacked samples, which is
-    each leaf's ``_ANTIDERIVATIVE @ samples`` bit for bit (one gemv each).
+    the smallest lo.  ``_settle`` makes one ``_Table`` per component.
     """
 
     def __init__(self, integrand: Integrand, u0, hi, per_unit, abs_tol, cell_width, max_depth):
@@ -403,10 +392,7 @@ class _Cells:
         node appends its first failed node to faults, and its samples are
         NaN: they are never read."""
         k, nodes = len(self.integrand.scalars), _kronrod_nodes(lo, hi)
-        if lo.size:
-            values, failed = self.integrand.batch(nodes.ravel())
-        else:
-            values, failed = np.empty((k, 0)), np.empty((k, 0), dtype=bool)
+        values, failed = self.integrand.batch(nodes.ravel()) if lo.size else (np.empty((k, 0)),) * 2
         values, failed = values.reshape((k,) + nodes.shape), failed.reshape((k,) + nodes.shape)
         fault = np.full((k, lo.size), -1)
         for j, i, q in zip(*np.nonzero(failed)):
@@ -426,15 +412,11 @@ class _Cells:
         width = self.per_unit * (level.hi - level.lo)
         floor = np.where(1e-3 * self.abs_tol > width, 1e-3 * self.abs_tol, width)
         split = test & (level.err > floor) & (level.err > 1e-16 * np.abs(level.val))
-        if depth >= self.max_depth:
-            for j, i in zip(*np.nonzero(split)):
-                lo, hi, err = float(level.lo[i]), float(level.hi[i]), float(level.err[j, i])
-                level.fault[j, i] = len(faults)
-                faults.append(functools.partial(
-                    _not_converging, f"cell [{lo}, {hi}] not converging (err {err:.3e})"
-                ))
-            split[:] = False
-        return split
+        for j, i in zip(*np.nonzero(split)) if depth >= self.max_depth else ():
+            lo, hi, err = level.lo[i].item(), level.hi[i].item(), level.err[j, i].item()
+            level.fault[j, i] = len(faults)
+            faults.append(functools.partial(_not_converging, f"cell [{lo}, {hi}] not converging (err {err:.3e})"))
+        return split & (depth < self.max_depth)
 
     def grow(self):
         # kept only once whole: an error that propagates (a bug in the
@@ -473,6 +455,11 @@ class _Cells:
         return levels, faults
 
     def _settle(self, levels: list[_Level], faults: list) -> list[_Table]:
+        # Bottom-up, a node's value and estimate are its halves' sums, left
+        # first; top-down, a right half adds its left sibling's value to its
+        # parent's sum of the whole leaves left of it.  Each leaf's Legendre
+        # coefficients come from one stacked matmul, one gemv per leaf: its
+        # own _ANTIDERIVATIVE @ samples bit for bit.
         k, n = len(self.integrand.scalars), self.lo.size
         with np.errstate(all="ignore"):  # the float arithmetic of Python, which never traps
             for up, down in reversed(list(zip(levels, levels[1:]))):
@@ -486,13 +473,8 @@ class _Cells:
             for level in levels:  # the final leaves: faulted nodes are among them
                 level.leaf = level.alive.copy()
                 level.leaf[:, level.halved] &= ~level.kept
-
-            def joined(name: str) -> np.ndarray:
-                arrays = [getattr(level, name) for level in levels]
-                return np.concatenate(arrays, axis=int(arrays[0].ndim > 1))
-
             lo, hi, cell, val, err, desc, samples, leaf, stop, fault = (
-                joined(name)
+                np.concatenate([getattr(lv, name) for lv in levels], axis=int(name not in ("lo", "hi", "cell")))
                 for name in ("lo", "hi", "cell", "val", "err", "desc", "samples", "leaf", "stop", "fault")
             )
             comp, at = np.nonzero(leaf)
@@ -508,30 +490,23 @@ class _Cells:
         stops = np.bincount(sc * n + cell[si], minlength=k * n).reshape(k, n)
         stops = np.concatenate((np.zeros((k, 1), dtype=int), np.cumsum(stops, axis=1)), axis=1)
         fc, fi = np.nonzero(fault >= 0)
-        bounds = np.searchsorted(comp, np.arange(k + 1))
-        tables = []
-        for j in range(k):
+
+        def table(j: int) -> _Table:
             mine = fi[fc == j]
-            first_fault = mine[np.argmin(lo[mine])] if mine.size else None  # in its first faulted cell
-            leaves = slice(bounds[j], bounds[j + 1])
-            tables.append(_Table(
-                *(column[leaves] for column in columns), (prefix[j], err[j, :n], stops[j]),
-                n if first_fault is None else int(cell[first_fault]),
-                None if first_fault is None else faults[fault[j, first_fault]],
-            ))
-        return tables
+            node = mine[np.argmin(lo[mine])] if mine.size else None  # in the first faulted cell
+            faulted = (n, None) if node is None else (int(cell[node]), faults[fault[j, node]])
+            leaves = slice(*np.searchsorted(comp, (j, j + 1)))
+            return _Table(*(c[leaves] for c in columns), (prefix[j], err[j, :n], stops[j]), *faulted)
+
+        return [table(j) for j in range(k)]
 
 
 class _HalfLine:
-    """One component's queries of a grown side of a CumulativeQuadrature,
-    from u0 outward.
-
-    The side's table holds every leaf of every cell, so a query reads it
-    directly; ``filled``, the frontier, counts the cells queries have
+    """One component's queries of a side of a CumulativeQuadrature, from u0
+    outward.  ``filled``, the frontier, counts the cells queries have
     reached: 1 plus the number of cells that end at or before u, as a fill
     from u0 outward would.  A query that reaches the first cell with a fault
-    raises that cell's first fault, and ``rounding_stops`` counts the stops
-    of the cells below the frontier."""
+    raises that cell's first fault."""
 
     def __init__(self, cells: _Cells, component: int):
         self.cells = cells
@@ -588,23 +563,22 @@ class CumulativeQuadrature:
     The interval around ``u0`` is covered by fixed cells; each cell holds one
     K15 value (refined by static bisection where the G7/K15 estimate exceeds
     its share of the budget).  The first query of each side grows the trees
-    of all its cells (see ``_Cells``): one array call of the integrand at the
-    K15 nodes of every cell, then one call per refinement level at the nodes
-    of the panels that level halves.  Each panel's sums are added in the
-    order of a single panel, so the trees, values and estimates are those of
-    refining each cell on its own.  A query then fills the cells from u0 up
-    to u once, left to right, and each filled cell enters its final leaves
-    into a flat table.  The value at u is read from the table entry of the
-    leaf that holds u (found by bisection on the leaf edges): the prefix sum
-    of the whole cells before u (added left to right, whatever the query
-    order), plus the whole leaves of u's cell left of u, plus the leaf's
-    dense output: the integral from the leaf's edge to u of the degree-14
-    interpolant of its 15 K15 samples.  That makes no integrand call.  K15
-    is interpolatory, so the interpolant's integral over a whole leaf is the
-    leaf's K15 value up to rounding: F is a polynomial inside each leaf and
-    continuous across leaf edges to a few ulps, and finite differences of F
-    recover f without cache-boundary noise.  Thread-safe; values are
-    deterministic, so racing writes are benign and guarded anyway.
+    of all its cells as flat arrays (see ``_Cells``): one array call of the
+    integrand at the K15 nodes of every cell, then one per refinement level.
+    Each panel's sums are added in the order of a single panel, so the trees,
+    values and estimates are those of refining each cell on its own.  The
+    trees are then settled into one flat table per component, the final
+    leaves sorted by their edges: the prefix sum of the whole cells before
+    each leaf (added left to right), the whole leaves of its cell left of
+    it, and its dense output, the integral from its edge of the degree-14
+    interpolant of its 15 K15 samples, as Legendre coefficients (one stacked
+    matrix product for all leaves).  A query reads the leaf that holds u,
+    found by bisection, and calls no integrand.  K15 is interpolatory, so
+    the interpolant's integral over a whole leaf is the leaf's K15 value up
+    to rounding: F is a polynomial inside each leaf and continuous across
+    leaf edges to a few ulps, and finite differences of F recover f without
+    cache-boundary noise.  Values do not depend on the order of queries; one
+    lock guards the growth, the tables and the frontier (below).
 
     ``f`` is a float integrand, which the growth calls node by node, or an
     ``Integrand`` evaluated over arrays, whose first component is integrated
@@ -613,11 +587,11 @@ class CumulativeQuadrature:
     Failures are deferred.  A node where the integrand raises a
     mathematical error (``MATH_ERRORS``) fails its panel, and a panel that
     cannot meet its share by ``max_depth`` fails its cell; the cell raises
-    only when a query reaches it, with the error a recursive refinement of
-    that cell alone would raise first: the first failed node in panel order,
-    evaluated again by the float integrand, or QuadratureFailure.  A cell no
-    query reaches never raises.  Any other error of the integrand propagates
-    from the first query.
+    only when a query reaches it (u at or beyond its left edge), with the
+    error a recursive refinement of that cell alone would raise first: the
+    first failed node in panel order, evaluated again by the float
+    integrand, or QuadratureFailure.  Any other error of the integrand
+    propagates from every query until a growth completes.
 
     Both sides of u0 are one half-line: f on [u0, hi], and its mirror image
     f(-x) on [-u0, -lo] with F(u) = 0.0 - left(-u) below u0 (so an
@@ -627,17 +601,16 @@ class CumulativeQuadrature:
 
     Rounding stop: a cell whose two halves do not lower the summed estimate
     below ``_ROUNDOFF_RATIO`` of its own is split once more and not further;
-    each half keeps its value and estimate, so a leaf's ``err`` is then an
-    estimate of rounding noise above the leaf's share of the budget.
-    ``rounding_stops`` counts the cells accepted this way among the cells
-    queries have filled.
+    each half keeps its value and estimate, so a leaf's estimate is then one
+    of rounding noise above the leaf's share of the budget.
+    ``rounding_stops`` counts the cells accepted this way below the
+    frontier: the cells a fill from u0 out to the queries would have filled.
 
     Array queries: a 1-D numpy array of u, in any order and with repeats,
-    gives the array of values, each bit for bit the scalar query's.  The
-    cells are filled up to the largest |u - u0| on each side, and the whole
-    array is then one ``searchsorted`` on the leaf edges, one gather from the
-    table and the 16-term recurrence over the array.  Any other u is a
-    scalar query, which keeps the per-value path: numpy's overhead would
+    gives the array of values, each bit for bit the scalar query's: one
+    ``searchsorted`` on the leaf edges, one gather from the table and the
+    16-term recurrence over the array.  Any other u is a scalar query, which
+    reads Python-float copies of the table's columns: numpy's overhead would
     outweigh one point.
     """
 

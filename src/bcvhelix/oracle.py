@@ -232,9 +232,10 @@ class _RowPoints:
     (1 or 2), 5 for order 1 and 9 for order 2, of all rows in one query per
     component.  Any other abscissa (a stencil shrunk at a domain edge) is
     evaluated on request, for all rows in one query per component.  A
-    nonzero offset that leaves some u (or t) unchanged does not fit: it
-    raises StencilOutOfDomain, so a shrinking stencil keeps shrinking; so
-    does one the chart's ``clamp`` takes back to u.
+    nonzero offset that leaves some u unchanged where the chart reads it
+    (also through its ``clamp``), or some t unchanged, does not fit: it
+    raises StencilOutOfDomain, so a shrinking stencil keeps shrinking, and
+    ``fit`` leaves such a row to be measured alone.
     """
 
     def __init__(self, chart: SurfaceChart, us, ts: np.ndarray, tol: Tolerances, order: int = 2):
@@ -251,20 +252,21 @@ class _RowPoints:
     def _abscissae(self, s: float) -> np.ndarray:
         return self.us if s == 0.0 else self.us + s
 
-    def _unmoved(self, s: float) -> np.ndarray:
-        # the rows whose u + s the chart reads at u itself
-        moved = self._abscissae(s)
-        return (moved if self.chart.clamp is None else self.chart.clamp(moved)) == self.us
+    def _unmoved(self, us: np.ndarray, moved: np.ndarray) -> np.ndarray:
+        # where the chart reads an abscissa moved off u at u itself
+        return (moved if self.chart.clamp is None else self.chart.clamp(moved)) == us
 
     def _keep(self, s: float, columns) -> None:
         self._profiles[s] = [column[:, None] for column in columns]
 
     def fit(self) -> tuple[list, list]:
         """Evaluate the profile at every default abscissa of every row and
-        keep only the rows where that succeeded: (kept, left) indices into
-        the rows given."""
+        keep only the rows where that succeeded and every offset moved u:
+        (kept, left) indices into the rows given."""
         grid = np.stack([self._abscissae(s) for s in self.offsets], axis=1)
         kept, columns = _fit_rows(self.chart, grid)
+        fits = ~self._unmoved(grid[kept, :1], grid[kept, 1:]).any(axis=1)  # offsets[0] is 0
+        kept, columns = np.array(kept, dtype=int)[fits].tolist(), [c[fits] for c in columns]
         left = sorted(set(range(len(self.us))) - set(kept))
         self.us = self.us[kept]
         for j, s in enumerate(self.offsets):
@@ -275,11 +277,13 @@ class _RowPoints:
         pts = self._points.get((s, dt))
         if pts is None:
             t = self.ts if dt == 0.0 else self.ts + dt
-            if (s != 0.0 and np.any(self._unmoved(s))) or (dt != 0.0 and np.any(t == self.ts)):
-                # a difference of a point with itself is no derivative
-                raise StencilOutOfDomain(f"stencil offset (s={s}, dt={dt}) leaves u or t unchanged")
             if s not in self._profiles:
-                self._keep(s, _profile_columns(self.chart, self._abscissae(s)))
+                moved = self._abscissae(s)
+                if s != 0.0 and self._unmoved(self.us, moved).any():
+                    raise StencilOutOfDomain(f"stencil offset s={s} leaves u unchanged")
+                self._keep(s, _profile_columns(self.chart, moved))
+            if dt != 0.0 and (t == self.ts).any():
+                raise StencilOutOfDomain(f"stencil offset dt={dt} leaves t unchanged")
             pts = self._points[s, dt] = self.chart.embed(*self._profiles[s], t).reshape(-1, 3)
         return pts
 
