@@ -412,7 +412,7 @@ class NaturalChart:
         lo, hi = u_range if u_range is not None else self.u_valid
         lo, hi = lo + margin, hi - margin
         act = HelicoidalAction(self.space, self.seed.a)
-        return ProfileCurve.from_functions(
+        return ProfileCurve(
             act, self.xi1, self.xi2, self.dxi1, self.dxi2, (lo, hi), n=n, tol=tol
         )
 

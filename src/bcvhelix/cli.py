@@ -236,7 +236,7 @@ def parse_config(cfg: dict, mode: str) -> JobConfig:
             f"output.basename: expected a file name without a path separator, got {basename!r}"
         )
     formats = _get(cfg, "output.formats", ["json"])
-    if not isinstance(formats, list) or not set(formats) <= set(FORMATS):
+    if not isinstance(formats, list) or not all(f in FORMATS for f in formats):
         raise ConfigError(f"output.formats: must be a subset of {FORMATS}, got {formats!r}")
     raw_theta = _get(cfg, "output.raw_theta", False)
     if not isinstance(raw_theta, bool):
@@ -665,8 +665,11 @@ def cmd_verify(job: JobConfig, out_dir: str) -> int:
     sc = SurfaceChart.from_natural(chart, t_range=job.t_range)
     us = _interior_grid(chart, job)
     ts = np.linspace(job.t_range[0], job.t_range[1], min(job.nt, 7))
-    resid = _residual_per_u(job, chart, us)
-    max_resid = float(np.nanmax(np.abs(resid)))
+    # a row whose residual cannot be evaluated fails the check; the value is
+    # the worst row that evaluated, null when none did
+    resid = np.abs(_residual_per_u(job, chart, us))
+    evaluated = np.isfinite(resid)
+    max_resid = float(np.max(resid[evaluated])) if evaluated.any() else None
     max_h_dev = 0.0
     max_form_dev = 0.0
     H_target = abs(meta.get("H", job.H))
@@ -687,7 +690,8 @@ def cmd_verify(job: JobConfig, out_dir: str) -> int:
         "first_form": {"value": max_form_dev, "tol": job.check_tol["first_form"]},
     }
     for chk in checks.values():
-        chk["pass"] = bool(chk["value"] < chk["tol"])
+        chk["pass"] = bool(chk["value"] is not None and chk["value"] < chk["tol"])
+    checks["cmc_residual"]["pass"] &= bool(evaluated.all())
     ok = all(chk["pass"] for chk in checks.values())
     report = {
         "seed": meta,

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import DomainError, InconsistentCurve
 from .numerics import DEFAULT_TOL, Tolerances, diff_central
@@ -78,79 +77,48 @@ def volume_omega(act: HelicoidalAction, xi1: float, tol: Tolerances = DEFAULT_TO
 
 
 class ProfileCurve:
-    """An arc-length-parametrized curve in the orbit space.
+    """An arc-length-parametrized curve in the orbit space, given by exact functions.
 
-    Carries explicit derivative samples (so analytically known profiles
-    enter exactly) interpolated with cubic Hermite splines; construction
-    rejects curves whose arc-length residual exceeds tolerance at any
-    sample.  When built from callables the exact functions are retained and
-    used for evaluation.
+    xi1, xi2, xi1' and xi2' are read from the callables passed in.  An n-point
+    grid over u_range serves three purposes: construction rejects curves whose
+    arc-length residual exceeds tolerance at any grid point, its step is the
+    difference step of sigma', and the angle unwrapped along it picks the 2 pi
+    branch of sigma, so that sigma is continuous along the curve.
     """
 
     def __init__(
         self,
         act: HelicoidalAction,
-        u_grid,
-        xi1,
-        xi2,
-        dxi1,
-        dxi2,
+        xi1: Callable[[float], float],
+        xi2: Callable[[float], float],
+        dxi1: Callable[[float], float],
+        dxi2: Callable[[float], float],
+        u_range: tuple[float, float],
+        n: int = 2001,
         tol: Tolerances = DEFAULT_TOL,
-        _fns: Optional[tuple] = None,
     ):
-        u_grid = np.asarray(u_grid, dtype=float)
-        if u_grid.ndim != 1 or len(u_grid) < 4:
-            raise ValueError("need at least 4 samples")
-        if not np.all(np.diff(u_grid) > 0):
-            raise ValueError("u_grid must be strictly increasing")
-        xi1 = np.asarray(xi1, dtype=float)
-        xi2 = np.asarray(xi2, dtype=float)
-        dxi1 = np.asarray(dxi1, dtype=float)
-        dxi2 = np.asarray(dxi2, dtype=float)
-        if np.any(xi1 <= 0):
-            raise DomainError("profile curve must keep xi1 > 0")
+        if n < 4:
+            raise ValueError("need at least 4 grid points")
+        lo, hi = float(u_range[0]), float(u_range[1])
+        if not lo < hi:
+            raise ValueError("u_range must be increasing")
         self.act = act
-        self.u_grid = u_grid
+        self.u_grid = np.linspace(lo, hi, n)
         self.tol = tol
-        self._fns = _fns
-        self._xi1_sp = CubicHermiteSpline(u_grid, xi1, dxi1)
-        self._xi2_sp = CubicHermiteSpline(u_grid, xi2, dxi2)
+        self._fns = (xi1, xi2, dxi1, dxi2)
         worst = 0.0
-        for i in range(len(u_grid)):
-            res = _arclength_residual_values(act, xi1[i], dxi1[i], dxi2[i], tol)
-            worst = max(worst, abs(res))
+        sig = np.empty(n)
+        for i, u in enumerate(self.u_grid):
+            r, d1, d2 = xi1(u), dxi1(u), dxi2(u)
+            if r <= 0:
+                raise DomainError("profile curve must keep xi1 > 0")
+            worst = max(worst, abs(_arclength_residual_values(act, r, d1, d2, tol)))
+            sig[i] = _sigma_raw(act, r, d1, d2, tol)
         if worst > tol.arclength:
             raise InconsistentCurve(
                 f"arc-length residual {worst:.3e} exceeds {tol.arclength:.1e}"
             )
-        sig = np.empty(len(u_grid))
-        for i in range(len(u_grid)):
-            sig[i] = _sigma_raw(act, xi1[i], dxi1[i], dxi2[i], tol)
-        self._sigma_sp = CubicSpline(u_grid, np.unwrap(sig))
-
-    @classmethod
-    def from_functions(
-        cls,
-        act: HelicoidalAction,
-        xi1_fn: Callable[[float], float],
-        xi2_fn: Callable[[float], float],
-        dxi1_fn: Callable[[float], float],
-        dxi2_fn: Callable[[float], float],
-        u_range: tuple[float, float],
-        n: int = 2001,
-        tol: Tolerances = DEFAULT_TOL,
-    ) -> "ProfileCurve":
-        u = np.linspace(u_range[0], u_range[1], n)
-        return cls(
-            act,
-            u,
-            [xi1_fn(v) for v in u],
-            [xi2_fn(v) for v in u],
-            [dxi1_fn(v) for v in u],
-            [dxi2_fn(v) for v in u],
-            tol=tol,
-            _fns=(xi1_fn, xi2_fn, dxi1_fn, dxi2_fn),
-        )
+        self._sigma_grid = np.unwrap(sig)
 
     @property
     def u_range(self) -> tuple[float, float]:
@@ -163,24 +131,27 @@ class ProfileCurve:
 
     def xi1(self, u: float) -> float:
         self._check_u(u)
-        return self._fns[0](u) if self._fns else float(self._xi1_sp(u))
+        return self._fns[0](u)
 
     def xi2(self, u: float) -> float:
         self._check_u(u)
-        return self._fns[1](u) if self._fns else float(self._xi2_sp(u))
+        return self._fns[1](u)
 
     def dxi1(self, u: float) -> float:
         self._check_u(u)
-        return self._fns[2](u) if self._fns else float(self._xi1_sp(u, 1))
+        return self._fns[2](u)
 
     def dxi2(self, u: float) -> float:
         self._check_u(u)
-        return self._fns[3](u) if self._fns else float(self._xi2_sp(u, 1))
+        return self._fns[3](u)
 
     def sigma(self, u: float) -> float:
-        """Unwrapped profile angle, continuous along the curve."""
-        self._check_u(u)
-        return float(self._sigma_sp(u))
+        """Profile angle at u, on the 2 pi branch of the nearest grid point."""
+        raw = _sigma_raw(self.act, self.xi1(u), self.dxi1(u), self.dxi2(u), self.tol)
+        lo, hi = self.u_range
+        n = len(self.u_grid)
+        i = min(max(round((u - lo) / (hi - lo) * (n - 1)), 0), n - 1)
+        return raw + 2.0 * math.pi * round((self._sigma_grid[i] - raw) / (2.0 * math.pi))
 
     def grid_step(self) -> float:
         return float(np.min(np.diff(self.u_grid)))

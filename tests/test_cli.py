@@ -10,7 +10,7 @@ import pytest
 
 from bcvhelix import cli
 from bcvhelix.cli import main
-from bcvhelix.errors import BcvHelixError, ConfigError
+from bcvhelix.errors import BcvHelixError, ConfigError, DomainError
 from bcvhelix.oracle import MeshGrid
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -125,6 +125,32 @@ class TestVerify:
         report = json.loads((tmp_path / "bad.verify.json").read_text())
         assert report["pass"] is False
         assert report["checks"]["cmc_residual"]["value"] > 1e-3
+
+    @pytest.mark.parametrize("raising", ["one-row", "every-row"])
+    def test_row_whose_residual_raises_fails_the_check(self, tmp_path, monkeypatch, raising):
+        # a row whose CMC residual cannot be evaluated is no passing row, and
+        # the report stays JSON (no NaN) when no row evaluates at all
+        calls = []
+
+        def residual(*args):
+            calls.append(args)
+            if raising == "every-row" or len(calls) == 5:
+                raise DomainError("residual refused")
+            return 0.0
+
+        monkeypatch.setattr(cli, "cmc_residual", residual)
+        cfg = json.loads(json.dumps(NIL_MINIMAL))
+        cfg["output"]["formats"] = ["json"]
+        assert run(tmp_path, "verify", cfg) == 1
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        text = (tmp_path / "nilcat.verify.json").read_text()
+        report = json.loads(text, parse_constant=reject)
+        check = report["checks"]["cmc_residual"]
+        assert report["pass"] is False and check["pass"] is False
+        assert check["value"] == (0.0 if raising == "one-row" else None)
 
 
 class TestExport:
@@ -498,6 +524,8 @@ class TestConfigValidation:
             "space.kappa=-Infinity",
             'seed.u_range=[-2,"inf"]',
             "seed.c=true",
+            'output.formats=[["csv"]]',
+            'output.formats=[{"a":1}]',
         ],
     )
     def test_malformed_field_is_config_error(self, tmp_path, capsys, override):
@@ -677,3 +705,33 @@ class TestShippedConfigs:
             cfg["grid"] = {"nu": 7, "nt": 5, "t_range": [-1.0, 1.0]}  # keep it quick
             command = "deform" if cfg.get("sweep") else "verify"
             assert run(tmp_path, command, cfg) == 0, path.name
+
+
+class TestWithoutScipy:
+    # the package needs numpy only; scipy serves the tests
+
+    def python(self, code):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+
+    def test_verify_runs_with_scipy_blocked(self, tmp_path):
+        # None in sys.modules makes every import of scipy raise ImportError
+        config = str(CONFIG_DIR / "heisenberg_minimal.json")
+        done = self.python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from bcvhelix.cli import main\n"
+            f"sys.exit(main(['verify', '--config', {config!r}, '--out', {str(tmp_path)!r}]))\n"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_import_loads_no_scipy(self):
+        done = self.python(
+            "import sys\n"
+            "import bcvhelix.cli\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

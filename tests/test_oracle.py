@@ -419,7 +419,7 @@ class TestGauss:
 
     def test_numeric_plane(self):
         act = HelicoidalAction(R3, 0.0)
-        curve = ProfileCurve.from_functions(
+        curve = ProfileCurve(
             act, lambda u: u + 3.0, lambda u: 0.0,
             lambda u: 1.0, lambda u: 0.0, (-1.0, 1.0), n=101,
         )

@@ -24,7 +24,7 @@ from conftest import NIL, R3
 def catenoid_curve(d=1.0, a=0.0, span=(-2.0, 2.0), n=4001):
     """Euclidean catenoid profile: xi1 = sqrt(u^2+d^2), xi2 = d asinh(u/d)."""
     act = HelicoidalAction(R3, a)
-    return act, ProfileCurve.from_functions(
+    return act, ProfileCurve(
         act,
         lambda u: math.sqrt(u * u + d * d),
         lambda u: d * math.asinh(u / d),
@@ -41,7 +41,7 @@ def vertical_line_curve(space, R=1.0, a=0.0, n=801):
     B = space.B(R * R)
     w = a * B - space.tau * R * R
     speed = math.sqrt(R * R + w * w) / R  # dxi2 making the curve unit speed
-    return act, ProfileCurve.from_functions(
+    return act, ProfileCurve(
         act,
         lambda u: R,
         lambda u: speed * u,
@@ -54,7 +54,7 @@ def vertical_line_curve(space, R=1.0, a=0.0, n=801):
 
 def nil_catenoid_curve(n=6001):
     act = HelicoidalAction(NIL, 0.5)
-    return act, ProfileCurve.from_functions(
+    return act, ProfileCurve(
         act,
         lambda u: math.sqrt(u * u + 1.0),
         lambda u: 0.5 * (u + math.atan(u)),
@@ -87,7 +87,7 @@ def random_wiggle_curve(space, a, rng, span=(-1.5, 1.5), n=4001):
         return math.sqrt((1.0 - c2) * (r * r + w * w)) / r
 
     xi2 = CumulativeQuadrature(dxi2, 0.0, span[0] - 1e-9, span[1] + 1e-9)
-    return act, ProfileCurve.from_functions(act, xi1, xi2, dxi1, dxi2, span, n=n)
+    return act, ProfileCurve(act, xi1, xi2, dxi1, dxi2, span, n=n)
 
 
 class TestOrbitalMetric:
@@ -166,7 +166,7 @@ class TestArclength:
     def test_rejects_non_arclength(self):
         act = HelicoidalAction(R3, 0.0)
         with pytest.raises(InconsistentCurve):
-            ProfileCurve.from_functions(
+            ProfileCurve(
                 act,
                 lambda u: 1.0 + u * u,
                 lambda u: u,
@@ -184,7 +184,7 @@ class TestSigma:
 
     def test_horizontal(self):
         act = HelicoidalAction(R3, 0.0)
-        curve = ProfileCurve.from_functions(
+        curve = ProfileCurve(
             act, lambda u: 2.0 + u, lambda u: 0.0,
             lambda u: 1.0, lambda u: 0.0, (-1.0, 1.0), n=101,
         )
@@ -205,7 +205,7 @@ class TestSigma:
 class TestGeodesicCurvature:
     def test_radial_line(self):
         act = HelicoidalAction(R3, 0.0)
-        curve = ProfileCurve.from_functions(
+        curve = ProfileCurve(
             act, lambda u: 1.0 + u, lambda u: 0.0,
             lambda u: 1.0, lambda u: 0.0, (-0.5, 2.0), n=501,
         )
@@ -239,9 +239,8 @@ class TestGeodesicCurvature:
         y0 = [1.5, 0.0, math.cos(alpha), math.sin(alpha) / math.sqrt(g22(1.5))]
         sol = solve_ivp(rhs, (-1.0, 1.0), y0, rtol=1e-12, atol=1e-14, dense_output=True)
         assert sol.success
-        us = np.linspace(-0.95, 0.95, 1201)
-        vals = sol.sol(us)
-        curve = ProfileCurve(act, us, vals[0], vals[1], vals[2], vals[3])
+        q1, q2, p1, p2 = (lambda u, k=k: float(sol.sol(u)[k]) for k in range(4))
+        curve = ProfileCurve(act, q1, q2, p1, p2, (-0.95, 0.95), n=1201)
         for u in np.linspace(-0.8, 0.8, 9):
             assert abs(geodesic_curvature(act, curve, u)) < 1e-6
 
