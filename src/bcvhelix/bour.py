@@ -330,8 +330,10 @@ class NaturalChart:
     xi2 and theta0 are quadrature-backed antiderivatives vanishing at u0;
     theta(u, t) = t/m + theta0(u).  xi1, xi2 and theta0 take a float u, or
     a 1-D array of u and return the column of values in one array query,
-    each element bit for bit the float query's.  Immutable after
-    construction; evaluation is reentrant.
+    each element bit for bit the float query's.  The chart evaluates where
+    ``admits`` holds, u within 1e-12 of u_valid, and every component reads
+    such a u clamped into u_valid.  Immutable after construction;
+    evaluation is reentrant.
     """
 
     space: BcvSpace
@@ -344,43 +346,46 @@ class NaturalChart:
     _theta0_quad: CumulativeQuadrature
     _xi2_integrand: Callable[[float], float]
 
-    def _check(self, u):
-        # raises at the first u outside u_valid, scalar or 1-D array
+    def admits(self, u):
+        """Whether the chart evaluates at u: u within 1e-12 of u_valid.  A
+        bool at a float u, an array of them at a 1-D array."""
         lo, hi = self.u_valid
+        return (lo - 1e-12 <= u) & (u <= hi + 1e-12)
+
+    def _check(self, u):
+        # raises at the first u the chart does not admit, scalar or 1-D array
+        inside = self.admits(u)
         if isinstance(u, np.ndarray):
-            outside = ~((lo - 1e-12 <= u) & (u <= hi + 1e-12))
-            if not outside.any():
+            if inside.all():
                 return
-            u = u[outside][0]
-        elif lo - 1e-12 <= u <= hi + 1e-12:
+            u = u[~inside][0]
+        elif inside:
             return
+        lo, hi = self.u_valid
         raise DomainError(f"u={u} outside chart validity [{lo}, {hi}]")
-
-    def xi1(self, u):
-        """The profile radius at a float u, or its column at a 1-D array."""
-        self._check(u)
-        return self._xi1_fn(u)
-
-    def dxi1(self, u: float) -> float:
-        self._check(u)
-        return self._dxi1_fn(u)
 
     def clamped(self, u):
         """u checked against u_valid (within 1e-12) and clamped into it, a
-        float or a 1-D array: the abscissa where xi2 and theta0 are read."""
+        float or a 1-D array: the abscissa where every component is read."""
         self._check(u)
         lo, hi = self.u_valid
         if not isinstance(u, np.ndarray):
             return min(max(u, lo), hi)
         return np.minimum(np.maximum(u, lo), hi)
 
+    def xi1(self, u):
+        """The profile radius at a float u, or its column at a 1-D array."""
+        return self._xi1_fn(self.clamped(u))
+
+    def dxi1(self, u: float) -> float:
+        return self._dxi1_fn(self.clamped(u))
+
     def xi2(self, u):
         """The profile height at a float u, or its column at a 1-D array."""
         return self._xi2_quad(self.clamped(u))
 
     def dxi2(self, u: float) -> float:
-        self._check(u)
-        return self._xi2_integrand(u)
+        return self._xi2_integrand(self.clamped(u))
 
     def theta0(self, u):
         """The gauge theta0 at a float u, or its column at a 1-D array."""

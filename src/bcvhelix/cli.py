@@ -566,6 +566,44 @@ def _e16_rows(table, sep: str, prefix: str = "") -> str:
     return out[out != 0].tobytes().decode("ascii")
 
 
+@functools.cache
+def _int_words():
+    """The 4-byte ASCII words of _int_rows, as uint32: the digit table of
+    _e16_rows (0..9999 with four digits), then 0..9999 without leading
+    zeros (NUL-padded on the left), then four NULs."""
+    leads = "".join(str(i).rjust(4, "\0") for i in range(10_000)) + "\0" * 4
+    return np.concatenate([_e16_tables()[4], np.frombuffer(leads.encode("ascii"), np.uint32)])
+
+
+def _int_rows(table, prefix: str) -> str:
+    """The rows of a 2-D table of integers in [0, 10**16) as text, each
+    ``prefix + " ".join("%d" % v for v in row) + "\n"``, byte for byte.
+
+    Each value takes as many 4-digit words as the widest one: NUL words
+    above its leading digits, its leading word without leading zeros, and
+    four digits below; the prefix and each separator are NUL-padded words.
+    The NULs are then dropped."""
+    table = np.asarray(table, dtype=np.int64)
+    rows, cols = table.shape
+    chunks = -(-len(str(int(table.max()))) // 4) if table.size else 1
+    words = _int_words()
+    head = np.frombuffer((prefix + "\0" * (-len(prefix) % 4)).encode("ascii"), np.uint32)
+    space, newline = np.frombuffer(b" \0\0\0\n\0\0\0", np.uint32)
+    out = np.empty((rows, len(head) + cols * (chunks + 1)), np.uint32)
+    out[:, : len(head)] = head
+    cells = out[:, len(head) :].reshape(rows, cols, chunks + 1)
+    cells[..., chunks] = space
+    cells[:, -1, chunks] = newline
+    rest = table
+    for j in range(chunks - 1, -1, -1):
+        blank = rest == 0  # no digits left: a NUL word, except the last word of 0
+        rest, part = np.divmod(rest, 10**4)
+        index = part + 10_000 * (rest == 0)
+        cells[..., j] = words[index if j == chunks - 1 else np.where(blank, 20_000, index)]
+    out = out.view(np.uint8).ravel()
+    return out[out != 0].tobytes().decode("ascii")
+
+
 def write_profile_csv(path: str, chart: NaturalChart, nu: int, margin: float = 1e-9):
     """The chart at nu abscissae: each column is one array query."""
     lo, hi = chart.u_valid
@@ -594,8 +632,8 @@ def write_obj(path: str, mesh: MeshGrid):
     """Wavefront OBJ with quads split into triangles; ASCII, LF endings.
     Vertices with a NaN coordinate are left out, with every face they touch.
 
-    The kept vertices' coordinates are one table, the faces one format over
-    index arrays."""
+    The kept vertices' coordinates are one float table and the faces one
+    integer table, each formatted by one kernel."""
     kept = ~np.isnan(mesh.vertices).any(axis=1)
     number = np.cumsum(kept)  # OBJ indices are 1-based: the k-th kept vertex is k
     grid = np.arange(mesh.nu * mesh.nt).reshape(mesh.nu, mesh.nt)
@@ -605,8 +643,7 @@ def write_obj(path: str, mesh: MeshGrid):
     quads = quads.reshape(-1, 4)
     quads = number[quads[kept[quads].all(axis=1)]]
     faces = quads[:, [0, 1, 2, 0, 2, 3]]  # triangles (q0, q1, q2) and (q0, q2, q3)
-    text = _e16_rows(mesh.vertices[kept], " ", "v ")
-    text += ("f %d %d %d\n" * (2 * len(quads))) % tuple(faces.ravel().tolist())
+    text = _e16_rows(mesh.vertices[kept], " ", "v ") + _int_rows(faces.reshape(-1, 3), "f ")
     _write_atomic(path, text or "\n")
 
 
@@ -615,7 +652,7 @@ def _surface(job: JobConfig, chart: NaturalChart) -> SurfaceChart:
         # raw (u, theta) parametrization of the same surface: theta0 = 0, m = 1
         return SurfaceChart.raw(
             chart.space, chart.xi1, chart.xi2, chart.a, chart.u_valid, job.t_range, U=chart.U,
-            clamp=chart.clamped,
+            clamp=chart.clamped, domain=chart.admits,
         )
     return SurfaceChart.from_natural(chart, t_range=job.t_range)
 

@@ -64,6 +64,8 @@ __all__ = [
     "ArrayFunction",
     "Integrand",
     "CumulativeQuadrature",
+    "halving_steps",
+    "stencil_misfit",
     "richardson",
     "diff_central",
     "scan_interval",
@@ -691,26 +693,41 @@ class CumulativeQuadrature:
         return out
 
 
+def halving_steps(h: float, h_min: Optional[float] = None):
+    """The steps a shrinking difference stencil tries, in order: h, then,
+    given h_min, h/2, h/4, ... while they are at least h_min (a NaN step
+    or h_min stops after h)."""
+    yield h
+    if h_min is None:
+        return
+    while True:
+        h *= 0.5
+        if not h >= h_min:
+            return
+        yield h
+
+
+def stencil_misfit(h_min: Optional[float]) -> StencilOutOfDomain:
+    """The error of a difference stencil that fits at none of its steps."""
+    return StencilOutOfDomain(f"difference stencil cannot fit the domain above h_min={h_min}")
+
+
 def richardson(d: Callable[[float], float], h: float, h_min: Optional[float] = None):
     """One Richardson level (4 d(h/2) - d(h)) / 3 of a difference quotient d.
 
     d(h) is evaluated before d(h/2); scalar and array values both work.
     Without h_min, errors raised by ``d`` propagate.  With h_min, a
-    BcvHelixError halves h and retries, and StencilOutOfDomain is raised once
-    h would fall below h_min.
+    BcvHelixError moves on to the next of ``halving_steps`` and
+    StencilOutOfDomain is raised when they run out.
     """
-    while True:
+    for step in halving_steps(h, h_min):
         try:
-            d_h = d(h)
-            return (4.0 * d(0.5 * h) - d_h) / 3.0
+            d_h = d(step)
+            return (4.0 * d(0.5 * step) - d_h) / 3.0
         except BcvHelixError:
             if h_min is None:
                 raise
-            h *= 0.5
-            if not h >= h_min:  # a NaN step stops too
-                raise StencilOutOfDomain(
-                    f"difference stencil cannot fit the domain above h_min={h_min}"
-                )
+    raise stencil_misfit(h_min)
 
 
 def diff_central(

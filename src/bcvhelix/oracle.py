@@ -7,10 +7,15 @@ transform-side algebra enters, so agreement is evidence, not tautology.
 Measurements run through one kernel, ``local_geometry``, over a whole set of
 mesh rows (fixed u) at once: the chart's profile is one array query per
 component over every (row, stencil abscissa) pair, and the stencils, metric,
-Christoffels, normals and forms run once over all vertices of all rows.  A
-row whose stencil cannot fit the chart's domain is measured alone, shrinking
-its stencil.  Errors kept in results are fresh instances that were never
-raised, so they hold no traceback.
+Christoffels, normals and forms run once over all vertices of all rows.
+Before any chart query, each row's stencil steps are settled from the
+chart's domain predicate: the first step of each stencil's halving that
+reads inside the domain, where a one-row call would stop.  Rows with the
+same steps are measured together, and a row with none holds
+StencilOutOfDomain without an evaluation.  A row whose evaluation still
+raises is measured alone, shrinking its stencils as a one-row call does.
+Errors kept in results are fresh instances that were never raised, so they
+hold no traceback.
 
 H is the trace of the shape operator (sum of principal curvatures), the
 convention fixed by the Euclidean cylinder of radius R giving |H| = 1/R.
@@ -22,6 +27,7 @@ orientation once per chart.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -35,7 +41,14 @@ from .errors import (
     DegenerateImmersion,
     StencilOutOfDomain,
 )
-from .numerics import DEFAULT_TOL, SmoothFunction, Tolerances, richardson
+from .numerics import (
+    DEFAULT_TOL,
+    SmoothFunction,
+    Tolerances,
+    halving_steps,
+    richardson,
+    stencil_misfit,
+)
 from .orbit import HelicoidalAction, ProfileCurve
 from .spaces import BcvSpace, christoffels, metric_cartesian
 
@@ -63,9 +76,12 @@ class SurfaceChart:
     (theta0 = 0, m = 1, so theta = t).  ``xi1``, ``xi2`` and ``theta0`` take
     a float u, or a 1-D array of u and return the column of values; a
     failure raises a BcvHelixError.  ``U`` is carried when known so
-    intrinsic diagnostics can refer to the metric profile.  ``clamp`` maps
-    the u of a query to the abscissa the chart reads it at, where that is
-    not u itself (a natural chart clamps u within 1e-12 of u_valid into it).
+    intrinsic diagnostics can refer to the metric profile.  ``domain``, when
+    known, says where the chart evaluates: True at the u (float or array)
+    its own domain check admits, so the oracle can settle a stencil without
+    a query that raises.  ``clamp`` maps the u of a query to the abscissa
+    the chart reads it at, where that is not u itself (a natural chart
+    admits u within 1e-12 of u_valid and clamps it into it).
     """
 
     def __init__(
@@ -80,6 +96,7 @@ class SurfaceChart:
         t_range: tuple[float, float],
         U: Optional[SmoothFunction] = None,
         clamp: Optional[Callable] = None,
+        domain: Optional[Callable] = None,
     ):
         self.space = space
         self.xi1 = xi1
@@ -91,6 +108,7 @@ class SurfaceChart:
         self.t_range = t_range
         self.U = U
         self.clamp = clamp
+        self.domain = domain
         self._orient: Optional[float] = None
 
     @classmethod
@@ -111,6 +129,7 @@ class SurfaceChart:
             t_range,
             U=chart.U,
             clamp=chart.clamped,
+            domain=chart.admits,
         )
 
     @classmethod
@@ -124,9 +143,12 @@ class SurfaceChart:
         t_range: tuple[float, float],
         U: Optional[SmoothFunction] = None,
         clamp: Optional[Callable] = None,
+        domain: Optional[Callable] = None,
     ) -> "SurfaceChart":
         """The chart with theta = t: theta0 = 0 and m = 1."""
-        return cls(space, xi1, xi2, _no_gauge, 1.0, a, u_range, t_range, U=U, clamp=clamp)
+        return cls(
+            space, xi1, xi2, _no_gauge, 1.0, a, u_range, t_range, U=U, clamp=clamp, domain=domain
+        )
 
     @classmethod
     def from_profile(
@@ -202,8 +224,9 @@ def _fit_rows(chart: SurfaceChart, us: np.ndarray) -> tuple[list, list]:
     All rows are one query per component.  A batch the chart raises a
     BcvHelixError on is split, down to single rows, so only the rows whose
     own evaluation raises are left out: into its first row, its last row
-    and the two halves of the rest.  Rows at the ends of a mesh fail most
-    (their stencils leave the domain), and this splits them off at once."""
+    and the two halves of the rest.  For a chart without a domain
+    predicate, rows at the ends of a mesh fail most (their stencils leave
+    the domain), and this splits them off at once."""
     n = len(us)
     try:
         columns = _profile_columns(chart, us.ravel())
@@ -221,52 +244,157 @@ def _fit_rows(chart: SurfaceChart, us: np.ndarray) -> tuple[list, list]:
     return kept, [np.concatenate(c) for c in zip(*columns)]
 
 
+# The oracle's difference stencils: for each, the tolerance that gives its
+# start step h, and the (u, t) offsets, in units of h, of the points its
+# difference quotient d(h) reads; ``richardson`` reads d(h), then d(h/2).
+# The quotients are written out in _first_order, _second_u and _geometry.
+_STENCILS = {
+    "u": ("fd_first", np.array([(1.0, 0.0), (-1.0, 0.0)])),
+    "t": ("fd_first", np.array([(0.0, 1.0), (0.0, -1.0)])),
+    "uu": ("fd_second", np.array([(1.0, 0.0), (0.0, 0.0), (-1.0, 0.0)])),
+    "tt": ("fd_second", np.array([(0.0, 1.0), (0.0, 0.0), (0.0, -1.0)])),
+    "ut": ("fd_second", np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])),
+}
+_ORDERS = {1: ("u", "t"), 2: tuple(_STENCILS)}  # the stencils of derivatives up to order 1, 2
+
+
+def _start_steps(tol: Tolerances, order: int) -> dict:
+    """The stencils of the derivatives up to ``order`` (1 or 2), each with
+    its default start step."""
+    return {name: getattr(tol, _STENCILS[name][0]) for name in _ORDERS[order]}
+
+
+@functools.lru_cache(maxsize=256)
+def _ladder(name: str, h: float, h_min: Optional[float] = None):
+    """The steps of the stencil ``name`` from h, ``halving_steps(h,
+    h_min)``, and the (s, dt) offsets it reads from each: (steps, reads),
+    reads of shape (len(steps), reads, 2), those of d(h), then those of
+    d(h/2).  Read-only."""
+    hs = np.array(list(halving_steps(h, h_min)))
+    reads = np.stack([hs, 0.5 * hs], axis=1)[:, :, None, None] * _STENCILS[name][1]
+    reads = reads.reshape(len(hs), -1, 2)
+    hs.flags.writeable = reads.flags.writeable = False
+    return hs, reads
+
+
+def _unmoved(chart: SurfaceChart, us, moved: np.ndarray) -> np.ndarray:
+    """Where the chart reads an abscissa ``moved`` off u (inside its domain)
+    at u itself, also through its ``clamp``."""
+    read = moved if chart.clamp is None else chart.clamp(moved.ravel()).reshape(moved.shape)
+    return read == us
+
+
+def _t_unmoved(ts: np.ndarray, dt):
+    """Whether a nonzero t-offset dt leaves some t unchanged: a bool for a
+    float dt, one per element for a 1-D array of them."""
+    if isinstance(dt, np.ndarray):
+        # t + dt == t needs |dt| <= ulp(t) / 2, and no finite t has a larger
+        # ulp than the largest |t|: only such dt (all, if some t is not
+        # finite) are added
+        out = (dt != 0.0) & ~(np.abs(dt) > 0.5 * np.spacing(np.abs(ts).max(initial=0.0)))
+        out[out] = (ts + dt[out, None] == ts).any(axis=1)
+        return out
+    return dt != 0.0 and bool((ts + dt == ts).any())
+
+
+def _readable(chart: SurfaceChart, us: np.ndarray, ts: np.ndarray, reads: np.ndarray) -> np.ndarray:
+    """Whether a stencil on row u of us can read each (s, dt) of ``reads``
+    (shape (n, 2)), shape (len(us), n): u + s is inside the chart's domain
+    (its ``domain`` predicate), a nonzero s moves u where the chart reads
+    it, and a nonzero dt moves every t.  Where one of these fails, a
+    one-row stencil fails at that read."""
+    s, dt = reads.T
+    grid = us[:, None] + s
+    ok = chart.domain(grid) & ~_t_unmoved(ts, dt)
+    away = ok & (s != 0.0)
+    ok[away] = ~_unmoved(chart, np.broadcast_to(us[:, None], grid.shape)[away], grid[away])
+    return ok
+
+
+def _settle(chart: SurfaceChart, us: np.ndarray, ts: np.ndarray, tol: Tolerances, order: int):
+    """The rows of us grouped by the steps their stencils start at, as a list
+    of (steps, rows): ``steps`` maps each stencil of the derivatives up to
+    ``order`` to its settled step, and is None for the rows where some
+    stencil has none.  No chart query is made; needs the chart's domain
+    predicate.
+
+    A stencil's settled step is the first of ``halving_steps`` from its
+    default at which ``_readable`` admits every read of d(h) and d(h/2).
+    That is the step where a one-row ``richardson`` stops, unless the chart
+    raises inside its domain there.  All rows are screened at the default
+    steps at once; only the rows that fail are walked down the steps."""
+    start = _start_steps(tol, order)
+    reads = np.concatenate([_ladder(name, h)[1][0] for name, h in start.items()])
+    clear = _readable(chart, us, ts, reads).all(axis=1)
+    if clear.all():
+        return [(start, np.arange(len(us)))]
+    groups = [(start, np.flatnonzero(clear))] if clear.any() else []
+    rest = np.flatnonzero(~clear)
+    ladders = [_ladder(name, h, tol.fd_min) for name, h in start.items()]
+    ok = _readable(chart, us[rest], ts, np.concatenate([r.reshape(-1, 2) for _, r in ladders]))
+    found = np.ones(len(rest), dtype=bool)
+    settled, col = np.empty((len(rest), len(start))), 0
+    for j, (hs, reads) in enumerate(ladders):
+        n = reads.shape[1]
+        fits = ok[:, col : col + len(hs) * n].reshape(len(rest), len(hs), n).all(axis=2)
+        col += len(hs) * n
+        found &= fits.any(axis=1)
+        settled[:, j] = hs[fits.argmax(axis=1)]
+    by_steps: dict = {}
+    for i, hit, row in zip(rest.tolist(), found.tolist(), settled.tolist()):
+        by_steps.setdefault(tuple(row) if hit else None, []).append(i)
+    return groups + [
+        (None if key is None else dict(zip(start, key)), np.array(rows))
+        for key, rows in by_steps.items()
+    ]
+
+
 class _RowPoints:
     """Chart points of a set of mesh rows, with a cache local to one kernel call.
 
-    Calling it with (s, dt) gives the stacked (rows * nt, 3) array of the
-    points at (u + s, ts + dt), row after row: one ``embed`` over all rows.
-    The chart's profile is evaluated once per row and abscissa u + s (u
-    itself at s = 0) and kept for every t-offset.  ``fit`` evaluates the
-    abscissae of the default stencils of the derivatives up to ``order``
-    (1 or 2), 5 for order 1 and 9 for order 2, of all rows in one query per
-    component.  Any other abscissa (a stencil shrunk at a domain edge) is
-    evaluated on request, for all rows in one query per component.  A
-    nonzero offset that leaves some u unchanged where the chart reads it
-    (also through its ``clamp``), or some t unchanged, does not fit: it
-    raises StencilOutOfDomain, so a shrinking stencil keeps shrinking, and
-    ``fit`` leaves such a row to be measured alone.
+    ``steps`` maps each stencil measured on the rows (a name of
+    ``_STENCILS``) to the step it starts at; ``offsets`` are the distinct
+    u-offsets it reads there, 0 first.  Calling it with (s, dt) gives the
+    stacked (rows * nt, 3) array of the points at (u + s, ts + dt), row
+    after row: one ``embed`` over all rows.  The chart's profile is
+    evaluated once per row and abscissa u + s (u itself at s = 0) and kept
+    for every t-offset.  ``fit`` evaluates every abscissa in ``offsets`` of
+    all rows in one query per component (9 for the default order-2
+    stencils, 5 for order 1).  Any other abscissa (a stencil shrunk below
+    its start step) is evaluated on request, for all rows in one query per
+    component.  A nonzero offset that leaves some u unchanged where the
+    chart reads it (also through its ``clamp``), or some t unchanged, does
+    not fit: it raises StencilOutOfDomain, so a shrinking stencil keeps
+    shrinking.  ``fit`` leaves such a row to be measured alone; for a chart
+    with a domain predicate ``_settle`` has already kept it out.
     """
 
-    def __init__(self, chart: SurfaceChart, us, ts: np.ndarray, tol: Tolerances, order: int = 2):
+    def __init__(self, chart: SurfaceChart, us, ts: np.ndarray, steps: dict):
         self.chart = chart
         self.us = np.array(us, dtype=float)
         self.ts = ts
         self.nt = len(ts)
-        steps = (tol.fd_second, 0.5 * tol.fd_second) if order == 2 else ()
-        steps += (tol.fd_first, 0.5 * tol.fd_first)
-        self.offsets = list(dict.fromkeys([0.0] + [s for h in steps for s in (h, -h)]))
+        self.steps = steps
+        reads = [s for name, h in steps.items() for s in _ladder(name, h)[1][0, :, 0].tolist()]
+        self.offsets = list(dict.fromkeys([0.0] + reads))
         self._profiles: dict = {}  # s -> (theta0, xi1, xi2), each of shape (rows, 1)
         self._points: dict = {}
 
     def _abscissae(self, s: float) -> np.ndarray:
         return self.us if s == 0.0 else self.us + s
 
-    def _unmoved(self, us: np.ndarray, moved: np.ndarray) -> np.ndarray:
-        # where the chart reads an abscissa moved off u at u itself
-        return (moved if self.chart.clamp is None else self.chart.clamp(moved)) == us
-
     def _keep(self, s: float, columns) -> None:
         self._profiles[s] = [column[:, None] for column in columns]
 
     def fit(self) -> tuple[list, list]:
-        """Evaluate the profile at every default abscissa of every row and
-        keep only the rows where that succeeded and every offset moved u:
+        """Evaluate the profile at every abscissa in ``offsets`` of every row
+        and keep only the rows where that succeeded and every offset moved u:
         (kept, left) indices into the rows given."""
         grid = np.stack([self._abscissae(s) for s in self.offsets], axis=1)
         kept, columns = _fit_rows(self.chart, grid)
-        fits = ~self._unmoved(grid[kept, :1], grid[kept, 1:]).any(axis=1)  # offsets[0] is 0
-        kept, columns = np.array(kept, dtype=int)[fits].tolist(), [c[fits] for c in columns]
+        if self.chart.domain is None:  # settled rows move u at every offset (``_settle``)
+            fits = ~_unmoved(self.chart, grid[kept, :1], grid[kept, 1:]).any(axis=1)  # offsets[0] is 0
+            kept, columns = np.array(kept, dtype=int)[fits].tolist(), [c[fits] for c in columns]
         left = sorted(set(range(len(self.us))) - set(kept))
         self.us = self.us[kept]
         for j, s in enumerate(self.offsets):
@@ -276,14 +404,14 @@ class _RowPoints:
     def __call__(self, s: float = 0.0, dt: float = 0.0) -> np.ndarray:
         pts = self._points.get((s, dt))
         if pts is None:
-            t = self.ts if dt == 0.0 else self.ts + dt
             if s not in self._profiles:
                 moved = self._abscissae(s)
-                if s != 0.0 and self._unmoved(self.us, moved).any():
+                if s != 0.0 and _unmoved(self.chart, self.us, moved).any():
                     raise StencilOutOfDomain(f"stencil offset s={s} leaves u unchanged")
                 self._keep(s, _profile_columns(self.chart, moved))
-            if dt != 0.0 and (t == self.ts).any():
+            if _t_unmoved(self.ts, dt):
                 raise StencilOutOfDomain(f"stencil offset dt={dt} leaves t unchanged")
+            t = self.ts if dt == 0.0 else self.ts + dt
             pts = self._points[s, dt] = self.chart.embed(*self._profiles[s], t).reshape(-1, 3)
         return pts
 
@@ -343,8 +471,8 @@ def _first_order(space: BcvSpace, at: _RowPoints, tol: Tolerances):
     in ``errors`` (None elsewhere).
     """
     errors: list = [None] * (len(at.us) * at.nt)
-    psi_u = richardson(lambda s: (at(s) - at(-s)) / (2.0 * s), tol.fd_first, tol.fd_min)
-    psi_t = richardson(lambda s: (at(0.0, s) - at(0.0, -s)) / (2.0 * s), tol.fd_first, tol.fd_min)
+    psi_u = richardson(lambda s: (at(s) - at(-s)) / (2.0 * s), at.steps["u"], tol.fd_min)
+    psi_t = richardson(lambda s: (at(0.0, s) - at(0.0, -s)) / (2.0 * s), at.steps["t"], tol.fd_min)
     g = _pointwise(lambda p: metric_cartesian(space, p, tol), at(), errors, (3, 3), at.nt)
     forms = (_quad_form(psi_u, g, psi_u), _quad_form(psi_u, g, psi_t), _quad_form(psi_t, g, psi_t))
     return (psi_u, psi_t, g) + forms, errors
@@ -399,7 +527,7 @@ def _normal(psi_u: np.ndarray, psi_t: np.ndarray, g: np.ndarray, sign: float):
 def _second_u(at: _RowPoints, fc: np.ndarray, tol: Tolerances) -> np.ndarray:
     """psi_uu at every vertex; raises StencilOutOfDomain if the u-stencil
     cannot fit (psi_ut shares its u-offsets, psi_tt has none)."""
-    return richardson(lambda s: (at(s) - 2.0 * fc + at(-s)) / (s * s), tol.fd_second, tol.fd_min)
+    return richardson(lambda s: (at(s) - 2.0 * fc + at(-s)) / (s * s), at.steps["uu"], tol.fd_min)
 
 
 def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
@@ -422,11 +550,11 @@ def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
     fc = at()
     psi_uu = _second_u(at, fc, tol)
     psi_tt = richardson(
-        lambda s: (at(0.0, s) - 2.0 * fc + at(0.0, -s)) / (s * s), tol.fd_second, tol.fd_min
+        lambda s: (at(0.0, s) - 2.0 * fc + at(0.0, -s)) / (s * s), at.steps["tt"], tol.fd_min
     )
     psi_ut = richardson(
         lambda h: (at(h, h) - at(h, -h) - at(-h, h) + at(-h, -h)) / (4.0 * h * h),
-        tol.fd_second,
+        at.steps["ut"],
         tol.fd_min,
     )
     gamma = _pointwise(lambda p: christoffels(space, p, tol=tol), fc, errors, (3, 3, 3), nt)
@@ -452,7 +580,7 @@ def _row_geometry(
     space: BcvSpace, chart: SurfaceChart, u: float, ts: np.ndarray, tol: Tolerances, sign: float
 ) -> LocalGeometry:
     """``local_geometry`` of the one row u; raises if its stencil cannot fit."""
-    values, errors = _geometry(space, _RowPoints(chart, (u,), ts, tol), tol, sign)
+    values, errors = _geometry(space, _RowPoints(chart, (u,), ts, _start_steps(tol, 2)), tol, sign)
     return LocalGeometry(*values, tuple(errors))
 
 
@@ -461,28 +589,44 @@ def _by_rows(measure, order: int, shapes: tuple, chart: SurfaceChart, us, ts, to
     values as arrays of shape (len(us), nt) + shape, one per entry of
     ``shapes``, and its errors as one tuple per row.
 
-    The rows where the chart evaluates at every default stencil abscissa
-    are measured in one call.  Each other row is measured alone, its stencil
-    shrinking at the domain edge as in a one-row call; a row that still
-    cannot fit holds that error on every vertex, with NaN values.
+    The rows where the chart's domain clears every default stencil read
+    are measured in one call.  The other rows are settled (``_settle``):
+    the rows whose stencils start at the same steps are measured in one
+    call with those steps, and a row where some stencil has no step holds
+    its one-row error, StencilOutOfDomain, on every vertex with NaN values,
+    without an evaluation.  Each row whose evaluation still raises, and
+    each row of a chart without a domain predicate whose default stencil
+    cannot be read, is measured alone, its stencils shrinking as in a
+    one-row call; if one still cannot fit, the row holds that error.
     """
     nt = len(ts)
     values = [np.full((len(us), nt) + shape, np.nan) for shape in shapes]
     errors: list = [None] * len(us)
 
-    def put(rows: list, got: tuple, errs: list):
+    def put(rows, got: tuple, errs: list):
         for out, value in zip(values, got):
             out[rows] = value.reshape((len(rows), nt) + value.shape[1:])
         for k, i in enumerate(rows):
             errors[i] = tuple(errs[k * nt : (k + 1) * nt])
 
-    at = _RowPoints(chart, us, ts, tol, order)
-    kept, left = at.fit()
-    if kept:
-        put(kept, *measure(at))
-    for i in left:
+    left: list = []
+    if chart.domain is None:
+        groups = [(_start_steps(tol, order), np.arange(len(us)))]
+    else:
+        groups = _settle(chart, us, ts, tol, order)
+    for steps, rows in groups:
+        if steps is None:
+            for i in rows.tolist():
+                errors[i] = (stencil_misfit(tol.fd_min),) * nt
+            continue
+        at = _RowPoints(chart, us[rows], ts, steps)
+        kept, fell = at.fit()
+        if kept:
+            put(rows[kept], *measure(at))
+        left += rows[fell].tolist()
+    for i in sorted(left):
         try:
-            put([i], *measure(_RowPoints(chart, us[i : i + 1], ts, tol, order)))
+            put([i], *measure(_RowPoints(chart, us[i : i + 1], ts, _start_steps(tol, order))))
         except BcvHelixError as exc:
             errors[i] = (_untraced(exc),) * nt
     return values, tuple(errors)
@@ -502,7 +646,7 @@ def _orientation(space: BcvSpace, chart: SurfaceChart, tol: Tolerances) -> float
     sign = 1.0
     for frac in (0.5, 0.35, 0.65, 0.25, 0.75, 0.45, 0.55):
         u = lo + (hi - lo) * frac
-        at = _RowPoints(chart, (u,), np.array([t_ref]), tol)
+        at = _RowPoints(chart, (u,), np.array([t_ref]), _start_steps(tol, 2))
         try:
             (psi_u, psi_t, g, *_), _ = _first_order(space, at, tol)
             n = _normal(psi_u, psi_t, g, 1.0)[0][0]
@@ -543,8 +687,13 @@ def local_geometry(
     per vertex in the same order as for one row.
 
     A stencil that cannot fit the domain raises for one row u.  In an
-    array, such a row is measured alone, shrinking its stencil as one row
-    would, and if it still cannot fit it holds that error on every vertex.
+    array, the rows whose default stencils leave the chart's domain are
+    settled from its domain predicate (``_settle``) and measured in batches
+    from the steps a one-row call would stop at, with its values bit for
+    bit; a row that cannot fit holds the one-row error on every vertex.  A
+    row whose evaluation raises inside the domain, or any such row of a
+    chart without a domain predicate, is still measured alone, shrinking
+    its stencils as one row would.
     A vertex whose metric or Christoffel stencil leaves the domain, or whose
     immersion degenerates, is NaN with its error in ``errors``.
     """

@@ -118,6 +118,32 @@ class TestXi2Theta:
             expected = [getattr(scalar, name)(u) for u in us.tolist()]
             assert values.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
+    def test_every_component_reads_the_clamped_abscissa(self):
+        # within 1e-12 beyond u_valid a chart point is built from one
+        # abscissa, the end of u_valid, for every component and derivative
+        chart = build_chart(NIL, nil_seed())
+        for end, beyond in zip(chart.u_valid, (-5e-13, 5e-13)):
+            for name in ("xi1", "dxi1", "xi2", "dxi2", "theta0"):
+                f = getattr(chart, name)
+                assert f(end + beyond) == f(end), name
+            for name in ("xi1", "xi2", "theta0"):
+                column = getattr(chart, name)(np.array([end, end + beyond]))
+                assert column[0] == column[1], name
+
+    def test_admits_is_the_domain_check(self):
+        # the chart evaluates exactly where its domain predicate says so
+        chart = build_chart(NIL, nil_seed())
+        us = np.array([e + d for e in chart.u_valid for d in (-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12)])
+        evaluates = []
+        for u in us.tolist():
+            try:
+                chart.xi1(u)
+                evaluates.append(True)
+            except bcvhelix.DomainError:
+                evaluates.append(False)
+        assert chart.admits(us).tolist() == evaluates == [chart.admits(u) for u in us.tolist()]
+        assert 0 < sum(evaluates) < len(us)
+
     def test_helicoid_degenerate_radicand(self, helicoid_chart):
         for u in (-2.0, -0.5, 0.3, 1.7):
             assert helicoid_chart.xi2(u) == 0.0

@@ -294,6 +294,50 @@ class TestE16Rows:
         cli.write_obj(str(tmp_path / "m.obj"), mesh)
         assert (tmp_path / "m.obj").read_bytes() == b"\n"
 
+class TestIntRows:
+    """The OBJ writer's face kernel gives the bytes of "%d" per value."""
+
+    def test_values_of_every_width(self):
+        rng = np.random.default_rng(17)
+        edges = [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10_000, 99_999, 100_000, 10**8, 10**16 - 1]
+        values = np.concatenate([edges, rng.integers(0, 10 ** rng.integers(1, 17, 3000))])
+        for cols, prefix in ((3, "f "), (2, ""), (1, "index ")):
+            table = values[: len(values) // cols * cols].reshape(-1, cols)
+            expected = "".join(prefix + " ".join("%d" % v for v in row) + "\n" for row in table.tolist())
+            assert cli._int_rows(table, prefix) == expected
+        assert cli._int_rows(np.empty((0, 3), dtype=np.int64), "f ") == ""
+
+    def test_obj_faces_with_nan_rows(self, tmp_path):
+        # 101,905 kept vertices, so the face indices have 1 to 6 digits; the NaN
+        # rows and vertex drop their faces and renumber the rest
+        nu, nt = 410, 251
+        vertices = np.random.default_rng(18).standard_normal((nu * nt, 3))
+        for i in (0, 7, 8, nu - 1):
+            vertices[i * nt : (i + 1) * nt] = math.nan
+        vertices[200 * nt + 100, 1] = math.nan
+        mesh = MeshGrid(
+            nu=nu, nt=nt, us=np.linspace(0.0, 1.0, nu), ts=np.linspace(0.0, 1.0, nt),
+            vertices=vertices, h_ext=np.zeros(nu * nt), gauss=np.zeros(nu * nt),
+            residual=np.zeros(nu * nt),
+        )
+        cli.write_obj(str(tmp_path / "m.obj"), mesh)
+        number, kept = {}, 0
+        for k, vertex in enumerate(vertices.tolist()):
+            if not any(map(math.isnan, vertex)):
+                kept += 1
+                number[k] = kept
+        faces = []
+        for i in range(nu - 1):
+            for j in range(nt - 1):
+                quad = (i * nt + j, (i + 1) * nt + j, (i + 1) * nt + j + 1, i * nt + j + 1)
+                if all(k in number for k in quad):
+                    a, b, c, d = (number[k] for k in quad)
+                    faces.append("f %d %d %d\nf %d %d %d\n" % (a, b, c, a, c, d))
+        text = (tmp_path / "m.obj").read_text()
+        assert text.count("v ") == kept > 100_000
+        assert text[text.index("f ") :] == "".join(faces)
+
+
 class TestDiagnosticFailures:
     def test_counts_every_nan_h_ext_outside_dropped_rows(self, tmp_path):
         cfg = json.loads((CONFIG_DIR / "euclidean_cmc.json").read_text())

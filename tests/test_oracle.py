@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -400,6 +401,185 @@ class TestLocalGeometry:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def assert_row_is_one_row_call(space, chart, batch, i, u, ts, tol=DEFAULT_TOL) -> bool:
+    """Row i of an array ``local_geometry`` is the one-row call at u: its
+    values and errors, or, where that raises StencilOutOfDomain, the same
+    error on every vertex and NaN fields.  True where the row fits."""
+    try:
+        row = local_geometry(space, chart, u, ts, tol)
+    except StencilOutOfDomain as one:
+        assert [(type(e), str(e)) for e in batch.errors[i]] == [
+            (StencilOutOfDomain, str(one))
+        ] * len(ts)
+        for name in FIELDS:
+            assert np.all(np.isnan(getattr(batch, name)[i])), name
+        return False
+    assert_row_is(batch, i, row)
+    return True
+
+
+def edge_rows(u_valid, tol=DEFAULT_TOL):
+    """Rows at offsets from both ends of u_valid where a settled stencil
+    step and the one-row halving could part: on the end, inside the 1e-12
+    band, at fd_min and at shared_grid's 1e-6 margin, and 2e-12 and 5e-13
+    on either side of a step (a stencil that reaches past the end lands
+    beyond or inside the band), plus a few interior rows."""
+    near = [0.0, 1e-13, 1e-9, tol.fd_min, 1e-6]
+    for h in (tol.fd_first, tol.fd_first / 2**5, tol.fd_first / 2**9, tol.fd_second):
+        near += [h + d for d in (-2e-12, -5e-13, 5e-13, 2e-12)]
+    lo, hi = u_valid
+    inner = np.linspace(lo, hi, 7)[1:-1]
+    return np.concatenate([[lo + d for d in near], inner, [hi - d for d in near]])
+
+
+def settle_chart(which):
+    """(job, surface) of a deform frame of a shipped config at a = 0.25, or
+    of a benchmark family; the surface spans the chart's u_valid."""
+    if which == "shipped-heisenberg_minimal":
+        cfg = json.loads((CONFIG_DIR / "heisenberg_minimal.json").read_text())
+        job = cli.parse_config(cfg, "deform")
+        chart = cli.make_chart(job, *cli.resolve_profile(job), a=0.25)[0]
+    else:
+        (config, pitches), = [p.values for p in FAMILIES if p.id == which]
+        job, _, (chart,) = _charts(config, pitches[:1])
+    return job, cli._surface(job, chart)
+
+
+SETTLE_CHARTS = ["shipped-heisenberg_minimal", "verify-cmc-space-form-generic", "verify-minimal-SU2"]
+
+
+class TestSettle:
+    """Rows whose default stencils leave the chart's domain are settled from
+    its domain predicate, without a chart query, and measured in batches
+    that equal the one-row calls bit for bit."""
+
+    @pytest.mark.parametrize(
+        "which, fd_min, far_t",
+        [(which, None, None) for which in SETTLE_CHARTS]
+        + [(SETTLE_CHARTS[0], 1e-300, None), (SETTLE_CHARTS[0], 1e-300, 2e4)],
+    )
+    def test_edge_rows_equal_one_row_calls(self, which, fd_min, far_t):
+        # with fd_min = 1e-300 the stencils shrink until a u-offset lands in
+        # the 1e-12 band, where the chart reads u back at the end of
+        # u_valid, or a t-offset rounds away at t = 2e4
+        job, sc = settle_chart(which)
+        us, ts = edge_rows(sc.u_range, job.tol), np.linspace(*job.t_range, 5)
+        tol = job.tol if fd_min is None else dataclasses.replace(job.tol, fd_min=fd_min)
+        if far_t is not None:
+            ts = np.append(ts, far_t)
+        groups = oracle._settle(sc, us, ts, tol, 2)
+        # rows at the default steps, rows at shrunk steps, and rows with none
+        assert len(groups) >= 3 and any(steps is None for steps, _ in groups)
+        batch = local_geometry(job.space, sc, us, ts, tol)
+        fits = [
+            assert_row_is_one_row_call(job.space, sc, batch, i, u, ts, tol)
+            for i, u in enumerate(us.tolist())
+        ]
+        assert 0 < fits.count(False) < len(us)
+
+    @pytest.mark.parametrize("which", SETTLE_CHARTS)
+    def test_edge_rows_equal_one_row_first_forms(self, which):
+        # the one-row first form halves its stencils from the defaults; a
+        # row that cannot fit raises the same error in first_form_grid
+        job, sc = settle_chart(which)
+        us, ts = edge_rows(sc.u_range, job.tol), np.linspace(*job.t_range, 5)
+        fitting, want = [], []
+        for u in us.tolist():
+            at = oracle._RowPoints(sc, [u], ts, oracle._start_steps(job.tol, 1))
+            try:
+                (*_, E, F, G), errors = oracle._first_order(job.space, at, job.tol)
+            except StencilOutOfDomain as one:
+                with pytest.raises(StencilOutOfDomain) as alone:
+                    first_form_grid(job.space, sc, [u], ts, job.tol)
+                assert str(alone.value) == str(one)
+                continue
+            assert not any(errors)
+            fitting.append(u)
+            want.append(np.stack([E, F, G], axis=-1))
+        assert 0 < len(fitting) < len(us)
+        grid = first_form_grid(job.space, sc, np.array(fitting), ts, job.tol)
+        assert grid.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+    def test_t_offsets_screened_as_they_are_added(self):
+        # the settle's array check of t-offsets skips those larger than half
+        # the largest t's ulp: it still says what adding them says, at the
+        # rounding ties of t's with even and odd last bits
+        ts = np.array([2.0, np.nextafter(2.0, 3.0), -3.0, 1e4, 0.0, 2e4])
+        half_ulps = np.spacing(np.abs(ts)) / 2
+        dts = np.concatenate([half_ulps, np.nextafter(half_ulps, 1.0), half_ulps / 2, [0.0, 1e-3]])
+        dts = np.concatenate([dts, -dts])
+        want = [oracle._t_unmoved(ts, dt) for dt in dts.tolist()]
+        assert oracle._t_unmoved(ts, dts).tolist() == want
+        assert 0 < sum(want) < len(want)
+
+    def test_shipped_frame_measures_no_row_alone(self, monkeypatch):
+        # the deform frame of the shipped heisenberg_minimal config at a =
+        # 0.25: its mesh and its first-form grid make no chart query that
+        # raises, and every row set is measured as a fitted batch
+        job, sc = settle_chart("shipped-heisenberg_minimal")
+        oracle._orientation(job.space, sc, job.tol)  # the chart's orientation, once
+        raised, built = Counter(), []
+        for name in ("xi1", "xi2", "theta0"):
+
+            def counted(self, u, real=getattr(NaturalChart, name), name=name):
+                try:
+                    return real(self, u)
+                except BcvHelixError:
+                    raised[name] += 1
+                    raise
+
+            monkeypatch.setattr(NaturalChart, name, counted)
+
+        class Recorded(oracle._RowPoints):
+            fitted = False
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+            def fit(self):
+                self.fitted = True
+                return super().fit()
+
+        monkeypatch.setattr(oracle, "_RowPoints", Recorded)
+        mesh = sample_mesh(job.space, sc, job.nu, job.nt, job.tol)
+        grid = first_form_grid(job.space, sc, *shared_grid(sc, sc), job.tol)
+        assert not raised
+        assert built and all(at.fitted for at in built)
+        # the mesh's end rows have no step; the shared grid's end rows fit
+        # with a shrunk u-stencil
+        assert mesh.diagnostic_failures == {"StencilOutOfDomain": 2 * job.nt}
+        assert np.isfinite(grid).all()
+
+    def test_refusal_inside_the_domain_falls_back_to_one_row_calls(self, nil_catenoid_chart):
+        # xi1 refuses u near one interior row and near an abscissa of an edge
+        # row's settled u-stencil, while the chart keeps its domain
+        # predicate: the batches that query there raise, are split, and
+        # their rows are measured as one-row calls measure them
+        chart, tol = nil_catenoid_chart, DEFAULT_TOL
+        lo, hi = chart.u_valid
+        ts = np.linspace(-math.pi, math.pi, 5)
+        edge = hi - 1e-6
+        us = np.concatenate([np.linspace(lo, hi, 11), [lo + 1e-6, edge]])
+        natural = SurfaceChart.from_natural(chart)
+        ((steps, _),) = oracle._settle(natural, np.array([edge]), ts, tol, 2)
+        assert steps["u"] < tol.fd_first
+        refused = np.array([us[4], edge - steps["u"]])
+
+        def xi1(u):
+            if np.any(np.abs(np.subtract.outer(np.asarray(u), refused)) < 1e-9):
+                raise DomainError(f"xi1 refused at u={u}")
+            return chart.xi1(u)
+
+        sc = SurfaceChart(NIL, xi1, chart.xi2, chart.theta0, chart.m, chart.a, chart.u_valid,
+                          (-math.pi, math.pi), U=chart.U, clamp=chart.clamped, domain=chart.admits)
+        batch = local_geometry(NIL, sc, us, ts, tol)
+        fits = [assert_row_is_one_row_call(NIL, sc, batch, i, u, ts, tol) for i, u in enumerate(us.tolist())]
+        # the refused row and the ends of u_valid cannot fit; the edge row
+        # fits one step further down
+        assert [i for i, fit in enumerate(fits) if not fit] == [0, 4, 10]
 
 
 class TestGauss:
