@@ -44,6 +44,7 @@ from .spaces import (
 from .orbit import (
     HelicoidalAction,
     ProfileCurve,
+    ProfileDomain,
     arclength_residual,
     geodesic_curvature,
     induced_metric,

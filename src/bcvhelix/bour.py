@@ -29,7 +29,7 @@ path, and a point the array pass fails is evaluated again on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,7 +53,7 @@ from .numerics import (
     Tolerances,
     scan_interval,
 )
-from .orbit import HelicoidalAction, ProfileCurve, volume_omega
+from .orbit import HelicoidalAction, ProfileCurve, ProfileDomain, volume_omega
 from .spaces import BcvSpace
 
 __all__ = [
@@ -330,9 +330,9 @@ class NaturalChart:
     xi2 and theta0 are quadrature-backed antiderivatives vanishing at u0;
     theta(u, t) = t/m + theta0(u).  xi1, xi2 and theta0 take a float u, or
     a 1-D array of u and return the column of values in one array query,
-    each element bit for bit the float query's.  The chart evaluates where
-    ``admits`` holds, u within 1e-12 of u_valid, and every component reads
-    such a u clamped into u_valid.  Immutable after construction;
+    each element bit for bit the float query's.  The chart evaluates at the
+    u its ``domain`` admits, u within 1e-12 of u_valid, and every component
+    reads such a u clamped into u_valid.  Immutable after construction;
     evaluation is reentrant.
     """
 
@@ -345,16 +345,14 @@ class NaturalChart:
     _xi2_quad: CumulativeQuadrature
     _theta0_quad: CumulativeQuadrature
     _xi2_integrand: Callable[[float], float]
+    domain: ProfileDomain = field(init=False, repr=False)
 
-    def admits(self, u):
-        """Whether the chart evaluates at u: u within 1e-12 of u_valid.  A
-        bool at a float u, an array of them at a 1-D array."""
-        lo, hi = self.u_valid
-        return (lo - 1e-12 <= u) & (u <= hi + 1e-12)
+    def __post_init__(self):
+        self.domain = ProfileDomain(*self.u_valid, clamps=True)
 
     def _check(self, u):
         # raises at the first u the chart does not admit, scalar or 1-D array
-        inside = self.admits(u)
+        inside = self.domain.admits(u)
         if isinstance(u, np.ndarray):
             if inside.all():
                 return
@@ -368,10 +366,7 @@ class NaturalChart:
         """u checked against u_valid (within 1e-12) and clamped into it, a
         float or a 1-D array: the abscissa where every component is read."""
         self._check(u)
-        lo, hi = self.u_valid
-        if not isinstance(u, np.ndarray):
-            return min(max(u, lo), hi)
-        return np.minimum(np.maximum(u, lo), hi)
+        return self.domain.read(u)
 
     def xi1(self, u):
         """The profile radius at a float u, or its column at a 1-D array."""

@@ -652,7 +652,7 @@ def _surface(job: JobConfig, chart: NaturalChart) -> SurfaceChart:
         # raw (u, theta) parametrization of the same surface: theta0 = 0, m = 1
         return SurfaceChart.raw(
             chart.space, chart.xi1, chart.xi2, chart.a, chart.u_valid, job.t_range, U=chart.U,
-            clamp=chart.clamped, domain=chart.admits,
+            domain=chart.domain,
         )
     return SurfaceChart.from_natural(chart, t_range=job.t_range)
 

@@ -9,11 +9,12 @@ mesh rows (fixed u) at once: the chart's profile is one array query per
 component over every (row, stencil abscissa) pair, and the stencils, metric,
 Christoffels, normals and forms run once over all vertices of all rows.
 Before any chart query, each row's stencil steps are settled from the
-chart's domain predicate: the first step of each stencil's halving that
-reads inside the domain, where a one-row call would stop.  Rows with the
-same steps are measured together, and a row with none holds
-StencilOutOfDomain without an evaluation.  A row whose evaluation still
-raises is measured alone, shrinking its stencils as a one-row call does.
+chart's domain: the first step of each stencil's halving that reads inside
+it, where a one-row call would stop.  Rows with the same steps are measured
+together, and a row with none holds StencilOutOfDomain without an
+evaluation.  A row whose evaluation still raises (the chart fails inside
+its domain) is measured alone, shrinking its stencils as a one-row call
+does.
 Errors kept in results are fresh instances that were never raised, so they
 hold no traceback.
 
@@ -27,7 +28,6 @@ orientation once per chart.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,7 +49,7 @@ from .numerics import (
     richardson,
     stencil_misfit,
 )
-from .orbit import HelicoidalAction, ProfileCurve
+from .orbit import HelicoidalAction, ProfileCurve, ProfileDomain
 from .spaces import BcvSpace, christoffels, metric_cartesian
 
 __all__ = [
@@ -76,12 +76,11 @@ class SurfaceChart:
     (theta0 = 0, m = 1, so theta = t).  ``xi1``, ``xi2`` and ``theta0`` take
     a float u, or a 1-D array of u and return the column of values; a
     failure raises a BcvHelixError.  ``U`` is carried when known so
-    intrinsic diagnostics can refer to the metric profile.  ``domain``, when
-    known, says where the chart evaluates: True at the u (float or array)
-    its own domain check admits, so the oracle can settle a stencil without
-    a query that raises.  ``clamp`` maps the u of a query to the abscissa
-    the chart reads it at, where that is not u itself (a natural chart
-    admits u within 1e-12 of u_valid and clamps it into it).
+    intrinsic diagnostics can refer to the metric profile.  ``domain`` is
+    the ProfileDomain of the u the chart evaluates at and of the abscissa
+    it reads each at, so the oracle can settle a stencil without a query
+    that raises; without one the chart admits every u and reads it as
+    given.
     """
 
     def __init__(
@@ -95,8 +94,7 @@ class SurfaceChart:
         u_range: tuple[float, float],
         t_range: tuple[float, float],
         U: Optional[SmoothFunction] = None,
-        clamp: Optional[Callable] = None,
-        domain: Optional[Callable] = None,
+        domain: ProfileDomain = ProfileDomain(),
     ):
         self.space = space
         self.xi1 = xi1
@@ -107,7 +105,6 @@ class SurfaceChart:
         self.u_range = u_range
         self.t_range = t_range
         self.U = U
-        self.clamp = clamp
         self.domain = domain
         self._orient: Optional[float] = None
 
@@ -128,8 +125,7 @@ class SurfaceChart:
             u_range if u_range is not None else chart.u_valid,
             t_range,
             U=chart.U,
-            clamp=chart.clamped,
-            domain=chart.admits,
+            domain=chart.domain,
         )
 
     @classmethod
@@ -142,13 +138,10 @@ class SurfaceChart:
         u_range: tuple[float, float],
         t_range: tuple[float, float],
         U: Optional[SmoothFunction] = None,
-        clamp: Optional[Callable] = None,
-        domain: Optional[Callable] = None,
+        domain: ProfileDomain = ProfileDomain(),
     ) -> "SurfaceChart":
         """The chart with theta = t: theta0 = 0 and m = 1."""
-        return cls(
-            space, xi1, xi2, _no_gauge, 1.0, a, u_range, t_range, U=U, clamp=clamp, domain=domain
-        )
+        return cls(space, xi1, xi2, _no_gauge, 1.0, a, u_range, t_range, U=U, domain=domain)
 
     @classmethod
     def from_profile(
@@ -166,6 +159,7 @@ class SurfaceChart:
             act.a,
             u_range if u_range is not None else curve.u_range,
             t_range,
+            domain=curve.domain,
         )
 
     def profile(self, u):
@@ -224,9 +218,9 @@ def _fit_rows(chart: SurfaceChart, us: np.ndarray) -> tuple[list, list]:
     All rows are one query per component.  A batch the chart raises a
     BcvHelixError on is split, down to single rows, so only the rows whose
     own evaluation raises are left out: into its first row, its last row
-    and the two halves of the rest.  For a chart without a domain
-    predicate, rows at the ends of a mesh fail most (their stencils leave
-    the domain), and this splits them off at once."""
+    and the two halves of the rest.  Rows at the ends of a mesh fail most
+    (where a chart refuses the ends of its range), and this splits them off
+    at once."""
     n = len(us)
     try:
         columns = _profile_columns(chart, us.ravel())
@@ -255,6 +249,8 @@ _STENCILS = {
     "tt": ("fd_second", np.array([(0.0, 1.0), (0.0, 0.0), (0.0, -1.0)])),
     "ut": ("fd_second", np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])),
 }
+# each stencil's reads in units of h: those of d(h), then those of d(h/2)
+_UNIT_READS = {name: np.concatenate([d, 0.5 * d]) for name, (_, d) in _STENCILS.items()}
 _ORDERS = {1: ("u", "t"), 2: tuple(_STENCILS)}  # the stencils of derivatives up to order 1, 2
 
 
@@ -264,48 +260,36 @@ def _start_steps(tol: Tolerances, order: int) -> dict:
     return {name: getattr(tol, _STENCILS[name][0]) for name in _ORDERS[order]}
 
 
-@functools.lru_cache(maxsize=256)
-def _ladder(name: str, h: float, h_min: Optional[float] = None):
-    """The steps of the stencil ``name`` from h, ``halving_steps(h,
-    h_min)``, and the (s, dt) offsets it reads from each: (steps, reads),
-    reads of shape (len(steps), reads, 2), those of d(h), then those of
-    d(h/2).  Read-only."""
-    hs = np.array(list(halving_steps(h, h_min)))
-    reads = np.stack([hs, 0.5 * hs], axis=1)[:, :, None, None] * _STENCILS[name][1]
-    reads = reads.reshape(len(hs), -1, 2)
-    hs.flags.writeable = reads.flags.writeable = False
-    return hs, reads
+def _reads(name: str, hs) -> np.ndarray:
+    """The (s, dt) offsets the stencil ``name`` reads at each step h of hs,
+    a float or a 1-D array: those of d(h), then those of d(h/2), with shape
+    np.shape(hs) + (reads, 2)."""
+    return np.multiply.outer(hs, _UNIT_READS[name])
 
 
 def _unmoved(chart: SurfaceChart, us, moved: np.ndarray) -> np.ndarray:
     """Where the chart reads an abscissa ``moved`` off u (inside its domain)
-    at u itself, also through its ``clamp``."""
-    read = moved if chart.clamp is None else chart.clamp(moved.ravel()).reshape(moved.shape)
-    return read == us
+    at u itself."""
+    return chart.domain.read(moved) == us
 
 
 def _t_unmoved(ts: np.ndarray, dt):
     """Whether a nonzero t-offset dt leaves some t unchanged: a bool for a
     float dt, one per element for a 1-D array of them."""
     if isinstance(dt, np.ndarray):
-        # t + dt == t needs |dt| <= ulp(t) / 2, and no finite t has a larger
-        # ulp than the largest |t|: only such dt (all, if some t is not
-        # finite) are added
-        out = (dt != 0.0) & ~(np.abs(dt) > 0.5 * np.spacing(np.abs(ts).max(initial=0.0)))
-        out[out] = (ts + dt[out, None] == ts).any(axis=1)
-        return out
+        return (dt != 0.0) & (ts + dt[:, None] == ts).any(axis=1)
     return dt != 0.0 and bool((ts + dt == ts).any())
 
 
 def _readable(chart: SurfaceChart, us: np.ndarray, ts: np.ndarray, reads: np.ndarray) -> np.ndarray:
     """Whether a stencil on row u of us can read each (s, dt) of ``reads``
-    (shape (n, 2)), shape (len(us), n): u + s is inside the chart's domain
-    (its ``domain`` predicate), a nonzero s moves u where the chart reads
-    it, and a nonzero dt moves every t.  Where one of these fails, a
-    one-row stencil fails at that read."""
+    (shape (n, 2)), shape (len(us), n): u + s is inside the chart's domain,
+    a nonzero s moves u where the chart reads it, and a nonzero dt moves
+    every t.  Where one of these fails, a one-row stencil fails at that
+    read."""
     s, dt = reads.T
     grid = us[:, None] + s
-    ok = chart.domain(grid) & ~_t_unmoved(ts, dt)
+    ok = chart.domain.admits(grid) & ~_t_unmoved(ts, dt)
     away = ok & (s != 0.0)
     ok[away] = ~_unmoved(chart, np.broadcast_to(us[:, None], grid.shape)[away], grid[away])
     return ok
@@ -315,8 +299,7 @@ def _settle(chart: SurfaceChart, us: np.ndarray, ts: np.ndarray, tol: Tolerances
     """The rows of us grouped by the steps their stencils start at, as a list
     of (steps, rows): ``steps`` maps each stencil of the derivatives up to
     ``order`` to its settled step, and is None for the rows where some
-    stencil has none.  No chart query is made; needs the chart's domain
-    predicate.
+    stencil has none.  No chart query is made.
 
     A stencil's settled step is the first of ``halving_steps`` from its
     default at which ``_readable`` admits every read of d(h) and d(h/2).
@@ -324,20 +307,18 @@ def _settle(chart: SurfaceChart, us: np.ndarray, ts: np.ndarray, tol: Tolerances
     raises inside its domain there.  All rows are screened at the default
     steps at once; only the rows that fail are walked down the steps."""
     start = _start_steps(tol, order)
-    reads = np.concatenate([_ladder(name, h)[1][0] for name, h in start.items()])
+    reads = np.concatenate([_reads(name, h) for name, h in start.items()])
     clear = _readable(chart, us, ts, reads).all(axis=1)
     if clear.all():
         return [(start, np.arange(len(us)))]
     groups = [(start, np.flatnonzero(clear))] if clear.any() else []
     rest = np.flatnonzero(~clear)
-    ladders = [_ladder(name, h, tol.fd_min) for name, h in start.items()]
-    ok = _readable(chart, us[rest], ts, np.concatenate([r.reshape(-1, 2) for _, r in ladders]))
     found = np.ones(len(rest), dtype=bool)
-    settled, col = np.empty((len(rest), len(start))), 0
-    for j, (hs, reads) in enumerate(ladders):
-        n = reads.shape[1]
-        fits = ok[:, col : col + len(hs) * n].reshape(len(rest), len(hs), n).all(axis=2)
-        col += len(hs) * n
+    settled = np.empty((len(rest), len(start)))
+    for j, (name, h) in enumerate(start.items()):
+        hs = np.array(list(halving_steps(h, tol.fd_min)))
+        ok = _readable(chart, us[rest], ts, _reads(name, hs).reshape(-1, 2))
+        fits = ok.reshape(len(rest), hs.size, -1).all(axis=2)  # (rows, steps)
         found &= fits.any(axis=1)
         settled[:, j] = hs[fits.argmax(axis=1)]
     by_steps: dict = {}
@@ -363,10 +344,9 @@ class _RowPoints:
     stencils, 5 for order 1).  Any other abscissa (a stencil shrunk below
     its start step) is evaluated on request, for all rows in one query per
     component.  A nonzero offset that leaves some u unchanged where the
-    chart reads it (also through its ``clamp``), or some t unchanged, does
-    not fit: it raises StencilOutOfDomain, so a shrinking stencil keeps
-    shrinking.  ``fit`` leaves such a row to be measured alone; for a chart
-    with a domain predicate ``_settle`` has already kept it out.
+    chart reads it (its ``domain``), or some t unchanged, does not fit: it
+    raises StencilOutOfDomain, so a shrinking stencil keeps shrinking.
+    ``_settle`` keeps such rows out of a batch.
     """
 
     def __init__(self, chart: SurfaceChart, us, ts: np.ndarray, steps: dict):
@@ -375,7 +355,7 @@ class _RowPoints:
         self.ts = ts
         self.nt = len(ts)
         self.steps = steps
-        reads = [s for name, h in steps.items() for s in _ladder(name, h)[1][0, :, 0].tolist()]
+        reads = [s for name, h in steps.items() for s in _reads(name, h)[:, 0].tolist()]
         self.offsets = list(dict.fromkeys([0.0] + reads))
         self._profiles: dict = {}  # s -> (theta0, xi1, xi2), each of shape (rows, 1)
         self._points: dict = {}
@@ -388,13 +368,10 @@ class _RowPoints:
 
     def fit(self) -> tuple[list, list]:
         """Evaluate the profile at every abscissa in ``offsets`` of every row
-        and keep only the rows where that succeeded and every offset moved u:
-        (kept, left) indices into the rows given."""
+        and keep only the rows where that succeeded: (kept, left) indices into
+        the rows given."""
         grid = np.stack([self._abscissae(s) for s in self.offsets], axis=1)
         kept, columns = _fit_rows(self.chart, grid)
-        if self.chart.domain is None:  # settled rows move u at every offset (``_settle``)
-            fits = ~_unmoved(self.chart, grid[kept, :1], grid[kept, 1:]).any(axis=1)  # offsets[0] is 0
-            kept, columns = np.array(kept, dtype=int)[fits].tolist(), [c[fits] for c in columns]
         left = sorted(set(range(len(self.us))) - set(kept))
         self.us = self.us[kept]
         for j, s in enumerate(self.offsets):
@@ -594,10 +571,10 @@ def _by_rows(measure, order: int, shapes: tuple, chart: SurfaceChart, us, ts, to
     the rows whose stencils start at the same steps are measured in one
     call with those steps, and a row where some stencil has no step holds
     its one-row error, StencilOutOfDomain, on every vertex with NaN values,
-    without an evaluation.  Each row whose evaluation still raises, and
-    each row of a chart without a domain predicate whose default stencil
-    cannot be read, is measured alone, its stencils shrinking as in a
-    one-row call; if one still cannot fit, the row holds that error.
+    without an evaluation.  Each row whose evaluation still raises (the
+    chart fails inside its domain) is measured alone, its stencils
+    shrinking as in a one-row call; if one still cannot fit, the row holds
+    that error.
     """
     nt = len(ts)
     values = [np.full((len(us), nt) + shape, np.nan) for shape in shapes]
@@ -610,11 +587,7 @@ def _by_rows(measure, order: int, shapes: tuple, chart: SurfaceChart, us, ts, to
             errors[i] = tuple(errs[k * nt : (k + 1) * nt])
 
     left: list = []
-    if chart.domain is None:
-        groups = [(_start_steps(tol, order), np.arange(len(us)))]
-    else:
-        groups = _settle(chart, us, ts, tol, order)
-    for steps, rows in groups:
+    for steps, rows in _settle(chart, us, ts, tol, order):
         if steps is None:
             for i in rows.tolist():
                 errors[i] = (stencil_misfit(tol.fd_min),) * nt
@@ -688,11 +661,10 @@ def local_geometry(
 
     A stencil that cannot fit the domain raises for one row u.  In an
     array, the rows whose default stencils leave the chart's domain are
-    settled from its domain predicate (``_settle``) and measured in batches
-    from the steps a one-row call would stop at, with its values bit for
-    bit; a row that cannot fit holds the one-row error on every vertex.  A
-    row whose evaluation raises inside the domain, or any such row of a
-    chart without a domain predicate, is still measured alone, shrinking
+    settled from it (``_settle``) and measured in batches from the steps a
+    one-row call would stop at, with its values bit for bit; a row that
+    cannot fit holds the one-row error on every vertex.  A row whose
+    evaluation raises inside the domain is still measured alone, shrinking
     its stencils as one row would.
     A vertex whose metric or Christoffel stencil leaves the domain, or whose
     immersion degenerates, is NaN with its error in ``errors``.

@@ -27,6 +27,7 @@ from .spaces import BcvSpace, scaling_factor
 
 __all__ = [
     "HelicoidalAction",
+    "ProfileDomain",
     "ProfileCurve",
     "orbital_metric",
     "volume_omega",
@@ -76,10 +77,36 @@ def volume_omega(act: HelicoidalAction, xi1: float, tol: Tolerances = DEFAULT_TO
     return math.sqrt((xi1 * xi1 + w * w) / (B * B))
 
 
+@dataclass(frozen=True)
+class ProfileDomain:
+    """The u at which a profile evaluates: [lo, hi] and up to 1e-12 past
+    either end.  ``clamps`` says where such a u is read: clamped into [lo,
+    hi] (a natural chart) or at u itself (a profile curve).  The default
+    admits every u but NaN."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    clamps: bool = False
+
+    def admits(self, u):
+        """Whether u is in the domain: a bool at a float u, an array of them
+        at an array."""
+        return (self.lo - 1e-12 <= u) & (u <= self.hi + 1e-12)
+
+    def read(self, u):
+        """The abscissa at which an admitted u, a float or an array, is read."""
+        if not self.clamps:
+            return u
+        if not isinstance(u, np.ndarray):
+            return min(max(u, self.lo), self.hi)
+        return np.minimum(np.maximum(u, self.lo), self.hi)
+
+
 class ProfileCurve:
     """An arc-length-parametrized curve in the orbit space, given by exact functions.
 
-    xi1, xi2, xi1' and xi2' are read from the callables passed in.  An n-point
+    xi1, xi2, xi1' and xi2' are read from the callables passed in, at the u
+    its ``domain`` admits (u_range and 1e-12 past it).  An n-point
     grid over u_range serves three purposes: construction rejects curves whose
     arc-length residual exceeds tolerance at any grid point, its step is the
     difference step of sigma', and the angle unwrapped along it picks the 2 pi
@@ -103,6 +130,7 @@ class ProfileCurve:
         if not lo < hi:
             raise ValueError("u_range must be increasing")
         self.act = act
+        self.domain = ProfileDomain(lo, hi)
         self.u_grid = np.linspace(lo, hi, n)
         self.tol = tol
         self._fns = (xi1, xi2, dxi1, dxi2)
@@ -125,8 +153,8 @@ class ProfileCurve:
         return float(self.u_grid[0]), float(self.u_grid[-1])
 
     def _check_u(self, u: float):
-        lo, hi = self.u_range
-        if not (lo - 1e-12 <= u <= hi + 1e-12):
+        if not self.domain.admits(u):
+            lo, hi = self.u_range
             raise DomainError(f"u={u} outside curve domain [{lo}, {hi}]")
 
     def xi1(self, u: float) -> float:

@@ -130,8 +130,9 @@ class TestXi2Theta:
                 column = getattr(chart, name)(np.array([end, end + beyond]))
                 assert column[0] == column[1], name
 
-    def test_admits_is_the_domain_check(self):
-        # the chart evaluates exactly where its domain predicate says so
+    def test_domain_is_the_domain_check(self):
+        # the chart evaluates exactly where its domain admits u, and reads
+        # each such u where the domain says, clamped into u_valid
         chart = build_chart(NIL, nil_seed())
         us = np.array([e + d for e in chart.u_valid for d in (-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12)])
         evaluates = []
@@ -141,8 +142,12 @@ class TestXi2Theta:
                 evaluates.append(True)
             except bcvhelix.DomainError:
                 evaluates.append(False)
-        assert chart.admits(us).tolist() == evaluates == [chart.admits(u) for u in us.tolist()]
+        admits = chart.domain.admits
+        assert admits(us).tolist() == evaluates == [admits(u) for u in us.tolist()]
         assert 0 < sum(evaluates) < len(us)
+        inside = us[admits(us)]
+        assert chart.clamped(inside).tolist() == [chart.domain.read(u) for u in inside.tolist()]
+        assert chart.clamped(inside).tolist() == np.clip(inside, *chart.u_valid).tolist()
 
     def test_helicoid_degenerate_radicand(self, helicoid_chart):
         for u in (-2.0, -0.5, 0.3, 1.7):

@@ -15,6 +15,7 @@ from bcvhelix import (
     DomainError,
     HelicoidalAction,
     ProfileCurve,
+    ProfileDomain,
     SmoothFunction,
     StencilOutOfDomain,
     SurfaceChart,
@@ -502,17 +503,22 @@ class TestSettle:
         grid = first_form_grid(job.space, sc, np.array(fitting), ts, job.tol)
         assert grid.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
-    def test_t_offsets_screened_as_they_are_added(self):
-        # the settle's array check of t-offsets skips those larger than half
-        # the largest t's ulp: it still says what adding them says, at the
-        # rounding ties of t's with even and odd last bits
-        ts = np.array([2.0, np.nextafter(2.0, 3.0), -3.0, 1e4, 0.0, 2e4])
-        half_ulps = np.spacing(np.abs(ts)) / 2
-        dts = np.concatenate([half_ulps, np.nextafter(half_ulps, 1.0), half_ulps / 2, [0.0, 1e-3]])
-        dts = np.concatenate([dts, -dts])
-        want = [oracle._t_unmoved(ts, dt) for dt in dts.tolist()]
-        assert oracle._t_unmoved(ts, dts).tolist() == want
-        assert 0 < sum(want) < len(want)
+    @pytest.mark.parametrize("with_domain", [True, False])
+    def test_profile_chart_edge_rows_equal_one_row_calls(self, with_domain):
+        # a profile curve's chart reads u itself up to 1e-12 past its range:
+        # with the curve's domain its edge rows are settled from it; with a
+        # domain that admits every u they are measured at the default steps,
+        # and the rows the curve refuses there fall back on one-row calls
+        act, curve = random_wiggle_curve(NIL, 0.35, np.random.default_rng(19))
+        sc = SurfaceChart.from_profile(act, curve)
+        if not with_domain:
+            sc.domain = ProfileDomain()
+        us, ts = edge_rows(sc.u_range), np.linspace(-math.pi, math.pi, 5)
+        groups = oracle._settle(sc, us, ts, DEFAULT_TOL, 2)
+        assert (len(groups) >= 3) if with_domain else (len(groups) == 1)
+        batch = local_geometry(NIL, sc, us, ts)
+        fits = [assert_row_is_one_row_call(NIL, sc, batch, i, u, ts) for i, u in enumerate(us.tolist())]
+        assert 0 < fits.count(False) < len(us)
 
     def test_shipped_frame_measures_no_row_alone(self, monkeypatch):
         # the deform frame of the shipped heisenberg_minimal config at a =
@@ -574,7 +580,7 @@ class TestSettle:
             return chart.xi1(u)
 
         sc = SurfaceChart(NIL, xi1, chart.xi2, chart.theta0, chart.m, chart.a, chart.u_valid,
-                          (-math.pi, math.pi), U=chart.U, clamp=chart.clamped, domain=chart.admits)
+                          (-math.pi, math.pi), U=chart.U, domain=chart.domain)
         batch = local_geometry(NIL, sc, us, ts, tol)
         fits = [assert_row_is_one_row_call(NIL, sc, batch, i, u, ts, tol) for i, u in enumerate(us.tolist())]
         # the refused row and the ends of u_valid cannot fit; the edge row

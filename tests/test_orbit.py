@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bcvhelix import (
+    DomainError,
     HelicoidalAction,
     InconsistentCurve,
     ProfileCurve,
@@ -175,6 +176,24 @@ class TestArclength:
                 (-1.0, 1.0),
                 n=51,
             )
+
+
+class TestDomain:
+    def test_curve_evaluates_where_its_domain_admits(self):
+        # up to 1e-12 past either end of u_range, read at u itself (xi2 =
+        # speed * u here, so a read clamped into u_range would show)
+        act, curve = vertical_line_curve(R3, R=1.4)
+        us = [e + d for e in curve.u_range for d in (-2e-12, -5e-13, 0.0, 5e-13, 2e-12)]
+        evaluates = []
+        for u in us:
+            try:
+                assert curve.xi2(u) == curve._fns[1](u) and curve.domain.read(u) == u
+                evaluates.append(True)
+            except DomainError:
+                evaluates.append(False)
+        assert evaluates == [curve.domain.admits(u) for u in us]
+        assert 0 < sum(evaluates) < len(us)
+        assert curve.xi2(curve.u_range[1] + 5e-13) != curve.xi2(curve.u_range[1])
 
 
 class TestSigma:
