@@ -2,15 +2,16 @@
 
 One quadrature kernel, CumulativeQuadrature: an antiderivative-style
 G7/K15 Gauss-Kronrod rule over fixed cells with panel caching, behind every
-chart antiderivative and gauge.  Its cells live in one one-directional
+chart antiderivative and gauge.  Each side of u0 is a one-directional
 half-line from u0 outward; the side below u0 is the same half-line over the
-mirror image f(-x).  The first query of a half-line grows the trees of all
-its cells at once, as flat arrays: one array call of the integrand at the
-K15 nodes of every cell, then one call per refinement level.  The trees are
-settled into one flat table per component, whose leaves carry prefix sums
-and the Legendre coefficients of their dense output (the integral of the
-degree-14 interpolant of the 15 samples a leaf's K15 panel already took),
-all leaves in one stacked matrix product.  A query reads the leaf that holds
+mirror image f(-x).  The first query grows the trees of all cells of both
+sides at once, in one refinement loop, as flat arrays: one array call of the
+integrand at the K15 nodes of every cell, then one call per refinement level
+for the panels of both sides.  The trees are settled into one flat table per
+side and component, whose leaves carry prefix sums and the Legendre
+coefficients of their dense output (the integral of the degree-14
+interpolant of the 15 samples a leaf's K15 panel already took), all leaves
+in one stacked matrix product.  A query reads the leaf that holds
 u and calls no integrand; a frontier counts the cells queries have reached,
 and a failed node is raised by the first query that reaches its cell.  A
 1-D array of u is one searchsorted and one recurrence over the array, with
@@ -232,12 +233,6 @@ class Integrand:
 
         return cls(batch, (f,))
 
-    def mirrored(self) -> "Integrand":
-        """The integrands of -x (negation is exact)."""
-        return Integrand(
-            lambda xs: self.batch(-xs), [lambda x, g=g: g(-x) for g in self.scalars]
-        )
-
 
 # The K15 nodes and weights on [-1, 1] in the order a panel samples f (the
 # centre, then -x and +x for each node x of _XGK), and the 16 x 15 map from
@@ -356,44 +351,60 @@ class _Table:
         return self._floats
 
 
-class _Cells:
-    """The cells of [u0, hi] and, for each component of an integrand, their
-    refinement trees as flat arrays; ``per_unit`` is the budget per unit
-    length of both sides of u0.
+def _cell_edges(a: float, b: float, cell_width: float) -> np.ndarray:
+    """The edges of equal cells at most cell_width wide from a to b, and no
+    cell if b <= a."""
+    n = max(1, math.ceil((b - a) / cell_width)) if b > a else 0
+    return a + (b - a) * np.arange(n + 1) / max(n, 1)
 
-    ``grow`` builds every tree of every cell at once, level by level, with
-    one integrand batch per level over the panels that level needs.  The
-    decisions are those of a recursive refinement of one cell: a panel whose
-    estimate exceeds max(per_unit * width, 1e-3 abs_tol) and 1e-16 of its
-    value is halved, unless it is max_depth deep; the halves are kept as
-    they are when together they estimate at least ``_ROUNDOFF_RATIO`` of
-    it (the rounding stop), and are decided in turn otherwise.  A node whose
+
+class _Cells:
+    """The cells of both sides of u0 and, for each component of an
+    integrand, their refinement trees as flat arrays; ``per_unit`` is the
+    budget per unit length of both sides.  Side 0 is [u0, hi]; side 1 is
+    [lo, u0] in mirror coordinates, [-u0, -lo], whose panels are evaluated
+    by the integrand at their negated nodes (negation is exact).  The cells
+    of side s are a:b for (a, b) = ``bounds[s]``, and ``sides[s]`` holds
+    their lo and hi in the side's own coordinates and hi as Python floats.
+
+    ``grow`` builds every tree of every cell of both sides at once, level by
+    level, with one integrand batch per level over the panels both sides
+    need there, and one set of masks.  The decisions are those of a
+    recursive refinement of one cell: a panel whose estimate exceeds
+    max(per_unit * width, 1e-3 abs_tol) and 1e-16 of its value is halved,
+    unless it is max_depth deep; the halves are kept as they are when
+    together they estimate at least ``_ROUNDOFF_RATIO`` of it (the rounding
+    stop), and are decided in turn otherwise.  A node whose
     refinement fails gets a fault and is not refined further: the recursive
     refinement would have raised there.  A fault is the first failed node of
     the node's own panel (root cells only), then the max_depth limit, then
     the first failed node of the left half's panel, then of the right's,
     each in panel sample order.  Faulted nodes have no halves, so a cell's
     first fault, the one a left-first walk meets, is its faulted node with
-    the smallest lo.  ``_settle`` makes one ``_Table`` per component.
+    the smallest lo.  ``_settle`` makes one ``_Table`` per side and
+    component, from each side's own cells.
     """
 
-    def __init__(self, integrand: Integrand, u0, hi, per_unit, abs_tol, cell_width, max_depth):
+    def __init__(self, integrand: Integrand, u0, lo, hi, per_unit, abs_tol, cell_width, max_depth):
         self.integrand = integrand
         self.per_unit = per_unit
         self.abs_tol = abs_tol
         self.max_depth = max_depth
-        n = max(1, math.ceil((hi - u0) / cell_width)) if hi > u0 else 0
-        edges = u0 + (hi - u0) * np.arange(n + 1) / max(n, 1)
-        self.lo, self.hi = edges[:-1], edges[1:]
-        self.his = self.hi.tolist()
-        self.tables: Optional[list[_Table]] = None
+        edges = (_cell_edges(u0, hi, cell_width), _cell_edges(-u0, -lo, cell_width))
+        self.lo, self.hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+        right = edges[0].size - 1
+        self.bounds = ((0, right), (right, self.lo.size))
+        self.sign = np.repeat((1.0, -1.0), (right, self.lo.size - right))
+        self.sides = tuple((self.lo[a:b], self.hi[a:b], self.hi[a:b].tolist()) for a, b in self.bounds)
+        self.tables: Optional[tuple[list[_Table], list[_Table]]] = None
 
-    def _panels(self, lo, hi, faults: list) -> tuple:
+    def _panels(self, lo, hi, cell, faults: list) -> tuple:
         """(value, estimate, samples, fault) of the K15 panels [lo, hi] of
-        every component, from one integrand batch.  A panel with a failed
-        node appends its first failed node to faults, and its samples are
-        NaN: they are never read."""
-        k, nodes = len(self.integrand.scalars), _kronrod_nodes(lo, hi)
+        the cells ``cell``, for every component, from one integrand batch.
+        A panel with a failed node appends its first failed node to faults,
+        and its samples are NaN: they are never read."""
+        k = len(self.integrand.scalars)
+        nodes = _kronrod_nodes(lo, hi) * self.sign[cell][:, None]
         values, failed = self.integrand.batch(nodes.ravel()) if lo.size else (np.empty((k, 0)),) * 2
         values, failed = values.reshape((k,) + nodes.shape), failed.reshape((k,) + nodes.shape)
         fault = np.full((k, lo.size), -1)
@@ -429,7 +440,8 @@ class _Cells:
     def _grow(self) -> tuple[list[_Level], list]:
         k, n = len(self.integrand.scalars), self.lo.size
         faults: list = []
-        up = _Level(self.lo, self.hi, np.arange(n), self._panels(self.lo, self.hi, faults))
+        cell = np.arange(n)
+        up = _Level(self.lo, self.hi, cell, self._panels(self.lo, self.hi, cell, faults))
         up.alive = np.ones((k, n), dtype=bool)
         levels = [up]
         split = self._split(up, up.fault < 0, 0, faults)
@@ -438,8 +450,8 @@ class _Cells:
             mid = 0.5 * (up.lo[p] + up.hi[p])
             lo, hi = np.repeat(up.lo[p], 2), np.repeat(up.hi[p], 2)
             lo[1::2], hi[0::2] = mid, mid
-            count = len(faults)
-            down = _Level(lo, hi, np.repeat(up.cell[p], 2), self._panels(lo, hi, faults))
+            count, cell = len(faults), np.repeat(up.cell[p], 2)
+            down = _Level(lo, hi, cell, self._panels(lo, hi, cell, faults))
             up.kept = split[:, p]
             if len(faults) > count:
                 # a failed half faults its parent, which then keeps no halves
@@ -456,13 +468,14 @@ class _Cells:
             levels.append(up := down)
         return levels, faults
 
-    def _settle(self, levels: list[_Level], faults: list) -> list[_Table]:
+    def _settle(self, levels: list[_Level], faults: list) -> tuple[list[_Table], list[_Table]]:
         # Bottom-up, a node's value and estimate are its halves' sums, left
         # first; top-down, a right half adds its left sibling's value to its
         # parent's sum of the whole leaves left of it.  Each leaf's Legendre
         # coefficients come from one stacked matmul, one gemv per leaf: its
-        # own _ANTIDERIVATIVE @ samples bit for bit.
-        k, n = len(self.integrand.scalars), self.lo.size
+        # own _ANTIDERIVATIVE @ samples bit for bit.  Prefix sums, rounding
+        # stops and first faults are each side's own, from u0 outward.
+        k, n, sides = len(self.integrand.scalars), self.lo.size, self.bounds
         with np.errstate(all="ignore"):  # the float arithmetic of Python, which never traps
             for up, down in reversed(list(zip(levels, levels[1:]))):
                 p = up.halved
@@ -480,27 +493,32 @@ class _Cells:
                 for name in ("lo", "hi", "cell", "val", "err", "desc", "samples", "leaf", "stop", "fault")
             )
             comp, at = np.nonzero(leaf)
-            order = np.lexsort((hi[at], lo[at], comp))
-            comp, at = comp[order], at[order]
+            group = comp + k * (cell[at] >= sides[1][0])  # the table of a leaf: side, then component
+            order = np.lexsort((hi[at], lo[at], group))
+            comp, at, group = comp[order], at[order], group[order]
             dense = np.matmul(_ANTIDERIVATIVE, samples[comp, at][:, :, None])[:, :, 0]
-            prefix = np.add.accumulate(np.concatenate((np.zeros((k, 1)), val[:, :n]), axis=1), axis=1)
+            sums = [np.add.accumulate(np.concatenate((np.zeros((k, 1)), val[:, a:b]), axis=1), axis=1)
+                    for a, b in sides]
+        prefix = np.concatenate([s[:, :-1] for s in sums], axis=1)  # of the cells before each on its side
         first = np.ones(at.size, dtype=bool)
         first[1:] = (cell[at[1:]] != cell[at[:-1]]) | (comp[1:] != comp[:-1])
         columns = (lo[at], hi[at], val[comp, at], err[comp, at], prefix[comp, cell[at]], desc[comp, at],
                    np.where(first, lo[at], np.nan), dense)
         sc, si = np.nonzero(stop)
         stops = np.bincount(sc * n + cell[si], minlength=k * n).reshape(k, n)
-        stops = np.concatenate((np.zeros((k, 1), dtype=int), np.cumsum(stops, axis=1)), axis=1)
+        stops = [np.concatenate((np.zeros((k, 1), dtype=int), np.cumsum(stops[:, a:b], axis=1)), axis=1)
+                 for a, b in sides]
         fc, fi = np.nonzero(fault >= 0)
 
-        def table(j: int) -> _Table:
-            mine = fi[fc == j]
+        def table(s: int, j: int) -> _Table:
+            a, b = sides[s]
+            mine = fi[(fc == j) & (cell[fi] >= a) & (cell[fi] < b)]
             node = mine[np.argmin(lo[mine])] if mine.size else None  # in the first faulted cell
-            faulted = (n, None) if node is None else (int(cell[node]), faults[fault[j, node]])
-            leaves = slice(*np.searchsorted(comp, (j, j + 1)))
-            return _Table(*(c[leaves] for c in columns), (prefix[j], err[j, :n], stops[j]), *faulted)
+            faulted = (b - a, None) if node is None else (int(cell[node]) - a, faults[fault[j, node]])
+            leaves = slice(*np.searchsorted(group, (s * k + j, s * k + j + 1)))
+            return _Table(*(c[leaves] for c in columns), (sums[s][j], err[j, a:b], stops[s][j]), *faulted)
 
-        return [table(j) for j in range(k)]
+        return tuple([table(s, j) for j in range(k)] for s in range(2))
 
 
 class _HalfLine:
@@ -508,23 +526,31 @@ class _HalfLine:
     outward.  ``filled``, the frontier, counts the cells queries have
     reached: 1 plus the number of cells that end at or before u, as a fill
     from u0 outward would.  A query that reaches the first cell with a fault
-    raises that cell's first fault."""
+    raises that cell's first fault.  ``lo`` and ``hi`` are the side's cells
+    in its own coordinates, and ``table`` its component's table.  The first
+    query of either side grows the cells of both (``_Cells.grow``)."""
 
-    def __init__(self, cells: _Cells, component: int):
+    def __init__(self, cells: _Cells, side: int, component: int):
         self.cells = cells
+        self.side = side
         self.component = component
+        self.lo, self.hi, self.his = cells.sides[side]
         self.filled = 0
 
     @property
+    def table(self) -> _Table:
+        return self.cells.tables[self.side][self.component]
+
+    @property
     def rounding_stops(self) -> int:
-        return int(self.cells.tables[self.component].stops[self.filled]) if self.filled else 0
+        return int(self.table.stops[self.filled]) if self.filled else 0
 
     def _fill(self, u: float) -> _Table:
         # every cell is grown whole before any query reads it, so a value
         # does not depend on which queries came before
         self.cells.grow()
-        table = self.cells.tables[self.component]
-        reach = min(bisect.bisect_right(self.cells.his, u) + 1, len(self.cells.his))
+        table = self.table
+        reach = min(bisect.bisect_right(self.his, u) + 1, len(self.his))
         if reach > table.faulted:
             self.filled = max(self.filled, table.faulted)
             table.fault()
@@ -564,17 +590,18 @@ class CumulativeQuadrature:
 
     The interval around ``u0`` is covered by fixed cells; each cell holds one
     K15 value (refined by static bisection where the G7/K15 estimate exceeds
-    its share of the budget).  The first query of each side grows the trees
-    of all its cells as flat arrays (see ``_Cells``): one array call of the
-    integrand at the K15 nodes of every cell, then one per refinement level.
-    Each panel's sums are added in the order of a single panel, so the trees,
-    values and estimates are those of refining each cell on its own.  The
-    trees are then settled into one flat table per component, the final
-    leaves sorted by their edges: the prefix sum of the whole cells before
-    each leaf (added left to right), the whole leaves of its cell left of
-    it, and its dense output, the integral from its edge of the degree-14
-    interpolant of its 15 K15 samples, as Legendre coefficients (one stacked
-    matrix product for all leaves).  A query reads the leaf that holds u,
+    its share of the budget).  The first query grows the trees of all cells
+    of both sides in one refinement loop, as flat arrays (see ``_Cells``):
+    one array call of the integrand at the K15 nodes of every cell, then one
+    per refinement level for the panels of both sides.  Each panel's sums
+    are added in the order of a single panel, so the trees, values and
+    estimates are those of refining each cell on its own.  The trees are
+    then settled into one flat table per side and component, the final
+    leaves sorted by their edges: the prefix sum of the whole cells of its
+    side before each leaf (added from u0 outward), the whole leaves of its
+    cell left of it, and its dense output, the integral from its edge of the
+    degree-14 interpolant of its 15 K15 samples, as Legendre coefficients
+    (one stacked matrix product for all leaves).  A query reads the leaf that holds u,
     found by bisection, and calls no integrand.  K15 is interpolatory, so
     the interpolant's integral over a whole leaf is the leaf's K15 value up
     to rounding: F is a polynomial inside each leaf and continuous across
@@ -597,9 +624,11 @@ class CumulativeQuadrature:
 
     Both sides of u0 are one half-line: f on [u0, hi], and its mirror image
     f(-x) on [-u0, -lo] with F(u) = 0.0 - left(-u) below u0 (so an
-    antiderivative that is exactly zero is +0.0 on both sides).  Negation is
-    exact, so the left side's nodes, panels and sums are those of a walk from
-    u0 to lo.
+    antiderivative that is exactly zero is +0.0 on both sides).  The left
+    side's panels are evaluated by f at their negated nodes; negation is
+    exact, so its nodes, panels and sums are those of a walk from u0 to lo.
+    Each side keeps its own prefix sums, rounding stops, frontier and first
+    fault.
 
     Rounding stop: a cell whose two halves do not lower the summed estimate
     below ``_ROUNDOFF_RATIO`` of its own is split once more and not further;
@@ -633,12 +662,8 @@ class CumulativeQuadrature:
         self.hi = hi
         self._lock = threading.Lock()
         per_unit = abs_tol / max(hi - u0, u0 - lo, cell_width)
-        f = Integrand.of(f)
-        self._sides = (
-            _Cells(f, u0, hi, per_unit, abs_tol, cell_width, max_depth),
-            _Cells(f.mirrored(), -u0, -lo, per_unit, abs_tol, cell_width, max_depth),
-        )
-        self._right, self._left = (_HalfLine(side, 0) for side in self._sides)
+        self._cells = _Cells(Integrand.of(f), u0, lo, hi, per_unit, abs_tol, cell_width, max_depth)
+        self._right, self._left = (_HalfLine(self._cells, side, 0) for side in range(2))
 
     @classmethod
     def components(
@@ -653,7 +678,7 @@ class CumulativeQuadrature:
         rest = []
         for j in range(1, len(f.scalars)):
             other = copy.copy(first)
-            other._right, other._left = (_HalfLine(side, j) for side in first._sides)
+            other._right, other._left = (_HalfLine(first._cells, side, j) for side in range(2))
             rest.append(other)
         return (first, *rest)
 

@@ -466,7 +466,7 @@ class TestOscillatoryChart:
             estimate = sum(
                 err
                 for side in (quad._left, quad._right)
-                for err in side.cells.tables[side.component].cell_err[: side.filled].tolist()
+                for err in side.table.cell_err[: side.filled].tolist()
             )
             for shift in (-0.5, 0.5):
                 value = getattr(chart, name)(chart.u0 + shift)

@@ -86,7 +86,7 @@ def _fill_nodes(chart):
     quad = chart._xi2_quad
     sides = []
     for side, sign in ((quad._right, 1.0), (quad._left, -1.0)):
-        sides.append(sign * _kronrod_nodes(side.cells.lo, side.cells.hi).ravel())
+        sides.append(sign * _kronrod_nodes(side.lo, side.hi).ravel())
     return np.concatenate(sides)
 
 

@@ -1,6 +1,8 @@
 import collections
+import gc
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from bcvhelix import (
     StencilOutOfDomain,
     diff_central,
 )
-from bcvhelix import numerics
+from bcvhelix import cli, numerics
 from bcvhelix.numerics import scan_interval
 
 
@@ -112,11 +114,19 @@ def _counted(f):
     return g
 
 
+def _batch_counted(f):
+    """The float integrand f as an Integrand that counts its batches."""
+    base = numerics.Integrand.of(f)
+
+    def batch(xs):
+        batch.calls += 1
+        return base.batch(xs)
+
+    batch.calls = 0
+    return numerics.Integrand(batch, base.scalars)
+
+
 Leaf = collections.namedtuple("Leaf", "lo hi value err")
-
-
-def _table(side):
-    return side.cells.tables[side.component]
 
 
 def _final_leaves(side):
@@ -124,8 +134,8 @@ def _final_leaves(side):
     frontier), in walk order, read from its flat table."""
     if not side.filled:
         return []
-    table = _table(side)
-    n = np.searchsorted(table.hi, side.cells.hi[side.filled - 1], side="right")
+    table = side.table
+    n = np.searchsorted(table.hi, side.hi[side.filled - 1], side="right")
     return [Leaf(*row) for row in zip(*(c[:n].tolist() for c in (table.lo, table.hi, table.val, table.err)))]
 
 
@@ -137,11 +147,11 @@ def _leaves(F):
 
 def _cell_estimates(side):
     """The estimates of the filled cells of one half-line, each the sum of its leaves'."""
-    return _table(side).cell_err[: side.filled].tolist()
+    return side.table.cell_err[: side.filled].tolist()
 
 
 def _cell_count(F):
-    return F._left.cells.lo.size + F._right.cells.lo.size
+    return F._left.lo.size + F._right.lo.size
 
 
 def _peak(x):
@@ -273,19 +283,38 @@ class TestCumulativeQuadrature:
         f = _counted(_peak)
         F = CumulativeQuadrature(f, 0.3, -2.0, 2.0)
         F(-1.5)
-        F(1.5)
         filled = f.calls
+        F(1.5)
+        assert f.calls == filled
         assert filled % 15 == 0
         us = (-1.5, -1.234567, -0.3, 0.0, 1e-7, 0.30001, 0.7, 1.4999, 1.5)
         for u in us:
             F(u)
         F(np.array(us[::-1]))
         assert f.calls == filled
-        # the first query of each side grew the trees of all its cells, so
-        # the cells beyond 1.5 cost no integrand call either
+        # the first query grew the trees of all cells on both sides of u0,
+        # so the cells beyond 1.5 cost no integrand call either
         assert filled >= 15 * (_cell_count(F))
         F(1.9)
         assert f.calls == filled
+
+    def test_one_batch_per_level_for_both_sides(self):
+        # one cell per side: the peak at 0.7 refines the right cell deeper
+        # than the wide one at -0.4 refines the left.  Both sides grow in one
+        # loop, so the batches are the deeper side's levels, not the sum of
+        # both sides', and each side's values are those it has alone
+        f = lambda x: 1.0 / (1e-3 + (x - 0.7) ** 2) + 1.0 / (1e-1 + (x + 0.4) ** 2)
+        levels, alone = [], []
+        for lo, hi, u in ((0.0, 1.0, 1.0), (-1.0, 0.0, -1.0)):  # the same budget per unit
+            g = _batch_counted(f)
+            alone.append(CumulativeQuadrature(g, 0.0, lo, hi, cell_width=1.0)(u))
+            levels.append(g.batch.calls)
+        assert levels[0] > levels[1] > 1
+        g = _batch_counted(f)
+        F = CumulativeQuadrature(g, 0.0, -1.0, 1.0, cell_width=1.0)
+        assert _bits([F(1.0), F(-1.0)]) == _bits(alone)
+        assert g.batch.calls == levels[0]
+        assert F.rounding_stops == 0
 
     @pytest.mark.parametrize("cell_width, abs_tol", [(2.0, 1e-6), (1.0, 1e-8), (3.0, 1e-6)])
     def test_partial_leaves_match_closed_form(self, cell_width, abs_tol):
@@ -322,6 +351,20 @@ class TestCumulativeQuadrature:
         us = np.random.default_rng(7).permutation(np.concatenate([us, us[:40]]))
         column = CumulativeQuadrature(f, 0.3, -2.0, 2.0, cell_width=0.5)(us)
         assert _bits(column) == _bits([scalar(u) for u in us.tolist()])
+
+    @pytest.mark.parametrize("u0", [1.0, -2.0], ids=["no-right-side", "no-left-side"])
+    def test_u0_at_an_end_of_the_range(self, u0):
+        # one side of u0 has no cells: the other's are read alone
+        f = lambda x: 2.0 + math.cos(40.0 * x)
+        us = np.concatenate((np.linspace(-2.0, 1.0, 61), [u0, -2.0, 1.0, 1.0, -2.0]))
+        us = np.random.default_rng(3).permutation(us)
+        column = CumulativeQuadrature(f, u0, -2.0, 1.0, cell_width=0.5)(us)
+        scalar = CumulativeQuadrature(f, u0, -2.0, 1.0, cell_width=0.5)
+        assert _bits(column) == _bits([scalar(u) for u in us.tolist()])
+        assert (scalar._right if u0 == 1.0 else scalar._left).lo.size == 0
+        assert scalar.rounding_stops == 0
+        exact = 2.0 * (us - u0) + (np.sin(40.0 * us) - math.sin(40.0 * u0)) / 40.0
+        assert np.max(np.abs(column - exact)) < 1e-9
 
     def test_left_side_is_mirror_of_right(self):
         # the side below u0 is the walk over the mirror image f(-x), bit for bit
@@ -413,7 +456,7 @@ class TestCumulativeQuadrature:
 
         def stops(side):
             # the rounding stops of the side's one cell, filled or not
-            counts = _table(side).stops
+            counts = side.table.stops
             return int(counts[1] - counts[0])
 
         F = CumulativeQuadrature(f, 0.0, 0.0, 0.05)
@@ -423,7 +466,7 @@ class TestCumulativeQuadrature:
                     F(0.03)
             else:
                 F(0.03)
-            assert F._right.cells.lo.size == 1
+            assert F._right.lo.size == 1
             assert stops(F._right) > 0
             assert F.rounding_stops == (0 if fails else stops(F._right))
 
@@ -440,6 +483,25 @@ class TestCumulativeQuadrature:
                 F(u)
         assert F(0.5) == F(np.array([0.5]))[0]
 
+    def test_failure_below_u0_waits_for_the_cell_that_holds_it(self):
+        # the mirror image: f fails at every node below -1, well below u0.
+        # Queries above u0 and short of the failed cells answer; a query that
+        # reaches one raises the first failed node of the first such cell
+        # from u0 outward (the centre of [-1.05, -1.0])
+        def f(x):
+            if x < -1.0:
+                raise DomainError(f"x={x} < -1")
+            return math.exp(x)
+
+        F = CumulativeQuadrature(f, 0.0, -2.0, 2.0)
+        assert abs(F(1.9) - (math.exp(1.9) - 1.0)) < 1e-12
+        assert abs(F(-0.9) - (math.exp(-0.9) - 1.0)) < 1e-12
+        for u in (-1.02, -1.5, np.array([0.3, -1.7])):
+            with pytest.raises(DomainError, match=r"^x=-1\.025 < -1$"):
+                F(u)
+        assert F(1.5) == F(np.array([1.5]))[0]
+        assert F(-0.5) == F(np.array([-0.5]))[0]
+
     def test_failure_inside_refinement_waits_too(self):
         # the peak at 0.71 is refined; only a panel two or more halvings
         # deep has a node within 3e-5 of it, where the integrand fails
@@ -449,7 +511,7 @@ class TestCumulativeQuadrature:
             return 1.0 / (1e-6 + (x - 0.71) * (x - 0.71))
 
         F = CumulativeQuadrature(narrow, 0.0, -2.0, 2.0)
-        first_level = numerics._kronrod_nodes(F._right.cells.lo, F._right.cells.hi)
+        first_level = numerics._kronrod_nodes(F._right.lo, F._right.hi)
         assert np.min(np.abs(first_level - 0.71)) > 3e-5
         assert F(0.69) == pytest.approx(48.549945949046176, rel=1e-15)
         for _ in range(2):
@@ -478,7 +540,7 @@ class TestCumulativeQuadrature:
                 F(u)
         assert F.rounding_stops == 0
         # both faulted nodes kept no halves: each is a leaf of the cell
-        table = _table(F._right)
+        table = F._right.table
         leaves = list(zip(table.lo.tolist(), table.hi.tolist()))
         assert (0.5, 1.0) in leaves and (0.125, 0.25) in leaves
 
@@ -537,3 +599,65 @@ class TestSmoothFunction:
     def test_wrap_idempotent(self):
         f = SmoothFunction(math.sin)
         assert SmoothFunction.wrap(f) is f
+
+
+def _quadrature():
+    F = CumulativeQuadrature(_peak, 0.3, -2.0, 2.0)
+    F(-1.0)
+    F(np.array([1.0]))
+    return [F]
+
+
+def _component_pair():
+    f = numerics.Integrand(
+        lambda xs: (np.stack((np.cos(xs), np.sin(xs))), np.zeros((2, xs.size), dtype=bool)),
+        [math.cos, math.sin],
+    )
+    pair = CumulativeQuadrature.components(f, 0.0, -1.0, 1.0)
+    for F in pair:
+        F(-0.5)
+        F(np.array([0.5]))
+    return list(pair)
+
+
+def _oscillatory_chart():
+    # the oscillatory CMC member of the verify benchmark
+    config = {
+        "space": {"kappa": 1.0, "tau": 0.0},
+        "seed": {"family": "cmc-case", "m": 1.0, "a": 0.5, "H": 1.0, "c": -1.0, "u_range": [-3.5, 3.5]},
+    }
+    job = cli.parse_config(config, "verify")
+    chart = cli.make_chart(job, *cli.resolve_profile(job))[0]
+    lo, hi = chart.u_valid
+    us = np.array([lo, 0.5 * (lo + chart.u0), 0.5 * (chart.u0 + hi), hi])
+    chart.xi2(us)
+    chart.theta0(float(us[0]))
+    chart.theta0(float(us[-1]))
+    return [chart, chart._xi2_quad, chart._theta0_quad]
+
+
+def _held(objs):
+    """objs, and for each quadrature among them its half-lines and the
+    cells they read."""
+    for obj in objs:
+        yield obj
+        if isinstance(obj, CumulativeQuadrature):
+            for side in (obj._left, obj._right):
+                yield from (side, side.cells)
+
+
+@pytest.mark.parametrize(
+    "build", [_quadrature, _component_pair, _oscillatory_chart], ids=["quadrature", "components", "chart"]
+)
+def test_dropped_quadrature_needs_no_cyclic_collector(build):
+    # a reference cycle through a grown quadrature or its cells would keep
+    # them alive until the cyclic collector runs; reference counting alone
+    # must free them
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = [weakref.ref(obj) for obj in _held(build())]
+        assert [ref() is None for ref in refs] == [True] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
