@@ -741,9 +741,15 @@ def cmd_verify(job: JobConfig, out_dir: str) -> int:
     return 0 if ok else 1
 
 
-def _export_mesh(job: JobConfig, chart: NaturalChart, out_dir: str, suffix: str = ""):
+def _export_mesh(
+    job: JobConfig, chart: NaturalChart, out_dir: str, suffix: str = "", with_curvature: bool = True
+):
+    """The mesh of the chart and the files it writes. Its H/K diagnostics
+    (``h_ext``, ``gauss``, ``diagnostic_failures``) are measured only with
+    ``with_curvature``: the mesh CSV and the export report read them, the
+    OBJ writer reads only the vertices."""
     sc = _surface(job, chart)
-    mesh = sample_mesh(job.space, sc, job.nu, job.nt, job.tol)
+    mesh = sample_mesh(job.space, sc, job.nu, job.nt, job.tol, with_curvature=with_curvature)
     files = []
     if "obj" in job.formats:
         path = os.path.join(out_dir, f"{job.basename}{suffix}.obj")
@@ -777,12 +783,19 @@ def cmd_export(job: JobConfig, out_dir: str) -> int:
 def cmd_deform(job: JobConfig, out_dir: str) -> int:
     values = job.sweep_values or [job.a]
     U, meta = resolve_profile(job)
+    # a frame's verdict reads its chart and first forms only: it writes a
+    # mesh only for obj or csv, and measures H/K only for the csv
+    meshed = "obj" in job.formats or "csv" in job.formats
     surfaces, frames, errors = {}, [], {}
     for value in values:
         tag = f"_a={value:g}"
         try:
             chart, _ = make_chart(job, U, meta, a=value)
-            mesh, files = _export_mesh(job, chart, out_dir, suffix=tag)
+            files = []
+            if meshed:
+                _, files = _export_mesh(
+                    job, chart, out_dir, suffix=tag, with_curvature="csv" in job.formats
+                )
             surfaces[value] = SurfaceChart.from_natural(chart, t_range=job.t_range)
             frames.append(
                 {"a": value, "files": [os.path.basename(f) for f in files],

@@ -832,7 +832,10 @@ class MeshGrid:
     ``vertices`` has one row per (u, t) grid node in row-major u-then-t
     order; rows whose u failed chart evaluation are NaN and listed in
     ``dropped_rows``.  ``diagnostic_failures`` counts the vertices of the
-    other rows whose diagnostics failed (NaN ``h_ext``), by error class.
+    other rows whose diagnostics failed, by error class; a measured NaN
+    ``h_ext`` means failed.  A mesh sampled with ``with_curvature=False``
+    measured nothing: ``h_ext``, ``gauss`` and ``residual`` are all NaN and
+    ``diagnostic_failures`` is empty.
     """
 
     nu: int
@@ -866,7 +869,10 @@ def sample_mesh(
     over the rows whose u the chart accepts: extrinsic mean curvature,
     Gaussian curvature (-U''/U when the metric profile is known, else NaN),
     and for natural charts the max deviation of the measured first form from
-    (1, 0, U^2).  Rows at invalid u are dropped, not clamped.
+    (1, 0, U^2).  Rows at invalid u are dropped, not clamped.  With
+    ``with_curvature=False`` no diagnostic is measured: ``h_ext``, ``gauss``
+    and ``residual`` are NaN because nothing was measured, not because a
+    measurement failed, and ``diagnostic_failures`` is empty.
     """
     if nu < 2 or nt < 2:
         raise ValueError("nu and nt must both be >= 2")

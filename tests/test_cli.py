@@ -371,6 +371,20 @@ class TestDiagnosticFailures:
             assert report["diagnostic_failures"] == {"StencilOutOfDomain": 82}
         assert reports[1]["max_abs_h_ext"] == reports[0]["max_abs_h_ext"] < 1e-8
 
+    def test_export_without_csv_measures_the_diagnostics(self, tmp_path):
+        # unlike a deform frame, an export measures H/K for its report even
+        # when it writes no mesh CSV
+        cfg = json.loads((CONFIG_DIR / "heisenberg_minimal.json").read_text())
+        reports = []
+        for formats in (["obj", "json"], ["csv", "obj", "json"]):
+            cfg["output"]["formats"] = formats
+            assert run(tmp_path, "export", cfg) == 0
+            reports.append(json.loads((tmp_path / "nilcat.export.json").read_text()))
+        assert reports[0]["diagnostic_failures"] == {"StencilOutOfDomain": 82}
+        assert reports[0]["files"] == ["nilcat.obj"]
+        reports[1]["files"] = reports[0]["files"]
+        assert reports[0] == reports[1]
+
 
 class TestDeform:
     def test_three_frame_sweep(self, tmp_path):
@@ -491,6 +505,77 @@ class TestDeform:
         assert run(tmp_path, "deform", cfg) == 0
         report = json.loads((tmp_path / "single.deform.json").read_text())
         assert report["isometry_deviation"] == [[0.0]]
+
+
+class TestDeformMeasuresWhatItWrites:
+    """A deform frame measures H/K only for the mesh CSV, the one file that
+    reads them, and samples no mesh when it writes none; its verdict reads
+    only the charts and first forms, so the report is the same either way."""
+
+    # the catenoid-to-helicoid sweep with a frame that fails: at a = 1.2 the
+    # chart is invalid at its anchor (U(0) = 1 < a)
+    SWEEP = {
+        "space": {"kappa": 0.0, "tau": 0.0},
+        "seed": {"family": "explicit", "m": 1.0, "a": 0.0, "u_range": [-1.6, 1.6],
+                  "U": "sqrt(u*u + 1)", "dU": "u / sqrt(u*u + 1)"},
+        "sweep": {"parameter": "a", "values": [0.0, 0.5, 0.9, 1.2]},
+        "grid": {"nu": 9, "nt": 7, "t_range": [-2.0, 2.0]},
+        "output": {"basename": "sw"},
+    }
+
+    def _deform(self, tmp_path, monkeypatch, formats):
+        """The sweep's output directory, report and the oracle calls it made."""
+        from bcvhelix import oracle
+
+        calls = {"local_geometry": 0, "sample_mesh": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(oracle, "local_geometry")
+        counted(cli, "sample_mesh")
+        cfg = json.loads(json.dumps(self.SWEEP))
+        cfg["output"]["formats"] = formats
+        out = tmp_path / "-".join(formats)
+        out.mkdir()
+        assert run(tmp_path, "deform", cfg, out=out) == 1  # the a = 1.2 frame fails
+        monkeypatch.undo()
+        report = json.loads((out / "sw.deform.json").read_text())
+        return out, report, calls
+
+    def test_curvature_measured_only_for_the_csv(self, tmp_path, monkeypatch):
+        _, _, calls = self._deform(tmp_path, monkeypatch, ["obj", "json"])
+        assert calls == {"local_geometry": 0, "sample_mesh": 3}
+        _, _, calls = self._deform(tmp_path, monkeypatch, ["csv", "obj", "json"])
+        assert calls == {"local_geometry": 3, "sample_mesh": 3}
+
+    def test_obj_and_report_same_with_or_without_csv(self, tmp_path, monkeypatch):
+        plain, report, _ = self._deform(tmp_path, monkeypatch, ["obj", "json"])
+        full, full_report, _ = self._deform(tmp_path, monkeypatch, ["csv", "obj", "json"])
+        objs = sorted(p.name for p in plain.glob("*.obj"))
+        assert objs == ["sw_a=0.5.obj", "sw_a=0.9.obj", "sw_a=0.obj"]
+        for name in objs:
+            assert (plain / name).read_bytes() == (full / name).read_bytes()
+        assert len(report["frame_errors"]) == 1 and report["frame_errors"] == full_report["frame_errors"]
+        for frame in full_report["frames"]:
+            frame["files"] = [f for f in frame["files"] if not f.endswith(".csv")]
+        assert report == full_report
+
+    def test_no_mesh_without_obj_or_csv(self, tmp_path, monkeypatch):
+        out, report, calls = self._deform(tmp_path, monkeypatch, ["json"])
+        assert calls == {"local_geometry": 0, "sample_mesh": 0}
+        assert sorted(p.name for p in out.iterdir()) == ["sw.deform.json"]
+        _, meshed, _ = self._deform(tmp_path, monkeypatch, ["obj", "json"])
+        assert [f["validity"] for f in report["frames"]] == [f["validity"] for f in meshed["frames"]]
+        assert all(f["files"] == [] for f in report["frames"])
+        for key in ("sweep", "frame_errors", "isometry_deviation", "max_isometry_deviation", "pass"):
+            assert report[key] == meshed[key]
 
 
 class TestConfigValidation:
