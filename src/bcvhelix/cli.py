@@ -142,10 +142,11 @@ def _as_int(value, path: str) -> int:
 
 def _as_range(value, path: str) -> tuple[float, float]:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ConfigError(f"{path}: need [lo, hi] with lo < hi, got {value!r}")
+        raise ConfigError(f"{path}: need [lo, hi] with lo < hi and a finite width, got {value!r}")
     lo, hi = _as_float(value[0], path), _as_float(value[1], path)
-    if not lo < hi:
-        raise ConfigError(f"{path}: need [lo, hi] with lo < hi, got {value!r}")
+    # a width that overflows to inf gives no finite grid step
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ConfigError(f"{path}: need [lo, hi] with lo < hi and a finite width, got {value!r}")
     return lo, hi
 
 
@@ -225,15 +226,16 @@ def parse_config(cfg: dict, mode: str) -> JobConfig:
     tol = Tolerances(**tol_kwargs)
 
     basename = _get(cfg, "output.basename", "surface")
-    # every output file is <out>/<basename>...: the name must stay in <out>
-    separators = {"/", os.sep, os.altsep} - {None}
+    # every output file is <out>/<basename>...: the name must stay in <out>,
+    # and no file name holds a NUL
+    forbidden = {"/", os.sep, os.altsep, "\0"} - {None}
     if (
         not isinstance(basename, str)
         or basename in ("", ".", "..")
-        or any(sep in basename for sep in separators)
+        or any(char in basename for char in forbidden)
     ):
         raise ConfigError(
-            f"output.basename: expected a file name without a path separator, got {basename!r}"
+            f"output.basename: expected a file name without a path separator or NUL, got {basename!r}"
         )
     formats = _get(cfg, "output.formats", ["json"])
     if not isinstance(formats, list) or not all(f in FORMATS for f in formats):
@@ -907,6 +909,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BcvHelixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the output directory or a file in it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,17 +4,16 @@ Charts are embedded into the ambient space and differentiated numerically;
 first and second fundamental forms come from the ambient metric and its
 finite-difference Christoffels only -- no reduction-theorem or
 transform-side algebra enters, so agreement is evidence, not tautology.
-Measurements run through one kernel, ``local_geometry``, over a whole set of
-mesh rows (fixed u) at once: the chart's profile is one array query per
-component over every (row, stencil abscissa) pair, and the stencils, metric,
-Christoffels, normals and forms run once over all vertices of all rows.
-Before any chart query, each row's stencil steps are settled from the
-chart's domain: the first step of each stencil's halving that reads inside
-it, where a one-row call would stop.  Rows with the same steps are measured
-together, and a row with none holds StencilOutOfDomain without an
-evaluation.  A row whose evaluation still raises (the chart fails inside
-its domain) is measured alone, shrinking its stencils as a one-row call
-does.
+Measurements run through one kernel over a set of mesh rows (fixed u) at
+once, be it a batch, one row or the orientation probe: the chart's profile
+is one array query per component over every (row, stencil abscissa) pair,
+and the stencils, metric, Christoffels, normals and forms run once over all
+vertices of all rows.  Before any chart query, each row's stencil steps are
+settled from the chart's domain: the first step of each stencil's halving
+that reads inside it.  Rows with the same steps are measured together at
+those fixed steps, and a row with none holds StencilOutOfDomain without an
+evaluation.  A row where the chart refuses one of its abscissae inside its
+domain holds the chart's own error.
 Errors kept in results are fresh instances that were never raised, so they
 hold no traceback.
 
@@ -211,37 +210,34 @@ def _profile_columns(chart: SurfaceChart, us: np.ndarray) -> list:
 
 
 def _fit_rows(chart: SurfaceChart, us: np.ndarray) -> tuple[list, list]:
-    """The rows of us (shape (rows, k)) at all of whose abscissae the chart
-    evaluates, and the profile there: (kept, [theta0, xi1, xi2]), each
-    column of shape (len(kept), k).
+    """The profile at every abscissa of the rows of us (shape (rows, k)),
+    [theta0, xi1, xi2] with each column of shape (rows, k), and each row's
+    error: None where the chart evaluates at all its abscissae, else the
+    untraced error the row's own evaluation raised, its columns NaN.
 
     All rows are one query per component.  A batch the chart raises a
-    BcvHelixError on is split, down to single rows, so only the rows whose
-    own evaluation raises are left out: into its first row, its last row
-    and the two halves of the rest.  Rows at the ends of a mesh fail most
-    (where a chart refuses the ends of its range), and this splits them off
-    at once."""
+    BcvHelixError on is split, down to single rows: into its first row, its
+    last row and the two halves of the rest.  Rows at the ends of a mesh
+    fail most (where a chart refuses the ends of its range), and this
+    splits them off at once."""
     n = len(us)
     try:
         columns = _profile_columns(chart, us.ravel())
-        return list(range(n)), [c.reshape(us.shape) for c in columns]
-    except BcvHelixError:
+        return [c.reshape(us.shape) for c in columns], [None] * n
+    except BcvHelixError as exc:
         if n == 1:
-            return [], [np.empty((0, us.shape[1]))] * 3
+            return [np.full(us.shape, np.nan)] * 3, [_untraced(exc)]
     mid = (n + 1) // 2
     cuts = sorted({0, 1, mid, n - 1, n})
-    kept, columns = [], []
-    for lo, hi in zip(cuts, cuts[1:]):
-        part, part_columns = _fit_rows(chart, us[lo:hi])
-        kept += [lo + i for i in part]
-        columns.append(part_columns)
-    return kept, [np.concatenate(c) for c in zip(*columns)]
+    parts = [_fit_rows(chart, us[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    columns = [np.concatenate(c) for c in zip(*(part[0] for part in parts))]
+    return columns, [exc for part in parts for exc in part[1]]
 
 
 # The oracle's difference stencils: for each, the tolerance that gives its
-# start step h, and the (u, t) offsets, in units of h, of the points its
+# default step h, and the (u, t) offsets, in units of h, of the points its
 # difference quotient d(h) reads; ``richardson`` reads d(h), then d(h/2).
-# The quotients are written out in _first_order, _second_u and _geometry.
+# The quotients are written out in _first_order and _geometry.
 _STENCILS = {
     "u": ("fd_first", np.array([(1.0, 0.0), (-1.0, 0.0)])),
     "t": ("fd_first", np.array([(0.0, 1.0), (0.0, -1.0)])),
@@ -254,12 +250,6 @@ _UNIT_READS = {name: np.concatenate([d, 0.5 * d]) for name, (_, d) in _STENCILS.
 _ORDERS = {1: ("u", "t"), 2: tuple(_STENCILS)}  # the stencils of derivatives up to order 1, 2
 
 
-def _start_steps(tol: Tolerances, order: int) -> dict:
-    """The stencils of the derivatives up to ``order`` (1 or 2), each with
-    its default start step."""
-    return {name: getattr(tol, _STENCILS[name][0]) for name in _ORDERS[order]}
-
-
 def _reads(name: str, hs) -> np.ndarray:
     """The (s, dt) offsets the stencil ``name`` reads at each step h of hs,
     a float or a 1-D array: those of d(h), then those of d(h/2), with shape
@@ -267,46 +257,31 @@ def _reads(name: str, hs) -> np.ndarray:
     return np.multiply.outer(hs, _UNIT_READS[name])
 
 
-def _unmoved(chart: SurfaceChart, us, moved: np.ndarray) -> np.ndarray:
-    """Where the chart reads an abscissa ``moved`` off u (inside its domain)
-    at u itself."""
-    return chart.domain.read(moved) == us
-
-
-def _t_unmoved(ts: np.ndarray, dt):
-    """Whether a nonzero t-offset dt leaves some t unchanged: a bool for a
-    float dt, one per element for a 1-D array of them."""
-    if isinstance(dt, np.ndarray):
-        return (dt != 0.0) & (ts + dt[:, None] == ts).any(axis=1)
-    return dt != 0.0 and bool((ts + dt == ts).any())
-
-
 def _readable(chart: SurfaceChart, us: np.ndarray, ts: np.ndarray, reads: np.ndarray) -> np.ndarray:
     """Whether a stencil on row u of us can read each (s, dt) of ``reads``
     (shape (n, 2)), shape (len(us), n): u + s is inside the chart's domain,
     a nonzero s moves u where the chart reads it, and a nonzero dt moves
-    every t.  Where one of these fails, a one-row stencil fails at that
-    read."""
+    every t.  A read that fails one of these is outside the chart, or
+    gives a difference quotient that is not that of its step."""
     s, dt = reads.T
     grid = us[:, None] + s
-    ok = chart.domain.admits(grid) & ~_t_unmoved(ts, dt)
+    ok = chart.domain.admits(grid) & ~((dt != 0.0) & (ts + dt[:, None] == ts).any(axis=1))
     away = ok & (s != 0.0)
-    ok[away] = ~_unmoved(chart, np.broadcast_to(us[:, None], grid.shape)[away], grid[away])
+    ok[away] = chart.domain.read(grid[away]) != np.broadcast_to(us[:, None], grid.shape)[away]
     return ok
 
 
 def _settle(chart: SurfaceChart, us: np.ndarray, ts: np.ndarray, tol: Tolerances, order: int):
-    """The rows of us grouped by the steps their stencils start at, as a list
-    of (steps, rows): ``steps`` maps each stencil of the derivatives up to
-    ``order`` to its settled step, and is None for the rows where some
-    stencil has none.  No chart query is made.
+    """The rows of us grouped by the steps of their stencils, as a list of
+    (steps, rows): ``steps`` maps each stencil of the derivatives up to
+    ``order`` (1 or 2) to its settled step, and is None for the rows where
+    some stencil has none.  No chart query is made.
 
     A stencil's settled step is the first of ``halving_steps`` from its
-    default at which ``_readable`` admits every read of d(h) and d(h/2).
-    That is the step where a one-row ``richardson`` stops, unless the chart
-    raises inside its domain there.  All rows are screened at the default
-    steps at once; only the rows that fail are walked down the steps."""
-    start = _start_steps(tol, order)
+    default down to ``tol.fd_min`` at which ``_readable`` admits every read
+    of d(h) and d(h/2).  All rows are screened at the default steps at
+    once; only the rows that fail are walked down the steps."""
+    start = {name: getattr(tol, _STENCILS[name][0]) for name in _ORDERS[order]}
     reads = np.concatenate([_reads(name, h) for name, h in start.items()])
     clear = _readable(chart, us, ts, reads).all(axis=1)
     if clear.all():
@@ -334,19 +309,14 @@ class _RowPoints:
     """Chart points of a set of mesh rows, with a cache local to one kernel call.
 
     ``steps`` maps each stencil measured on the rows (a name of
-    ``_STENCILS``) to the step it starts at; ``offsets`` are the distinct
-    u-offsets it reads there, 0 first.  Calling it with (s, dt) gives the
-    stacked (rows * nt, 3) array of the points at (u + s, ts + dt), row
-    after row: one ``embed`` over all rows.  The chart's profile is
-    evaluated once per row and abscissa u + s (u itself at s = 0) and kept
-    for every t-offset.  ``fit`` evaluates every abscissa in ``offsets`` of
-    all rows in one query per component (9 for the default order-2
-    stencils, 5 for order 1).  Any other abscissa (a stencil shrunk below
-    its start step) is evaluated on request, for all rows in one query per
-    component.  A nonzero offset that leaves some u unchanged where the
-    chart reads it (its ``domain``), or some t unchanged, does not fit: it
-    raises StencilOutOfDomain, so a shrinking stencil keeps shrinking.
-    ``_settle`` keeps such rows out of a batch.
+    ``_STENCILS``) to its settled step; ``offsets`` are the distinct
+    u-offsets it reads there, 0 first.  ``fit`` evaluates the profile at
+    every abscissa u + s of ``offsets`` (u itself at s = 0) of all rows in
+    one query per component (9 for the order-2 stencils, 5 for order 1)
+    and keeps the rows where that succeeded.  Calling it with (s, dt), a
+    read of a stencil at its step, gives the stacked (rows * nt, 3) array
+    of the points at (u + s, ts + dt) of the kept rows, row after row: one
+    ``embed`` over all rows, kept for later reads.
     """
 
     def __init__(self, chart: SurfaceChart, us, ts: np.ndarray, steps: dict):
@@ -360,34 +330,22 @@ class _RowPoints:
         self._profiles: dict = {}  # s -> (theta0, xi1, xi2), each of shape (rows, 1)
         self._points: dict = {}
 
-    def _abscissae(self, s: float) -> np.ndarray:
-        return self.us if s == 0.0 else self.us + s
-
-    def _keep(self, s: float, columns) -> None:
-        self._profiles[s] = [column[:, None] for column in columns]
-
-    def fit(self) -> tuple[list, list]:
+    def fit(self) -> list:
         """Evaluate the profile at every abscissa in ``offsets`` of every row
-        and keep only the rows where that succeeded: (kept, left) indices into
-        the rows given."""
-        grid = np.stack([self._abscissae(s) for s in self.offsets], axis=1)
-        kept, columns = _fit_rows(self.chart, grid)
-        left = sorted(set(range(len(self.us))) - set(kept))
+        and keep only the rows where that succeeded; each row's error from
+        ``_fit_rows``, None for the kept rows."""
+        grid = np.stack([self.us if s == 0.0 else self.us + s for s in self.offsets], axis=1)
+        columns, errors = _fit_rows(self.chart, grid)
+        kept = np.array([exc is None for exc in errors])
         self.us = self.us[kept]
+        columns = [column[kept] for column in columns]
         for j, s in enumerate(self.offsets):
-            self._keep(s, [column[:, j] for column in columns])
-        return kept, left
+            self._profiles[s] = [column[:, j, None] for column in columns]
+        return errors
 
     def __call__(self, s: float = 0.0, dt: float = 0.0) -> np.ndarray:
         pts = self._points.get((s, dt))
         if pts is None:
-            if s not in self._profiles:
-                moved = self._abscissae(s)
-                if s != 0.0 and _unmoved(self.chart, self.us, moved).any():
-                    raise StencilOutOfDomain(f"stencil offset s={s} leaves u unchanged")
-                self._keep(s, _profile_columns(self.chart, moved))
-            if _t_unmoved(self.ts, dt):
-                raise StencilOutOfDomain(f"stencil offset dt={dt} leaves t unchanged")
             t = self.ts if dt == 0.0 else self.ts + dt
             pts = self._points[s, dt] = self.chart.embed(*self._profiles[s], t).reshape(-1, 3)
         return pts
@@ -441,15 +399,11 @@ def _pointwise(fn, pts: np.ndarray, errors: list, shape: tuple, nt: int, first: 
 
 def _first_order(space: BcvSpace, at: _RowPoints, tol: Tolerances):
     """Tangents, metric and first form at every vertex of the rows,
-    ((psi_u, psi_t, g, E, F, G), errors).
-
-    The u-stencil shrinks for all rows at once, so StencilOutOfDomain is
-    raised for them; a vertex outside the metric domain is NaN with its error
-    in ``errors`` (None elsewhere).
-    """
+    ((psi_u, psi_t, g, E, F, G), errors): a vertex outside the metric
+    domain is NaN with its error in ``errors`` (None elsewhere)."""
     errors: list = [None] * (len(at.us) * at.nt)
-    psi_u = richardson(lambda s: (at(s) - at(-s)) / (2.0 * s), at.steps["u"], tol.fd_min)
-    psi_t = richardson(lambda s: (at(0.0, s) - at(0.0, -s)) / (2.0 * s), at.steps["t"], tol.fd_min)
+    psi_u = richardson(lambda s: (at(s) - at(-s)) / (2.0 * s), at.steps["u"])
+    psi_t = richardson(lambda s: (at(0.0, s) - at(0.0, -s)) / (2.0 * s), at.steps["t"])
     g = _pointwise(lambda p: metric_cartesian(space, p, tol), at(), errors, (3, 3), at.nt)
     forms = (_quad_form(psi_u, g, psi_u), _quad_form(psi_u, g, psi_t), _quad_form(psi_t, g, psi_t))
     return (psi_u, psi_t, g) + forms, errors
@@ -501,12 +455,6 @@ def _normal(psi_u: np.ndarray, psi_t: np.ndarray, g: np.ndarray, sign: float):
         return sign * (v / np.sqrt(norm_sq)[:, None]), norm_sq
 
 
-def _second_u(at: _RowPoints, fc: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """psi_uu at every vertex; raises StencilOutOfDomain if the u-stencil
-    cannot fit (psi_ut shares its u-offsets, psi_tt has none)."""
-    return richardson(lambda s: (at(s) - 2.0 * fc + at(-s)) / (s * s), at.steps["uu"], tol.fd_min)
-
-
 def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
     """The fields of ``LocalGeometry`` at every vertex of the rows, flat, and
     their errors."""
@@ -525,14 +473,10 @@ def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
                 f"normal degenerates at (u={at.us[k // nt]}, t={at.ts[k % nt]})"
             )
     fc = at()
-    psi_uu = _second_u(at, fc, tol)
-    psi_tt = richardson(
-        lambda s: (at(0.0, s) - 2.0 * fc + at(0.0, -s)) / (s * s), at.steps["tt"], tol.fd_min
-    )
+    psi_uu = richardson(lambda s: (at(s) - 2.0 * fc + at(-s)) / (s * s), at.steps["uu"])
+    psi_tt = richardson(lambda s: (at(0.0, s) - 2.0 * fc + at(0.0, -s)) / (s * s), at.steps["tt"])
     psi_ut = richardson(
-        lambda h: (at(h, h) - at(h, -h) - at(-h, h) + at(-h, -h)) / (4.0 * h * h),
-        at.steps["ut"],
-        tol.fd_min,
+        lambda h: (at(h, h) - at(h, -h) - at(-h, h) + at(-h, -h)) / (4.0 * h * h), at.steps["ut"]
     )
     gamma = _pointwise(lambda p: christoffels(space, p, tol=tol), fc, errors, (3, 3, 3), nt)
     gn = np.matmul(g, n[:, :, None])
@@ -553,56 +497,39 @@ def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
     return (fc, n, E, F, G, L, M, N, H, K), errors
 
 
-def _row_geometry(
-    space: BcvSpace, chart: SurfaceChart, u: float, ts: np.ndarray, tol: Tolerances, sign: float
-) -> LocalGeometry:
-    """``local_geometry`` of the one row u; raises if its stencil cannot fit."""
-    values, errors = _geometry(space, _RowPoints(chart, (u,), ts, _start_steps(tol, 2)), tol, sign)
-    return LocalGeometry(*values, tuple(errors))
-
-
 def _by_rows(measure, order: int, shapes: tuple, chart: SurfaceChart, us, ts, tol: Tolerances):
     """``measure`` (of derivatives up to ``order``) over every row of us: its
     values as arrays of shape (len(us), nt) + shape, one per entry of
-    ``shapes``, and its errors as one tuple per row.
+    ``shapes``, its errors as one tuple per row, and each row's own error
+    (None for a measured row).
 
-    The rows where the chart's domain clears every default stencil read
-    are measured in one call.  The other rows are settled (``_settle``):
-    the rows whose stencils start at the same steps are measured in one
-    call with those steps, and a row where some stencil has no step holds
-    its one-row error, StencilOutOfDomain, on every vertex with NaN values,
-    without an evaluation.  Each row whose evaluation still raises (the
-    chart fails inside its domain) is measured alone, its stencils
-    shrinking as in a one-row call; if one still cannot fit, the row holds
-    that error.
+    The rows are settled (``_settle``), and the rows whose stencils have
+    the same steps are measured in one call at those steps.  A row where
+    some stencil has no step holds StencilOutOfDomain, without an
+    evaluation, and a row where the chart refuses one of its abscissae
+    holds the chart's error: on every vertex, with NaN values.
     """
     nt = len(ts)
     values = [np.full((len(us), nt) + shape, np.nan) for shape in shapes]
     errors: list = [None] * len(us)
-
-    def put(rows, got: tuple, errs: list):
-        for out, value in zip(values, got):
-            out[rows] = value.reshape((len(rows), nt) + value.shape[1:])
-        for k, i in enumerate(rows):
-            errors[i] = tuple(errs[k * nt : (k + 1) * nt])
-
-    left: list = []
+    refused: list = [None] * len(us)
     for steps, rows in _settle(chart, us, ts, tol, order):
         if steps is None:
-            for i in rows.tolist():
-                errors[i] = (stencil_misfit(tol.fd_min),) * nt
-            continue
-        at = _RowPoints(chart, us[rows], ts, steps)
-        kept, fell = at.fit()
-        if kept:
-            put(rows[kept], *measure(at))
-        left += rows[fell].tolist()
-    for i in sorted(left):
-        try:
-            put([i], *measure(_RowPoints(chart, us[i : i + 1], ts, _start_steps(tol, order))))
-        except BcvHelixError as exc:
-            errors[i] = (_untraced(exc),) * nt
-    return values, tuple(errors)
+            failed = [stencil_misfit(tol.fd_min) for _ in rows]
+        else:
+            at = _RowPoints(chart, us[rows], ts, steps)
+            failed = at.fit()
+            kept = rows[[exc is None for exc in failed]]
+            if len(kept):
+                got, errs = measure(at)
+                for out, value in zip(values, got):
+                    out[kept] = value.reshape((len(kept), nt) + value.shape[1:])
+                for k, i in enumerate(kept.tolist()):
+                    errors[i] = tuple(errs[k * nt : (k + 1) * nt])
+        for i, exc in zip(rows.tolist(), failed):
+            if exc is not None:
+                refused[i], errors[i] = exc, (exc,) * nt
+    return values, tuple(errors), refused
 
 
 def _orientation(space: BcvSpace, chart: SurfaceChart, tol: Tolerances) -> float:
@@ -610,24 +537,23 @@ def _orientation(space: BcvSpace, chart: SurfaceChart, tol: Tolerances) -> float
     along u when the radial pairing vanishes there.
 
     A candidate row is accepted where ``local_geometry`` of it would not
-    raise: its first-order stencils and psi_uu's fit.  Only the point and
-    the normal are measured, as ``_geometry`` measures them."""
+    raise: its order-2 stencils settle and the chart evaluates them.  Only
+    the point and the normal are measured, as ``_geometry`` measures them."""
     if chart._orient is not None:
         return chart._orient
+
+    def probe(at: _RowPoints):
+        (psi_u, psi_t, g, *_), errors = _first_order(space, at, tol)
+        return (at(), _normal(psi_u, psi_t, g, 1.0)[0]), errors
+
     lo, hi = chart.u_range
-    t_ref = 0.5 * (chart.t_range[0] + chart.t_range[1])
+    ts = np.array([0.5 * (chart.t_range[0] + chart.t_range[1])])
     sign = 1.0
     for frac in (0.5, 0.35, 0.65, 0.25, 0.75, 0.45, 0.55):
-        u = lo + (hi - lo) * frac
-        at = _RowPoints(chart, (u,), np.array([t_ref]), _start_steps(tol, 2))
-        try:
-            (psi_u, psi_t, g, *_), _ = _first_order(space, at, tol)
-            n = _normal(psi_u, psi_t, g, 1.0)[0][0]
-            _second_u(at, at(), tol)  # the fit check only
-        except BcvHelixError:
-            continue
-        p = at()[0]
-        if not np.all(np.isfinite(n)):
+        us = np.array([lo + (hi - lo) * frac])
+        (p, n), _, _ = _by_rows(probe, 2, ((3,), (3,)), chart, us, ts, tol)
+        p, n = p[0, 0], n[0, 0]
+        if not np.all(np.isfinite(n)):  # NaN in a row that was not measured
             continue
         r = math.hypot(p[0], p[1])
         if r < tol.r_min:
@@ -653,21 +579,19 @@ def local_geometry(
     The embedding is differentiated numerically at every vertex and the
     second form is corrected by the ambient Christoffels; no structure of
     the chart is assumed.  ``u`` is one abscissa, or a 1-D numpy array of
-    them (fields of shape (len(u), nt)); the input's type picks the path.
+    them (fields of shape (len(u), nt)); the input's type picks the shape.
     The chart is evaluated once per row and distinct stencil abscissa, in
     one query per component for all rows; the stencils, metric,
     Christoffels, normals and forms run once over all vertices of all rows,
     per vertex in the same order as for one row.
 
-    A stencil that cannot fit the domain raises for one row u.  In an
-    array, the rows whose default stencils leave the chart's domain are
-    settled from it (``_settle``) and measured in batches from the steps a
-    one-row call would stop at, with its values bit for bit; a row that
-    cannot fit holds the one-row error on every vertex.  A row whose
-    evaluation raises inside the domain is still measured alone, shrinking
-    its stencils as one row would.
-    A vertex whose metric or Christoffel stencil leaves the domain, or whose
-    immersion degenerates, is NaN with its error in ``errors``.
+    Each row's stencil steps are settled from the chart's domain
+    (``_settle``) and the rows are measured in batches at those steps.  A
+    row where some stencil cannot fit, or where the chart refuses one of
+    its abscissae inside its domain, holds that error on every vertex; for
+    one row u it is raised.  A vertex whose metric or Christoffel stencil
+    leaves the domain, or whose immersion degenerates, is NaN with its
+    error in ``errors``.
     """
 
     def measure(at: _RowPoints):
@@ -675,10 +599,12 @@ def local_geometry(
 
     ts = np.asarray(ts, dtype=float)
     sign = _orientation(space, chart, tol)
-    if not isinstance(u, np.ndarray):
-        return _row_geometry(space, chart, u, ts, tol, sign)
-    values, errors = _by_rows(measure, 2, _GEOMETRY_SHAPES, chart, u.astype(float), ts, tol)
-    return LocalGeometry(*values, errors)
+    us = np.array(u, dtype=float, ndmin=1)
+    values, errors, refused = _by_rows(measure, 2, _GEOMETRY_SHAPES, chart, us, ts, tol)
+    if isinstance(u, np.ndarray):
+        return LocalGeometry(*values, errors)
+    _raise_first([refused])
+    return LocalGeometry(*(value[0] for value in values), errors[0])
 
 
 def first_form_grid(
@@ -699,7 +625,7 @@ def first_form_grid(
         return values[3:], errors
 
     ts = np.asarray(ts, dtype=float)
-    forms, errors = _by_rows(measure, 1, ((),) * 3, chart, np.asarray(us, dtype=float), ts, tol)
+    forms, errors, _ = _by_rows(measure, 1, ((),) * 3, chart, np.asarray(us, dtype=float), ts, tol)
     _raise_first(errors)
     return np.stack(forms, axis=-1)
 
@@ -832,8 +758,10 @@ class MeshGrid:
     ``vertices`` has one row per (u, t) grid node in row-major u-then-t
     order; rows whose u failed chart evaluation are NaN and listed in
     ``dropped_rows``.  ``diagnostic_failures`` counts the vertices of the
-    other rows whose diagnostics failed, by error class; a measured NaN
-    ``h_ext`` means failed.  A mesh sampled with ``with_curvature=False``
+    other rows whose diagnostics failed, by error class: a row whose
+    stencil cannot fit, or where the chart refuses a stencil abscissa,
+    counts that error on every vertex.  A measured NaN ``h_ext`` means
+    failed.  A mesh sampled with ``with_curvature=False``
     measured nothing: ``h_ext``, ``gauss`` and ``residual`` are all NaN and
     ``diagnostic_failures`` is empty.
     """
@@ -883,9 +811,10 @@ def sample_mesh(
     gauss = np.full(nu * nt, np.nan)
     residual = np.full(nu * nt, np.nan)
     failures: Counter = Counter()
-    kept, columns = _fit_rows(chart, us[:, None])
-    dropped = sorted(set(range(nu)) - set(kept))
-    vertices.reshape(nu, nt, 3)[kept] = chart.embed(*columns, ts)
+    columns, errors = _fit_rows(chart, us[:, None])
+    kept = [i for i, exc in enumerate(errors) if exc is None]
+    dropped = [i for i, exc in enumerate(errors) if exc is not None]
+    vertices.reshape(nu, nt, 3)[kept] = chart.embed(*(column[kept] for column in columns), ts)
     if with_curvature and kept:
         geo = local_geometry(space, chart, us[kept], ts, tol)
         for i, H, E, F, G, errors in zip(kept, geo.H, geo.E, geo.F, geo.G, geo.errors):

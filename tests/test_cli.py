@@ -652,6 +652,8 @@ class TestConfigValidation:
             "seed.a=NaN",
             "space.kappa=-Infinity",
             'seed.u_range=[-2,"inf"]',
+            "seed.u_range=[-1e308,1e308]",
+            "grid.t_range=[-1e308,1e308]",
             "seed.c=true",
             'output.formats=[["csv"]]',
             'output.formats=[{"a":1}]',
@@ -660,7 +662,8 @@ class TestConfigValidation:
     def test_malformed_field_is_config_error(self, tmp_path, capsys, override):
         # a field of the wrong type exits 2 with a message, never 1 with a
         # traceback, and a fractional grid size is not truncated; a number
-        # must be finite, and true is no number
+        # must be finite, and true is no number; a range's width must be
+        # finite too
         assert run(tmp_path, "verify", NIL_MINIMAL, overrides=[override]) == 2
         assert f"config error: {override.split('=')[0]}:" in capsys.readouterr().err
 
@@ -730,9 +733,10 @@ class TestConfigValidation:
         with pytest.raises(BcvHelixError, match="evaluation failed at u=-1.0"):
             cli._compile_expr("u ** 0.5", "seed.U")(-1.0)
 
-    @pytest.mark.parametrize("basename", ["../escaped", "sub/name", "", ".", "..", 7])
+    @pytest.mark.parametrize("basename", ["../escaped", "sub/name", "", ".", "..", 7, "a\u0000b"])
     def test_basename_must_be_a_file_name(self, tmp_path, capsys, basename):
-        # every file goes to <out>/<basename>...: a path would write elsewhere
+        # every file goes to <out>/<basename>...: a path would write
+        # elsewhere, and no file name holds a NUL
         out = tmp_path / "out"
         cfg = json.loads(json.dumps(NIL_MINIMAL))
         cfg["output"]["basename"] = basename
@@ -760,6 +764,29 @@ class TestConfigValidation:
     def test_override_changes_grid(self, tmp_path, capsys):
         assert run(tmp_path, "classify", NIL_MINIMAL, overrides=["space.kappa=1.0"]) == 0
         assert json.loads(capsys.readouterr().out)["class"] == "Sphere"
+
+
+class TestOutputErrors:
+    """An output directory or file the system refuses exits 2 with a message
+    on stderr, as the module's exit status promises for I/O errors."""
+
+    @pytest.mark.parametrize(
+        "out, message", [("file/sub", "Not a directory"), ("file", "File exists")], ids=["below", "at"]
+    )
+    def test_out_at_or_below_a_regular_file(self, tmp_path, capsys, out, message):
+        (tmp_path / "file").write_text("")
+        assert run(tmp_path, "classify", NIL_MINIMAL, out=tmp_path / out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_writer_that_cannot_replace_its_file(self, tmp_path, capsys):
+        # a directory where the report goes: the writer's rename fails, and
+        # its temporary file is removed
+        (tmp_path / "nilcat.classify.json").mkdir()
+        assert run(tmp_path, "classify", NIL_MINIMAL) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json", "nilcat.classify.json"]
 
 
 class TestChartAndCmcModes:

@@ -37,7 +37,7 @@ from bcvhelix import (
 )
 from bcvhelix import cli, oracle
 from bcvhelix.bour import NaturalChart
-from bcvhelix.numerics import DEFAULT_TOL, diff_central, richardson
+from bcvhelix.numerics import DEFAULT_TOL, diff_central, richardson, stencil_misfit
 from conftest import NIL, R3, SU2_SPACE, catenoid_profile, nil_catenoid_profile
 from test_kernel_parity import FAILING, FAMILIES, _charts
 from test_orbit import random_wiggle_curve, vertical_line_curve
@@ -45,30 +45,58 @@ from test_orbit import random_wiggle_curve, vertical_line_curve
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
-def reference_first_form(space, chart, u, t, tol=DEFAULT_TOL):
+def reference_reads(chart, u, t, ts):
+    """The chart point at the offset (s, dt) from the vertex (u, t) of a row
+    along ts, for the halving references below.  A read that moves no point
+    raises StencilOutOfDomain, as the oracle's settle rules: a nonzero s
+    whose abscissa the chart reads at u itself, or a nonzero dt that leaves
+    some t of the row unchanged."""
+    ts = np.asarray(ts, dtype=float)
+
+    def point(s, dt):
+        if (s != 0.0 and chart.domain.read(u + s) == u) or (dt != 0.0 and np.any(ts + dt == ts)):
+            raise StencilOutOfDomain(f"the read ({s}, {dt}) moves no point")
+        return chart.point(u + s if s else u, t + dt if dt else t)
+
+    return point
+
+
+def reference_tangents(chart, u, t, tol, ts):
+    """(P, psi_u, psi_t): the reads of the vertex (u, t) of a row along ts (t
+    alone if None) and its tangents, by scalar stencils that halve their
+    step on every error (``richardson`` with h_min)."""
+    P = reference_reads(chart, u, t, [t] if ts is None else ts)
+    psi_u = richardson(lambda s: (P(s, 0.0) - P(-s, 0.0)) / (2.0 * s), tol.fd_first, tol.fd_min)
+    psi_t = richardson(lambda s: (P(0.0, s) - P(0.0, -s)) / (2.0 * s), tol.fd_first, tol.fd_min)
+    return P, psi_u, psi_t
+
+
+def reference_first_form(space, chart, u, t, tol=DEFAULT_TOL, ts=None):
     """Loop-form reference of the oracle's first order: one vertex, scalar stencils."""
-    psi_u = diff_central(lambda v: chart.point(v, t), u, 1, tol.fd_first, tol.fd_min)
-    psi_t = diff_central(lambda s: chart.point(u, s), t, 1, tol.fd_first, tol.fd_min)
-    g = metric_cartesian(space, chart.point(u, t), tol)
+    P, psi_u, psi_t = reference_tangents(chart, u, t, tol, ts)
+    g = metric_cartesian(space, P(0.0, 0.0), tol)
     return psi_u, psi_t, g, (psi_u @ g @ psi_u, psi_u @ g @ psi_t, psi_t @ g @ psi_t)
 
 
-def reference_geometry(space, chart, u, t, tol=DEFAULT_TOL):
+def reference_geometry(space, chart, u, t, tol=DEFAULT_TOL, ts=None):
     """Loop-form reference of one vertex of ``local_geometry``: (E, F, G, L, M, N,
-    H, K) and the unit normal, up to the orientation sign."""
-    psi_u, psi_t, g, (E, F, G) = reference_first_form(space, chart, u, t, tol)
-    v = np.linalg.solve(g, np.cross(psi_u, psi_t))
-    n = v / math.sqrt(v @ g @ v)
-    P = chart.point
-    psi_uu = diff_central(lambda v: P(v, t), u, 2, tol.fd_second, tol.fd_min)
-    psi_tt = diff_central(lambda s: P(u, s), t, 2, tol.fd_second, tol.fd_min)
+    H, K) and the unit normal, up to the orientation sign.  Every stencil is
+    measured before the metric, so a stencil that cannot fit raises
+    StencilOutOfDomain before an error of the vertex."""
+    P, psi_u, psi_t = reference_tangents(chart, u, t, tol, ts)
+    fc = P(0.0, 0.0)
+    psi_uu = richardson(lambda s: (P(s, 0.0) - 2.0 * fc + P(-s, 0.0)) / (s * s), tol.fd_second, tol.fd_min)
+    psi_tt = richardson(lambda s: (P(0.0, s) - 2.0 * fc + P(0.0, -s)) / (s * s), tol.fd_second, tol.fd_min)
     psi_ut = richardson(
-        lambda h: (P(u + h, t + h) - P(u + h, t - h) - P(u - h, t + h) + P(u - h, t - h))
-        / (4.0 * h * h),
+        lambda h: (P(h, h) - P(h, -h) - P(-h, h) + P(-h, -h)) / (4.0 * h * h),
         tol.fd_second,
         tol.fd_min,
     )
-    gamma = christoffels(space, P(u, t), tol=tol)
+    g = metric_cartesian(space, fc, tol)
+    E, F, G = psi_u @ g @ psi_u, psi_u @ g @ psi_t, psi_t @ g @ psi_t
+    v = np.linalg.solve(g, np.cross(psi_u, psi_t))
+    n = v / math.sqrt(v @ g @ v)
+    gamma = christoffels(space, fc, tol=tol)
     gn = g @ n
     L, M, N = (
         float((dd + np.einsum("kij,i,j->k", gamma, da, db)) @ gn)
@@ -302,8 +330,10 @@ class TestLocalGeometry:
             assert max(calls.values()) == 1
 
     def test_interior_row_that_cannot_be_evaluated_fails_alone(self, nil_catenoid_chart):
-        # xi1 refuses every u near one interior row: only that row leaves the
-        # batch, with its one-row error; every other row is its one-row call
+        # xi1 refuses every u near one interior row, u itself first: only
+        # that row leaves the batch, holding the chart's own error, which a
+        # one-row call and first_form_grid raise; every other row is the
+        # halving reference
         us = np.linspace(-1.0, 1.0, 21)
         bad = 7
         chart = nil_catenoid_chart
@@ -317,20 +347,17 @@ class TestLocalGeometry:
                           (-math.pi, math.pi), U=chart.U)
         ts = np.linspace(-math.pi, math.pi, 6)
         batch = local_geometry(NIL, sc, us, ts)
-        for i, u in enumerate(us):
-            if i == bad:
-                with pytest.raises(StencilOutOfDomain) as one:
-                    local_geometry(NIL, sc, u, ts)
-                assert [(type(e), str(e)) for e in batch.errors[i]] == [
-                    (StencilOutOfDomain, str(one.value))
-                ] * len(ts)
-                for name in FIELDS:
-                    assert np.all(np.isnan(getattr(batch, name)[i])), name
-            else:
-                assert_row_is(batch, i, local_geometry(NIL, sc, u, ts))
-        # the mesh drops that row only, and its other vertices are the chart's points
-        mesh = sample_mesh(NIL, sc, len(us), len(ts), with_curvature=False)
-        assert mesh.dropped_rows == [bad]
+        refusal = (DomainError, f"xi1 refused at u={us[bad]}")
+        assert_row_holds(batch, bad, *refusal)
+        for i, u in enumerate(us.tolist()):
+            if i != bad:
+                assert assert_row_is_reference(NIL, sc, batch, i, u, ts)
+        assert_refused_alone(NIL, sc, us[bad], ts, *refusal)
+        assert all(e.__traceback__ is None for e in batch.errors[bad])
+        # the mesh drops that row only, its other vertices are the chart's
+        # points, and its other rows measure without a failure
+        mesh = sample_mesh(NIL, sc, len(us), len(ts))
+        assert mesh.dropped_rows == [bad] and mesh.diagnostic_failures == {}
         assert np.array_equal(mesh.us, us)
         for i, u in enumerate(us):
             row = mesh.vertices[i * len(ts) : (i + 1) * len(ts)]
@@ -404,26 +431,66 @@ class TestLocalGeometry:
             gc.enable()
 
 
+def assert_row_holds(batch, i, kind, message):
+    """Row i of an array ``local_geometry`` holds the error ``kind(message)``
+    on every vertex, with NaN fields."""
+    assert [(type(e), str(e)) for e in batch.errors[i]] == [(kind, message)] * batch.H.shape[1]
+    for name in FIELDS:
+        assert np.all(np.isnan(getattr(batch, name)[i])), name
+
+
 def assert_row_is_one_row_call(space, chart, batch, i, u, ts, tol=DEFAULT_TOL) -> bool:
     """Row i of an array ``local_geometry`` is the one-row call at u: its
-    values and errors, or, where that raises StencilOutOfDomain, the same
-    error on every vertex and NaN fields.  True where the row fits."""
+    values and errors, or, where that raises, the same error on every vertex
+    and NaN fields.  True where the row fits."""
     try:
         row = local_geometry(space, chart, u, ts, tol)
-    except StencilOutOfDomain as one:
-        assert [(type(e), str(e)) for e in batch.errors[i]] == [
-            (StencilOutOfDomain, str(one))
-        ] * len(ts)
-        for name in FIELDS:
-            assert np.all(np.isnan(getattr(batch, name)[i])), name
+    except BcvHelixError as one:
+        assert_row_holds(batch, i, type(one), str(one))
         return False
     assert_row_is(batch, i, row)
     return True
 
 
+def assert_row_is_reference(space, chart, batch, i, u, ts, tol=DEFAULT_TOL) -> bool:
+    """Row i of an array ``local_geometry`` is ``reference_geometry`` at each
+    of its vertices, with the row's ts: the normal and the fields within
+    1e-15, up to the orientation sign, or the error the reference raises,
+    of the same class and message, and NaN fields.  True where the row fits."""
+    names = ("E", "F", "G", "L", "M", "N", "H", "K")
+    fits = True
+    for k, t in enumerate(ts.tolist()):
+        error = batch.errors[i][k]
+        try:
+            ref, n_ref = reference_geometry(space, chart, u, t, tol, ts)
+        except BcvHelixError as exc:
+            assert (type(error), str(error)) == (type(exc), str(exc))
+            assert np.isnan(batch.H[i, k])
+            fits = fits and not isinstance(exc, StencilOutOfDomain)
+            continue
+        assert error is None
+        sign = 1.0 if batch.normal[i, k] @ n_ref > 0 else -1.0
+        assert np.max(np.abs(batch.normal[i, k] - sign * n_ref)) <= 1e-15
+        for name, value in zip(names, ref):
+            if name in ("L", "M", "N", "H"):
+                value *= sign
+            assert abs(getattr(batch, name)[i, k] - value) <= 1e-15 * max(1.0, abs(value)), name
+    return fits
+
+
+def assert_refused_alone(space, chart, u, ts, kind, message, tol=DEFAULT_TOL):
+    """The one row u, where the chart refuses an abscissa, raises the error
+    ``kind(message)`` in a one-row ``local_geometry`` and in
+    ``first_form_grid``."""
+    for measure in (local_geometry, first_form_grid):
+        with pytest.raises(kind) as raised:
+            measure(space, chart, u if measure is local_geometry else [u], ts, tol)
+        assert (type(raised.value), str(raised.value)) == (kind, message)
+
+
 def edge_rows(u_valid, tol=DEFAULT_TOL):
     """Rows at offsets from both ends of u_valid where a settled stencil
-    step and the one-row halving could part: on the end, inside the 1e-12
+    step and the halving reference could part: on the end, inside the 1e-12
     band, at fd_min and at shared_grid's 1e-6 margin, and 2e-12 and 5e-13
     on either side of a step (a stencil that reaches past the end lands
     beyond or inside the band), plus a few interior rows."""
@@ -454,7 +521,7 @@ SETTLE_CHARTS = ["shipped-heisenberg_minimal", "verify-cmc-space-form-generic", 
 class TestSettle:
     """Rows whose default stencils leave the chart's domain are settled from
     its domain predicate, without a chart query, and measured in batches
-    that equal the one-row calls bit for bit."""
+    that equal the halving references and the one-row calls."""
 
     @pytest.mark.parametrize(
         "which, fd_min, far_t",
@@ -475,40 +542,47 @@ class TestSettle:
         assert len(groups) >= 3 and any(steps is None for steps, _ in groups)
         batch = local_geometry(job.space, sc, us, ts, tol)
         fits = [
-            assert_row_is_one_row_call(job.space, sc, batch, i, u, ts, tol)
+            assert_row_is_reference(job.space, sc, batch, i, u, ts, tol)
             for i, u in enumerate(us.tolist())
         ]
         assert 0 < fits.count(False) < len(us)
+        assert fits == [
+            assert_row_is_one_row_call(job.space, sc, batch, i, u, ts, tol)
+            for i, u in enumerate(us.tolist())
+        ]
 
     @pytest.mark.parametrize("which", SETTLE_CHARTS)
     def test_edge_rows_equal_one_row_first_forms(self, which):
-        # the one-row first form halves its stencils from the defaults; a
-        # row that cannot fit raises the same error in first_form_grid
+        # the halving reference of the first form, bit for bit, in a batch
+        # and in one-row calls; a row where it cannot fit raises the same
+        # error in first_form_grid
         job, sc = settle_chart(which)
         us, ts = edge_rows(sc.u_range, job.tol), np.linspace(*job.t_range, 5)
         fitting, want = [], []
         for u in us.tolist():
-            at = oracle._RowPoints(sc, [u], ts, oracle._start_steps(job.tol, 1))
             try:
-                (*_, E, F, G), errors = oracle._first_order(job.space, at, job.tol)
+                forms = [reference_first_form(job.space, sc, u, t, job.tol, ts)[3] for t in ts.tolist()]
             except StencilOutOfDomain as one:
                 with pytest.raises(StencilOutOfDomain) as alone:
                     first_form_grid(job.space, sc, [u], ts, job.tol)
                 assert str(alone.value) == str(one)
                 continue
-            assert not any(errors)
             fitting.append(u)
-            want.append(np.stack([E, F, G], axis=-1))
+            want.append(forms)
         assert 0 < len(fitting) < len(us)
         grid = first_form_grid(job.space, sc, np.array(fitting), ts, job.tol)
         assert grid.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+        for u, row in zip(fitting, grid):
+            alone = first_form_grid(job.space, sc, [u], ts, job.tol)[0]
+            assert alone.view(np.int64).tolist() == row.view(np.int64).tolist()
 
     @pytest.mark.parametrize("with_domain", [True, False])
     def test_profile_chart_edge_rows_equal_one_row_calls(self, with_domain):
         # a profile curve's chart reads u itself up to 1e-12 past its range:
-        # with the curve's domain its edge rows are settled from it; with a
-        # domain that admits every u they are measured at the default steps,
-        # and the rows the curve refuses there fall back on one-row calls
+        # with the curve's domain its edge rows are settled from it and
+        # equal the halving reference; with a domain that admits every u
+        # they are measured at the default steps, and the rows whose
+        # stencils the curve refuses hold the curve's own error
         act, curve = random_wiggle_curve(NIL, 0.35, np.random.default_rng(19))
         sc = SurfaceChart.from_profile(act, curve)
         if not with_domain:
@@ -519,6 +593,21 @@ class TestSettle:
         batch = local_geometry(NIL, sc, us, ts)
         fits = [assert_row_is_one_row_call(NIL, sc, batch, i, u, ts) for i, u in enumerate(us.tolist())]
         assert 0 < fits.count(False) < len(us)
+        lo, hi = sc.u_range
+        if with_domain:
+            assert fits == [assert_row_is_reference(NIL, sc, batch, i, u, ts) for i, u in enumerate(us.tolist())]
+            failure = "StencilOutOfDomain"
+        else:
+            # the end row lo first reads below the curve at u = lo - fd_first
+            refusal = (DomainError, f"u={lo - DEFAULT_TOL.fd_first} outside curve domain [{lo}, {hi}]")
+            assert us[0] == lo
+            assert_row_holds(batch, 0, *refusal)
+            assert_refused_alone(NIL, sc, lo, ts, *refusal)
+            assert {type(batch.errors[i][0]) for i, fit in enumerate(fits) if not fit} == {DomainError}
+            failure = "DomainError"
+        # the mesh's end rows hold that error on every vertex
+        mesh = sample_mesh(NIL, sc, 9, len(ts))
+        assert mesh.dropped_rows == [] and mesh.diagnostic_failures == {failure: 2 * len(ts)}
 
     def test_shipped_frame_measures_no_row_alone(self, monkeypatch):
         # the deform frame of the shipped heisenberg_minimal config at a =
@@ -559,11 +648,12 @@ class TestSettle:
         assert mesh.diagnostic_failures == {"StencilOutOfDomain": 2 * job.nt}
         assert np.isfinite(grid).all()
 
-    def test_refusal_inside_the_domain_falls_back_to_one_row_calls(self, nil_catenoid_chart):
-        # xi1 refuses u near one interior row and near an abscissa of an edge
-        # row's settled u-stencil, while the chart keeps its domain
-        # predicate: the batches that query there raise, are split, and
-        # their rows are measured as one-row calls measure them
+    def test_refusal_inside_the_domain_holds_the_charts_error(self, nil_catenoid_chart):
+        # xi1 refuses u near one interior row, near an abscissa of an edge
+        # row's settled u-stencil and near an abscissa of another row's
+        # second-order stencils, while the chart keeps its domain
+        # predicate: each of those rows holds xi1's own error, which a
+        # one-row call raises and sample_mesh counts
         chart, tol = nil_catenoid_chart, DEFAULT_TOL
         lo, hi = chart.u_valid
         ts = np.linspace(-math.pi, math.pi, 5)
@@ -572,7 +662,7 @@ class TestSettle:
         natural = SurfaceChart.from_natural(chart)
         ((steps, _),) = oracle._settle(natural, np.array([edge]), ts, tol, 2)
         assert steps["u"] < tol.fd_first
-        refused = np.array([us[4], edge - steps["u"]])
+        refused = np.array([us[4], edge - steps["u"], us[6] + tol.fd_second])
 
         def xi1(u):
             if np.any(np.abs(np.subtract.outer(np.asarray(u), refused)) < 1e-9):
@@ -583,9 +673,23 @@ class TestSettle:
                           (-math.pi, math.pi), U=chart.U, domain=chart.domain)
         batch = local_geometry(NIL, sc, us, ts, tol)
         fits = [assert_row_is_one_row_call(NIL, sc, batch, i, u, ts, tol) for i, u in enumerate(us.tolist())]
-        # the refused row and the ends of u_valid cannot fit; the edge row
-        # fits one step further down
-        assert [i for i, fit in enumerate(fits) if not fit] == [0, 4, 10]
+        # the ends of u_valid have no step; the refused rows hold xi1's
+        # error, at the first abscissa of theirs it refuses
+        assert [i for i, fit in enumerate(fits) if not fit] == [0, 4, 6, 10, 12]
+        for i in (1, 2, 3, 5, 7, 8, 9, 11):
+            assert assert_row_is_reference(NIL, sc, batch, i, us[i], ts, tol)
+        for i in (0, 10):
+            assert_row_holds(batch, i, StencilOutOfDomain, str(stencil_misfit(tol.fd_min)))
+        for i, at in ((4, us[4]), (6, us[6] + tol.fd_second), (12, edge - steps["u"])):
+            refusal = (DomainError, f"xi1 refused at u={float(at)}")
+            assert_row_holds(batch, i, *refusal)
+            if i != 6:
+                assert_refused_alone(NIL, sc, us[i], ts, *refusal, tol)
+        # first_form_grid reads no second-order stencil: row 6 fits there
+        assert np.isfinite(first_form_grid(NIL, sc, [us[6]], ts, tol)).all()
+        mesh = sample_mesh(NIL, sc, 11, len(ts), tol)
+        assert mesh.dropped_rows == [4]
+        assert mesh.diagnostic_failures == {"DomainError": len(ts), "StencilOutOfDomain": 2 * len(ts)}
 
 
 class TestGauss:
@@ -691,18 +795,20 @@ class TestSampleMesh:
             sample_mesh(R3, sc, 1, 5)
 
 
-def _orientation_by_row_kernel(space, chart, tol):
-    """The orientation sign as found by measuring each candidate row with
-    the whole row kernel, the reference for ``oracle._orientation``."""
+def _orientation_by_reference(space, chart, tol):
+    """The orientation sign as found by measuring each candidate vertex with
+    ``reference_geometry``, all stencils included: the reference for
+    ``oracle._orientation``."""
     lo, hi = chart.u_range
     t_ref = 0.5 * (chart.t_range[0] + chart.t_range[1])
     for frac in (0.5, 0.35, 0.65, 0.25, 0.75, 0.45, 0.55):
         u = lo + (hi - lo) * frac
         try:
-            geo = oracle._row_geometry(space, chart, u, np.array([t_ref]), tol, 1.0)
+            with np.errstate(invalid="ignore", divide="ignore"):  # a degenerate normal is NaN
+                _, n = reference_geometry(space, chart, u, t_ref, tol)
         except BcvHelixError:
             continue
-        p, n = geo.points[0], geo.normal[0]
+        p = chart.point(u, t_ref)
         if not np.all(np.isfinite(n)):
             continue
         r = math.hypot(p[0], p[1])
@@ -717,10 +823,11 @@ def _orientation_by_row_kernel(space, chart, tol):
 
 @pytest.mark.parametrize("config, pitches", FAMILIES + FAILING)
 def test_orientation_matches_row_kernel(config, pitches):
-    # the orientation probe measures only the point, the normal and the
-    # fit of psi_uu; its sign is the whole row kernel's on every family: the
-    # chart, the chart over the seed's whole window (candidate rows outside
-    # the validity) and its mirror image u -> -u (the other sign)
+    # the orientation probe measures only the point and the normal of rows
+    # whose order-2 stencils settle and evaluate; its sign is the halving
+    # reference's on every family: the chart, the chart over the seed's
+    # whole window (candidate rows outside the validity) and its mirror
+    # image u -> -u (the other sign)
     job, _, charts = _charts(config, pitches)
     signs = []
     for chart in charts:
@@ -730,7 +837,7 @@ def test_orientation_matches_row_kernel(config, pitches):
             job.t_range,
         )
         for surface in (cli._surface(job, chart), SurfaceChart.from_natural(chart, u_range=job.u_range), mirror):
-            want = _orientation_by_row_kernel(chart.space, surface, job.tol)
+            want = _orientation_by_reference(chart.space, surface, job.tol)
             assert oracle._orientation(chart.space, surface, job.tol) == want
             signs.append(want)
     assert set(signs) == {-1.0, 1.0}
