@@ -34,6 +34,7 @@ from .spaces import (
     SpaceClass,
     christoffels,
     classify,
+    inverse_metric,
     killing_basis,
     killing_residual,
     metric_cartesian,

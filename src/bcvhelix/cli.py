@@ -814,8 +814,10 @@ def cmd_deform(job: JobConfig, out_dir: str) -> int:
             grids[key] = first_form_grid(job.space, surfaces[value], us, ts, job.tol)
         return grids[key]
 
+    # a pair that cannot be measured holds null, its error under pair_errors
     n = len(values)
     matrix = [[None] * n for _ in range(n)]
+    pair_errors = {}
     worst = 0.0
     for i, vi in enumerate(values):
         for j, vj in enumerate(values):
@@ -825,12 +827,16 @@ def cmd_deform(job: JobConfig, out_dir: str) -> int:
                     continue
                 dev = 0.0
                 if i != j:
-                    us, ts = shared_grid(surfaces[vi], surfaces[vj])
-                    diff = form_grid(vi, us, ts) - form_grid(vj, us, ts)
+                    try:
+                        us, ts = shared_grid(surfaces[vi], surfaces[vj])
+                        diff = form_grid(vi, us, ts) - form_grid(vj, us, ts)
+                    except BcvHelixError as exc:
+                        pair_errors[f"{vi:g},{vj:g}"] = f"{type(exc).__name__}: {exc}"
+                        continue
                     dev = float(np.max(np.abs(diff)))
                 matrix[i][j] = dev
                 worst = max(worst, dev)
-    ok = not errors and worst < job.check_tol["isometry"]
+    ok = not errors and not pair_errors and worst < job.check_tol["isometry"]
     report = {
         "sweep": values,
         "frames": frames,
@@ -839,6 +845,8 @@ def cmd_deform(job: JobConfig, out_dir: str) -> int:
         "max_isometry_deviation": worst,
         "pass": bool(ok),
     }
+    if pair_errors:
+        report["pair_errors"] = pair_errors
     write_json(os.path.join(out_dir, f"{job.basename}.deform.json"), report)
     print(json.dumps(report, sort_keys=True))
     return 0 if ok else 1

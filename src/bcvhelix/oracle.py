@@ -1,9 +1,10 @@
 """Independent extrinsic verification of helicoidal charts.
 
 Charts are embedded into the ambient space and differentiated numerically;
-first and second fundamental forms come from the ambient metric and its
-finite-difference Christoffels only -- no reduction-theorem or
-transform-side algebra enters, so agreement is evidence, not tautology.
+first and second fundamental forms come from the ambient metric, its inverse
+and its Christoffels only (``spaces``, the derivatives of the metric's
+coefficients) -- no reduction-theorem or transform-side algebra enters, so
+agreement is evidence, not tautology.
 Measurements run through one kernel over a set of mesh rows (fixed u) at
 once, be it a batch, one row or the orientation probe: the chart's profile
 is one array query per component over every (row, stencil abscissa) pair,
@@ -38,6 +39,7 @@ from .bour import NaturalChart
 from .errors import (
     BcvHelixError,
     DegenerateImmersion,
+    EmptyDomain,
     StencilOutOfDomain,
 )
 from .numerics import (
@@ -49,7 +51,7 @@ from .numerics import (
     stencil_misfit,
 )
 from .orbit import HelicoidalAction, ProfileCurve, ProfileDomain
-from .spaces import BcvSpace, christoffels, metric_cartesian
+from .spaces import BcvSpace, christoffels, inverse_metric, metric_cartesian
 
 __all__ = [
     "SurfaceChart",
@@ -446,11 +448,15 @@ class LocalGeometry:
 _GEOMETRY_SHAPES = ((3,), (3,)) + ((),) * 8  # trailing shapes of LocalGeometry's fields
 
 
-def _normal(psi_u: np.ndarray, psi_t: np.ndarray, g: np.ndarray, sign: float):
-    """(n, |v|^2): the unit normal sign * v / |v| at every vertex, with v the
-    g-dual of psi_u x psi_t and |v|^2 its squared g-norm."""
+def _normal(space: BcvSpace, at: _RowPoints, first: tuple, errors: list, tol: Tolerances, sign: float):
+    """(n, |v|^2): the unit normal sign * v / |v| at every vertex, with v =
+    g^{-1} (psi_u x psi_t), the g-dual of the cross product, and |v|^2 its
+    squared g-norm; ``first`` is ``_first_order``'s values.  A vertex
+    outside the metric domain is NaN, its error already in ``errors``."""
+    psi_u, psi_t, g = first[:3]
+    g_inv = _pointwise(lambda p: inverse_metric(space, p, tol), at(), errors, (3, 3), at.nt)
     with np.errstate(invalid="ignore", divide="ignore"):
-        v = np.linalg.solve(g, np.cross(psi_u, psi_t)[:, :, None])[:, :, 0]
+        v = np.matmul(g_inv, np.cross(psi_u, psi_t)[:, :, None])[:, :, 0]
         norm_sq = _quad_form(v, g, v)
         return sign * (v / np.sqrt(norm_sq)[:, None]), norm_sq
 
@@ -459,9 +465,10 @@ def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
     """The fields of ``LocalGeometry`` at every vertex of the rows, flat, and
     their errors."""
     nt = at.nt
-    (psi_u, psi_t, g, E, F, G), errors = _first_order(space, at, tol)
+    first, errors = _first_order(space, at, tol)
+    psi_u, psi_t, g, E, F, G = first
     det = E * G - F * F
-    n, norm_sq = _normal(psi_u, psi_t, g, sign)
+    n, norm_sq = _normal(space, at, first, errors, tol, sign)
     for k in np.flatnonzero(det <= 0.0):
         if errors[k] is None:
             errors[k] = DegenerateImmersion(
@@ -479,11 +486,13 @@ def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
         lambda h: (at(h, h) - at(h, -h) - at(-h, h) + at(-h, -h)) / (4.0 * h * h), at.steps["ut"]
     )
     gamma = _pointwise(lambda p: christoffels(space, p, tol=tol), fc, errors, (3, 3, 3), nt)
-    gn = np.matmul(g, n[:, :, None])
+    # with gn = g n and Cn_ij = gn_k Gamma^k_ij, a second-form entry is
+    # g(d_ab psi + Gamma(d_a psi, d_b psi), n) = d_ab psi . gn + d_a psi . Cn . d_b psi
+    gn = np.matmul(g, n[:, :, None])[:, :, 0]
+    Cn = np.matmul(gn[:, None, :], gamma.reshape(-1, 3, 9)).reshape(-1, 3, 3)
 
     def second_form(da: np.ndarray, db: np.ndarray, dd: np.ndarray) -> np.ndarray:
-        nabla = dd + np.einsum("...kij,...i,...j->...k", gamma, da, db)
-        return np.matmul(nabla[:, None, :], gn)[:, 0, 0]
+        return np.matmul(dd[:, None, :], gn[:, :, None])[:, 0, 0] + _quad_form(da, Cn, db)
 
     L = second_form(psi_u, psi_u, psi_uu)
     M = second_form(psi_u, psi_t, psi_ut)
@@ -543,8 +552,8 @@ def _orientation(space: BcvSpace, chart: SurfaceChart, tol: Tolerances) -> float
         return chart._orient
 
     def probe(at: _RowPoints):
-        (psi_u, psi_t, g, *_), errors = _first_order(space, at, tol)
-        return (at(), _normal(psi_u, psi_t, g, 1.0)[0]), errors
+        first, errors = _first_order(space, at, tol)
+        return (at(), _normal(space, at, first, errors, tol, 1.0)[0]), errors
 
     lo, hi = chart.u_range
     ts = np.array([0.5 * (chart.t_range[0] + chart.t_range[1])])
@@ -589,9 +598,8 @@ def local_geometry(
     (``_settle``) and the rows are measured in batches at those steps.  A
     row where some stencil cannot fit, or where the chart refuses one of
     its abscissae inside its domain, holds that error on every vertex; for
-    one row u it is raised.  A vertex whose metric or Christoffel stencil
-    leaves the domain, or whose immersion degenerates, is NaN with its
-    error in ``errors``.
+    one row u it is raised.  A vertex outside the metric domain, or whose
+    immersion degenerates, is NaN with its error in ``errors``.
     """
 
     def measure(at: _RowPoints):
@@ -726,13 +734,14 @@ def shared_grid(
     grid: tuple[int, int] = (21, 9),
     margin: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(us, ts) of the uniform grid on the (u, t) rectangle two charts share."""
+    """(us, ts) of the uniform grid on the (u, t) rectangle two charts share,
+    ``margin`` inside their u-ranges; EmptyDomain if that rectangle is empty."""
     u_lo = max(chart_a.u_range[0], chart_b.u_range[0]) + margin
     u_hi = min(chart_a.u_range[1], chart_b.u_range[1]) - margin
     t_lo = max(chart_a.t_range[0], chart_b.t_range[0])
     t_hi = min(chart_a.t_range[1], chart_b.t_range[1])
     if not (u_lo < u_hi and t_lo < t_hi):
-        raise ValueError("charts share no (u, t) parameter rectangle")
+        raise EmptyDomain(f"charts share no (u, t) parameter rectangle {margin:g} inside their u-ranges")
     nu, nt = grid
     return np.linspace(u_lo, u_hi, nu), np.linspace(t_lo, t_hi, nt)
 

@@ -1,14 +1,16 @@
-"""BCV spaces: metrics, frames, Killing fields, and numerical Christoffels.
+"""BCV spaces: metrics, frames, Killing fields, and Christoffel symbols.
 
 The two-parameter metric family
 
     g = (dx^2 + dy^2)/B^2 + (dz + tau (y dx - x dy)/B)^2,
     B = 1 + (kappa/4)(x^2 + y^2),
 
-is defined on the open subset of R^3 where B > 0.  Christoffel symbols are
-obtained from central finite differences of the metric (with one Richardson
-level) rather than hand-coded closed forms, so the extrinsic oracle stays
-independent of any algebra shared with the main pipeline.
+is defined on the open subset of R^3 where B > 0.  Christoffel symbols come
+from the exact first derivatives of the metric's coefficients and the
+inverse metric E^T E of the orthonormal frame E.  That algebra differentiates
+``metric_cartesian`` only; it shares nothing with the profile formulas of
+``bour`` and ``cmc``, so the extrinsic oracle built on it stays independent
+of the main pipeline.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "scaling_factor",
     "metric_cartesian",
     "metric_cylindrical",
+    "inverse_metric",
     "orthonormal_frame",
     "killing_basis",
     "christoffels",
@@ -188,28 +191,59 @@ def classify(space: BcvSpace) -> SpaceClass:
     return SpaceClass.SU2 if kappa > 0 else SpaceClass.SL2R_COVER
 
 
-def christoffels(
-    space: BcvSpace,
-    p,
-    h: float = 1e-4,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Gamma^k_{ij} from finite differences of the Cartesian metric.
+def inverse_metric(space: BcvSpace, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """g^{-1} = E^T E in (x, y, z), E the rows of ``orthonormal_frame``.
 
-    Central differences with one Richardson level; symmetric in (i, j) by
-    construction.  ``p`` is one point (result (3, 3, 3)) or a (..., 3) array
-    of points (result (..., 3, 3, 3)).  Step h is configurable; the stencil
-    must stay strictly inside the domain (DomainError otherwise).
+    ``p`` is one point (result (3, 3)) or a (..., 3) array of points
+    (result (..., 3, 3)); DomainError if any point is outside the domain.
     """
-    x0 = _points(p)
-    # dg[..., l, i, j] = d_l g_ij, the three axis offsets x0 + s e_l at once
-    dg = diff_central(
-        lambda s: metric_cartesian(space, x0[..., None, :] + s * np.eye(3), tol), 0.0, 1, h
-    )
-    g_inv = np.linalg.inv(metric_cartesian(space, x0, tol))
+    q = _points(p)
+    x, y = q[..., 0], q[..., 1]
+    rsq = x * x + y * y
+    B = scaling_factor(space, rsq, tol)
+    tau = space.tau
+    g_inv = np.zeros(q.shape[:-1] + (3, 3))
+    g_inv[..., 0, 0] = g_inv[..., 1, 1] = B * B
+    g_inv[..., 0, 2] = g_inv[..., 2, 0] = -tau * y * B
+    g_inv[..., 1, 2] = g_inv[..., 2, 1] = tau * x * B
+    g_inv[..., 2, 2] = 1.0 + tau * tau * rsq
+    return g_inv
+
+
+def christoffels(space: BcvSpace, p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Gamma^k_{ij} of the Cartesian metric from its exact derivatives.
+
+    ``metric_cartesian`` is g = D/B^2 + w w^T with D = diag(1, 1, 0) and
+    w = (alpha, beta, 1), so d_l g_ij = d_l(B^-2) D_ij + d_l w_i w_j +
+    w_i d_l w_j, with d_z g = 0; the inverse is ``inverse_metric``.
+    Symmetric in (i, j) by construction.  ``p`` is one point (result
+    (3, 3, 3)) or a (..., 3) array of points (result (..., 3, 3, 3));
+    DomainError if any point is outside the domain.
+    """
+    q = _points(p)
+    x, y = q[..., 0], q[..., 1]
+    B = scaling_factor(space, x * x + y * y, tol)
+    tau = space.tau
+    B_x, B_y = 0.5 * space.kappa * x, 0.5 * space.kappa * y
+    alpha, beta = tau * y / B, -tau * x / B
+    w = np.zeros(q.shape[:-1] + (3,))
+    w[..., 0], w[..., 1], w[..., 2] = alpha, beta, 1.0
+    dw = np.zeros(q.shape[:-1] + (3, 3))  # dw[..., l, i] = d_l w_i
+    dw[..., 0, 0] = -alpha * B_x / B
+    dw[..., 1, 0] = (tau - alpha * B_y) / B
+    dw[..., 0, 1] = -(tau + beta * B_x) / B
+    dw[..., 1, 1] = -beta * B_y / B
+    # dg[..., l, i, j] = d_l g_ij; a sum with its transpose is exactly symmetric
+    dg = dw[..., :, :, None] * w[..., None, None, :]
+    dg = dg + np.swapaxes(dg, -1, -2)
+    for l, B_l in ((0, B_x), (1, B_y)):
+        d_inv_B2 = -2.0 * B_l / (B * B * B)
+        dg[..., l, 0, 0] += d_inv_B2
+        dg[..., l, 1, 1] += d_inv_B2
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    term = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    return 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, term)
+    term = dg + np.swapaxes(dg, -3, -2)
+    term -= np.moveaxis(dg, -3, -1)
+    return np.einsum("...kl,...ijl->...kij", 0.5 * inverse_metric(space, q, tol), term)
 
 
 def killing_residual(

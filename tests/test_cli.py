@@ -505,6 +505,50 @@ class TestDeform:
         assert run(tmp_path, "deform", cfg) == 0
         report = json.loads((tmp_path / "single.deform.json").read_text())
         assert report["isometry_deviation"] == [[0.0]]
+        assert "pair_errors" not in report
+
+    def test_pair_without_shared_rectangle_is_reported(self, tmp_path, capsys):
+        # the second frame's validity is +-2.6e-7, narrower than shared_grid's
+        # two 1e-6 margins: the pair holds null and its error, the report is
+        # written and the sweep fails
+        cfg = {
+            "space": {"kappa": 0.0, "tau": 0.0},
+            "seed": {"family": "explicit", "m": 1.0, "a": 0.0, "u_range": [-1, 1],
+                     "U": "2 - u*u", "dU": "-2*u"},
+            "sweep": {"parameter": "a", "values": [0.0, 1.9999999999999]},
+            "grid": {"nu": 9, "nt": 7, "t_range": [-2.0, 2.0]},
+            "output": {"basename": "narrow", "formats": ["json"]},
+        }
+        assert run(tmp_path, "deform", cfg) == 1
+        report = json.loads((tmp_path / "narrow.deform.json").read_text())
+        assert report == json.loads(capsys.readouterr().out)
+        assert report["frame_errors"] == {} and len(report["frames"]) == 2
+        assert report["isometry_deviation"] == [[0.0, None], [None, 0.0]]
+        assert report["pair_errors"] == {
+            "0,2": "EmptyDomain: charts share no (u, t) parameter rectangle 1e-06 inside their u-ranges"
+        }
+        assert report["pass"] is False
+
+    def test_pair_whose_grid_cannot_be_measured_is_reported(self, tmp_path):
+        # with fd_min = 1e-6 the shared grids' end rows, 1e-6 inside the
+        # validity ends, get no u-step: every pair of the shipped sweep holds
+        # null and the stencil's error, and the frames' meshes and the report
+        # are written
+        cfg = json.loads((CONFIG_DIR / "catenoid_to_helicoid.json").read_text())
+        assert run(tmp_path, "deform", cfg, overrides=["tolerances.fd_min=1e-6"]) == 1
+        name = cfg["output"]["basename"]
+        report = json.loads((tmp_path / f"{name}.deform.json").read_text())
+        values = cfg["sweep"]["values"]
+        n = len(values)
+        assert report["isometry_deviation"] == [[0.0 if i == j else None for j in range(n)] for i in range(n)]
+        assert sorted(report["pair_errors"]) == sorted(
+            f"{values[i]:g},{values[j]:g}" for i in range(n) for j in range(i + 1, n)
+        )
+        assert set(report["pair_errors"].values()) == {
+            "StencilOutOfDomain: difference stencil cannot fit the domain above h_min=1e-06"
+        }
+        assert report["frame_errors"] == {} and report["pass"] is False
+        assert all((tmp_path / f"{name}_a={v:g}.obj").exists() for v in values)
 
 
 class TestDeformMeasuresWhatItWrites:

@@ -26,6 +26,7 @@ from bcvhelix import (
     gauss_intrinsic,
     gauss_numeric,
     induced_metric,
+    inverse_metric,
     isometry_deviation,
     local_geometry,
     mean_curvature_extrinsic,
@@ -94,12 +95,12 @@ def reference_geometry(space, chart, u, t, tol=DEFAULT_TOL, ts=None):
     )
     g = metric_cartesian(space, fc, tol)
     E, F, G = psi_u @ g @ psi_u, psi_u @ g @ psi_t, psi_t @ g @ psi_t
-    v = np.linalg.solve(g, np.cross(psi_u, psi_t))
+    v = inverse_metric(space, fc, tol) @ np.cross(psi_u, psi_t)
     n = v / math.sqrt(v @ g @ v)
-    gamma = christoffels(space, fc, tol=tol)
     gn = g @ n
+    Cn = (gn @ christoffels(space, fc, tol=tol).reshape(3, 9)).reshape(3, 3)  # gn_k Gamma^k_ij
     L, M, N = (
-        float((dd + np.einsum("kij,i,j->k", gamma, da, db)) @ gn)
+        float(dd @ gn + da @ Cn @ db)
         for da, db, dd in ((psi_u, psi_u, psi_uu), (psi_u, psi_t, psi_ut), (psi_t, psi_t, psi_tt))
     )
     det = E * G - F * F
@@ -117,13 +118,23 @@ def assert_row_is(batch, i, row):
     assert [(type(e), str(e)) for e in batch.errors[i]] == [(type(e), str(e)) for e in row.errors]
 
 
-def cylinder_near_domain_edge():
-    # a vertical cylinder in H2 x R just inside the metric domain r < 2:
-    # B = 0.9e-4 on the cylinder, so the Christoffel stencil's +-1e-4 offset
-    # along x (near t = 0, pi) or along y (near t = +-pi/2) leaves the domain
+def cylinder_across_domain_edge():
+    # a cylinder of radius 1.2 in H2 x R (metric domain r < 2), sheared by
+    # x -> x + 0.86 + 0.1 z: row u is a circle about x = 0.86 + 0.1 u that
+    # reaches r = 2.06 + 0.1 u at t = 0, so the vertices near t = 0 lie
+    # outside the domain, in a band that widens with u
     space = BcvSpace(-1.0, 0.0)
-    act, curve = vertical_line_curve(space, R=2.0 * math.sqrt(1.0 - 0.9e-4))
-    return space, SurfaceChart.from_profile(act, curve)
+    act, curve = vertical_line_curve(space, R=1.2)
+    sc = SurfaceChart.from_profile(act, curve)
+    embed = sc.embed
+
+    def sheared(theta0, xi1, xi2, t):
+        p = embed(theta0, xi1, xi2, t)
+        p[..., 0] += 0.86 + 0.1 * p[..., 2]
+        return p
+
+    sc.embed = sheared
+    return space, sc
 
 
 def su2_minimal_chart():
@@ -374,28 +385,35 @@ class TestLocalGeometry:
             assert np.max(np.abs(geo.K - gauss_intrinsic(catenoid_chart.U, u))) < 1e-6
 
     def test_vertex_errors_stay_isolated(self):
-        space, sc = cylinder_near_domain_edge()
+        # the vertices outside the metric domain fail alone, from the metric
+        # on; the Christoffels refuse exactly the points the metric refuses
+        space, sc = cylinder_across_domain_edge()
         ts = np.linspace(-math.pi, math.pi, 25)
         geo = local_geometry(space, sc, 0.1, ts)
         expected = []
         for t in ts:
+            p = sc.point(0.1, t)
             try:
-                christoffels(space, sc.point(0.1, t))
+                christoffels(space, p)
                 expected.append(False)
             except DomainError:
+                with pytest.raises(DomainError):
+                    metric_cartesian(space, p)
                 expected.append(True)
+            else:
+                metric_cartesian(space, p)
         expected = np.array(expected)
-        assert expected[[0, 12, 24]].all() and not expected[[3, 9, 15, 21]].any()
+        assert expected[12] and not expected[[0, 3, 9, 15, 21, 24]].any()
         assert np.array_equal(np.isnan(geo.H), expected)
         assert all(isinstance(e, DomainError) == bad for e, bad in zip(geo.errors, expected))
-        assert np.all(np.isfinite(geo.E)) and np.all(np.isfinite(geo.G))
+        assert np.array_equal(np.isnan(geo.E), expected) and np.array_equal(np.isnan(geo.G), expected)
         for k in np.flatnonzero(~expected):
             assert geo.H[k] == mean_curvature_extrinsic(space, sc, 0.1, ts[k])
 
     def test_vertex_errors_stay_isolated_across_rows(self):
         # several rows in one call: each failing vertex is NaN on its own, with
         # the values and errors of its one-row call
-        space, sc = cylinder_near_domain_edge()
+        space, sc = cylinder_across_domain_edge()
         ts = np.linspace(-math.pi, math.pi, 25)
         us = np.array([-0.5, 0.1, 0.3, 0.7])
         batch = local_geometry(space, sc, us, ts)
@@ -403,7 +421,10 @@ class TestLocalGeometry:
             row = local_geometry(space, sc, u, ts)
             assert_row_is(batch, i, row)
             assert np.array_equal(np.isnan(batch.H[i]), [e is not None for e in row.errors])
-        assert np.isnan(batch.H).any() and not np.isnan(batch.E).any()
+        assert np.array_equal(np.isnan(batch.E), np.isnan(batch.H))
+        # each row has failing and measured vertices, and the rows differ
+        failed = np.isnan(batch.H).sum(axis=1)
+        assert (failed > 0).all() and (failed < len(ts)).all() and len(set(failed.tolist())) > 1
         # stored errors were never raised: no traceback keeps the call's frames
         stored = [e for row in batch.errors for e in row if e is not None]
         assert stored and all(e.__traceback__ is None for e in stored)
@@ -411,7 +432,7 @@ class TestLocalGeometry:
     def test_stored_errors_leave_no_cyclic_garbage(self, nil_catenoid_chart):
         # a stored error that was raised keeps the kernel's frames, and every
         # array of the call, alive in a reference cycle
-        space, sc = cylinder_near_domain_edge()
+        space, sc = cylinder_across_domain_edge()
         ts = np.linspace(-math.pi, math.pi, 25)
         natural = SurfaceChart.from_natural(nil_catenoid_chart)
         local_geometry(space, sc, 0.1, ts)

@@ -1,15 +1,20 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcvhelix import (
+    DEFAULT_TOL,
     BcvSpace,
     DomainError,
     SpaceClass,
     christoffels,
     classify,
+    diff_central,
+    inverse_metric,
     killing_basis,
     killing_residual,
     metric_cartesian,
@@ -19,6 +24,10 @@ from bcvhelix import (
 )
 from conftest import FIVE_SPACES, NIL, R3, SPHERE
 
+CHRISTOFFEL_REFERENCE = json.loads(
+    (Path(__file__).resolve().parent / "data" / "christoffel_reference.json").read_text()
+)
+
 
 def random_domain_point(rng, space):
     """A point safely inside the metric domain (and away from the axis)."""
@@ -26,6 +35,19 @@ def random_domain_point(rng, space):
     r = rng.uniform(0.1, r_cap)
     th = rng.uniform(0, 2 * math.pi)
     return np.array([r * math.cos(th), r * math.sin(th), rng.uniform(-2, 2)])
+
+
+def fd_christoffels(space, p, h=1e-4):
+    """Gamma^k_ij from central differences of the metric (one Richardson
+    level) and its numerical inverse: an independent reference for the
+    closed-form symbols, free of their algebra.  Its stencil reads the
+    metric at p +- h e_l, so it needs the domain to reach that far."""
+    x0 = np.asarray(p, dtype=float)
+    # dg[..., l, i, j] = d_l g_ij, the three axis offsets x0 + s e_l at once
+    dg = diff_central(lambda s: metric_cartesian(space, x0[..., None, :] + s * np.eye(3)), 0.0, 1, h)
+    g_inv = np.linalg.inv(metric_cartesian(space, x0))
+    term = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, term)
 
 
 class TestScalingFactor:
@@ -188,10 +210,69 @@ class TestChristoffels:
                 assert np.max(np.abs(nabla)) < 1e-8
 
     def test_boundary_guard(self):
+        # the symbols read the metric at the point only: DomainError where
+        # B < domain_margin there, finite values 1e-6 inside the B = 0 circle
         space = BcvSpace(-1.0, 0.0)
-        r_edge = space.max_radius  # B = 0 circle
+        r_edge = space.max_radius
+        r_out = math.sqrt(4.0 * (1.0 - 0.5 * DEFAULT_TOL.domain_margin))  # B = margin / 2
+        for r in (r_out, r_edge):
+            with pytest.raises(DomainError):
+                christoffels(space, (r, 0.0, 0.0))
+            with pytest.raises(DomainError):
+                christoffels(space, np.array([[0.5, 0.0, 0.0], [0.0, r, 0.0]]))
+        gamma = christoffels(space, (r_edge - 1e-6, 0.0, 0.0))
+        assert np.all(np.isfinite(gamma)) and np.max(np.abs(gamma)) > 1e5
+
+    def test_matches_finite_differences(self):
+        # the finite-difference symbols are within their stencil error of the
+        # exact ones: rounding of about eps / h = 2.2e-12 per metric
+        # derivative at h = 1e-4, summed over three of them and through the
+        # inverse metric (largest measured difference 9.3e-12, on SL2R)
+        rng = np.random.default_rng(23)
+        for space in FIVE_SPACES:
+            points = np.array([random_domain_point(rng, space) for _ in range(20)])
+            exact = christoffels(space, points)
+            assert exact.shape == (20, 3, 3, 3)
+            assert np.max(np.abs(exact - fd_christoffels(space, points))) < 3e-11
+            for p, gamma in zip(points, exact):
+                assert np.array_equal(christoffels(space, p), gamma)
+
+    @pytest.mark.parametrize(
+        "ref", CHRISTOFFEL_REFERENCE["spaces"], ids=lambda ref: ref["class"]
+    )
+    def test_matches_50_digit_reference(self, ref):
+        # tools/christoffel_reference.py: mpmath derivatives and inverse of
+        # the metric.  B = 1 + kappa r^2 / 4 is rounded relative to 1, so
+        # near the kappa < 0 edge its relative error, and the symbols', grows
+        # as eps / B; the error is at most 1e-15 max(1, |Gamma|) / min(1, B)
+        # (largest measured: 1.8e-16 of that, 1e-6 inside the SL2R edge)
+        space = BcvSpace(ref["kappa"], ref["tau"])
+        assert classify(space).value == ref["class"]
+        for point in ref["points"]:
+            p = np.array(point["p"])
+            want = np.array(point["gamma"], dtype=float)
+            B = scaling_factor(space, p[0] ** 2 + p[1] ** 2)
+            bound = 1e-15 * max(1.0, np.max(np.abs(want))) / min(1.0, B)
+            assert np.max(np.abs(christoffels(space, p) - want)) <= bound, point["p"]
+
+
+class TestInverseMetric:
+    def test_inverts_the_metric(self):
+        rng = np.random.default_rng(29)
+        for space in FIVE_SPACES:
+            points = np.array([random_domain_point(rng, space) for _ in range(20)])
+            g_inv = inverse_metric(space, points)
+            assert np.max(np.abs(g_inv @ metric_cartesian(space, points) - np.eye(3))) < 1e-14
+            assert np.max(np.abs(g_inv - np.linalg.inv(metric_cartesian(space, points)))) < 1e-14
+
+    def test_frame_product(self):
+        p = (0.3, -1.1, 0.4)
+        E = orthonormal_frame(SPHERE, p)
+        assert np.max(np.abs(inverse_metric(SPHERE, p) - E.T @ E)) < 1e-15
+
+    def test_domain_error(self):
         with pytest.raises(DomainError):
-            christoffels(space, (r_edge - 1e-6, 0.0, 0.0))
+            inverse_metric(BcvSpace(-1.0, 0.0), (2.0, 0.0, 0.0))
 
 
 class TestClassify:
