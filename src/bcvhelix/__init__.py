@@ -87,6 +87,7 @@ from .oracle import (
     gauss_intrinsic,
     gauss_numeric,
     isometry_deviation,
+    isometry_matrix,
     local_geometry,
     mean_curvature_extrinsic,
     sample_mesh,

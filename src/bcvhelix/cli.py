@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
-import itertools
 import json
 import math
 import os
@@ -30,15 +29,8 @@ import numpy as np
 from .bour import BourSeed, NaturalChart, build_chart
 from .cmc import cmc_U, cmc_residual, minimal_U
 from .errors import BcvHelixError, ConfigError
-from .numerics import ArrayFunction, SmoothFunction, Tolerances
-from .oracle import (
-    MeshGrid,
-    SurfaceChart,
-    first_form_grid,
-    local_geometry,
-    sample_mesh,
-    shared_grid,
-)
+from .numerics import ArrayFunction, SmoothFunction, Tolerances, elementwise
+from .oracle import MeshGrid, SurfaceChart, isometry_matrix, local_geometry, sample_mesh
 from .spaces import BcvSpace, classify
 
 FORMATS = ("csv", "obj", "json")
@@ -284,8 +276,12 @@ class _Calls(ast.NodeTransformer):
 
 def _pow(a, b) -> float:
     # a float power: integer operands must not start an exact integer power,
-    # which can take unbounded time and memory (9**9**9)
-    return float(a) ** float(b)
+    # which can take unbounded time and memory (9**9**9); a power that leaves
+    # the reals raises ValueError, as math's functions do
+    value = float(a) ** float(b)
+    if isinstance(value, complex):
+        raise ValueError(f"{a} ** {b} is not a real number")
+    return value
 
 
 _FLOAT_NS = {**_EXPR_NS, "_pow": _pow}
@@ -293,27 +289,9 @@ _FLOAT_NS = {**_EXPR_NS, "_pow": _pow}
 
 def _array_namespace(failed: np.ndarray) -> dict:
     """The names of an expression evaluated at a 1-D array u: each function
-    and ** per element, with the float evaluation's bits, and / as numpy's
+    and ** elementwise, with the float evaluation's bits, and / as numpy's
     IEEE division; ``failed`` records the elements where the float
-    evaluation raises (or leaves the reals)."""
-
-    def lift(fn):
-        def apply(*args):
-            if not any(isinstance(x, np.ndarray) for x in args):
-                return fn(*args)
-            columns = [x.tolist() if isinstance(x, np.ndarray) else itertools.repeat(x) for x in args]
-            try:
-                return np.fromiter(map(fn, *columns), float, failed.size)
-            except Exception:
-                out = np.full(failed.size, math.nan)
-                for i, xs in enumerate(zip(*columns)):
-                    try:
-                        out[i] = fn(*xs)
-                    except Exception:
-                        failed[i] = True
-                return out
-
-        return apply
+    evaluation raises."""
 
     def div(a, b):
         if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
@@ -321,9 +299,9 @@ def _array_namespace(failed: np.ndarray) -> dict:
         failed[...] |= b == 0  # ZeroDivisionError for floats
         return np.true_divide(a, b)
 
-    names = {name: lift(fn) if callable(fn) else fn for name, fn in _EXPR_NS.items()}
+    names = {name: elementwise(fn, failed) if callable(fn) else fn for name, fn in _FLOAT_NS.items()}
     names["abs"] = lambda x: np.abs(x) if isinstance(x, np.ndarray) else abs(x)
-    names["_pow"], names["_div"] = lift(_pow), div
+    names["_div"] = div
     return names
 
 
@@ -788,54 +766,30 @@ def cmd_deform(job: JobConfig, out_dir: str) -> int:
     # a frame's verdict reads its chart and first forms only: it writes a
     # mesh only for obj or csv, and measures H/K only for the csv
     meshed = "obj" in job.formats or "csv" in job.formats
-    surfaces, frames, errors = {}, [], {}
+    surfaces, frames, errors = {}, [], {}  # surfaces and errors by frame tag
     for value in values:
-        tag = f"_a={value:g}"
+        tag = f"{value:g}"
         try:
             chart, _ = make_chart(job, U, meta, a=value)
             files = []
             if meshed:
                 _, files = _export_mesh(
-                    job, chart, out_dir, suffix=tag, with_curvature="csv" in job.formats
+                    job, chart, out_dir, suffix=f"_a={tag}", with_curvature="csv" in job.formats
                 )
-            surfaces[value] = SurfaceChart.from_natural(chart, t_range=job.t_range)
+            surfaces[tag] = SurfaceChart.from_natural(chart, t_range=job.t_range)
             frames.append(
                 {"a": value, "files": [os.path.basename(f) for f in files],
                  "validity": list(chart.u_valid)}
             )
         except BcvHelixError as exc:
-            errors[f"{value:g}"] = str(exc)
-    # each frame's first form is measured once per (u, t) grid it shares
-    grids = {}
-
-    def form_grid(value, us, ts):
-        key = (value, us[0], us[-1], ts[0], ts[-1])
-        if key not in grids:
-            grids[key] = first_form_grid(job.space, surfaces[value], us, ts, job.tol)
-        return grids[key]
-
-    # a pair that cannot be measured holds null, its error under pair_errors
-    n = len(values)
-    matrix = [[None] * n for _ in range(n)]
-    pair_errors = {}
-    worst = 0.0
-    for i, vi in enumerate(values):
-        for j, vj in enumerate(values):
-            if vi in surfaces and vj in surfaces:
-                if j < i:
-                    matrix[i][j] = matrix[j][i]
-                    continue
-                dev = 0.0
-                if i != j:
-                    try:
-                        us, ts = shared_grid(surfaces[vi], surfaces[vj])
-                        diff = form_grid(vi, us, ts) - form_grid(vj, us, ts)
-                    except BcvHelixError as exc:
-                        pair_errors[f"{vi:g},{vj:g}"] = f"{type(exc).__name__}: {exc}"
-                        continue
-                    dev = float(np.max(np.abs(diff)))
-                matrix[i][j] = dev
-                worst = max(worst, dev)
+            errors[tag] = str(exc)
+    # a frame in frame_errors holds null in its row and column, diagonal included
+    tags = list(surfaces)
+    pairs, failed = isometry_matrix(job.space, list(surfaces.values()), tol=job.tol)
+    ks = [tags.index(tag) if tag in surfaces else None for tag in map("{:g}".format, values)]
+    matrix = [[None if i is None or j is None else pairs[i][j] for j in ks] for i in ks]
+    pair_errors = {f"{tags[i]},{tags[j]}": f"{type(exc).__name__}: {exc}" for (i, j), exc in failed.items()}
+    worst = max((dev for row in pairs for dev in row if dev is not None), default=0.0)
     ok = not errors and not pair_errors and worst < job.check_tol["isometry"]
     report = {
         "sweep": values,

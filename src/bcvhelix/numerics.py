@@ -44,6 +44,7 @@ from __future__ import annotations
 import bisect
 import copy
 import functools
+import itertools
 import math
 import operator
 import threading
@@ -160,28 +161,34 @@ def ops_for(u):
     return ArrayOps(u.size) if isinstance(u, np.ndarray) else SCALAR
 
 
-def _or_nan(fn, x):
-    try:
-        return fn(x)
-    except MATH_ERRORS:
-        return math.nan
+def elementwise(fn: Callable[..., float], failed: Optional[np.ndarray] = None) -> Callable:
+    """fn, a function of floats, on floats or elementwise on 1-D arrays.
 
+    Where some argument is an array, every other argument is repeated for
+    each of its elements, and each element of the result is fn's own result
+    for those floats, or NaN where fn raises a mathematical error
+    (``MATH_ERRORS``), an element that ``failed`` records if given; any
+    other error propagates."""
 
-def elementwise(fn: Callable[[float], float]) -> Callable:
-    """fn, a function of one float, on a float or elementwise on a 1-D array.
-
-    Each array element is fn's own result for that float, and NaN where fn
-    raises a mathematical error; any other error propagates."""
-
-    @functools.wraps(fn)
-    def apply(x):
-        if not isinstance(x, np.ndarray):
-            return fn(x)
-        values = x.tolist()
+    def apply(*args):
+        for x in args:
+            if isinstance(x, np.ndarray):
+                break
+        else:
+            return fn(*args)
+        columns = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
         try:
-            return np.fromiter(map(fn, values), float, len(values))
+            return np.fromiter(map(fn, *columns), float, x.size)
         except MATH_ERRORS:
-            return np.array([_or_nan(fn, v) for v in values], dtype=float)
+            pass
+        out = np.full(x.size, math.nan)
+        for i, xs in enumerate(zip(*columns)):
+            try:
+                out[i] = fn(*xs)
+            except MATH_ERRORS:
+                if failed is not None:
+                    failed[i] = True
+        return out
 
     return apply
 

@@ -28,6 +28,7 @@ orientation once per chart.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -40,7 +41,6 @@ from .errors import (
     BcvHelixError,
     DegenerateImmersion,
     EmptyDomain,
-    StencilOutOfDomain,
 )
 from .numerics import (
     DEFAULT_TOL,
@@ -64,6 +64,7 @@ __all__ = [
     "gauss_intrinsic",
     "gauss_numeric",
     "shared_grid",
+    "isometry_matrix",
     "isometry_deviation",
     "sample_mesh",
 ]
@@ -399,16 +400,26 @@ def _pointwise(fn, pts: np.ndarray, errors: list, shape: tuple, nt: int, first: 
     return out
 
 
+def _degenerate(at: _RowPoints, bad: np.ndarray, errors: list, what: Callable[[int], str]):
+    """DegenerateImmersion at each vertex k where bad[k], unless it holds an error."""
+    for k in np.flatnonzero(bad):
+        if errors[k] is None:
+            errors[k] = DegenerateImmersion(f"{what(k)} at (u={at.us[k // at.nt]}, t={at.ts[k % at.nt]})")
+
+
 def _first_order(space: BcvSpace, at: _RowPoints, tol: Tolerances):
     """Tangents, metric and first form at every vertex of the rows,
     ((psi_u, psi_t, g, E, F, G), errors): a vertex outside the metric
-    domain is NaN with its error in ``errors`` (None elsewhere)."""
+    domain is NaN with its error in ``errors`` (None elsewhere), and a
+    vertex where EG - F^2 <= 0 holds DegenerateImmersion."""
     errors: list = [None] * (len(at.us) * at.nt)
     psi_u = richardson(lambda s: (at(s) - at(-s)) / (2.0 * s), at.steps["u"])
     psi_t = richardson(lambda s: (at(0.0, s) - at(0.0, -s)) / (2.0 * s), at.steps["t"])
     g = _pointwise(lambda p: metric_cartesian(space, p, tol), at(), errors, (3, 3), at.nt)
-    forms = (_quad_form(psi_u, g, psi_u), _quad_form(psi_u, g, psi_t), _quad_form(psi_t, g, psi_t))
-    return (psi_u, psi_t, g) + forms, errors
+    E, F, G = _quad_form(psi_u, g, psi_u), _quad_form(psi_u, g, psi_t), _quad_form(psi_t, g, psi_t)
+    det = E * G - F * F
+    _degenerate(at, det <= 0.0, errors, lambda k: f"EG - F^2 = {det[k]:.6e} <= 0")
+    return (psi_u, psi_t, g, E, F, G), errors
 
 
 @dataclass(frozen=True)
@@ -449,16 +460,19 @@ _GEOMETRY_SHAPES = ((3,), (3,)) + ((),) * 8  # trailing shapes of LocalGeometry'
 
 
 def _normal(space: BcvSpace, at: _RowPoints, first: tuple, errors: list, tol: Tolerances, sign: float):
-    """(n, |v|^2): the unit normal sign * v / |v| at every vertex, with v =
-    g^{-1} (psi_u x psi_t), the g-dual of the cross product, and |v|^2 its
-    squared g-norm; ``first`` is ``_first_order``'s values.  A vertex
-    outside the metric domain is NaN, its error already in ``errors``."""
+    """The unit normal sign * v / |v| at every vertex, with v = g^{-1}
+    (psi_u x psi_t), the g-dual of the cross product, and |v| its g-norm;
+    ``first`` is ``_first_order``'s values.  A vertex outside the metric
+    domain is NaN, its error already in ``errors``; a vertex where |v|^2 is
+    not positive and finite holds DegenerateImmersion."""
     psi_u, psi_t, g = first[:3]
     g_inv = _pointwise(lambda p: inverse_metric(space, p, tol), at(), errors, (3, 3), at.nt)
     with np.errstate(invalid="ignore", divide="ignore"):
         v = np.matmul(g_inv, np.cross(psi_u, psi_t)[:, :, None])[:, :, 0]
         norm_sq = _quad_form(v, g, v)
-        return sign * (v / np.sqrt(norm_sq)[:, None]), norm_sq
+        n = sign * (v / np.sqrt(norm_sq)[:, None])
+    _degenerate(at, ~(np.isfinite(norm_sq) & (norm_sq > 0.0)), errors, lambda k: "normal degenerates")
+    return n
 
 
 def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
@@ -467,18 +481,7 @@ def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
     nt = at.nt
     first, errors = _first_order(space, at, tol)
     psi_u, psi_t, g, E, F, G = first
-    det = E * G - F * F
-    n, norm_sq = _normal(space, at, first, errors, tol, sign)
-    for k in np.flatnonzero(det <= 0.0):
-        if errors[k] is None:
-            errors[k] = DegenerateImmersion(
-                f"EG - F^2 = {det[k]:.6e} <= 0 at (u={at.us[k // nt]}, t={at.ts[k % nt]})"
-            )
-    for k in np.flatnonzero(~(np.isfinite(norm_sq) & (norm_sq > 0.0))):
-        if errors[k] is None:
-            errors[k] = DegenerateImmersion(
-                f"normal degenerates at (u={at.us[k // nt]}, t={at.ts[k % nt]})"
-            )
+    n = _normal(space, at, first, errors, tol, sign)
     fc = at()
     psi_uu = richardson(lambda s: (at(s) - 2.0 * fc + at(-s)) / (s * s), at.steps["uu"])
     psi_tt = richardson(lambda s: (at(0.0, s) - 2.0 * fc + at(0.0, -s)) / (s * s), at.steps["tt"])
@@ -497,6 +500,7 @@ def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
     L = second_form(psi_u, psi_u, psi_uu)
     M = second_form(psi_u, psi_t, psi_ut)
     N = second_form(psi_t, psi_t, psi_tt)
+    det = E * G - F * F
     with np.errstate(invalid="ignore", divide="ignore"):
         H = (G * L - 2.0 * F * M + E * N) / det
         K = (L * N - M * M) / det
@@ -545,25 +549,26 @@ def _orientation(space: BcvSpace, chart: SurfaceChart, tol: Tolerances) -> float
     """Sign making g(n, e_r) >= 0 at the chart reference point, walking
     along u when the radial pairing vanishes there.
 
-    A candidate row is accepted where ``local_geometry`` of it would not
-    raise: its order-2 stencils settle and the chart evaluates them.  Only
-    the point and the normal are measured, as ``_geometry`` measures them."""
+    A candidate is accepted where its point and normal are measured, as
+    ``_geometry`` measures them, with no error: its order-2 stencils
+    settle, the chart evaluates them, the metric is defined there and
+    neither the first form nor the normal degenerates."""
     if chart._orient is not None:
         return chart._orient
 
     def probe(at: _RowPoints):
         first, errors = _first_order(space, at, tol)
-        return (at(), _normal(space, at, first, errors, tol, 1.0)[0]), errors
+        return (at(), _normal(space, at, first, errors, tol, 1.0)), errors
 
     lo, hi = chart.u_range
     ts = np.array([0.5 * (chart.t_range[0] + chart.t_range[1])])
     sign = 1.0
     for frac in (0.5, 0.35, 0.65, 0.25, 0.75, 0.45, 0.55):
         us = np.array([lo + (hi - lo) * frac])
-        (p, n), _, _ = _by_rows(probe, 2, ((3,), (3,)), chart, us, ts, tol)
-        p, n = p[0, 0], n[0, 0]
-        if not np.all(np.isfinite(n)):  # NaN in a row that was not measured
+        (p, n), errors, _ = _by_rows(probe, 2, ((3,), (3,)), chart, us, ts, tol)
+        if errors[0][0] is not None:
             continue
+        p, n = p[0, 0], n[0, 0]
         r = math.hypot(p[0], p[1])
         if r < tol.r_min:
             continue
@@ -625,7 +630,8 @@ def first_form_grid(
     """(E, F, G) measured on the grid us x ts, shape (len(us), len(ts), 3).
 
     One kernel call for all rows, as in ``local_geometry`` with an array of
-    u; raises the error of the first vertex that fails, in row-major order.
+    u, and the same DegenerateImmersion where EG - F^2 <= 0; raises the
+    error of the first vertex that fails, in row-major order.
     """
 
     def measure(at: _RowPoints):
@@ -687,16 +693,15 @@ def gauss_numeric(
 
     Samples E, F, G on a local 5x5 stencil of step tol.brioschi_step and
     assembles the Brioschi determinant formula with 4th-order differences.
-    The stacked finite-difference error budgets the 1e-4 tolerance.
+    The stacked finite-difference error budgets the 1e-4 tolerance.  A
+    failed vertex of the stencil raises its own error class, with its place.
     """
     h = tol.brioschi_step
     steps = (np.arange(5) - 2) * h
     try:
         grid = first_form_grid(space, chart, u + steps, t + steps, tol)
     except BcvHelixError as exc:
-        raise StencilOutOfDomain(
-            f"Brioschi stencil left the domain at (u={u}, t={t}): {exc}"
-        )
+        raise type(exc)(f"Brioschi stencil at (u={u}, t={t}): {exc}")
     E, F, G = grid[2, 2]
     d_u = np.tensordot(_D1, grid[:, 2, :], axes=(0, 0)) / h
     d_t = np.tensordot(_D1, grid[2, :, :], axes=(0, 0)) / h
@@ -722,9 +727,7 @@ def gauss_numeric(
             [0.5 * G_u, F, G],
         ]
     )
-    det = E * G - F * F
-    if det <= 0.0:
-        raise DegenerateImmersion(f"EG - F^2 = {det:.6e} <= 0 at (u={u}, t={t})")
+    det = E * G - F * F  # positive: first_form_grid raised at the centre otherwise
     return float((np.linalg.det(m1) - np.linalg.det(m2)) / (det * det))
 
 
@@ -732,10 +735,13 @@ def shared_grid(
     chart_a: SurfaceChart,
     chart_b: SurfaceChart,
     grid: tuple[int, int] = (21, 9),
-    margin: float = 1e-6,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(us, ts) of the uniform grid on the (u, t) rectangle two charts share,
-    ``margin`` inside their u-ranges; EmptyDomain if that rectangle is empty."""
+    a margin inside their u-ranges; EmptyDomain if that rectangle is empty.
+    The margin is max(1e-6, the last of ``halving_steps`` from fd_first down
+    to fd_min), so a u-stencil fits the end rows whatever fd_min is."""
+    margin = max(1e-6, [*halving_steps(tol.fd_first, tol.fd_min)][-1])
     u_lo = max(chart_a.u_range[0], chart_b.u_range[0]) + margin
     u_hi = min(chart_a.u_range[1], chart_b.u_range[1]) - margin
     t_lo = max(chart_a.t_range[0], chart_b.t_range[0])
@@ -746,18 +752,48 @@ def shared_grid(
     return np.linspace(u_lo, u_hi, nu), np.linspace(t_lo, t_hi, nt)
 
 
+def isometry_matrix(
+    space: BcvSpace, charts: list, grid: tuple[int, int] = (21, 9), tol: Tolerances = DEFAULT_TOL
+) -> tuple[list, dict]:
+    """(matrix, errors): matrix[i][j] is the max componentwise difference of
+    the first forms of charts i and j on their ``shared_grid``, 0.0 on the
+    diagonal, and None for a pair that cannot be measured, whose untraced
+    error is errors[i, j] (i < j).  Each chart's first form is measured once
+    per distinct shared grid."""
+    n = len(charts)
+    matrix = [[0.0 if i == j else None for j in range(n)] for i in range(n)]
+    errors: dict = {}
+    forms: dict = {}  # (chart, grid ends) -> its first form there
+
+    def form(k: int, us: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        key = (k, us[0], us[-1], ts[0], ts[-1])
+        if key not in forms:
+            forms[key] = first_form_grid(space, charts[k], us, ts, tol)
+        return forms[key]
+
+    for i, j in itertools.combinations(range(n), 2):
+        try:
+            us, ts = shared_grid(charts[i], charts[j], grid, tol)
+            diff = form(i, us, ts) - form(j, us, ts)
+        except BcvHelixError as exc:
+            errors[i, j] = _untraced(exc)
+            continue
+        matrix[i][j] = matrix[j][i] = float(np.max(np.abs(diff)))
+    return matrix, errors
+
+
 def isometry_deviation(
     space: BcvSpace,
     chart_a: SurfaceChart,
     chart_b: SurfaceChart,
     grid: tuple[int, int] = (21, 9),
     tol: Tolerances = DEFAULT_TOL,
-    margin: float = 1e-6,
 ) -> float:
-    """Max componentwise first-form difference over the shared (u, t) grid."""
-    us, ts = shared_grid(chart_a, chart_b, grid, margin)
-    diff = first_form_grid(space, chart_a, us, ts, tol) - first_form_grid(space, chart_b, us, ts, tol)
-    return float(np.max(np.abs(diff)))
+    """Max componentwise first-form difference over the shared (u, t) grid:
+    the two-chart ``isometry_matrix``, raising the pair's error."""
+    matrix, errors = isometry_matrix(space, [chart_a, chart_b], grid, tol)
+    _raise_first([errors.values()])
+    return matrix[0][1]
 
 
 @dataclass

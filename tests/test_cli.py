@@ -530,25 +530,82 @@ class TestDeform:
         assert report["pass"] is False
 
     def test_pair_whose_grid_cannot_be_measured_is_reported(self, tmp_path):
-        # with fd_min = 1e-6 the shared grids' end rows, 1e-6 inside the
-        # validity ends, get no u-step: every pair of the shipped sweep holds
-        # null and the stencil's error, and the frames' meshes and the report
-        # are written
+        # the helicoid member (a = 1) of the shipped catenoid profile meets
+        # the axis on the shared grid's row u = 0, where xi1 = |u| and E = 0:
+        # every pair with it holds null and the degenerate vertex's error,
+        # and the frames' meshes and the report are written
         cfg = json.loads((CONFIG_DIR / "catenoid_to_helicoid.json").read_text())
-        assert run(tmp_path, "deform", cfg, overrides=["tolerances.fd_min=1e-6"]) == 1
+        assert run(tmp_path, "deform", cfg, overrides=["sweep.values=[0.9, 1.0]"]) == 1
         name = cfg["output"]["basename"]
         report = json.loads((tmp_path / f"{name}.deform.json").read_text())
-        values = cfg["sweep"]["values"]
+        values = [0.9, 1.0]
         n = len(values)
         assert report["isometry_deviation"] == [[0.0 if i == j else None for j in range(n)] for i in range(n)]
         assert sorted(report["pair_errors"]) == sorted(
             f"{values[i]:g},{values[j]:g}" for i in range(n) for j in range(i + 1, n)
         )
         assert set(report["pair_errors"].values()) == {
-            "StencilOutOfDomain: difference stencil cannot fit the domain above h_min=1e-06"
+            "DegenerateImmersion: EG - F^2 = 0.000000e+00 <= 0 at (u=0.0, t=-3.1416)"
         }
         assert report["frame_errors"] == {} and report["pass"] is False
         assert all((tmp_path / f"{name}_a={v:g}.obj").exists() for v in values)
+
+    @pytest.mark.parametrize("fd_min", [1e-6, 1e-5])
+    def test_shared_grid_margin_follows_fd_min(self, tmp_path, fd_min):
+        # the shared grid's end rows sit at least the smallest u-step above
+        # fd_min inside the validity ends, so every pair of the shipped sweep
+        # is measured and isometric
+        cfg = json.loads((CONFIG_DIR / "catenoid_to_helicoid.json").read_text())
+        cfg["output"]["formats"] = ["json"]
+        assert run(tmp_path, "deform", cfg, overrides=[f"tolerances.fd_min={fd_min}"]) == 0
+        report = json.loads((tmp_path / f"{cfg['output']['basename']}.deform.json").read_text())
+        assert "pair_errors" not in report and report["pass"] is True
+        assert all(dev is not None for row in report["isometry_deviation"] for dev in row)
+        assert report["max_isometry_deviation"] < 1e-8
+
+    @pytest.mark.parametrize("name, grids", [("heisenberg_minimal", 4), ("catenoid_to_helicoid", 5)])
+    def test_shipped_sweep_measures_each_frame_once_per_grid(self, tmp_path, monkeypatch, name, grids):
+        # the pair kernel measures a frame's first form once per distinct
+        # shared grid: one per frame where all frames share one u-range
+        from bcvhelix import oracle
+
+        calls = []
+        real = oracle.first_form_grid
+        monkeypatch.setattr(oracle, "first_form_grid", lambda *args: calls.append(args[1]) or real(*args))
+        cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        cfg["output"]["formats"] = ["json"]
+        assert run(tmp_path, "deform", cfg) == 0
+        assert len(calls) == len({id(chart) for chart in calls}) == grids
+
+    def test_signed_zero_pitches_are_two_frames(self, tmp_path, monkeypatch):
+        # -0 and 0 are distinct frame tags but equal floats: each is its own
+        # frame with its own chart, and their pair is measured
+        from bcvhelix import oracle
+
+        charts = []
+        real = oracle.first_form_grid
+        monkeypatch.setattr(oracle, "first_form_grid", lambda *args: charts.append(args[1]) or real(*args))
+        cfg = json.loads(json.dumps(NIL_MINIMAL))
+        cfg["sweep"] = {"values": [-0.0, 0.0]}
+        cfg["output"]["formats"] = ["json"]
+        assert run(tmp_path, "deform", cfg) == 0
+        report = json.loads((tmp_path / "nilcat.deform.json").read_text())
+        assert [frame["a"] for frame in report["frames"]] == [-0.0, 0.0]
+        assert len({id(chart) for chart in charts}) == 2
+        assert report["isometry_deviation"] == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_failed_frame_holds_null_row_and_column(self, tmp_path):
+        # a frame in frame_errors holds null in its row and column, its
+        # diagonal included; the measured frames keep their pair values
+        cfg = json.loads(json.dumps(TestDeformMeasuresWhatItWrites.SWEEP))
+        cfg["output"]["formats"] = ["json"]
+        assert run(tmp_path, "deform", cfg) == 1
+        report = json.loads((tmp_path / "sw.deform.json").read_text())
+        matrix = report["isometry_deviation"]
+        assert list(report["frame_errors"]) == ["1.2"] and "pair_errors" not in report
+        assert matrix[3] == [None] * 4 and [row[3] for row in matrix] == [None] * 4
+        assert all(matrix[i][i] == 0.0 for i in range(3))
+        assert all(0.0 < matrix[i][j] == matrix[j][i] < 1e-6 for i in range(3) for j in range(3) if i != j)
 
 
 class TestDeformMeasuresWhatItWrites:
@@ -776,6 +833,17 @@ class TestConfigValidation:
         assert math.isnan(cli._compile_expr("u ** 0.5", "seed.U")(np.array([-1.0]))[0])
         with pytest.raises(BcvHelixError, match="evaluation failed at u=-1.0"):
             cli._compile_expr("u ** 0.5", "seed.U")(-1.0)
+
+    def test_power_leaving_the_reals_fails_only_its_element(self):
+        # a power that leaves the reals raises ValueError, a mathematical
+        # error: only that element is NaN, and the float path says why
+        fn = cli._compile_expr("u ** 0.5", "seed.U")
+        assert fn(np.array([-1.0, 4.0])).tolist()[1] == 2.0
+        assert math.isnan(fn(np.array([-1.0, 4.0]))[0])
+        with pytest.raises(ValueError, match="not a real number"):
+            cli._pow(-1.0, 0.5)
+        with pytest.raises(BcvHelixError, match="-1.0 \\*\\* 0.5 is not a real number"):
+            fn(-1.0)
 
     @pytest.mark.parametrize("basename", ["../escaped", "sub/name", "", ".", "..", 7, "a\u0000b"])
     def test_basename_must_be_a_file_name(self, tmp_path, capsys, basename):

@@ -601,6 +601,24 @@ class TestSmoothFunction:
         assert SmoothFunction.wrap(f) is f
 
 
+class TestElementwise:
+    def test_arrays_and_floats_mix(self):
+        # a float argument is repeated for each element of the array ones;
+        # each element is the float call's value, NaN where it raises a
+        # mathematical error, and ``failed`` records those elements
+        us = np.array([-1.0, 0.0, 2.0, 9.0])
+        failed = np.zeros(us.size, dtype=bool)
+        out = numerics.elementwise(math.log, failed)(us, 3.0)
+        assert _bits(out[2:]) == _bits([math.log(2.0, 3.0), math.log(9.0, 3.0)])
+        assert np.isnan(out[:2]).all() and failed.tolist() == [True, True, False, False]
+        assert numerics.elementwise(math.atan2)(0.5, us).tolist() == [math.atan2(0.5, u) for u in us.tolist()]
+        assert numerics.elementwise(math.log)(9.0) == math.log(9.0)
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(TypeError):
+            numerics.elementwise(lambda u: None + u)(np.array([1.0]))
+
+
 def _quadrature():
     F = CumulativeQuadrature(_peak, 0.3, -2.0, 2.0)
     F(-1.0)

@@ -12,10 +12,13 @@ from bcvhelix import (
     BcvHelixError,
     BcvSpace,
     BourSeed,
+    DegenerateImmersion,
     DomainError,
+    EmptyDomain,
     HelicoidalAction,
     ProfileCurve,
     ProfileDomain,
+    QuadratureFailure,
     SmoothFunction,
     StencilOutOfDomain,
     SurfaceChart,
@@ -28,6 +31,7 @@ from bcvhelix import (
     induced_metric,
     inverse_metric,
     isometry_deviation,
+    isometry_matrix,
     local_geometry,
     mean_curvature_extrinsic,
     mean_curvature_reduced,
@@ -187,6 +191,52 @@ class TestFirstForm:
             E, F, G = first_form_numeric(NIL, sc, u, 0.7)
             Ei, Fi, Gi = induced_metric(act, curve, u)
             assert abs(E - Ei) < 1e-6 and abs(F - Fi) < 1e-6 and abs(G - Gi) < 1e-6
+
+
+def shipped_helicoid():
+    """(job, surface) of the a = 1 member of the shipped catenoid profile:
+    xi1 = |u| meets the axis at u = 0."""
+    cfg = json.loads((CONFIG_DIR / "catenoid_to_helicoid.json").read_text())
+    job = cli.parse_config(cfg, "deform")
+    chart = cli.make_chart(job, *cli.resolve_profile(job), a=1.0)[0]
+    return job, cli._surface(job, chart)
+
+
+class TestDegenerateFirstForm:
+    """first_form_grid, local_geometry and the orientation probe share one
+    degeneracy rule: a vertex where EG - F^2 <= 0 holds DegenerateImmersion."""
+
+    def test_first_form_grid_raises_on_the_axis_row(self):
+        job, sc = shipped_helicoid()
+        ts = np.linspace(*job.t_range, 5)
+        with pytest.raises(DegenerateImmersion) as raised:
+            first_form_grid(job.space, sc, [-0.5, 0.0, 0.5], ts, job.tol)
+        assert str(raised.value) == f"EG - F^2 = 0.000000e+00 <= 0 at (u=0.0, t={ts[0]})"
+        # the rows off the axis measure, and local_geometry flags the same row
+        assert np.isfinite(first_form_grid(job.space, sc, [-0.5, 0.5], ts, job.tol)).all()
+        geo = local_geometry(job.space, sc, np.array([-0.5, 0.0, 0.5]), ts, job.tol)
+        assert [{type(e) for e in row} for row in geo.errors] == [{type(None)}, {DegenerateImmersion}, {type(None)}]
+        assert [str(e) for e in geo.errors[1]] == [
+            f"EG - F^2 = 0.000000e+00 <= 0 at (u=0.0, t={t})" for t in ts.tolist()
+        ]
+
+    def test_orientation_probe_skips_a_degenerate_vertex(self, helicoid_chart, monkeypatch):
+        # the probe's first candidate row sits on the axis, where the first
+        # form degenerates: it walks on to a candidate whose vertex holds no
+        # error
+        sc = SurfaceChart.from_natural(helicoid_chart, u_range=(-1.0, 1.0))
+        probed = []
+        real = oracle._by_rows
+
+        def recorded(measure, order, shapes, chart, us, ts, tol):
+            values, errors, refused = real(measure, order, shapes, chart, us, ts, tol)
+            probed.append((float(us[0]), errors[0][0]))
+            return values, errors, refused
+
+        monkeypatch.setattr(oracle, "_by_rows", recorded)
+        oracle._orientation(R3, sc, DEFAULT_TOL)
+        assert probed[0][0] == 0.0 and isinstance(probed[0][1], DegenerateImmersion)
+        assert len(probed) > 1 and probed[-1][1] is None
 
 
 class TestMeanCurvatureExtrinsic:
@@ -741,6 +791,30 @@ class TestGauss:
         sc = SurfaceChart.from_natural(catenoid_chart)
         assert abs(gauss_numeric(R3, sc, 0.0, 0.4) + 1.0) < 1e-4
 
+    def test_numeric_keeps_the_error_class_of_its_stencil(self, nil_catenoid_chart):
+        # a vertex of the 5 x 5 stencil that fails raises its own class, with
+        # the stencil's place: a degenerate vertex off the centre, and a
+        # chart's own quadrature failure
+        job, sc = shipped_helicoid()
+        h = job.tol.brioschi_step
+        with pytest.raises(DegenerateImmersion) as raised:
+            gauss_numeric(job.space, sc, h, 0.3, job.tol)
+        assert str(raised.value) == (
+            f"Brioschi stencil at (u={h}, t=0.3): EG - F^2 = 0.000000e+00 <= 0 at (u=0.0, t={0.3 - 2 * h})"
+        )
+        chart = nil_catenoid_chart
+
+        def xi2(u):
+            if np.any(np.asarray(u) > 1.0):
+                raise QuadratureFailure("xi2 did not converge")
+            return chart.xi2(u)
+
+        sc = SurfaceChart(NIL, chart.xi1, xi2, chart.theta0, chart.m, chart.a, chart.u_valid,
+                          (-math.pi, math.pi), U=chart.U, domain=chart.domain)
+        assert abs(gauss_numeric(NIL, sc, 0.5, 0.3) - gauss_intrinsic(chart.U, 0.5)) < 1e-4
+        with pytest.raises(QuadratureFailure, match=r"^Brioschi stencil at \(u=1.0, t=0.3\): xi2 did not converge$"):
+            gauss_numeric(NIL, sc, 1.0, 0.3)
+
     def test_numeric_matches_intrinsic(self, nil_catenoid_chart):
         sc = SurfaceChart.from_natural(nil_catenoid_chart)
         for u in (-1.8, -0.4, 0.9, 2.2):
@@ -781,6 +855,60 @@ class TestIsometryDeviation:
             for i, u in enumerate(us):
                 for j, t in enumerate(ts):
                     assert tuple(grid[i, j]) == reference_first_form(NIL, chart, u, t)[3]
+
+
+class TestIsometryMatrix:
+    def test_pairs_measured_once_per_chart_and_grid(self, monkeypatch):
+        # three members of one Bour family share one grid: each chart's
+        # first form is measured once, and each entry is its own pair's
+        U = nil_catenoid_profile()
+        charts = [
+            SurfaceChart.from_natural(build_chart(NIL, BourSeed(U, 1.0, a, (-2.2, 2.2))))
+            for a in (0.5, 0.25, 0.0)
+        ]
+        calls = []
+        real = oracle.first_form_grid
+
+        def counted(space, chart, us, ts, tol):
+            calls.append(charts.index(chart))
+            return real(space, chart, us, ts, tol)
+
+        monkeypatch.setattr(oracle, "first_form_grid", counted)
+        matrix, errors = isometry_matrix(NIL, charts, grid=(9, 5))
+        assert calls == [0, 1, 2] and errors == {}
+        monkeypatch.undo()
+        for i in range(3):
+            assert matrix[i][i] == 0.0
+            for j in range(3):
+                if i != j:
+                    assert matrix[i][j] == isometry_deviation(NIL, charts[i], charts[j], grid=(9, 5)) < 1e-6
+
+    def test_unmeasurable_pairs_hold_none_and_their_error(self, catenoid_chart, helicoid_chart):
+        # the helicoid's first form degenerates on the axis row u = 0 of the
+        # shared grid; a chart whose u-range misses the others shares none
+        full = dict(u_range=(-1.0, 1.0))
+        charts = [
+            SurfaceChart.from_natural(catenoid_chart, **full),
+            SurfaceChart.from_natural(helicoid_chart, **full),
+            SurfaceChart.from_natural(catenoid_chart, u_range=(1.5, 2.0)),
+        ]
+        matrix, errors = isometry_matrix(R3, charts, grid=(9, 5))
+        assert matrix == [[0.0, None, None], [None, 0.0, None], [None, None, 0.0]]
+        assert {pair: type(exc) for pair, exc in errors.items()} == {
+            (0, 1): DegenerateImmersion, (0, 2): EmptyDomain, (1, 2): EmptyDomain
+        }
+        assert str(errors[0, 1]).startswith("EG - F^2 = 0.000000e+00 <= 0 at (u=0.0, ")
+        assert all(exc.__traceback__ is None for exc in errors.values())
+        # the two-chart case raises its pair's error
+        with pytest.raises(DegenerateImmersion, match="EG - F\\^2"):
+            isometry_deviation(R3, charts[0], charts[1], grid=(9, 5))
+
+    def test_shared_grid_margin_follows_fd_min(self, catenoid_chart):
+        # max(1e-6, the last u-step above fd_min)
+        sc = SurfaceChart.from_natural(catenoid_chart, u_range=(-1.0, 1.0))
+        for fd_min, margin in ((DEFAULT_TOL.fd_min, 1e-6), (1e-6, DEFAULT_TOL.fd_first / 2**8)):
+            us, _ = shared_grid(sc, sc, (9, 5), dataclasses.replace(DEFAULT_TOL, fd_min=fd_min))
+            assert (us[0], us[-1]) == (-1.0 + margin, 1.0 - margin)
 
 
 class TestSampleMesh:

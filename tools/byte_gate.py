@@ -13,6 +13,8 @@ the same job set.  Each job gets the directory ``OUT/<name>/`` with its
 config ``job.json``, ``exit_code``, ``stdout``, ``stderr`` and the files it
 wrote under ``out/``.  Paths handed to the CLI are relative to that
 directory, so two runs in different places can be compared byte for byte.
+It writes every job, then lists the jobs whose exit code is not 0 and
+exits 1 if there is any, else 0.
 
 ``diff`` lists every file present in only one of two run directories or
 with different bytes, and exits 1 if there is any, else 0.  Under each
@@ -63,6 +65,7 @@ def run(out: str) -> int:
         import bcvhelix.cli
     print(f"bcvhelix from {os.path.dirname(bcvhelix.cli.__file__)}", file=sys.stderr)
     home = os.getcwd()
+    failing = []
     for name, command, cfg in _jobs():
         job_dir = os.path.join(out, name)
         os.makedirs(job_dir)
@@ -88,7 +91,11 @@ def run(out: str) -> int:
             with open(os.path.join(job_dir, fname), "w") as fh:
                 fh.write(text)
         print(f"{name}: exit {rc}", file=sys.stderr)
-    return 0
+        if rc != 0:
+            failing.append(f"{name}: exit {rc}")
+    for line in failing:
+        print(f"nonzero exit: {line}", file=sys.stderr)
+    return 1 if failing else 0
 
 
 def _files(top: str) -> dict[str, str]:
@@ -199,7 +206,8 @@ def diff(a: str, b: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", help="run every job into a new directory").add_argument("out")
+    p = sub.add_parser("run", help="run every job into a new directory; exit 1 if any job exits nonzero")
+    p.add_argument("out")
     p = sub.add_parser("diff", help="compare two run directories")
     p.add_argument("a")
     p.add_argument("b")
