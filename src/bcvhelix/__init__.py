@@ -61,6 +61,7 @@ from .bour import (
     build_chart,
     delta,
     domain_of_validity,
+    gauss_intrinsic,
     natural_from_helicoidal,
     theta0_integrand,
     xi1_from_seed,
@@ -84,7 +85,6 @@ from .oracle import (
     SurfaceChart,
     first_form_grid,
     first_form_numeric,
-    gauss_intrinsic,
     gauss_numeric,
     isometry_deviation,
     isometry_matrix,

@@ -61,6 +61,7 @@ __all__ = [
     "NaturalChart",
     "chart_terms",
     "delta",
+    "gauss_intrinsic",
     "xi1_from_seed",
     "xi2_integrand",
     "theta0_integrand",
@@ -143,6 +144,12 @@ def chart_terms(
 def delta(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances = DEFAULT_TOL) -> float:
     """Discriminant D(u) of the chart; raises NegativeDiscriminant below -clamp."""
     return _discriminant(space, seed.m, seed.a, seed.U(u), u, tol)[2]
+
+
+def gauss_intrinsic(U, u: float) -> float:
+    """Gaussian curvature of a natural chart from its metric profile: -U''/U."""
+    U = SmoothFunction.wrap(U)
+    return -U.second(u) / U(u)
 
 
 def xi1_from_seed(space: BcvSpace, seed: BourSeed, u, tol: Tolerances = DEFAULT_TOL):

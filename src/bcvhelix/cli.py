@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bour import BourSeed, NaturalChart, build_chart
+from .bour import BourSeed, NaturalChart, build_chart, gauss_intrinsic
 from .cmc import cmc_U, cmc_residual, minimal_U
 from .errors import BcvHelixError, ConfigError
 from .numerics import ArrayFunction, SmoothFunction, Tolerances, elementwise
@@ -595,14 +595,15 @@ def write_profile_csv(path: str, chart: NaturalChart, nu: int, margin: float = 1
     _write_atomic(path, "u,xi1,xi2,theta0,U\n" + _e16_rows(table, ","))
 
 
-def write_mesh_csv(path: str, mesh: MeshGrid, resid_per_u):
-    """One row per vertex, (u, t) row-major, with the row's CMC residual."""
+def write_mesh_csv(path: str, mesh: MeshGrid, gauss, resid_per_u):
+    """One row per vertex, (u, t) row-major, with the vertex's Gaussian
+    curvature ``gauss`` and the row's CMC residual."""
     table = np.column_stack([
         np.repeat(mesh.us, mesh.nt),
         np.tile(mesh.ts, mesh.nu),
         mesh.vertices,
         mesh.h_ext,
-        mesh.gauss,
+        gauss,
         np.repeat(np.asarray(resid_per_u, dtype=float), mesh.nt),
     ])
     _write_atomic(path, "u,t,x,y,z,H_ext,K,cmc_residual\n" + _e16_rows(table, ","))
@@ -631,8 +632,7 @@ def _surface(job: JobConfig, chart: NaturalChart) -> SurfaceChart:
     if job.raw_theta:
         # raw (u, theta) parametrization of the same surface: theta0 = 0, m = 1
         return SurfaceChart.raw(
-            chart.space, chart.xi1, chart.xi2, chart.a, chart.u_valid, job.t_range, U=chart.U,
-            domain=chart.domain,
+            chart.space, chart.xi1, chart.xi2, chart.a, chart.u_valid, job.t_range, domain=chart.domain
         )
     return SurfaceChart.from_natural(chart, t_range=job.t_range)
 
@@ -643,14 +643,19 @@ def _interior_grid(chart: NaturalChart, job: JobConfig, margin_frac: float = 0.0
     return np.linspace(lo + pad, hi - pad, job.nu)
 
 
-def _residual_per_u(job: JobConfig, chart: NaturalChart, us) -> list:
+def _per_row(fn, us) -> list:
+    """fn at each u of us, NaN where it raises a BcvHelixError."""
     out = []
     for u in us:
         try:
-            out.append(cmc_residual(job.space, chart.seed, job.H, u, job.tol))
+            out.append(fn(u))
         except BcvHelixError:
             out.append(float("nan"))
     return out
+
+
+def _residual_per_u(job: JobConfig, chart: NaturalChart, us) -> list:
+    return _per_row(lambda u: cmc_residual(job.space, chart.seed, job.H, u, job.tol), us)
 
 
 def cmd_classify(job: JobConfig, out_dir: str) -> int:
@@ -682,33 +687,27 @@ def cmd_verify(job: JobConfig, out_dir: str) -> int:
     sc = SurfaceChart.from_natural(chart, t_range=job.t_range)
     us = _interior_grid(chart, job)
     ts = np.linspace(job.t_range[0], job.t_range[1], min(job.nt, 7))
-    # a row whose residual cannot be evaluated fails the check; the value is
-    # the worst row that evaluated, null when none did
+    # a row whose residual cannot be evaluated, or a vertex that cannot be
+    # measured, fails its check; the value is the worst that evaluated, null
+    # when none did
     resid = np.abs(_residual_per_u(job, chart, us))
     evaluated = np.isfinite(resid)
-    max_resid = float(np.max(resid[evaluated])) if evaluated.any() else None
-    max_h_dev = 0.0
-    max_form_dev = 0.0
     H_target = abs(meta.get("H", job.H))
     rows = us[:: max(1, len(us) // 12)]
-    geo = local_geometry(job.space, sc, rows, ts, job.tol).checked()
-    for u, H, E, F, G in zip(rows, geo.H, geo.E, geo.F, geo.G):
-        Uv = chart.U(u)
-        max_h_dev = max(max_h_dev, float(np.max(np.abs(np.abs(H) - H_target))))
-        max_form_dev = max(
-            max_form_dev,
-            float(np.max(np.abs(E - 1.0))),
-            float(np.max(np.abs(F))),
-            float(np.max(np.abs(G - Uv * Uv))),
-        )
-    checks = {
-        "cmc_residual": {"value": max_resid, "tol": job.check_tol["cmc_residual"]},
-        "h_ext_vs_H": {"value": max_h_dev, "tol": job.check_tol["h_ext"]},
-        "first_form": {"value": max_form_dev, "tol": job.check_tol["first_form"]},
-    }
-    for chk in checks.values():
-        chk["pass"] = bool(chk["value"] is not None and chk["value"] < chk["tol"])
-    checks["cmc_residual"]["pass"] &= bool(evaluated.all())
+    geo = local_geometry(job.space, sc, rows, ts, job.tol)
+    measured = np.array([[exc is None for exc in row] for row in geo.errors])
+    Uv = chart.U.column(rows)[:, None]
+    h_dev = np.abs(np.abs(geo.H) - H_target)
+    form_dev = np.maximum.reduce([np.abs(geo.E - 1.0), np.abs(geo.F), np.abs(geo.G - Uv * Uv)])
+    checks = {}
+    for name, key, dev, done in (
+        ("cmc_residual", "cmc_residual", resid, evaluated),
+        ("h_ext_vs_H", "h_ext", h_dev, measured),
+        ("first_form", "first_form", form_dev, measured),
+    ):
+        value = float(np.max(dev[done])) if done.any() else None
+        tol = job.check_tol[key]
+        checks[name] = {"value": value, "tol": tol, "pass": bool(done.all() and value < tol)}
     ok = all(chk["pass"] for chk in checks.values())
     report = {
         "seed": meta,
@@ -716,6 +715,9 @@ def cmd_verify(job: JobConfig, out_dir: str) -> int:
         "checks": checks,
         "pass": ok,
     }
+    failures = geo.failures()
+    if failures:
+        report["diagnostic_failures"] = failures
     write_json(os.path.join(out_dir, f"{job.basename}.verify.json"), report)
     print(json.dumps(report, sort_keys=True))
     return 0 if ok else 1
@@ -724,10 +726,11 @@ def cmd_verify(job: JobConfig, out_dir: str) -> int:
 def _export_mesh(
     job: JobConfig, chart: NaturalChart, out_dir: str, suffix: str = "", with_curvature: bool = True
 ):
-    """The mesh of the chart and the files it writes. Its H/K diagnostics
-    (``h_ext``, ``gauss``, ``diagnostic_failures``) are measured only with
+    """The mesh of the chart and the files it writes. Its diagnostics
+    (``h_ext``, ``diagnostic_failures``) are measured only with
     ``with_curvature``: the mesh CSV and the export report read them, the
-    OBJ writer reads only the vertices."""
+    OBJ writer reads only the vertices.  The CSV's K is the chart's -U''/U,
+    at the vertices where ``h_ext`` was measured."""
     sc = _surface(job, chart)
     mesh = sample_mesh(job.space, sc, job.nu, job.nt, job.tol, with_curvature=with_curvature)
     files = []
@@ -737,7 +740,9 @@ def _export_mesh(
         files.append(path)
     if "csv" in job.formats:
         path = os.path.join(out_dir, f"{job.basename}{suffix}.csv")
-        write_mesh_csv(path, mesh, _residual_per_u(job, chart, mesh.us))
+        gauss = np.repeat(_per_row(lambda u: gauss_intrinsic(chart.U, u), mesh.us), mesh.nt)
+        gauss[np.isnan(mesh.h_ext)] = np.nan
+        write_mesh_csv(path, mesh, gauss, _residual_per_u(job, chart, mesh.us))
         files.append(path)
     return mesh, files
 

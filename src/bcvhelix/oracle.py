@@ -44,7 +44,6 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_TOL,
-    SmoothFunction,
     Tolerances,
     halving_steps,
     richardson,
@@ -61,7 +60,6 @@ __all__ = [
     "first_form_grid",
     "first_form_numeric",
     "mean_curvature_extrinsic",
-    "gauss_intrinsic",
     "gauss_numeric",
     "shared_grid",
     "isometry_matrix",
@@ -77,12 +75,11 @@ class SurfaceChart:
     Built either from a NaturalChart or as a raw chart with pitch a
     (theta0 = 0, m = 1, so theta = t).  ``xi1``, ``xi2`` and ``theta0`` take
     a float u, or a 1-D array of u and return the column of values; a
-    failure raises a BcvHelixError.  ``U`` is carried when known so
-    intrinsic diagnostics can refer to the metric profile.  ``domain`` is
-    the ProfileDomain of the u the chart evaluates at and of the abscissa
-    it reads each at, so the oracle can settle a stencil without a query
-    that raises; without one the chart admits every u and reads it as
-    given.
+    failure raises a BcvHelixError.  A chart carries no metric profile: the
+    oracle measures the embedding only.  ``domain`` is the ProfileDomain of
+    the u the chart evaluates at and of the abscissa it reads each at, so
+    the oracle can settle a stencil without a query that raises; without
+    one the chart admits every u and reads it as given.
     """
 
     def __init__(
@@ -95,7 +92,6 @@ class SurfaceChart:
         a: float,
         u_range: tuple[float, float],
         t_range: tuple[float, float],
-        U: Optional[SmoothFunction] = None,
         domain: ProfileDomain = ProfileDomain(),
     ):
         self.space = space
@@ -106,7 +102,6 @@ class SurfaceChart:
         self.a = a
         self.u_range = u_range
         self.t_range = t_range
-        self.U = U
         self.domain = domain
         self._orient: Optional[float] = None
 
@@ -126,7 +121,6 @@ class SurfaceChart:
             chart.a,
             u_range if u_range is not None else chart.u_valid,
             t_range,
-            U=chart.U,
             domain=chart.domain,
         )
 
@@ -139,11 +133,10 @@ class SurfaceChart:
         a: float,
         u_range: tuple[float, float],
         t_range: tuple[float, float],
-        U: Optional[SmoothFunction] = None,
         domain: ProfileDomain = ProfileDomain(),
     ) -> "SurfaceChart":
         """The chart with theta = t: theta0 = 0 and m = 1."""
-        return cls(space, xi1, xi2, _no_gauge, 1.0, a, u_range, t_range, U=U, domain=domain)
+        return cls(space, xi1, xi2, _no_gauge, 1.0, a, u_range, t_range, domain=domain)
 
     @classmethod
     def from_profile(
@@ -449,11 +442,19 @@ class LocalGeometry:
     K: np.ndarray
     errors: tuple
 
+    def _rows(self) -> tuple:
+        return self.errors if self.H.ndim == 2 else (self.errors,)
+
     def checked(self) -> "LocalGeometry":
         """These rows, after raising the error of the first failed vertex
         (in row-major order), if any."""
-        _raise_first(self.errors if self.H.ndim == 2 else (self.errors,))
+        _raise_first(self._rows())
         return self
+
+    def failures(self) -> dict:
+        """The count of failed vertices by error class, in name order."""
+        counts = Counter(type(e).__name__ for row in self._rows() for e in row if e is not None)
+        return dict(sorted(counts.items()))
 
 
 _GEOMETRY_SHAPES = ((3,), (3,)) + ((),) * 8  # trailing shapes of LocalGeometry's fields
@@ -672,12 +673,6 @@ def mean_curvature_extrinsic(
     return float(local_geometry(space, chart, u, [t], tol).checked().H[0])
 
 
-def gauss_intrinsic(U, u: float) -> float:
-    """Gaussian curvature of a natural chart from its metric profile: -U''/U."""
-    U = SmoothFunction.wrap(U)
-    return -U.second(u) / U(u)
-
-
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0   # 4th-order first derivative
 _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # 4th-order second derivative
 
@@ -759,16 +754,21 @@ def isometry_matrix(
     the first forms of charts i and j on their ``shared_grid``, 0.0 on the
     diagonal, and None for a pair that cannot be measured, whose untraced
     error is errors[i, j] (i < j).  Each chart's first form is measured once
-    per distinct shared grid."""
+    per distinct shared grid, be it measured or failed."""
     n = len(charts)
     matrix = [[0.0 if i == j else None for j in range(n)] for i in range(n)]
     errors: dict = {}
-    forms: dict = {}  # (chart, grid ends) -> its first form there
+    forms: dict = {}  # (chart, grid ends) -> its first form there, or its untraced error
 
     def form(k: int, us: np.ndarray, ts: np.ndarray) -> np.ndarray:
         key = (k, us[0], us[-1], ts[0], ts[-1])
         if key not in forms:
-            forms[key] = first_form_grid(space, charts[k], us, ts, tol)
+            try:
+                forms[key] = first_form_grid(space, charts[k], us, ts, tol)
+            except BcvHelixError as exc:
+                forms[key] = _untraced(exc)
+        if isinstance(forms[key], BcvHelixError):
+            raise _untraced(forms[key])
         return forms[key]
 
     for i, j in itertools.combinations(range(n), 2):
@@ -802,13 +802,13 @@ class MeshGrid:
 
     ``vertices`` has one row per (u, t) grid node in row-major u-then-t
     order; rows whose u failed chart evaluation are NaN and listed in
-    ``dropped_rows``.  ``diagnostic_failures`` counts the vertices of the
-    other rows whose diagnostics failed, by error class: a row whose
-    stencil cannot fit, or where the chart refuses a stencil abscissa,
-    counts that error on every vertex.  A measured NaN ``h_ext`` means
-    failed.  A mesh sampled with ``with_curvature=False``
-    measured nothing: ``h_ext``, ``gauss`` and ``residual`` are all NaN and
-    ``diagnostic_failures`` is empty.
+    ``dropped_rows``.  ``h_ext`` is the extrinsic mean curvature at each
+    vertex, and ``diagnostic_failures`` counts the vertices of the other
+    rows whose diagnostics failed, by error class: a row whose stencil
+    cannot fit, or where the chart refuses a stencil abscissa, counts that
+    error on every vertex.  A measured NaN ``h_ext`` means failed.  A mesh
+    sampled with ``with_curvature=False`` measured nothing: ``h_ext`` is all
+    NaN and ``diagnostic_failures`` is empty.
     """
 
     nu: int
@@ -817,8 +817,6 @@ class MeshGrid:
     ts: np.ndarray
     vertices: np.ndarray
     h_ext: np.ndarray
-    gauss: np.ndarray
-    residual: np.ndarray
     dropped_rows: list = field(default_factory=list)
     diagnostic_failures: dict = field(default_factory=dict)
 
@@ -838,54 +836,34 @@ def sample_mesh(
     """Uniform mesh over the chart's (u, t) rectangle with diagnostics.
 
     The vertices of all rows are one profile query per component and one
-    ``embed``.  Diagnostics per vertex, from one ``local_geometry`` call
-    over the rows whose u the chart accepts: extrinsic mean curvature,
-    Gaussian curvature (-U''/U when the metric profile is known, else NaN),
-    and for natural charts the max deviation of the measured first form from
-    (1, 0, U^2).  Rows at invalid u are dropped, not clamped.  With
-    ``with_curvature=False`` no diagnostic is measured: ``h_ext``, ``gauss``
-    and ``residual`` are NaN because nothing was measured, not because a
-    measurement failed, and ``diagnostic_failures`` is empty.
+    ``embed``.  The extrinsic mean curvature of each vertex comes from one
+    ``local_geometry`` call over the rows whose u the chart accepts.  Rows
+    at invalid u are dropped, not clamped.  With ``with_curvature=False``
+    nothing is measured: ``h_ext`` is NaN because nothing was measured, not
+    because a measurement failed, and ``diagnostic_failures`` is empty.
     """
     if nu < 2 or nt < 2:
         raise ValueError("nu and nt must both be >= 2")
     us = np.linspace(chart.u_range[0], chart.u_range[1], nu)
     ts = np.linspace(chart.t_range[0], chart.t_range[1], nt)
-    vertices = np.full((nu * nt, 3), np.nan)
-    h_ext = np.full(nu * nt, np.nan)
-    gauss = np.full(nu * nt, np.nan)
-    residual = np.full(nu * nt, np.nan)
-    failures: Counter = Counter()
+    vertices = np.full((nu, nt, 3), np.nan)
+    h_ext = np.full((nu, nt), np.nan)
+    failures: dict = {}
     columns, errors = _fit_rows(chart, us[:, None])
     kept = [i for i, exc in enumerate(errors) if exc is None]
     dropped = [i for i, exc in enumerate(errors) if exc is not None]
-    vertices.reshape(nu, nt, 3)[kept] = chart.embed(*(column[kept] for column in columns), ts)
+    vertices[kept] = chart.embed(*(column[kept] for column in columns), ts)
     if with_curvature and kept:
         geo = local_geometry(space, chart, us[kept], ts, tol)
-        for i, H, E, F, G, errors in zip(kept, geo.H, geo.E, geo.F, geo.G, geo.errors):
-            row = slice(i * nt, (i + 1) * nt)
-            failures.update(type(e).__name__ for e in errors if e is not None)
-            ok = np.array([e is None for e in errors])
-            h_ext[row] = H
-            if chart.U is None or not ok.any():
-                continue
-            u = us[i]
-            try:
-                gauss[row][ok] = gauss_intrinsic(chart.U, u)
-                Uv = chart.U(u)
-            except BcvHelixError:
-                continue
-            dev = np.maximum.reduce([np.abs(E - 1.0), np.abs(F), np.abs(G - Uv * Uv)])
-            residual[row][ok] = dev[ok]
+        h_ext[kept] = geo.H
+        failures = geo.failures()
     return MeshGrid(
         nu=nu,
         nt=nt,
         us=us,
         ts=ts,
-        vertices=vertices,
-        h_ext=h_ext,
-        gauss=gauss,
-        residual=residual,
+        vertices=vertices.reshape(-1, 3),
+        h_ext=h_ext.ravel(),
         dropped_rows=dropped,
-        diagnostic_failures=dict(sorted(failures.items())),
+        diagnostic_failures=failures,
     )

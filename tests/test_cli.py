@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from bcvhelix import cli
+from bcvhelix import cli, gauss_intrinsic
 from bcvhelix.cli import main
 from bcvhelix.errors import BcvHelixError, ConfigError, DomainError
 from bcvhelix.oracle import MeshGrid
@@ -84,6 +84,7 @@ class TestVerify:
         assert report["checks"]["h_ext_vs_H"]["value"] < 1e-4
         printed = json.loads(capsys.readouterr().out)
         assert printed["pass"] is True
+        assert "diagnostic_failures" not in report
 
     def test_euclidean_cmc_case(self, tmp_path):
         cfg = {
@@ -152,6 +153,33 @@ class TestVerify:
         assert report["pass"] is False and check["pass"] is False
         assert check["value"] == (0.0 if raising == "one-row" else None)
 
+    # a = 2 - 1e-13 leaves U = 2 - u^2 a validity interval of about +-2.6e-7:
+    # at fd_min = 1e-7 the stencils fit 28 of the 98 vertices, at 1e-6 none
+    NARROW = {
+        "space": {"kappa": 0.0, "tau": 0.0},
+        "seed": {"family": "explicit", "m": 1.0, "a": 1.9999999999999, "u_range": [-1.0, 1.0],
+                  "U": "2 - u*u", "dU": "-2*u"},
+        "output": {"basename": "narrow", "formats": ["json"]},
+    }
+
+    @pytest.mark.parametrize("fd_min, failed, measured", [(1e-7, 70, True), (1e-6, 98, False)])
+    def test_unmeasured_vertices_fail_their_checks(self, tmp_path, capsys, fd_min, failed, measured):
+        # a vertex that cannot be measured fails both oracle checks, whose
+        # values are the worst measured vertex (null when none was); the
+        # report is written and counts the failures by error class
+        assert run(tmp_path, "verify", self.NARROW, [f"tolerances.fd_min={fd_min}"]) == 1
+        report = json.loads((tmp_path / "narrow.verify.json").read_text())
+        assert report == json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert report["diagnostic_failures"] == {"StencilOutOfDomain": failed}
+        for name in ("h_ext_vs_H", "first_form"):
+            check = report["checks"][name]
+            assert check["pass"] is False
+            assert (check["value"] is not None) is measured
+        # H is measured well where it is measured: only the failures fail it
+        if measured:
+            assert report["checks"]["h_ext_vs_H"]["value"] < report["checks"]["h_ext_vs_H"]["tol"]
+
 
 class TestExport:
     def test_minimal_two_by_two_obj(self, tmp_path):
@@ -181,11 +209,11 @@ class TestExport:
         )
         mesh = MeshGrid(
             nu=2, nt=3, us=np.array([-0.0, 1e-300]), ts=np.array([math.nan, 0.5, -math.inf]),
-            vertices=vertices, h_ext=np.array(specials), gauss=np.array(specials[::-1]),
-            residual=np.full(6, math.nan),
+            vertices=vertices, h_ext=np.array(specials),
         )
+        gauss = np.array(specials[::-1])
         resid = [math.inf, -0.0]
-        cli.write_mesh_csv(str(tmp_path / "m.csv"), mesh, resid)
+        cli.write_mesh_csv(str(tmp_path / "m.csv"), mesh, gauss, resid)
         cli.write_obj(str(tmp_path / "m.obj"), mesh)
 
         fmt = lambda values: [f"{float(v):.16e}" for v in values]
@@ -193,7 +221,7 @@ class TestExport:
         for i in range(2):
             for j in range(3):
                 k = 3 * i + j
-                row = (mesh.us[i], mesh.ts[j], *vertices[k], mesh.h_ext[k], mesh.gauss[k])
+                row = (mesh.us[i], mesh.ts[j], *vertices[k], mesh.h_ext[k], gauss[k])
                 csv.append(",".join(fmt(row + (resid[i],))))
         assert (tmp_path / "m.csv").read_bytes() == ("\n".join(csv) + "\n").encode()
         obj = ["v " + " ".join(fmt(vertices[k])) for k in (0, 1, 3, 4, 5)]
@@ -228,6 +256,26 @@ class TestExport:
         assert np.max(np.abs(data[:, 2:5] - expected)) <= 1e-14
         theta0 = np.array([chart.theta0(u) for u in data[:, 0]])
         assert np.max(np.abs(theta0)) > 0.1  # the natural chart would differ
+
+    def test_raw_theta_K_is_the_natural_K(self, tmp_path):
+        # K is the construction's -U''/U of the row, written where H_ext was
+        # measured: the raw chart's column is the natural chart's, row for
+        # row, wherever both measured the vertex
+        cfg = json.loads(json.dumps(NIL_MINIMAL))
+        cfg["output"] = {"basename": "nat", "formats": ["csv"]}
+        assert run(tmp_path, "export", cfg) == 0
+        cfg["output"] = {"basename": "raw", "formats": ["csv"], "raw_theta": True}
+        assert run(tmp_path, "export", cfg) == 0
+        nat, raw = (np.loadtxt(tmp_path / f"{name}.csv", delimiter=",", skiprows=1) for name in ("nat", "raw"))
+        assert np.array_equal(nat[:, :2], raw[:, :2])
+        for data in (nat, raw):
+            assert np.array_equal(np.isnan(data[:, 6]), np.isnan(data[:, 5]))
+        both = ~np.isnan(nat[:, 5]) & ~np.isnan(raw[:, 5])
+        assert both.sum() >= len(nat) // 2
+        assert np.array_equal(nat[both, 6], raw[both, 6])
+        job = cli.parse_config(cfg, "export")
+        chart = cli.make_chart(job, *cli.resolve_profile(job))[0]
+        assert all(k == gauss_intrinsic(chart.U, u) for u, k in nat[both][:, [0, 6]].tolist())
 
 
 def _per_value(table, sep, prefix=""):
@@ -289,7 +337,6 @@ class TestE16Rows:
         mesh = MeshGrid(
             nu=2, nt=2, us=np.array([0.0, 1.0]), ts=np.array([0.0, 1.0]),
             vertices=np.full((4, 3), math.nan), h_ext=np.full(4, math.nan),
-            gauss=np.full(4, math.nan), residual=np.full(4, math.nan),
         )
         cli.write_obj(str(tmp_path / "m.obj"), mesh)
         assert (tmp_path / "m.obj").read_bytes() == b"\n"
@@ -317,8 +364,7 @@ class TestIntRows:
         vertices[200 * nt + 100, 1] = math.nan
         mesh = MeshGrid(
             nu=nu, nt=nt, us=np.linspace(0.0, 1.0, nu), ts=np.linspace(0.0, 1.0, nt),
-            vertices=vertices, h_ext=np.zeros(nu * nt), gauss=np.zeros(nu * nt),
-            residual=np.zeros(nu * nt),
+            vertices=vertices, h_ext=np.zeros(nu * nt),
         )
         cli.write_obj(str(tmp_path / "m.obj"), mesh)
         number, kept = {}, 0
@@ -576,6 +622,25 @@ class TestDeform:
         cfg["output"]["formats"] = ["json"]
         assert run(tmp_path, "deform", cfg) == 0
         assert len(calls) == len({id(chart) for chart in calls}) == grids
+
+    def test_failed_first_form_measured_once_per_grid(self, tmp_path, monkeypatch):
+        # the a = 1 frame's first form degenerates on the grid all frames
+        # share: it is measured once, and its error is every pair's
+        from bcvhelix import oracle
+
+        calls = []
+        real = oracle.first_form_grid
+        monkeypatch.setattr(oracle, "first_form_grid", lambda *args: calls.append(args[1]) or real(*args))
+        cfg = json.loads((CONFIG_DIR / "catenoid_to_helicoid.json").read_text())
+        cfg["sweep"]["values"] = [0, 0.25, 0.5, 0.75, 1.0]
+        cfg["output"]["formats"] = ["json"]
+        assert run(tmp_path, "deform", cfg) == 1
+        assert len(calls) == len({id(chart) for chart in calls}) == 5
+        report = json.loads((tmp_path / "cat2heli.deform.json").read_text())
+        assert report["frame_errors"] == {}
+        assert list(report["pair_errors"]) == ["0,1", "0.25,1", "0.5,1", "0.75,1"]
+        assert len(set(report["pair_errors"].values())) == 1
+        assert report["pair_errors"]["0,1"].startswith("DegenerateImmersion: EG - F^2")
 
     def test_signed_zero_pitches_are_two_frames(self, tmp_path, monkeypatch):
         # -0 and 0 are distinct frame tags but equal floats: each is its own

@@ -405,7 +405,7 @@ class TestLocalGeometry:
             return chart.xi1(u)
 
         sc = SurfaceChart(NIL, xi1, chart.xi2, chart.theta0, chart.m, chart.a, (-1.0, 1.0),
-                          (-math.pi, math.pi), U=chart.U)
+                          (-math.pi, math.pi))
         ts = np.linspace(-math.pi, math.pi, 6)
         batch = local_geometry(NIL, sc, us, ts)
         refusal = (DomainError, f"xi1 refused at u={us[bad]}")
@@ -741,7 +741,7 @@ class TestSettle:
             return chart.xi1(u)
 
         sc = SurfaceChart(NIL, xi1, chart.xi2, chart.theta0, chart.m, chart.a, chart.u_valid,
-                          (-math.pi, math.pi), U=chart.U, domain=chart.domain)
+                          (-math.pi, math.pi), domain=chart.domain)
         batch = local_geometry(NIL, sc, us, ts, tol)
         fits = [assert_row_is_one_row_call(NIL, sc, batch, i, u, ts, tol) for i, u in enumerate(us.tolist())]
         # the ends of u_valid have no step; the refused rows hold xi1's
@@ -810,7 +810,7 @@ class TestGauss:
             return chart.xi2(u)
 
         sc = SurfaceChart(NIL, chart.xi1, xi2, chart.theta0, chart.m, chart.a, chart.u_valid,
-                          (-math.pi, math.pi), U=chart.U, domain=chart.domain)
+                          (-math.pi, math.pi), domain=chart.domain)
         assert abs(gauss_numeric(NIL, sc, 0.5, 0.3) - gauss_intrinsic(chart.U, 0.5)) < 1e-4
         with pytest.raises(QuadratureFailure, match=r"^Brioschi stencil at \(u=1.0, t=0.3\): xi2 did not converge$"):
             gauss_numeric(NIL, sc, 1.0, 0.3)
@@ -926,7 +926,21 @@ class TestSampleMesh:
         mesh = sample_mesh(R3, sc, 21, 21)
         assert mesh.dropped_rows == []
         assert np.nanmax(np.abs(mesh.h_ext)) < 1e-4
-        assert np.nanmax(mesh.residual) < 1e-6
+        # the first form measured on the mesh's grid is (1, 0, U^2)
+        geo = local_geometry(R3, sc, mesh.us, mesh.ts)
+        ok = np.array([[exc is None for exc in row] for row in geo.errors])
+        Usq = np.array([catenoid_chart.U(u) ** 2 for u in mesh.us])[:, None]
+        dev = np.maximum.reduce([np.abs(geo.E - 1.0), np.abs(geo.F), np.abs(geo.G - Usq)])
+        assert np.max(dev[ok]) < 1e-6
+
+    def test_chart_and_mesh_carry_no_metric_profile(self, catenoid_chart):
+        # the oracle measures the embedding only: U stays with the construction
+        sc = SurfaceChart.from_natural(catenoid_chart)
+        assert not hasattr(sc, "U")
+        mesh = sample_mesh(R3, sc, 2, 2, with_curvature=False)
+        assert {f.name for f in dataclasses.fields(mesh)} == {
+            "nu", "nt", "us", "ts", "vertices", "h_ext", "dropped_rows", "diagnostic_failures"
+        }
 
     def test_invalid_rows_dropped(self):
         # m = 2 cuts the catenoid-profile chart to |u| < sqrt(1/3): rows
