@@ -51,6 +51,7 @@ from .numerics import (
     Integrand,
     SmoothFunction,
     Tolerances,
+    float_rows,
     scan_interval,
 )
 from .orbit import HelicoidalAction, ProfileCurve, ProfileDomain, volume_omega
@@ -146,10 +147,20 @@ def delta(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances = DEFAULT_T
     return _discriminant(space, seed.m, seed.a, seed.U(u), u, tol)[2]
 
 
-def gauss_intrinsic(U, u: float) -> float:
-    """Gaussian curvature of a natural chart from its metric profile: -U''/U."""
+def gauss_intrinsic(U, u):
+    """Gaussian curvature of a natural chart from its metric profile: -U''/U.
+
+    At a float u, or the column at a 1-D array of u, from one array call of
+    U'' and one of U: each element is the float call's value bit for bit,
+    or NaN where the float call raises a BcvHelixError.  Elements that are
+    not finite are evaluated again as floats, so any other error propagates.
+    """
     U = SmoothFunction.wrap(U)
-    return -U.second(u) / U(u)
+    if not isinstance(u, np.ndarray):
+        return -U.second(u) / U(u)
+    with np.errstate(all="ignore"):
+        out = -U.second_column(u) / U.column(u)
+    return float_rows(out, ~np.isfinite(out), lambda v: gauss_intrinsic(U, v), u)
 
 
 def xi1_from_seed(space: BcvSpace, seed: BourSeed, u, tol: Tolerances = DEFAULT_TOL):

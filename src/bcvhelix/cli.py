@@ -404,8 +404,9 @@ def write_json(path: str, obj) -> None:
 
 
 # The text of a double is its "%.16e": 17 significant digits, enough to read
-# each double back bit for bit.  The writers format a whole float table with
-# one call of _e16_rows, which gives the same bytes as "%.16e" % v per value.
+# each double back bit for bit.  The writers format their floats with one
+# array kernel, _e16_fields, which gives the same bytes as "%.16e" % v per
+# value; the mesh writers format each distinct number of a frame once.
 _E16_WIDTH = 24  # "-d.dddddddddddddddde-ddd", the longest "%.16e" of a double
 _K_MIN, _K_MAX = -272, 271  # decimal exponents of the fast path
 _FAST_MIN, _FAST_MAX = 2.0 ** -900, 2.0 ** 900
@@ -424,7 +425,9 @@ def _split(a):
 def _e16_tables():
     """10**(16 - k) for k in [_K_MIN, _K_MAX] as a double-double (th, tl),
     th split for the two-product, indexed k - _K_MIN; the ASCII digits of
-    0..9999 and of the exponents |k| <= -_K_MIN (two digits, or three)."""
+    0..9999; the texts of the exponents k, each a 4-byte word indexed
+    k - _K_MIN (the sign, then two digits, or three); the NUL-padded texts
+    of NaN, inf and -inf."""
     th, tl = [], []
     for k in range(_K_MIN, _K_MAX + 1):
         if k <= 16:
@@ -446,13 +449,16 @@ def _e16_tables():
         return np.frombuffer(data, np.uint8).reshape(len(texts), width)
 
     digits = ascii_table([f"{i:04d}" for i in range(10_000)], 4).view(np.uint32).ravel()
-    exponents = ascii_table([f"{k:02d}" for k in range(-_K_MIN + 1)], 3)
-    return th, th_hi, th_lo, np.array(tl), digits, exponents
+    signed = [("-" if k < 0 else "+") + f"{abs(k):02d}" for k in range(_K_MIN, _K_MAX + 1)]
+    exponents = ascii_table(signed, 4).view(np.uint32).ravel()
+    specials = ascii_table(["%.16e" % v for v in (math.nan, math.inf, -math.inf)], _E16_WIDTH)
+    return th, th_hi, th_lo, np.array(tl), digits, exponents, specials
 
 
-def _e16_rows(table, sep: str, prefix: str = "") -> str:
-    """The rows of a 2-D float table as text, each
-    ``prefix + sep.join("%.16e" % v for v in row) + "\n"``, byte for byte.
+def _e16_fields(x, field=None) -> np.ndarray:
+    """The "%.16e" text of each element of the float array x, NUL-padded to
+    _E16_WIDTH bytes, written into ``field``, a uint8 array (or view) of
+    shape x.shape + (_E16_WIDTH,), or into a new one; returns ``field``.
 
     The 17 digits of |x| are D = round-half-even(P), P = |x| * 10**(16 - k)
     in [1e16, 1e17), so that 10**k <= |x| < 10**(k+1).  10**(16 - k) is a
@@ -463,14 +469,15 @@ def _e16_rows(table, sep: str, prefix: str = "") -> str:
     *unrounded* P leaves the range; a D that then rounds up to 1e17 is 1e16
     with k + 1.  (Choosing k from the rounded D would print
     1.0000000000000000e-304 for 9.9999999999999997e-305.)  The fast path
-    covers ±0 and 2**-900 < |x| < 2**900; NaN, ±inf, any other |x| and a P
-    whose fraction is within 2**-30 of 1/2 (exact ties such as 2**50 + 0.25
-    occur) go through "%.16e" itself.
+    covers ±0 and 2**-900 < |x| < 2**900; NaN and ±inf are the texts "nan",
+    "inf" and "-inf"; any other |x| and a P whose fraction is within 2**-30
+    of 1/2 (exact ties such as 2**50 + 0.25 occur) go through "%.16e"
+    itself.
     """
-    table = np.asarray(table, dtype=float)
-    rows, cols = table.shape
-    th, th_hi, th_lo, tl, digits, exponents = _e16_tables()
-    x = table.ravel()
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    th, th_hi, th_lo, tl, digits, exponents, specials = _e16_tables()
+    x = x.ravel()
     ax = np.abs(x)
     zero = ax == 0.0
     fast = (ax > _FAST_MIN) & (ax < _FAST_MAX)  # False for NaN
@@ -508,16 +515,8 @@ def _e16_rows(table, sep: str, prefix: str = "") -> str:
     k[zero] = 0
     ok |= zero
 
-    # rows of prefix, fields and separators; a field is NUL-padded to
-    # _E16_WIDTH and the newline takes the last field's separator slot
-    pre, gap = len(prefix), max(len(sep), 1)
-    buf = np.zeros((rows, pre + cols * (_E16_WIDTH + gap)), np.uint8)
-    buf[:, :pre] = np.frombuffer(prefix.encode("ascii"), np.uint8)
-    cells = buf[:, pre:].reshape(rows, cols, _E16_WIDTH + gap)
-    cells[:, :-1, _E16_WIDTH:_E16_WIDTH + len(sep)] = np.frombuffer(sep.encode("ascii"), np.uint8)
-    cells[:, -1, _E16_WIDTH] = ord("\n")
-    field = cells[..., :_E16_WIDTH]
-    shape = (rows, cols)
+    if field is None:
+        field = np.empty((*shape, _E16_WIDTH), np.uint8)
     field[..., 0] = (np.signbit(x) * np.uint8(ord("-"))).reshape(shape)
     # D = lead * 10**16 + high * 10**8 + low, then four 4-digit chunks
     top = D // 10**8
@@ -527,23 +526,56 @@ def _e16_rows(table, sep: str, prefix: str = "") -> str:
     high = top - lead * 10**8
     field[..., 1] = (lead + ord("0")).reshape(shape)
     field[..., 2] = ord(".")
-    chunks = np.empty((rows * cols, 4), np.int32)
+    chunks = np.empty((x.size, 4), np.int32)
     chunks[:, 0] = high // 10**4
     chunks[:, 1] = high - chunks[:, 0] * 10**4
     chunks[:, 2] = low // 10**4
     chunks[:, 3] = low - chunks[:, 2] * 10**4
     field[..., 3:19] = digits[chunks].view(np.uint8).reshape(*shape, 16)
     field[..., 19] = ord("e")
-    field[..., 20] = np.where(k < 0, ord("-"), ord("+")).reshape(shape)
-    field[..., 21:] = exponents[np.abs(k)].reshape(*shape, 3)
-    slow = np.flatnonzero(~ok)
+    field[..., 20:] = exponents.take(k - _K_MIN).view(np.uint8).reshape(*shape, 4)
+    finite = np.isfinite(x)
+    special = np.flatnonzero(~finite)
+    if special.size:
+        which = np.where(np.isnan(x[special]), 0, np.where(x[special] > 0.0, 1, 2))
+        field[np.unravel_index(special, shape)] = specials[which]
+    slow = np.flatnonzero(~ok & finite)
     if slow.size:
         texts = ["%.16e" % value for value in x[slow].tolist()]
-        field[slow // cols, slow % cols] = np.frombuffer(
+        field[np.unravel_index(slow, shape)] = np.frombuffer(
             "".join(t.ljust(_E16_WIDTH, "\0") for t in texts).encode("ascii"), np.uint8
         ).reshape(-1, _E16_WIDTH)
+    return field
+
+
+def _row_buffer(rows: int, cols: int, sep: str, prefix: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """The NUL-filled bytes of ``rows`` text rows of ``cols`` fields, with
+    the prefix, the separators and the newlines in place, and the view of
+    its fields, shape (rows, cols, _E16_WIDTH).  A field is NUL-padded to
+    _E16_WIDTH and the newline takes the last field's separator slot."""
+    pre, gap = len(prefix), max(len(sep), 1)
+    buf = np.zeros((rows, pre + cols * (_E16_WIDTH + gap)), np.uint8)
+    buf[:, :pre] = np.frombuffer(prefix.encode("ascii"), np.uint8)
+    cells = buf[:, pre:].reshape(rows, cols, _E16_WIDTH + gap)
+    cells[:, :-1, _E16_WIDTH:_E16_WIDTH + len(sep)] = np.frombuffer(sep.encode("ascii"), np.uint8)
+    cells[:, -1, _E16_WIDTH] = ord("\n")
+    return buf, cells[..., :_E16_WIDTH]
+
+
+def _text(buf: np.ndarray) -> str:
+    """The bytes of buf without its NULs, as text."""
     out = buf.ravel()
     return out[out != 0].tobytes().decode("ascii")
+
+
+def _e16_rows(table, sep: str, prefix: str = "") -> str:
+    """The rows of a 2-D float table as text, each
+    ``prefix + sep.join("%.16e" % v for v in row) + "\n"``, byte for byte:
+    the fields are formatted in place in the row buffer."""
+    table = np.asarray(table, dtype=float)
+    buf, field = _row_buffer(*table.shape, sep, prefix)
+    _e16_fields(table, field)
+    return _text(buf)
 
 
 @functools.cache
@@ -595,26 +627,38 @@ def write_profile_csv(path: str, chart: NaturalChart, nu: int, margin: float = 1
     _write_atomic(path, "u,xi1,xi2,theta0,U\n" + _e16_rows(table, ","))
 
 
-def write_mesh_csv(path: str, mesh: MeshGrid, gauss, resid_per_u):
-    """One row per vertex, (u, t) row-major, with the vertex's Gaussian
-    curvature ``gauss`` and the row's CMC residual."""
-    table = np.column_stack([
-        np.repeat(mesh.us, mesh.nt),
-        np.tile(mesh.ts, mesh.nu),
-        mesh.vertices,
-        mesh.h_ext,
-        gauss,
-        np.repeat(np.asarray(resid_per_u, dtype=float), mesh.nt),
-    ])
-    _write_atomic(path, "u,t,x,y,z,H_ext,K,cmc_residual\n" + _e16_rows(table, ","))
+def write_mesh_csv(path: str, mesh: MeshGrid, gauss, resid_per_u, vertex_fields=None):
+    """One row per vertex, (u, t) row-major: u, t, the vertex, its h_ext,
+    the row's Gaussian curvature ``gauss`` (nan where h_ext is NaN) and the
+    row's CMC residual.
+
+    Each distinct number is formatted once: u and the per-row columns once
+    per row, t once per column and h_ext, all in one kernel call, and the
+    vertices unless ``vertex_fields`` holds their fields (``_e16_fields``)."""
+    nu, nt = mesh.nu, mesh.nt
+    if vertex_fields is None:
+        vertex_fields = _e16_fields(mesh.vertices)
+    numbers = np.concatenate([mesh.us, gauss, resid_per_u, mesh.ts, mesh.h_ext])
+    u, K, resid, t, h_ext = np.split(_e16_fields(numbers), np.cumsum([nu, nu, nu, nt]))
+    buf, field = _row_buffer(nu * nt, 8, ",")
+    grid = field.reshape(nu, nt, 8, _E16_WIDTH)
+    grid[:, :, 0] = u[:, None]
+    grid[:, :, 1] = t
+    field[:, 2:5] = vertex_fields
+    field[:, 5] = h_ext
+    grid[:, :, 6] = K[:, None]
+    field[np.isnan(mesh.h_ext), 6] = _e16_tables()[6][0]  # "nan"
+    grid[:, :, 7] = resid[:, None]
+    _write_atomic(path, "u,t,x,y,z,H_ext,K,cmc_residual\n" + _text(buf))
 
 
-def write_obj(path: str, mesh: MeshGrid):
+def write_obj(path: str, mesh: MeshGrid, vertex_fields=None):
     """Wavefront OBJ with quads split into triangles; ASCII, LF endings.
     Vertices with a NaN coordinate are left out, with every face they touch.
 
-    The kept vertices' coordinates are one float table and the faces one
-    integer table, each formatted by one kernel."""
+    The kept vertices' coordinates are one float table, formatted by one
+    kernel unless ``vertex_fields`` holds the fields of all vertices
+    (``_e16_fields``), and the faces one integer table."""
     kept = ~np.isnan(mesh.vertices).any(axis=1)
     number = np.cumsum(kept)  # OBJ indices are 1-based: the k-th kept vertex is k
     grid = np.arange(mesh.nu * mesh.nt).reshape(mesh.nu, mesh.nt)
@@ -624,7 +668,12 @@ def write_obj(path: str, mesh: MeshGrid):
     quads = quads.reshape(-1, 4)
     quads = number[quads[kept[quads].all(axis=1)]]
     faces = quads[:, [0, 1, 2, 0, 2, 3]]  # triangles (q0, q1, q2) and (q0, q2, q3)
-    text = _e16_rows(mesh.vertices[kept], " ", "v ") + _int_rows(faces.reshape(-1, 3), "f ")
+    buf, field = _row_buffer(np.count_nonzero(kept), 3, " ", "v ")
+    if vertex_fields is None:
+        _e16_fields(mesh.vertices[kept], field)
+    else:
+        field[...] = vertex_fields[kept]
+    text = _text(buf) + _int_rows(faces.reshape(-1, 3), "f ")
     _write_atomic(path, text or "\n")
 
 
@@ -641,21 +690,6 @@ def _interior_grid(chart: NaturalChart, job: JobConfig, margin_frac: float = 0.0
     lo, hi = chart.u_valid
     pad = (hi - lo) * margin_frac
     return np.linspace(lo + pad, hi - pad, job.nu)
-
-
-def _per_row(fn, us) -> list:
-    """fn at each u of us, NaN where it raises a BcvHelixError."""
-    out = []
-    for u in us:
-        try:
-            out.append(fn(u))
-        except BcvHelixError:
-            out.append(float("nan"))
-    return out
-
-
-def _residual_per_u(job: JobConfig, chart: NaturalChart, us) -> list:
-    return _per_row(lambda u: cmc_residual(job.space, chart.seed, job.H, u, job.tol), us)
 
 
 def cmd_classify(job: JobConfig, out_dir: str) -> int:
@@ -690,7 +724,7 @@ def cmd_verify(job: JobConfig, out_dir: str) -> int:
     # a row whose residual cannot be evaluated, or a vertex that cannot be
     # measured, fails its check; the value is the worst that evaluated, null
     # when none did
-    resid = np.abs(_residual_per_u(job, chart, us))
+    resid = np.abs(cmc_residual(job.space, chart.seed, job.H, us, job.tol))
     evaluated = np.isfinite(resid)
     H_target = abs(meta.get("H", job.H))
     rows = us[:: max(1, len(us) // 12)]
@@ -729,20 +763,23 @@ def _export_mesh(
     """The mesh of the chart and the files it writes. Its diagnostics
     (``h_ext``, ``diagnostic_failures``) are measured only with
     ``with_curvature``: the mesh CSV and the export report read them, the
-    OBJ writer reads only the vertices.  The CSV's K is the chart's -U''/U,
-    at the vertices where ``h_ext`` was measured."""
+    OBJ writer reads only the vertices.  The CSV's K is the chart's -U''/U
+    of the row, at the vertices where ``h_ext`` was measured.  The vertices
+    are formatted once: both files use their fields."""
     sc = _surface(job, chart)
     mesh = sample_mesh(job.space, sc, job.nu, job.nt, job.tol, with_curvature=with_curvature)
+    both = "obj" in job.formats and "csv" in job.formats
+    vertex_fields = _e16_fields(mesh.vertices) if both else None
     files = []
     if "obj" in job.formats:
         path = os.path.join(out_dir, f"{job.basename}{suffix}.obj")
-        write_obj(path, mesh)
+        write_obj(path, mesh, vertex_fields)
         files.append(path)
     if "csv" in job.formats:
         path = os.path.join(out_dir, f"{job.basename}{suffix}.csv")
-        gauss = np.repeat(_per_row(lambda u: gauss_intrinsic(chart.U, u), mesh.us), mesh.nt)
-        gauss[np.isnan(mesh.h_ext)] = np.nan
-        write_mesh_csv(path, mesh, gauss, _residual_per_u(job, chart, mesh.us))
+        gauss = gauss_intrinsic(chart.U, mesh.us)
+        resid = cmc_residual(job.space, chart.seed, job.H, mesh.us, job.tol)
+        write_mesh_csv(path, mesh, gauss, resid, vertex_fields)
         files.append(path)
     return mesh, files
 

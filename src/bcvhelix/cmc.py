@@ -36,7 +36,7 @@ H^2 + kappa < 0.
 The closed forms take a float u or a 1-D array, elementwise with the
 float's bits (math's sin, cos, sinh and cosh per element) and NaN where the
 float call raises; the family scan evaluates its grid and its walk as
-arrays.
+arrays, and cmc_residual the rows of a mesh or a check in one pass.
 """
 
 from __future__ import annotations
@@ -60,10 +60,13 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOL,
     MATH_ERRORS,
+    SCALAR,
     ArrayFunction,
+    ArrayOps,
     SmoothFunction,
     Tolerances,
     elementwise,
+    float_rows,
     ops_for,
     scan_interval,
 )
@@ -455,44 +458,59 @@ def minimal_U(
     return cmc_U(space, m, a, 0.0, c, u_window, tol)[0], cls
 
 
-def _eq_principal_pieces(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances):
-    Uv = seed.U(u)
-    dU = seed.U.deriv(u)
-    m2U2, d, sd, _, den, xi1sq = chart_terms(space, seed.m, seed.a, Uv, u, tol)
-    if d == 0.0:
+def _eq_principal_pieces(space: BcvSpace, seed: BourSeed, u, tol: Tolerances, xp=SCALAR):
+    """(U, U', m^2 U^2, Delta, sqrt(Delta), den, xi1^2, B) at a float u with
+    xp = SCALAR, or at a 1-D array of u with an ``ArrayOps``."""
+    Uv, dU = (seed.U(u), seed.U.deriv(u)) if xp is SCALAR else seed.U.values(u)
+    m2U2, d, sd, _, den, xi1sq = chart_terms(space, seed.m, seed.a, Uv, u, tol, xp)
+    if xp.fails(d == 0.0):
         raise NegativeDiscriminant(f"Delta vanishes at u={u}")
     B = 2.0 * (1.0 - 2.0 * seed.a * space.tau + sd) / den
     return Uv, dU, m2U2, d, sd, den, xi1sq, B
 
 
-def cmc_residual(
-    space: BcvSpace,
-    seed: BourSeed,
-    H: float,
-    u: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
-    """LHS - RHS of the constant-mean-curvature equation at u.
-
-    Zero along exact CMC-H families.  U'' comes from the seed's profile
-    (analytic for all closed-form families).
-    """
+def _residual(space: BcvSpace, seed: BourSeed, H: float, u, tol: Tolerances, xp=SCALAR):
     kappa, tau = space.kappa, space.tau
     m = seed.m
-    Uv, dU, m2U2, d, sd, den, xi1sq, B = _eq_principal_pieces(space, seed, u, tol)
-    d2U = seed.U.second(u)
+    Uv, dU, m2U2, d, sd, den, xi1sq, B = _eq_principal_pieces(space, seed, u, tol, xp)
+    d2U = seed.U.second(u) if xp is SCALAR else seed.U.second_column(u)
     rad = xi1sq - m ** 4 * B * B * Uv * Uv * dU * dU / d
-    if rad < 0.0:
-        if rad < -tol.radicand_clamp:
-            raise NegativeRadicand(f"mean-curvature radicand {rad:.6e} < 0 at u={u}")
-        rad = 0.0
-    lhs = H * math.sqrt(rad)
+    negative = rad < 0.0
+    if xp.fails(negative & (rad < -tol.radicand_clamp)):
+        raise NegativeRadicand(f"mean-curvature radicand {rad:.6e} < 0 at u={u}")
+    lhs = H * xp.sqrt(xp.where(negative, 0.0, rad))
     # (U U' / sqrt(D))' = (U'^2 + U U'')/sqrt(D) - (4 tau^2-kappa) m^2 U^2 U'^2 / D^(3/2)
     dterm = (dU * dU + Uv * d2U) / sd - (4.0 * tau * tau - kappa) * m * m * Uv * Uv * dU * dU / (
         d * sd
     )
     rhs = 2.0 - B - m * m * B * dterm
     return lhs - rhs
+
+
+def cmc_residual(
+    space: BcvSpace,
+    seed: BourSeed,
+    H: float,
+    u,
+    tol: Tolerances = DEFAULT_TOL,
+):
+    """LHS - RHS of the constant-mean-curvature equation at u.
+
+    Zero along exact CMC-H families.  U'' comes from the seed's profile
+    (analytic for all closed-form families).  At a float u, or the column at
+    a 1-D array of u, one array pass over U, U' and U'' evaluated once each:
+    every element is the float call's value bit for bit, or NaN where the
+    float call raises a BcvHelixError.  The elements the array pass fails,
+    or whose value is not finite, are evaluated again as floats, so any
+    other error propagates.
+    """
+    if not isinstance(u, np.ndarray):
+        return _residual(space, seed, H, u, tol)
+    ops = ArrayOps(u.size)
+    with np.errstate(all="ignore"):
+        out = _residual(space, seed, H, u, tol, ops)
+    redo = ops.failed | ~np.isfinite(out)
+    return float_rows(out, redo, lambda v: _residual(space, seed, H, v, tol), u)
 
 
 def first_integral_check(

@@ -62,6 +62,7 @@ __all__ = [
     "ArrayOps",
     "ops_for",
     "elementwise",
+    "float_rows",
     "SmoothFunction",
     "ArrayFunction",
     "Integrand",
@@ -191,6 +192,18 @@ def elementwise(fn: Callable[..., float], failed: Optional[np.ndarray] = None) -
         return out
 
     return apply
+
+
+def float_rows(out: np.ndarray, redo: np.ndarray, fn: Callable[[float], float], us: np.ndarray) -> np.ndarray:
+    """out, a column of a per-row quantity at the 1-D array us, with each
+    element where ``redo`` holds evaluated again on the float path: fn(u),
+    or NaN where fn raises a BcvHelixError; any other error propagates."""
+    for i in np.flatnonzero(redo).tolist():
+        try:
+            out[i] = fn(float(us[i]))
+        except BcvHelixError:
+            out[i] = math.nan
+    return out
 
 
 # 7-point Gauss / 15-point Kronrod node-weight pairs on [-1, 1] (QUADPACK dqk15).
@@ -895,6 +908,10 @@ class SmoothFunction:
         """(f, f') at a 1-D array of u, each as ``column``."""
         return self.column(us), elementwise(self.deriv)(us)
 
+    def second_column(self, us: np.ndarray) -> np.ndarray:
+        """f'' at a 1-D array of u, as ``column``."""
+        return elementwise(self.second)(us)
+
     @classmethod
     def wrap(cls, f) -> "SmoothFunction":
         return f if isinstance(f, SmoothFunction) else cls(f)
@@ -903,8 +920,8 @@ class SmoothFunction:
 class ArrayFunction(SmoothFunction):
     """A SmoothFunction whose f, df and d2f also take a 1-D array of u and
     return, elementwise, the float call's value, or NaN where the float call
-    raises a mathematical error.  ``column`` is then one array call and
-    ``values`` two."""
+    raises a mathematical error.  ``column``, ``values`` and
+    ``second_column`` are then array calls."""
 
     def column(self, us: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -913,3 +930,7 @@ class ArrayFunction(SmoothFunction):
     def values(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(all="ignore"):
             return self.f(us), self.deriv(us)
+
+    def second_column(self, us: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return self.second(us)

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from bcvhelix import cli, gauss_intrinsic
+from bcvhelix import cli, cmc, gauss_intrinsic
 from bcvhelix.cli import main
 from bcvhelix.errors import BcvHelixError, ConfigError, DomainError
+from bcvhelix.numerics import SCALAR
 from bcvhelix.oracle import MeshGrid
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -130,19 +131,22 @@ class TestVerify:
     @pytest.mark.parametrize("raising", ["one-row", "every-row"])
     def test_row_whose_residual_raises_fails_the_check(self, tmp_path, monkeypatch, raising):
         # a row whose CMC residual cannot be evaluated is no passing row, and
-        # the report stays JSON (no NaN) when no row evaluates at all
-        calls = []
+        # the report stays JSON (no NaN) when no row evaluates at all: the
+        # array pass fails the row, and its float evaluation raises
+        floats = []
 
-        def residual(*args):
-            calls.append(args)
-            if raising == "every-row" or len(calls) == 5:
+        def residual(space, seed, H, u, tol, xp=SCALAR):
+            if xp is SCALAR:
+                floats.append(u)
                 raise DomainError("residual refused")
-            return 0.0
+            xp.fails(np.arange(u.size) == 4 if raising == "one-row" else np.ones(u.size, bool))
+            return np.zeros(u.size)
 
-        monkeypatch.setattr(cli, "cmc_residual", residual)
+        monkeypatch.setattr(cmc, "_residual", residual)
         cfg = json.loads(json.dumps(NIL_MINIMAL))
         cfg["output"]["formats"] = ["json"]
         assert run(tmp_path, "verify", cfg) == 1
+        assert len(floats) == (1 if raising == "one-row" else cfg["grid"]["nu"])
 
         def reject(name):
             raise ValueError(f"{name} is not JSON")
@@ -211,7 +215,8 @@ class TestExport:
             nu=2, nt=3, us=np.array([-0.0, 1e-300]), ts=np.array([math.nan, 0.5, -math.inf]),
             vertices=vertices, h_ext=np.array(specials),
         )
-        gauss = np.array(specials[::-1])
+        # K per row, written nan where h_ext is NaN (vertex 0)
+        gauss = [5e-324, -math.inf]
         resid = [math.inf, -0.0]
         cli.write_mesh_csv(str(tmp_path / "m.csv"), mesh, gauss, resid)
         cli.write_obj(str(tmp_path / "m.obj"), mesh)
@@ -221,12 +226,89 @@ class TestExport:
         for i in range(2):
             for j in range(3):
                 k = 3 * i + j
-                row = (mesh.us[i], mesh.ts[j], *vertices[k], mesh.h_ext[k], gauss[k])
+                K = math.nan if math.isnan(mesh.h_ext[k]) else gauss[i]
+                row = (mesh.us[i], mesh.ts[j], *vertices[k], mesh.h_ext[k], K)
                 csv.append(",".join(fmt(row + (resid[i],))))
         assert (tmp_path / "m.csv").read_bytes() == ("\n".join(csv) + "\n").encode()
         obj = ["v " + " ".join(fmt(vertices[k])) for k in (0, 1, 3, 4, 5)]
         obj += ["f 1 3 4", "f 1 4 2"]  # the quad (0, 3, 4, 1) in OBJ numbering
         assert (tmp_path / "m.obj").read_bytes() == ("\n".join(obj) + "\n").encode()
+
+    # a 7 x 3 frame: row 3 dropped (NaN vertices), rows 0 and 6 unmeasured
+    # edge rows and one unmeasured interior vertex (NaN h_ext, so K is nan
+    # there), and in the repeated columns -0.0, +-inf, subnormals and the
+    # %.16e ties 2**50 + 0.25 and + 0.75
+    TIE, TIE2 = 2.0**50 + 0.25, 2.0**50 + 0.75
+    FRAME = dict(
+        us=[-0.0, 5e-324, TIE, -math.inf, math.inf, 1.0, -2.5e-310],
+        ts=[math.inf, -0.0, TIE2],
+        gauss=[1.0, 2.5e-310, TIE, 3.0, -0.0, -math.inf, 2.0],
+        resid=[-math.inf, -0.0, 5e-324, TIE2, math.inf, TIE, 1e-300],
+    )
+
+    def _frame(self):
+        f = self.FRAME
+        nu, nt = len(f["us"]), len(f["ts"])
+        vertices = np.random.default_rng(16).standard_normal((nu * nt, 3)) * 10.0 ** np.arange(-1, 2)
+        vertices[4] = [-0.0, self.TIE, 5e-324]
+        vertices[3 * nt : 4 * nt] = math.nan
+        h_ext = np.linspace(-1.0, 1.0, nu * nt)
+        h_ext[:nt] = h_ext[-nt:] = h_ext[3 * nt : 4 * nt] = math.nan
+        h_ext[[7, 13]] = math.nan, -0.0
+        return MeshGrid(
+            nu=nu, nt=nt, us=np.array(f["us"]), ts=np.array(f["ts"]), vertices=vertices,
+            h_ext=h_ext, dropped_rows=[3],
+        )
+
+    @staticmethod
+    def _reference(mesh, gauss, resid):
+        """The frame's CSV and OBJ text, "%.16e" per value."""
+        fmt = lambda values: [f"{float(v):.16e}" for v in values]
+        csv = ["u,t,x,y,z,H_ext,K,cmc_residual"]
+        for i in range(mesh.nu):
+            for j in range(mesh.nt):
+                k = mesh.nt * i + j
+                K = math.nan if math.isnan(mesh.h_ext[k]) else gauss[i]
+                row = (mesh.us[i], mesh.ts[j], *mesh.vertices[k], mesh.h_ext[k], K, resid[i])
+                csv.append(",".join(fmt(row)))
+        kept = [k for k in range(mesh.nu * mesh.nt) if not np.isnan(mesh.vertices[k]).any()]
+        number = {k: n + 1 for n, k in enumerate(kept)}
+        obj = ["v " + " ".join(fmt(mesh.vertices[k])) for k in kept]
+        for i in range(mesh.nu - 1):
+            for j in range(mesh.nt - 1):
+                quad = [mesh.nt * i + j, mesh.nt * (i + 1) + j, mesh.nt * (i + 1) + j + 1, mesh.nt * i + j + 1]
+                if all(c in number for c in quad):
+                    a, b, c, d = (number[c] for c in quad)
+                    obj += [f"f {a} {b} {c}", f"f {a} {c} {d}"]
+        return "\n".join(csv) + "\n", "\n".join(obj) + "\n"
+
+    @pytest.mark.parametrize("formats", [["csv", "obj"], ["csv"], ["obj"]])
+    def test_frame_files_match_per_value_format(self, tmp_path, monkeypatch, formats):
+        # the frame export formats each distinct number once, and the OBJ and
+        # the CSV share the vertex fields: each file is the per-value text
+        mesh = self._frame()
+        f = self.FRAME
+        monkeypatch.setattr(cli, "sample_mesh", lambda *args, **kwargs: mesh)
+        monkeypatch.setattr(cli, "_surface", lambda job, chart: None)
+        monkeypatch.setattr(cli, "gauss_intrinsic", lambda U, us: np.array(f["gauss"]))
+        monkeypatch.setattr(cli, "cmc_residual", lambda *args: np.array(f["resid"]))
+        cfg = json.loads(json.dumps(NIL_MINIMAL))
+        cfg["output"] = {"basename": "frame", "formats": formats}
+        job = cli.parse_config(cfg, "export")
+        chart = type("Chart", (), {"U": None, "seed": None})()
+        _, files = cli._export_mesh(job, chart, str(tmp_path))
+        csv, obj = self._reference(mesh, f["gauss"], f["resid"])
+        assert [os.path.basename(p) for p in files] == [f"frame.{x}" for x in ("obj", "csv") if x in formats]
+        for name, text in (("csv", csv), ("obj", obj)):
+            assert (tmp_path / f"frame.{name}").exists() == (name in formats)
+            if name in formats:
+                assert (tmp_path / f"frame.{name}").read_bytes() == text.encode()
+        # the OBJ keeps 6 of the 7 rows and the quads of rows 0-2 and 4-6
+        assert obj.count("v ") == 18 and obj.count("f ") == 16
+        # K reaches the text on the measured rows only, and every residual
+        for value in (*(f["gauss"][i] for i in (1, 2, 4, 5)), *f["resid"]):
+            assert f",{value:.16e}" in csv
+        assert all(f",{f['gauss'][i]:.16e}," not in csv for i in (0, 3, 6))
 
     def test_reruns_byte_identical(self, tmp_path):
         out1 = tmp_path / "r1"

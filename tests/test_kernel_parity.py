@@ -9,7 +9,9 @@ and failure masks must agree bit for bit, and every point the array path
 fails must raise on the float path.  The benchmark families are valid at
 nearly all of these points, so three explicit seeds whose domains reach past
 their charts' validity (a negative radicand, a profile expression that
-fails, m^2 U^2 < a^2) exercise the failure masks.
+fails, m^2 U^2 < a^2) exercise the failure masks.  The per-row columns
+(cmc_residual and -U''/U at an array of u) must equal the float calls bit
+for bit, with NaN exactly where the float call raises a BcvHelixError.
 """
 
 import json
@@ -21,7 +23,9 @@ import numpy as np
 import pytest
 
 from bcvhelix import bour, cli, cmc
-from bcvhelix.numerics import MATH_ERRORS, _kronrod_nodes, _walk
+from bcvhelix.errors import BcvHelixError, NegativeRadicand
+from bcvhelix.numerics import MATH_ERRORS, ArrayFunction, SmoothFunction, _kronrod_nodes, _walk
+from bcvhelix.spaces import BcvSpace
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -180,3 +184,76 @@ def test_xi1_column_matches_float_path(config, pitches):
         assert _bits(bour.xi1_from_seed(space, seed, us[~raised], tol)) == _bits(values)
         # the radicand member fails in its xi2 radicand only, not in xi1
         assert raised.any() == (failing and "sqrt(u*u + 1)" not in config["seed"]["U"])
+
+
+def _float_or_nan(f, u):
+    # the float path of a per-row column: NaN where it raises a BcvHelixError
+    try:
+        return f(u)
+    except BcvHelixError:
+        return math.nan
+
+
+@pytest.mark.parametrize("config, pitches", FAMILIES + FAILING)
+def test_per_row_columns_match_float_path(config, pitches):
+    # cmc_residual and -U''/U at an array of u, one array pass each, bit for
+    # bit the float calls, NaN exactly where the float call raises; over the
+    # seed's whole domain (the failing seeds reach past their validity) and
+    # at the rows that verify and the mesh CSV evaluate
+    job, U, charts = _charts(config, pitches)
+    failing = config in [p.values[0] for p in FAILING]
+    for chart in charts:
+        space, seed, tol = chart.space, chart.seed, job.tol
+        lo, hi = seed.u_domain
+        us = np.concatenate((
+            _scan_abscissae(lo, hi, 0.5 * (lo + hi), (hi - lo) / 1024),
+            cli._interior_grid(chart, job),
+            np.linspace(*chart.u_valid, job.nu),
+        ))
+        floats = us.tolist()
+        resid = cmc.cmc_residual(space, seed, job.H, us, tol)
+        want = [_float_or_nan(lambda u: cmc.cmc_residual(space, seed, job.H, u, tol), u) for u in floats]
+        assert _bits(resid) == _bits(want)
+        assert _bits(bour.gauss_intrinsic(U, us)) == _bits(
+            [_float_or_nan(lambda u: bour.gauss_intrinsic(U, u), u) for u in floats]
+        )
+        # the failing seeds' residual raises past their validity, and the
+        # rows verify evaluates are inside it
+        assert np.isnan(resid).any() == failing
+        assert np.isfinite(cmc.cmc_residual(space, seed, job.H, cli._interior_grid(chart, job), tol)).all()
+
+
+class TestPerRowColumnFailures:
+    SPACE = BcvSpace(0.0, 0.0)
+
+    def test_row_whose_float_call_raises_is_nan(self):
+        # U = 1 + u^2 in R^3 at a = 0: the mean-curvature radicand
+        # U^2 (1 - U'^2) is negative where |u| > 1/2
+        U = ArrayFunction(lambda u: 1.0 + u * u, lambda u: 2.0 * u, lambda u: 2.0 + 0.0 * u)
+        seed = bour.BourSeed(U, 1.0, 0.0, (-2.0, 2.0))
+        us = np.array([-1.0, 0.0, 0.25, 1.0])
+        got = cmc.cmc_residual(self.SPACE, seed, 0.0, us)
+        for u in (-1.0, 1.0):
+            with pytest.raises(NegativeRadicand):
+                cmc.cmc_residual(self.SPACE, seed, 0.0, u)
+        assert np.isnan(got).tolist() == [True, False, False, True]
+        assert _bits(got[1:3]) == _bits([cmc.cmc_residual(self.SPACE, seed, 0.0, u) for u in (0.0, 0.25)])
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_other_errors_propagate(self, error):
+        # a ValueError is a mathematical error to the array pass (NaN), and
+        # the float evaluation of its row raises it; anything else propagates
+        # from the array pass itself
+        def f(u):
+            if u > 0.5:
+                raise error("not a profile value")
+            return 2.0 + u * u
+
+        U = SmoothFunction(f, lambda u: 2.0 * u, lambda u: 2.0)
+        seed = bour.BourSeed(U, 1.0, 0.0, (-2.0, 2.0))
+        us = np.array([0.0, 1.0])
+        with pytest.raises(error, match="not a profile value"):
+            cmc.cmc_residual(self.SPACE, seed, 0.0, us)
+        with pytest.raises(error, match="not a profile value"):
+            bour.gauss_intrinsic(U, us)
+        assert np.isfinite(cmc.cmc_residual(self.SPACE, seed, 0.0, us[:1])).all()
