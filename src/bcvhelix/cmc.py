@@ -52,6 +52,7 @@ from .bour import BourSeed, chart_terms
 from .errors import (
     DegenerateFamily,
     DomainError,
+    EmptyDomain,
     NegativeDiscriminant,
     NegativeRadicand,
     NoRealFamily,
@@ -218,7 +219,8 @@ def _family_domain(
     anchor is the first grid point of largest margin.  The outward walk
     reads the grid's verdict wherever its abscissa is a grid point and
     evaluates the others in one more array call; bisection evaluates point
-    by point."""
+    by point.  EmptyDomain if that subinterval is a single point, where the
+    admissible set touches the window only at an end."""
     lo, hi = window
     n = max(4097, 1 + int(512.0 * (hi - lo) * freq / (2.0 * math.pi)))
 
@@ -241,7 +243,7 @@ def _family_domain(
         mg[~hit] = margins(us[~hit])
         return mg > -math.inf
 
-    return scan_interval(
+    domain = scan_interval(
         lambda u: _margin(m, a, U2, excluded, tol, u) > -math.inf,
         float(grid[best]),
         window,
@@ -249,6 +251,9 @@ def _family_domain(
         tol.bisect,
         verdicts,
     )
+    if not domain[0] < domain[1]:
+        raise EmptyDomain(f"U^2 admits only u={domain[0]} in the window [{lo}, {hi}]")
+    return domain
 
 
 _ARCH_FLOOR = 1e-4  # relative inset from sqrt(Delta) = 0 arch boundaries

@@ -1,4 +1,5 @@
-"""``tools/byte_gate.py run`` writes every job, then fails if any job did."""
+"""The tools' job runners: ``byte_gate.py run`` and ``config_sweep.py``
+write every job, then fail if a job did."""
 
 import importlib.util
 from pathlib import Path
@@ -28,3 +29,21 @@ def test_run_exits_1_after_writing_every_job(tmp_path, monkeypatch, capsys):
     assert "nonzero exit: broken: exit 2" in capsys.readouterr().err
     monkeypatch.setattr(gate, "_jobs", lambda: jobs[1:])
     assert gate.run(str(tmp_path / "b")) == 0
+
+
+def test_sweep_writes_every_job_and_fails_on_a_traceback(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("config_sweep", TOOL.parent / "config_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.sweep(1, 2, str(tmp_path / "a")) == 0
+    jobs = ("chart", "verify-17", "verify-41", "export", "deform")
+    assert {p.name for p in (tmp_path / "a").iterdir()} == {f"{k:04d}-{job}" for k in range(2) for job in jobs}
+    assert "exit outside {0, 1, 2} or a traceback: 0" in capsys.readouterr().out
+
+    def crash(argv):
+        raise ValueError("not a BcvHelixError")
+
+    monkeypatch.setattr(sweep.byte_gate.load_cli(), "main", crash)
+    assert sweep.sweep(1, 1, str(tmp_path / "b")) == 1
+    assert "0000-chart: exit crash" in capsys.readouterr().out
+    assert "Traceback" in (tmp_path / "b" / "0000-chart" / "stderr").read_text()

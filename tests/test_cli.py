@@ -1084,6 +1084,16 @@ class TestChartAndCmcModes:
         assert profiles[None] == profiles[3e-4]  # the default step
         assert profiles[1e-2] != profiles[None]
 
+    @pytest.mark.parametrize("command", ["chart", "verify", "export", "deform"])
+    def test_one_point_family_domain_is_an_error(self, tmp_path, capsys, command):
+        # the Nil3 minimal family at a = 1.5 admits only u = -1 of the
+        # window [-1, 1]: one error line and exit 1, not a traceback
+        cfg = json.loads(json.dumps(NIL_MINIMAL))
+        cfg["seed"].update(a=1.5, u_range=[-1.0, 1.0])
+        cfg["sweep"] = {"parameter": "a", "values": [1.5, 0.5]}
+        assert run(tmp_path, command, cfg) == 1
+        assert capsys.readouterr().err == "error: U^2 admits only u=-1.0 in the window [-1.0, 1.0]\n"
+
     def test_catenoid_profile_has_no_negative_zero(self, tmp_path):
         # theta0 of the catenoid (a = 0) is exactly zero on both sides of u0
         cfg = json.loads(json.dumps(HELICOID))

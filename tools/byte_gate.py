@@ -57,39 +57,53 @@ def _jobs() -> list[tuple[str, str, dict]]:
     return jobs
 
 
-def run(out: str) -> int:
+def load_cli():
+    """``bcvhelix.cli`` as ``import bcvhelix`` finds it, else from this
+    checkout's ``src``."""
     try:
         import bcvhelix.cli
     except ImportError:
         sys.path.insert(0, os.path.join(ROOT, "src"))
         import bcvhelix.cli
-    print(f"bcvhelix from {os.path.dirname(bcvhelix.cli.__file__)}", file=sys.stderr)
+    return bcvhelix.cli
+
+
+def run_job(cli, job_dir: str, command: str, cfg: dict):
+    """Run one job through ``cli.main`` into the new directory job_dir, laid
+    out as ``run`` lays out each job; (its exit code, or "crash" after an
+    uncaught exception, whose traceback goes to stderr; its stderr text)."""
+    os.makedirs(job_dir)
+    with open(os.path.join(job_dir, "job.json"), "w") as fh:
+        json.dump(cfg, fh, sort_keys=True, indent=2)
+    stdout, stderr = io.StringIO(), io.StringIO()
     home = os.getcwd()
+    os.chdir(job_dir)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                rc = cli.main([command, "--config", "job.json", "--out", "out"])
+            except Exception:
+                rc = "crash"
+                traceback.print_exc()
+    finally:
+        os.chdir(home)
+    captured = {
+        "exit_code": f"{rc}\n",
+        "stdout": stdout.getvalue(),
+        "stderr": stderr.getvalue(),
+    }
+    for fname, text in captured.items():
+        with open(os.path.join(job_dir, fname), "w") as fh:
+            fh.write(text)
+    return rc, captured["stderr"]
+
+
+def run(out: str) -> int:
+    cli = load_cli()
+    print(f"bcvhelix from {os.path.dirname(cli.__file__)}", file=sys.stderr)
     failing = []
     for name, command, cfg in _jobs():
-        job_dir = os.path.join(out, name)
-        os.makedirs(job_dir)
-        with open(os.path.join(job_dir, "job.json"), "w") as fh:
-            json.dump(cfg, fh, sort_keys=True, indent=2)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        os.chdir(job_dir)
-        try:
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                try:
-                    rc = bcvhelix.cli.main([command, "--config", "job.json", "--out", "out"])
-                except Exception:
-                    rc = "crash"
-                    traceback.print_exc()
-        finally:
-            os.chdir(home)
-        captured = {
-            "exit_code": f"{rc}\n",
-            "stdout": stdout.getvalue(),
-            "stderr": stderr.getvalue(),
-        }
-        for fname, text in captured.items():
-            with open(os.path.join(job_dir, fname), "w") as fh:
-                fh.write(text)
+        rc, _ = run_job(cli, os.path.join(out, name), command, cfg)
         print(f"{name}: exit {rc}", file=sys.stderr)
         if rc != 0:
             failing.append(f"{name}: exit {rc}")
