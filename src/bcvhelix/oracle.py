@@ -11,8 +11,8 @@ is one array query per component over every (row, stencil abscissa) pair,
 and the stencils, metric, Christoffels, normals and forms run once over all
 vertices of all rows.  Before any chart query, each row's stencil steps are
 settled from the chart's domain: the first step of each stencil's halving
-that reads inside it.  Rows with the same steps are measured together at
-those fixed steps, and a row with none holds StencilOutOfDomain without an
+that reads inside it.  Every row is measured in the one pass at its own
+fixed steps, and a row with none holds StencilOutOfDomain without an
 evaluation.  A row where the chart refuses one of its abscissae inside its
 domain holds the chart's own error.
 Errors kept in results are fresh instances that were never raised, so they
@@ -189,10 +189,12 @@ def _per_point(fn: Callable[[float], float]) -> Callable:
     return apply
 
 
-# Below this many points a profile is evaluated by float queries: up to a
-# few hundred points an array query costs about 60-150 us whatever its
-# size, a float query about 5 us per point (Nil3 minimal chart, one
-# component, 2-vCPU host).
+# Below this many points (one row: the orientation probe's 9, or a one-row
+# call) a profile is evaluated by float queries: an array query costs about
+# 60-150 us whatever its size up to a few hundred points, a float query
+# about 5 us per point (Nil3 minimal chart, one component, 2-vCPU host).
+# Array queries alone made passes slower: verify 67.2 -> 69.0 ms, deform
+# 72.7 -> 74.4 ms (in process, medians of 20 alternating pairs).
 _ARRAY_POINTS = 16
 
 
@@ -246,13 +248,6 @@ _UNIT_READS = {name: np.concatenate([d, 0.5 * d]) for name, (_, d) in _STENCILS.
 _ORDERS = {1: ("u", "t"), 2: tuple(_STENCILS)}  # the stencils of derivatives up to order 1, 2
 
 
-def _reads(name: str, hs) -> np.ndarray:
-    """The (s, dt) offsets the stencil ``name`` reads at each step h of hs,
-    a float or a 1-D array: those of d(h), then those of d(h/2), with shape
-    np.shape(hs) + (reads, 2)."""
-    return np.multiply.outer(hs, _UNIT_READS[name])
-
-
 def _readable(chart: SurfaceChart, us: np.ndarray, ts: np.ndarray, reads: np.ndarray) -> np.ndarray:
     """Whether a stencil on row u of us can read each (s, dt) of ``reads``
     (shape (n, 2)), shape (len(us), n): u + s is inside the chart's domain,
@@ -268,51 +263,43 @@ def _readable(chart: SurfaceChart, us: np.ndarray, ts: np.ndarray, reads: np.nda
 
 
 def _settle(chart: SurfaceChart, us: np.ndarray, ts: np.ndarray, tol: Tolerances, order: int):
-    """The rows of us grouped by the steps of their stencils, as a list of
-    (steps, rows): ``steps`` maps each stencil of the derivatives up to
-    ``order`` (1 or 2) to its settled step, and is None for the rows where
-    some stencil has none.  No chart query is made.
+    """(steps, fits): ``steps`` maps each stencil of the derivatives up to
+    ``order`` (1 or 2) to its settled step on each row of us, an array, and
+    ``fits`` marks the rows where every stencil has a step; the steps of
+    the other rows mean nothing.  No chart query is made.
 
     A stencil's settled step is the first of ``halving_steps`` from its
     default down to ``tol.fd_min`` at which ``_readable`` admits every read
     of d(h) and d(h/2).  All rows are screened at the default steps at
     once; only the rows that fail are walked down the steps."""
     start = {name: getattr(tol, _STENCILS[name][0]) for name in _ORDERS[order]}
-    reads = np.concatenate([_reads(name, h) for name, h in start.items()])
-    clear = _readable(chart, us, ts, reads).all(axis=1)
-    if clear.all():
-        return [(start, np.arange(len(us)))]
-    groups = [(start, np.flatnonzero(clear))] if clear.any() else []
-    rest = np.flatnonzero(~clear)
-    found = np.ones(len(rest), dtype=bool)
-    settled = np.empty((len(rest), len(start)))
-    for j, (name, h) in enumerate(start.items()):
-        hs = np.array(list(halving_steps(h, tol.fd_min)))
-        ok = _readable(chart, us[rest], ts, _reads(name, hs).reshape(-1, 2))
-        fits = ok.reshape(len(rest), hs.size, -1).all(axis=2)  # (rows, steps)
-        found &= fits.any(axis=1)
-        settled[:, j] = hs[fits.argmax(axis=1)]
-    by_steps: dict = {}
-    for i, hit, row in zip(rest.tolist(), found.tolist(), settled.tolist()):
-        by_steps.setdefault(tuple(row) if hit else None, []).append(i)
-    return groups + [
-        (None if key is None else dict(zip(start, key)), np.array(rows))
-        for key, rows in by_steps.items()
-    ]
+    reads = np.concatenate([h * _UNIT_READS[name] for name, h in start.items()])
+    fits = _readable(chart, us, ts, reads).all(axis=1)
+    steps = {name: np.full(len(us), h) for name, h in start.items()}
+    rest = np.flatnonzero(~fits)
+    if rest.size:
+        found = np.ones(rest.size, dtype=bool)
+        for name, h in start.items():
+            hs = np.array(list(halving_steps(h, tol.fd_min)))
+            ok = _readable(chart, us[rest], ts, np.multiply.outer(hs, _UNIT_READS[name]).reshape(-1, 2))
+            fit = ok.reshape(rest.size, hs.size, -1).all(axis=2)  # (rows, steps)
+            found &= fit.any(axis=1)
+            steps[name][rest] = hs[fit.argmax(axis=1)]
+        fits[rest] = found
+    return steps, fits
 
 
 class _RowPoints:
-    """Chart points of a set of mesh rows, with a cache local to one kernel call.
+    """Chart points of a set of mesh rows, for one kernel call.
 
     ``steps`` maps each stencil measured on the rows (a name of
-    ``_STENCILS``) to its settled step; ``offsets`` are the distinct
-    u-offsets it reads there, 0 first.  ``fit`` evaluates the profile at
-    every abscissa u + s of ``offsets`` (u itself at s = 0) of all rows in
-    one query per component (9 for the order-2 stencils, 5 for order 1)
-    and keeps the rows where that succeeded.  Calling it with (s, dt), a
-    read of a stencil at its step, gives the stacked (rows * nt, 3) array
-    of the points at (u + s, ts + dt) of the kept rows, row after row: one
-    ``embed`` over all rows, kept for later reads.
+    ``_STENCILS``) to its settled step on each row, an array; stencils with
+    the same steps share their reads.  ``fit`` evaluates the profile at u
+    and at every u + s h the stencils read (9 abscissae per row for the
+    order-2 stencils at the default steps, 5 for order 1) in one query per
+    component, then embeds every read of the rows where that succeeded in
+    one call.  ``vertices`` holds the points at (u, ts) of those rows,
+    stacked (rows * nt, 3) row after row.
     """
 
     def __init__(self, chart: SurfaceChart, us, ts: np.ndarray, steps: dict):
@@ -321,30 +308,47 @@ class _RowPoints:
         self.ts = ts
         self.nt = len(ts)
         self.steps = steps
-        reads = [s for name, h in steps.items() for s in _reads(name, h)[:, 0].tolist()]
-        self.offsets = list(dict.fromkeys([0.0] + reads))
-        self._profiles: dict = {}  # s -> (theta0, xi1, xi2), each of shape (rows, 1)
-        self._points: dict = {}
+        self._key = {name: h.tobytes() for name, h in steps.items()}  # the same steps, the same reads
+        self._abscissae = [self.us]
+        column: dict = {}  # (key, su) -> column of the abscissa u + su h
+        # read -> (column, st, stencil); st is -0.0 along u, as ts + -0.0 is ts
+        self._reads: dict = {None: (0, -0.0, next(iter(steps)))}
+        for name, h in steps.items():
+            for su, st in _UNIT_READS[name].tolist():
+                key = (self._key[name], su, st) if su or st else None
+                if su and (key[0], su) not in column:
+                    column[key[0], su] = len(self._abscissae)
+                    self._abscissae.append(self.us + su * h)
+                self._reads.setdefault(key, (column[key[0], su] if su else 0, st or -0.0, name))
 
     def fit(self) -> list:
-        """Evaluate the profile at every abscissa in ``offsets`` of every row
-        and keep only the rows where that succeeded; each row's error from
-        ``_fit_rows``, None for the kept rows."""
-        grid = np.stack([self.us if s == 0.0 else self.us + s for s in self.offsets], axis=1)
-        columns, errors = _fit_rows(self.chart, grid)
+        """Evaluate the profile at every abscissa of every row, keep only the
+        rows where that succeeded and embed all reads of them; each row's
+        error from ``_fit_rows``, None for the kept rows."""
+        columns, errors = _fit_rows(self.chart, np.stack(self._abscissae, axis=1))
         kept = np.array([exc is None for exc in errors])
         self.us = self.us[kept]
-        columns = [column[kept] for column in columns]
-        for j, s in enumerate(self.offsets):
-            self._profiles[s] = [column[:, j, None] for column in columns]
+        self.steps = {name: h[kept, None] for name, h in self.steps.items()}  # now columns
+        js, sts, names = zip(*self._reads.values())
+        dt = np.array(sts)[:, None, None] * np.stack([self.steps[name] for name in names])
+        profile = [column[kept][:, js].T[:, :, None] for column in columns]
+        points = self.chart.embed(*profile, self.ts + dt).reshape(len(js), -1, 3)
+        self._points = dict(zip(self._reads, points))
+        self.vertices = self._points[None]
         return errors
 
-    def __call__(self, s: float = 0.0, dt: float = 0.0) -> np.ndarray:
-        pts = self._points.get((s, dt))
-        if pts is None:
-            t = self.ts if dt == 0.0 else self.ts + dt
-            pts = self._points[s, dt] = self.chart.embed(*self._profiles[s], t).reshape(-1, 3)
-        return pts
+    def richardson(self, name: str, quotient: Callable) -> np.ndarray:
+        """One Richardson level of the stencil ``name``, stacked as the
+        vertices: quotient(p, s) at s = h, then at s = h/2, h its step on
+        each row, with p(su, st) the points at (u + su s, ts + st s) and
+        each row of p and s one row of vertices."""
+        key, rows = self._key[name], len(self.us)
+
+        def d(c):  # the level c scales the step: c = 1, then c = 1/2
+            read = lambda su, st: self._points[(key, c * su, c * st) if su or st else None].reshape(rows, -1)
+            return quotient(read, c * self.steps[name])
+
+        return richardson(d, 1.0).reshape(-1, 3)
 
 
 def _untraced(exc: BcvHelixError) -> BcvHelixError:
@@ -406,9 +410,9 @@ def _first_order(space: BcvSpace, at: _RowPoints, tol: Tolerances):
     domain is NaN with its error in ``errors`` (None elsewhere), and a
     vertex where EG - F^2 <= 0 holds DegenerateImmersion."""
     errors: list = [None] * (len(at.us) * at.nt)
-    psi_u = richardson(lambda s: (at(s) - at(-s)) / (2.0 * s), at.steps["u"])
-    psi_t = richardson(lambda s: (at(0.0, s) - at(0.0, -s)) / (2.0 * s), at.steps["t"])
-    g = _pointwise(lambda p: metric_cartesian(space, p, tol), at(), errors, (3, 3), at.nt)
+    psi_u = at.richardson("u", lambda p, s: (p(1, 0) - p(-1, 0)) / (2.0 * s))
+    psi_t = at.richardson("t", lambda p, s: (p(0, 1) - p(0, -1)) / (2.0 * s))
+    g = _pointwise(lambda p: metric_cartesian(space, p, tol), at.vertices, errors, (3, 3), at.nt)
     E, F, G = _quad_form(psi_u, g, psi_u), _quad_form(psi_u, g, psi_t), _quad_form(psi_t, g, psi_t)
     det = E * G - F * F
     _degenerate(at, det <= 0.0, errors, lambda k: f"EG - F^2 = {det[k]:.6e} <= 0")
@@ -467,7 +471,7 @@ def _normal(space: BcvSpace, at: _RowPoints, first: tuple, errors: list, tol: To
     domain is NaN, its error already in ``errors``; a vertex where |v|^2 is
     not positive and finite holds DegenerateImmersion."""
     psi_u, psi_t, g = first[:3]
-    g_inv = _pointwise(lambda p: inverse_metric(space, p, tol), at(), errors, (3, 3), at.nt)
+    g_inv = _pointwise(lambda p: inverse_metric(space, p, tol), at.vertices, errors, (3, 3), at.nt)
     with np.errstate(invalid="ignore", divide="ignore"):
         v = np.matmul(g_inv, np.cross(psi_u, psi_t)[:, :, None])[:, :, 0]
         norm_sq = _quad_form(v, g, v)
@@ -483,12 +487,10 @@ def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
     first, errors = _first_order(space, at, tol)
     psi_u, psi_t, g, E, F, G = first
     n = _normal(space, at, first, errors, tol, sign)
-    fc = at()
-    psi_uu = richardson(lambda s: (at(s) - 2.0 * fc + at(-s)) / (s * s), at.steps["uu"])
-    psi_tt = richardson(lambda s: (at(0.0, s) - 2.0 * fc + at(0.0, -s)) / (s * s), at.steps["tt"])
-    psi_ut = richardson(
-        lambda h: (at(h, h) - at(h, -h) - at(-h, h) + at(-h, -h)) / (4.0 * h * h), at.steps["ut"]
-    )
+    fc = at.vertices
+    psi_uu = at.richardson("uu", lambda p, s: (p(1, 0) - 2.0 * p(0, 0) + p(-1, 0)) / (s * s))
+    psi_tt = at.richardson("tt", lambda p, s: (p(0, 1) - 2.0 * p(0, 0) + p(0, -1)) / (s * s))
+    psi_ut = at.richardson("ut", lambda p, s: (p(1, 1) - p(1, -1) - p(-1, 1) + p(-1, -1)) / (4.0 * s * s))
     gamma = _pointwise(lambda p: christoffels(space, p, tol=tol), fc, errors, (3, 3, 3), nt)
     # with gn = g n and Cn_ij = gn_k Gamma^k_ij, a second-form entry is
     # g(d_ab psi + Gamma(d_a psi, d_b psi), n) = d_ab psi . gn + d_a psi . Cn . d_b psi
@@ -517,32 +519,29 @@ def _by_rows(measure, order: int, shapes: tuple, chart: SurfaceChart, us, ts, to
     ``shapes``, its errors as one tuple per row, and each row's own error
     (None for a measured row).
 
-    The rows are settled (``_settle``), and the rows whose stencils have
-    the same steps are measured in one call at those steps.  A row where
+    The rows are settled (``_settle``), and every row where each stencil
+    has a step is measured in one call, at its own steps.  A row where
     some stencil has no step holds StencilOutOfDomain, without an
     evaluation, and a row where the chart refuses one of its abscissae
     holds the chart's error: on every vertex, with NaN values.
     """
     nt = len(ts)
+    steps, fits = _settle(chart, us, ts, tol, order)
+    refused = [None if fit else stencil_misfit(tol.fd_min) for fit in fits.tolist()]
+    rows = np.flatnonzero(fits)
+    if rows.size:
+        at = _RowPoints(chart, us[rows], ts, {name: h[rows] for name, h in steps.items()})
+        for i, exc in zip(rows.tolist(), at.fit()):
+            refused[i] = exc
+    kept = np.flatnonzero([exc is None for exc in refused])
     values = [np.full((len(us), nt) + shape, np.nan) for shape in shapes]
-    errors: list = [None] * len(us)
-    refused: list = [None] * len(us)
-    for steps, rows in _settle(chart, us, ts, tol, order):
-        if steps is None:
-            failed = [stencil_misfit(tol.fd_min) for _ in rows]
-        else:
-            at = _RowPoints(chart, us[rows], ts, steps)
-            failed = at.fit()
-            kept = rows[[exc is None for exc in failed]]
-            if len(kept):
-                got, errs = measure(at)
-                for out, value in zip(values, got):
-                    out[kept] = value.reshape((len(kept), nt) + value.shape[1:])
-                for k, i in enumerate(kept.tolist()):
-                    errors[i] = tuple(errs[k * nt : (k + 1) * nt])
-        for i, exc in zip(rows.tolist(), failed):
-            if exc is not None:
-                refused[i], errors[i] = exc, (exc,) * nt
+    errors = [(exc,) * nt for exc in refused]
+    if kept.size:
+        got, errs = measure(at)
+        for out, value in zip(values, got):
+            out[kept] = value.reshape((kept.size, nt) + value.shape[1:])
+        for k, i in enumerate(kept.tolist()):
+            errors[i] = tuple(errs[k * nt : (k + 1) * nt])
     return values, tuple(errors), refused
 
 
@@ -559,7 +558,7 @@ def _orientation(space: BcvSpace, chart: SurfaceChart, tol: Tolerances) -> float
 
     def probe(at: _RowPoints):
         first, errors = _first_order(space, at, tol)
-        return (at(), _normal(space, at, first, errors, tol, 1.0)), errors
+        return (at.vertices, _normal(space, at, first, errors, tol, 1.0)), errors
 
     lo, hi = chart.u_range
     ts = np.array([0.5 * (chart.t_range[0] + chart.t_range[1])])
@@ -601,7 +600,7 @@ def local_geometry(
     per vertex in the same order as for one row.
 
     Each row's stencil steps are settled from the chart's domain
-    (``_settle``) and the rows are measured in batches at those steps.  A
+    (``_settle``) and each row is measured at its own steps.  A
     row where some stencil cannot fit, or where the chart refuses one of
     its abscissae inside its domain, holds that error on every vertex; for
     one row u it is raised.  A vertex outside the metric domain, or whose

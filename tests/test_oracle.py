@@ -589,6 +589,14 @@ def settle_chart(which):
 SETTLE_CHARTS = ["shipped-heisenberg_minimal", "verify-cmc-space-form-generic", "verify-minimal-SU2"]
 
 
+def settled_kinds(chart, us, ts, tol):
+    """The rows of us that ``_settle`` (order 2) puts at every default
+    step, those it shrinks somewhere, and those it gives no step, as masks."""
+    steps, fits = oracle._settle(chart, us, ts, tol, 2)
+    default = np.all([h == getattr(tol, oracle._STENCILS[name][0]) for name, h in steps.items()], axis=0)
+    return fits & default, fits & ~default, ~fits
+
+
 class TestSettle:
     """Rows whose default stencils leave the chart's domain are settled from
     its domain predicate, without a chart query, and measured in batches
@@ -608,9 +616,8 @@ class TestSettle:
         tol = job.tol if fd_min is None else dataclasses.replace(job.tol, fd_min=fd_min)
         if far_t is not None:
             ts = np.append(ts, far_t)
-        groups = oracle._settle(sc, us, ts, tol, 2)
         # rows at the default steps, rows at shrunk steps, and rows with none
-        assert len(groups) >= 3 and any(steps is None for steps, _ in groups)
+        assert all(kind.any() for kind in settled_kinds(sc, us, ts, tol))
         batch = local_geometry(job.space, sc, us, ts, tol)
         fits = [
             assert_row_is_reference(job.space, sc, batch, i, u, ts, tol)
@@ -659,8 +666,9 @@ class TestSettle:
         if not with_domain:
             sc.domain = ProfileDomain()
         us, ts = edge_rows(sc.u_range), np.linspace(-math.pi, math.pi, 5)
-        groups = oracle._settle(sc, us, ts, DEFAULT_TOL, 2)
-        assert (len(groups) >= 3) if with_domain else (len(groups) == 1)
+        at_default, shrunk, none = settled_kinds(sc, us, ts, DEFAULT_TOL)
+        assert (shrunk.any() and none.any()) if with_domain else at_default.all()
+        assert at_default.any()
         batch = local_geometry(NIL, sc, us, ts)
         fits = [assert_row_is_one_row_call(NIL, sc, batch, i, u, ts) for i, u in enumerate(us.tolist())]
         assert 0 < fits.count(False) < len(us)
@@ -719,6 +727,33 @@ class TestSettle:
         assert mesh.diagnostic_failures == {"StencilOutOfDomain": 2 * job.nt}
         assert np.isfinite(grid).all()
 
+    def test_shared_grid_is_one_kernel_pass(self, monkeypatch):
+        # the shared first-form grid of the shipped heisenberg_minimal
+        # frame: its end rows settle to a shrunk u-step and the others to
+        # the default, and all rows are one _RowPoints and one measure call
+        job, sc = settle_chart("shipped-heisenberg_minimal")
+        us, ts = shared_grid(sc, sc)
+        built, measured = [], []
+
+        class Recorded(oracle._RowPoints):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        def counted(*args, real=oracle._first_order):
+            measured.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "_RowPoints", Recorded)
+        monkeypatch.setattr(oracle, "_first_order", counted)
+        grid = first_form_grid(job.space, sc, us, ts, job.tol)
+        assert len(built) == 1 and len(measured) == 1
+        steps, fits = oracle._settle(sc, us, ts, job.tol, 1)
+        assert fits.all() and len(set(steps["u"].tolist())) == 2
+        for u, row in zip(us.tolist(), grid):
+            alone = first_form_grid(job.space, sc, [u], ts, job.tol)[0]
+            assert alone.view(np.int64).tolist() == row.view(np.int64).tolist()
+
     def test_refusal_inside_the_domain_holds_the_charts_error(self, nil_catenoid_chart):
         # xi1 refuses u near one interior row, near an abscissa of an edge
         # row's settled u-stencil and near an abscissa of another row's
@@ -731,9 +766,10 @@ class TestSettle:
         edge = hi - 1e-6
         us = np.concatenate([np.linspace(lo, hi, 11), [lo + 1e-6, edge]])
         natural = SurfaceChart.from_natural(chart)
-        ((steps, _),) = oracle._settle(natural, np.array([edge]), ts, tol, 2)
-        assert steps["u"] < tol.fd_first
-        refused = np.array([us[4], edge - steps["u"], us[6] + tol.fd_second])
+        steps, fits = oracle._settle(natural, np.array([edge]), ts, tol, 2)
+        step = float(steps["u"][0])
+        assert fits[0] and step < tol.fd_first
+        refused = np.array([us[4], edge - step, us[6] + tol.fd_second])
 
         def xi1(u):
             if np.any(np.abs(np.subtract.outer(np.asarray(u), refused)) < 1e-9):
@@ -751,7 +787,7 @@ class TestSettle:
             assert assert_row_is_reference(NIL, sc, batch, i, us[i], ts, tol)
         for i in (0, 10):
             assert_row_holds(batch, i, StencilOutOfDomain, str(stencil_misfit(tol.fd_min)))
-        for i, at in ((4, us[4]), (6, us[6] + tol.fd_second), (12, edge - steps["u"])):
+        for i, at in ((4, us[4]), (6, us[6] + tol.fd_second), (12, edge - step)):
             refusal = (DomainError, f"xi1 refused at u={float(at)}")
             assert_row_holds(batch, i, *refusal)
             if i != 6:
