@@ -22,8 +22,9 @@ operations ``xp`` of ``numerics`` (SCALAR raises at a failed check, an
 ArrayOps marks the point).  The chart's quadratures evaluate both
 integrands at all nodes of a refinement level in one array pass, the
 validity scan evaluates its walk in one, and a chart query for xi1, xi2 or
-theta0 at an array of u is one array pass; one-point callers keep the float
-path, and a point the array pass fails is evaluated again on it.
+theta0 at an array of u is one array pass, as the oracle makes them.  The
+float path serves the library's one-point API and the validity scan's
+bisection steps, and a point the array pass fails is evaluated again on it.
 """
 
 from __future__ import annotations

@@ -144,11 +144,26 @@ def _as_range(value, path: str) -> tuple[float, float]:
 
 # tolerances that are steps or widths; every other tolerance may also be 0
 _POSITIVE_TOLERANCES = ("fd_first", "fd_second", "fd_min", "brioschi_step", "bisect")
+# the fields parse_config reads, by section ("" the top level; tolerances
+# are checked by name): a field no command reads is an error, not ignored
+_FIELDS = {
+    "": ("mode", "space", "seed", "sweep", "grid", "tolerances", "output"),
+    "space": ("kappa", "tau"),
+    "seed": ("family", "m", "a", "H", "c", "u_range", "U", "dU"),
+    "sweep": ("parameter", "values"),
+    "grid": ("nu", "nt", "t_range"),
+    "output": ("basename", "formats", "raw_theta"),
+}
 
 
 def parse_config(cfg: dict, mode: str) -> JobConfig:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    for section, fields in _FIELDS.items():
+        node = cfg.get(section) if section else cfg
+        for key in node if isinstance(node, dict) else ():
+            if key not in fields:
+                raise ConfigError(f"{section}{'.' if section else ''}{key}: unknown field")
     cfg_mode = _get(cfg, "mode")
     if cfg_mode is not None and cfg_mode != mode:
         raise ConfigError(f"mode: config says {cfg_mode!r} but command is {mode!r}")

@@ -6,15 +6,17 @@ and its Christoffels only (``spaces``, the derivatives of the metric's
 coefficients) -- no reduction-theorem or transform-side algebra enters, so
 agreement is evidence, not tautology.
 Measurements run through one kernel over a set of mesh rows (fixed u) at
-once, be it a batch, one row or the orientation probe: the chart's profile
-is one array query per component over every (row, stencil abscissa) pair,
-and the stencils, metric, Christoffels, normals and forms run once over all
-vertices of all rows.  Before any chart query, each row's stencil steps are
-settled from the chart's domain: the first step of each stencil's halving
-that reads inside it.  Every row is measured in the one pass at its own
-fixed steps, and a row with none holds StencilOutOfDomain without an
-evaluation.  A row where the chart refuses one of its abscissae inside its
-domain holds the chart's own error.
+once, be it a batch or one row: the chart's profile is one array query per
+component over every (row, stencil abscissa) pair, the orientation probe's
+candidate rows included when the chart has no sign yet, and the stencils,
+metric, Christoffels, normals and forms run once over all vertices of all
+rows, the ambient ones over the vertices inside the metric domain.  Before
+any chart query, each row's stencil steps are settled from the chart's
+domain: the first step of each stencil's halving that reads inside it.
+Every row is measured in the one pass at its own fixed steps, and a row
+with none holds StencilOutOfDomain without an evaluation.  A row where the
+chart refuses one of its abscissae inside its domain holds the chart's own
+error.
 Errors kept in results are fresh instances that were never raised, so they
 hold no traceback.
 
@@ -50,7 +52,7 @@ from .numerics import (
     stencil_misfit,
 )
 from .orbit import HelicoidalAction, ProfileCurve, ProfileDomain
-from .spaces import BcvSpace, christoffels, inverse_metric, metric_cartesian
+from .spaces import BcvSpace, christoffels, domain_errors, inverse_metric, metric_cartesian
 
 __all__ = [
     "SurfaceChart",
@@ -75,7 +77,8 @@ class SurfaceChart:
     Built either from a NaturalChart or as a raw chart with pitch a
     (theta0 = 0, m = 1, so theta = t).  ``xi1``, ``xi2`` and ``theta0`` take
     a float u, or a 1-D array of u and return the column of values; a
-    failure raises a BcvHelixError.  A chart carries no metric profile: the
+    failure raises a BcvHelixError.  The oracle queries arrays only; a float
+    u serves the one-point API (``point``, ``profile``).  A chart carries no metric profile: the
     oracle measures the embedding only.  ``domain`` is the ProfileDomain of
     the u the chart evaluates at and of the abscissa it reads each at, so
     the oracle can settle a stencil without a query that raises; without
@@ -189,24 +192,6 @@ def _per_point(fn: Callable[[float], float]) -> Callable:
     return apply
 
 
-# Below this many points (one row: the orientation probe's 9, or a one-row
-# call) a profile is evaluated by float queries: an array query costs about
-# 60-150 us whatever its size up to a few hundred points, a float query
-# about 5 us per point (Nil3 minimal chart, one component, 2-vCPU host).
-# Array queries alone made passes slower: verify 67.2 -> 69.0 ms, deform
-# 72.7 -> 74.4 ms (in process, medians of 20 alternating pairs).
-_ARRAY_POINTS = 16
-
-
-def _profile_columns(chart: SurfaceChart, us: np.ndarray) -> list:
-    """The chart's (theta0, xi1, xi2) at a 1-D array of u, as three arrays:
-    one array query per component, or float queries point by point below
-    ``_ARRAY_POINTS`` points.  Raises a BcvHelixError where the chart does."""
-    if us.size >= _ARRAY_POINTS:
-        return [np.asarray(column, dtype=float) for column in chart.profile(us)]
-    return list(np.array(list(map(chart.profile, us.tolist())), dtype=float).reshape(-1, 3).T)
-
-
 def _fit_rows(chart: SurfaceChart, us: np.ndarray) -> tuple[list, list]:
     """The profile at every abscissa of the rows of us (shape (rows, k)),
     [theta0, xi1, xi2] with each column of shape (rows, k), and each row's
@@ -220,8 +205,7 @@ def _fit_rows(chart: SurfaceChart, us: np.ndarray) -> tuple[list, list]:
     splits them off at once."""
     n = len(us)
     try:
-        columns = _profile_columns(chart, us.ravel())
-        return [c.reshape(us.shape) for c in columns], [None] * n
+        return [np.asarray(c, dtype=float).reshape(us.shape) for c in chart.profile(us.ravel())], [None] * n
     except BcvHelixError as exc:
         if n == 1:
             return [np.full(us.shape, np.nan)] * 3, [_untraced(exc)]
@@ -290,44 +274,51 @@ def _settle(chart: SurfaceChart, us: np.ndarray, ts: np.ndarray, tol: Tolerances
 
 
 class _RowPoints:
-    """Chart points of a set of mesh rows, for one kernel call.
+    """Chart points of a set of mesh rows u along ts, for one kernel call.
 
-    ``steps`` maps each stencil measured on the rows (a name of
-    ``_STENCILS``) to its settled step on each row, an array; stencils with
-    the same steps share their reads.  ``fit`` evaluates the profile at u
-    and at every u + s h the stencils read (9 abscissae per row for the
-    order-2 stencils at the default steps, 5 for order 1) in one query per
-    component, then embeds every read of the rows where that succeeded in
-    one call.  ``vertices`` holds the points at (u, ts) of those rows,
-    stacked (rows * nt, 3) row after row.
+    The rows are settled on construction.  ``refused`` holds each row's
+    error (None while measured), ``rows`` indexes the measured rows, ``us``
+    their u and ``steps`` their step of each stencil; stencils with the same
+    steps share their reads.  ``abscissae`` (rows, k) holds each settled
+    row's u and every u + s h its stencils read (9 for the order-2 stencils
+    at the default steps, 5 for order 1); ``embed`` takes the profile there.
+    ``vertices`` then holds the points at (u, ts) of the rows the chart
+    evaluated, (rows * nt, 3) row after row, and ``_first_order`` sets
+    ``outside``, the vertices outside the metric domain and their errors.
     """
 
-    def __init__(self, chart: SurfaceChart, us, ts: np.ndarray, steps: dict):
+    def __init__(self, chart: SurfaceChart, us: np.ndarray, ts: np.ndarray, tol: Tolerances, order: int):
+        steps, fits = _settle(chart, us, ts, tol, order)
         self.chart = chart
-        self.us = np.array(us, dtype=float)
         self.ts = ts
         self.nt = len(ts)
-        self.steps = steps
-        self._key = {name: h.tobytes() for name, h in steps.items()}  # the same steps, the same reads
-        self._abscissae = [self.us]
+        self.refused = [None if fit else stencil_misfit(tol.fd_min) for fit in fits.tolist()]
+        self.rows = np.flatnonzero(fits)
+        self.us = us[self.rows]
+        self.steps = {name: h[self.rows] for name, h in steps.items()}
+        self._key = {name: h.tobytes() for name, h in self.steps.items()}  # the same steps, the same reads
+        abscissae = [self.us]
         column: dict = {}  # (key, su) -> column of the abscissa u + su h
         # read -> (column, st, stencil); st is -0.0 along u, as ts + -0.0 is ts
         self._reads: dict = {None: (0, -0.0, next(iter(steps)))}
-        for name, h in steps.items():
+        for name, h in self.steps.items():
             for su, st in _UNIT_READS[name].tolist():
                 key = (self._key[name], su, st) if su or st else None
                 if su and (key[0], su) not in column:
-                    column[key[0], su] = len(self._abscissae)
-                    self._abscissae.append(self.us + su * h)
+                    column[key[0], su] = len(abscissae)
+                    abscissae.append(self.us + su * h)
                 self._reads.setdefault(key, (column[key[0], su] if su else 0, st or -0.0, name))
+        self.abscissae = np.stack(abscissae, axis=1)
 
-    def fit(self) -> list:
-        """Evaluate the profile at every abscissa of every row, keep only the
-        rows where that succeeded and embed all reads of them; each row's
-        error from ``_fit_rows``, None for the kept rows."""
-        columns, errors = _fit_rows(self.chart, np.stack(self._abscissae, axis=1))
-        kept = np.array([exc is None for exc in errors])
-        self.us = self.us[kept]
+    def embed(self, columns: list, errors: list):
+        """Keep the rows where the chart evaluated every abscissa, with the
+        profile ``columns`` there and each row's error from ``_fit_rows``,
+        hold the others' errors in ``refused`` and embed every read of the
+        kept rows in one call."""
+        for i, exc in zip(self.rows.tolist(), errors):
+            self.refused[i] = exc
+        kept = np.array([exc is None for exc in errors], dtype=bool)
+        self.rows, self.us = self.rows[kept], self.us[kept]
         self.steps = {name: h[kept, None] for name, h in self.steps.items()}  # now columns
         js, sts, names = zip(*self._reads.values())
         dt = np.array(sts)[:, None, None] * np.stack([self.steps[name] for name in names])
@@ -335,7 +326,6 @@ class _RowPoints:
         points = self.chart.embed(*profile, self.ts + dt).reshape(len(js), -1, 3)
         self._points = dict(zip(self._reads, points))
         self.vertices = self._points[None]
-        return errors
 
     def richardson(self, name: str, quotient: Callable) -> np.ndarray:
         """One Richardson level of the stencil ``name``, stacked as the
@@ -349,6 +339,34 @@ class _RowPoints:
             return quotient(read, c * self.steps[name])
 
         return richardson(d, 1.0).reshape(-1, 3)
+
+    def measure(self, kernel: Callable, shapes: tuple):
+        """kernel()'s first len(shapes) values, each of shape (rows, nt) +
+        its shape, and its errors, one tuple per row, over every row of the
+        set: a refused row holds its error on every vertex, NaN values."""
+        values = [np.full((len(self.refused), self.nt) + shape, np.nan) for shape in shapes]
+        errors = [(exc,) * self.nt for exc in self.refused]
+        if self.rows.size:
+            got, errs = kernel()
+            for out, value in zip(values, got):
+                out[self.rows] = value.reshape((self.rows.size, self.nt) + value.shape[1:])
+            for k, i in enumerate(self.rows.tolist()):
+                errors[i] = tuple(errs[k * self.nt : (k + 1) * self.nt])
+        return values, tuple(errors)
+
+
+def _fit(chart: SurfaceChart, *sets: _RowPoints):
+    """Evaluate the profile at every abscissa of the row sets in one
+    ``_fit_rows`` call, and embed each set's reads.  A set with fewer
+    abscissae per row repeats its last one."""
+    width = np.arange(max(at.abscissae.shape[1] for at in sets))
+    us = np.concatenate([at.abscissae[:, np.minimum(width, at.abscissae.shape[1] - 1)] for at in sets])
+    columns, errors = _fit_rows(chart, us) if len(us) else ([us] * 3, [])
+    lo = 0
+    for at in sets:
+        hi = lo + len(at.abscissae)
+        at.embed([column[lo:hi, : at.abscissae.shape[1]] for column in columns], errors[lo:hi])
+        lo = hi
 
 
 def _untraced(exc: BcvHelixError) -> BcvHelixError:
@@ -374,26 +392,16 @@ def _quad_form(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(np.matmul(a[:, None, :], g), b[:, :, None])[:, 0, 0]
 
 
-def _pointwise(fn, pts: np.ndarray, errors: list, shape: tuple, nt: int, first: int = 0):
-    """fn over all points at once; if that raises, one mesh row (nt points)
-    at a time, and in a row that raises point by point, so only the points
-    whose own evaluation fails get NaN and their error in ``errors`` (from
-    index ``first`` on)."""
-    try:
-        return fn(pts)
-    except BcvHelixError:
-        pass
-    out = np.full((len(pts),) + shape, np.nan)
-    if len(pts) > nt:
-        for lo in range(0, len(pts), nt):
-            out[lo : lo + nt] = _pointwise(fn, pts[lo : lo + nt], errors, shape, nt, first + lo)
-        return out
-    for k in range(len(pts)):
-        try:
-            out[k] = fn(pts[k])
-        except BcvHelixError as exc:
-            if errors[first + k] is None:
-                errors[first + k] = _untraced(exc)
+def _ambient(fn: Callable, space: BcvSpace, at: _RowPoints, tol: Tolerances) -> np.ndarray:
+    """fn(space, p, tol), an ambient function of ``spaces``, in one call
+    over the vertices inside the metric domain (``at.vertices`` itself when
+    every vertex is), NaN at the others."""
+    if not at.outside:
+        return fn(space, at.vertices, tol)
+    inside = np.delete(np.arange(len(at.vertices)), list(at.outside))
+    values = fn(space, at.vertices[inside], tol)
+    out = np.full((len(at.vertices),) + values.shape[1:], np.nan)
+    out[inside] = values
     return out
 
 
@@ -405,18 +413,22 @@ def _degenerate(at: _RowPoints, bad: np.ndarray, errors: list, what: Callable[[i
 
 
 def _first_order(space: BcvSpace, at: _RowPoints, tol: Tolerances):
-    """Tangents, metric and first form at every vertex of the rows,
-    ((psi_u, psi_t, g, E, F, G), errors): a vertex outside the metric
-    domain is NaN with its error in ``errors`` (None elsewhere), and a
+    """First form, tangents and metric at every vertex of the rows,
+    ((E, F, G, psi_u, psi_t, g), errors): a vertex outside the metric
+    domain is NaN with its DomainError in ``errors`` (None elsewhere), and a
     vertex where EG - F^2 <= 0 holds DegenerateImmersion."""
-    errors: list = [None] * (len(at.us) * at.nt)
+    x, y = at.vertices[:, 0], at.vertices[:, 1]
+    at.outside = domain_errors(space, x * x + y * y, tol)[1]
+    errors: list = [None] * len(at.vertices)
+    for k, exc in at.outside.items():
+        errors[k] = exc
     psi_u = at.richardson("u", lambda p, s: (p(1, 0) - p(-1, 0)) / (2.0 * s))
     psi_t = at.richardson("t", lambda p, s: (p(0, 1) - p(0, -1)) / (2.0 * s))
-    g = _pointwise(lambda p: metric_cartesian(space, p, tol), at.vertices, errors, (3, 3), at.nt)
+    g = _ambient(metric_cartesian, space, at, tol)
     E, F, G = _quad_form(psi_u, g, psi_u), _quad_form(psi_u, g, psi_t), _quad_form(psi_t, g, psi_t)
     det = E * G - F * F
     _degenerate(at, det <= 0.0, errors, lambda k: f"EG - F^2 = {det[k]:.6e} <= 0")
-    return (psi_u, psi_t, g, E, F, G), errors
+    return (E, F, G, psi_u, psi_t, g), errors
 
 
 @dataclass(frozen=True)
@@ -470,8 +482,8 @@ def _normal(space: BcvSpace, at: _RowPoints, first: tuple, errors: list, tol: To
     ``first`` is ``_first_order``'s values.  A vertex outside the metric
     domain is NaN, its error already in ``errors``; a vertex where |v|^2 is
     not positive and finite holds DegenerateImmersion."""
-    psi_u, psi_t, g = first[:3]
-    g_inv = _pointwise(lambda p: inverse_metric(space, p, tol), at.vertices, errors, (3, 3), at.nt)
+    psi_u, psi_t, g = first[3:]
+    g_inv = _ambient(inverse_metric, space, at, tol)
     with np.errstate(invalid="ignore", divide="ignore"):
         v = np.matmul(g_inv, np.cross(psi_u, psi_t)[:, :, None])[:, :, 0]
         norm_sq = _quad_form(v, g, v)
@@ -483,15 +495,14 @@ def _normal(space: BcvSpace, at: _RowPoints, first: tuple, errors: list, tol: To
 def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
     """The fields of ``LocalGeometry`` at every vertex of the rows, flat, and
     their errors."""
-    nt = at.nt
     first, errors = _first_order(space, at, tol)
-    psi_u, psi_t, g, E, F, G = first
+    E, F, G, psi_u, psi_t, g = first
     n = _normal(space, at, first, errors, tol, sign)
     fc = at.vertices
     psi_uu = at.richardson("uu", lambda p, s: (p(1, 0) - 2.0 * p(0, 0) + p(-1, 0)) / (s * s))
     psi_tt = at.richardson("tt", lambda p, s: (p(0, 1) - 2.0 * p(0, 0) + p(0, -1)) / (s * s))
     psi_ut = at.richardson("ut", lambda p, s: (p(1, 1) - p(1, -1) - p(-1, 1) + p(-1, -1)) / (4.0 * s * s))
-    gamma = _pointwise(lambda p: christoffels(space, p, tol=tol), fc, errors, (3, 3, 3), nt)
+    gamma = _ambient(christoffels, space, at, tol)
     # with gn = g n and Cn_ij = gn_k Gamma^k_ij, a second-form entry is
     # g(d_ab psi + Gamma(d_a psi, d_b psi), n) = d_ab psi . gn + d_a psi . Cn . d_b psi
     gn = np.matmul(g, n[:, :, None])[:, :, 0]
@@ -513,72 +524,30 @@ def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
     return (fc, n, E, F, G, L, M, N, H, K), errors
 
 
-def _by_rows(measure, order: int, shapes: tuple, chart: SurfaceChart, us, ts, tol: Tolerances):
-    """``measure`` (of derivatives up to ``order``) over every row of us: its
-    values as arrays of shape (len(us), nt) + shape, one per entry of
-    ``shapes``, its errors as one tuple per row, and each row's own error
-    (None for a measured row).
-
-    The rows are settled (``_settle``), and every row where each stencil
-    has a step is measured in one call, at its own steps.  A row where
-    some stencil has no step holds StencilOutOfDomain, without an
-    evaluation, and a row where the chart refuses one of its abscissae
-    holds the chart's error: on every vertex, with NaN values.
-    """
-    nt = len(ts)
-    steps, fits = _settle(chart, us, ts, tol, order)
-    refused = [None if fit else stencil_misfit(tol.fd_min) for fit in fits.tolist()]
-    rows = np.flatnonzero(fits)
-    if rows.size:
-        at = _RowPoints(chart, us[rows], ts, {name: h[rows] for name, h in steps.items()})
-        for i, exc in zip(rows.tolist(), at.fit()):
-            refused[i] = exc
-    kept = np.flatnonzero([exc is None for exc in refused])
-    values = [np.full((len(us), nt) + shape, np.nan) for shape in shapes]
-    errors = [(exc,) * nt for exc in refused]
-    if kept.size:
-        got, errs = measure(at)
-        for out, value in zip(values, got):
-            out[kept] = value.reshape((kept.size, nt) + value.shape[1:])
-        for k, i in enumerate(kept.tolist()):
-            errors[i] = tuple(errs[k * nt : (k + 1) * nt])
-    return values, tuple(errors), refused
+# the orientation probe's candidate rows, as fractions of the chart's u-range
+_PROBE = np.array([0.5, 0.35, 0.65, 0.25, 0.75, 0.45, 0.55])
 
 
-def _orientation(space: BcvSpace, chart: SurfaceChart, tol: Tolerances) -> float:
-    """Sign making g(n, e_r) >= 0 at the chart reference point, walking
-    along u when the radial pairing vanishes there.
-
-    A candidate is accepted where its point and normal are measured, as
-    ``_geometry`` measures them, with no error: its order-2 stencils
-    settle, the chart evaluates them, the metric is defined there and
-    neither the first form nor the normal degenerates."""
-    if chart._orient is not None:
-        return chart._orient
-
-    def probe(at: _RowPoints):
-        first, errors = _first_order(space, at, tol)
-        return (at.vertices, _normal(space, at, first, errors, tol, 1.0)), errors
-
-    lo, hi = chart.u_range
-    ts = np.array([0.5 * (chart.t_range[0] + chart.t_range[1])])
-    sign = 1.0
-    for frac in (0.5, 0.35, 0.65, 0.25, 0.75, 0.45, 0.55):
-        us = np.array([lo + (hi - lo) * frac])
-        (p, n), errors, _ = _by_rows(probe, 2, ((3,), (3,)), chart, us, ts, tol)
-        if errors[0][0] is not None:
-            continue
-        p, n = p[0, 0], n[0, 0]
+def _orientation(space: BcvSpace, probe: _RowPoints, tol: Tolerances) -> float:
+    """Sign making g(n, e_r) >= 0 at the first candidate of the fitted probe
+    set (``_PROBE``, one vertex each at the middle of the t-range) where the
+    radial pairing does not vanish, 1.0 if none.  A candidate counts where
+    its point and normal are measured with no error, as ``_geometry``
+    measures them (its stencils settle, the chart evaluates them, the metric
+    is defined there, neither the first form nor the normal degenerates),
+    and r >= r_min."""
+    if not probe.rows.size:
+        return 1.0
+    first, errors = _first_order(space, probe, tol)
+    normals = _normal(space, probe, first, errors, tol, 1.0)
+    for p, n, g, exc in zip(probe.vertices, normals, first[5], errors):
         r = math.hypot(p[0], p[1])
-        if r < tol.r_min:
+        if exc is not None or r < tol.r_min:
             continue
-        e_r = np.array([p[0] / r, p[1] / r, 0.0])
-        pairing = float(n @ metric_cartesian(space, p, tol) @ e_r)
+        pairing = float(n @ g @ np.array([p[0] / r, p[1] / r, 0.0]))
         if abs(pairing) > 1e-8:
-            sign = 1.0 if pairing >= 0 else -1.0
-            break
-    chart._orient = sign
-    return sign
+            return 1.0 if pairing >= 0 else -1.0
+    return 1.0
 
 
 def local_geometry(
@@ -595,7 +564,8 @@ def local_geometry(
     the chart is assumed.  ``u`` is one abscissa, or a 1-D numpy array of
     them (fields of shape (len(u), nt)); the input's type picks the shape.
     The chart is evaluated once per row and distinct stencil abscissa, in
-    one query per component for all rows; the stencils, metric,
+    one query per component for all rows, the orientation probe's rows
+    included on a chart not yet oriented; the stencils, metric,
     Christoffels, normals and forms run once over all vertices of all rows,
     per vertex in the same order as for one row.
 
@@ -606,17 +576,20 @@ def local_geometry(
     one row u it is raised.  A vertex outside the metric domain, or whose
     immersion degenerates, is NaN with its error in ``errors``.
     """
-
-    def measure(at: _RowPoints):
-        return _geometry(space, at, tol, sign)
-
     ts = np.asarray(ts, dtype=float)
-    sign = _orientation(space, chart, tol)
-    us = np.array(u, dtype=float, ndmin=1)
-    values, errors, refused = _by_rows(measure, 2, _GEOMETRY_SHAPES, chart, us, ts, tol)
+    at = _RowPoints(chart, np.array(u, dtype=float, ndmin=1), ts, tol, 2)
+    if chart._orient is None:
+        lo, hi = chart.u_range
+        t_mid = np.array([0.5 * (chart.t_range[0] + chart.t_range[1])])
+        probe = _RowPoints(chart, lo + (hi - lo) * _PROBE, t_mid, tol, 2)
+        _fit(chart, probe, at)
+        chart._orient = _orientation(space, probe, tol)
+    else:
+        _fit(chart, at)
+    values, errors = at.measure(lambda: _geometry(space, at, tol, chart._orient), _GEOMETRY_SHAPES)
     if isinstance(u, np.ndarray):
         return LocalGeometry(*values, errors)
-    _raise_first([refused])
+    _raise_first([at.refused])
     return LocalGeometry(*(value[0] for value in values), errors[0])
 
 
@@ -633,13 +606,10 @@ def first_form_grid(
     u, and the same DegenerateImmersion where EG - F^2 <= 0; raises the
     error of the first vertex that fails, in row-major order.
     """
-
-    def measure(at: _RowPoints):
-        values, errors = _first_order(space, at, tol)
-        return values[3:], errors
-
     ts = np.asarray(ts, dtype=float)
-    forms, errors, _ = _by_rows(measure, 1, ((),) * 3, chart, np.asarray(us, dtype=float), ts, tol)
+    at = _RowPoints(chart, np.asarray(us, dtype=float), ts, tol, 1)
+    _fit(chart, at)
+    forms, errors = at.measure(lambda: _first_order(space, at, tol), ((),) * 3)  # E, F, G
     _raise_first(errors)
     return np.stack(forms, axis=-1)
 

@@ -28,6 +28,7 @@ __all__ = [
     "BcvSpace",
     "SpaceClass",
     "scaling_factor",
+    "domain_errors",
     "metric_cartesian",
     "metric_cylindrical",
     "inverse_metric",
@@ -81,6 +82,23 @@ def _any(flags) -> bool:
     return bool(flags.any()) if isinstance(flags, np.ndarray) else bool(flags)
 
 
+def domain_errors(space: BcvSpace, rsq, tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """(B, errors): B = 1 + (kappa/4) rsq, and {k: DomainError} for each
+    entry k of the flattened rsq outside the metric domain (B < margin),
+    the error ``scaling_factor`` raises there; empty when none is."""
+    B = 1.0 + 0.25 * space.kappa * rsq
+    outside = B < tol.domain_margin
+    if not _any(outside):
+        return B, {}
+    flat_B, flat_rsq = np.ravel(B), np.ravel(rsq)
+    return B, {
+        k: DomainError(
+            f"point outside the metric domain: B={flat_B[k]:.3e} at r^2={flat_rsq[k]} (kappa={space.kappa})"
+        )
+        for k in np.flatnonzero(outside).tolist()
+    }
+
+
 def scaling_factor(space: BcvSpace, rsq, tol: Tolerances = DEFAULT_TOL):
     """B = 1 + (kappa/4) rsq with the domain guard B >= margin.
 
@@ -88,13 +106,9 @@ def scaling_factor(space: BcvSpace, rsq, tol: Tolerances = DEFAULT_TOL):
     """
     if _any(rsq < 0):
         raise ValueError(f"rsq must be >= 0, got {rsq}")
-    B = 1.0 + 0.25 * space.kappa * rsq
-    if _any(B < tol.domain_margin):
-        k = int(np.argmax(np.ravel(B < tol.domain_margin)))
-        raise DomainError(
-            f"point outside the metric domain: B={np.ravel(B)[k]:.3e} at "
-            f"r^2={np.ravel(rsq)[k]} (kappa={space.kappa})"
-        )
+    B, errors = domain_errors(space, rsq, tol)
+    if errors:
+        raise next(iter(errors.values()))  # the first entry outside
     return B
 
 

@@ -854,6 +854,24 @@ class TestConfigValidation:
         assert run(tmp_path, "verify", NIL_MINIMAL, overrides=[f"tolerances.{key}=0.5"]) == 2
         assert f"tolerances.{key}: unknown tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, overrides, path",
+        [
+            ({"grd": {"nu": 5}}, [], "grd"),
+            ({"tolerance": {"fd_first": -1}}, [], "tolerance"),
+            ({"output": {"basename": "nilcat", "format": ["csv"]}}, [], "output.format"),
+            ({}, ["grid.nuu=5"], "grid.nuu"),
+        ],
+        ids=["top-level", "top-level-tolerances", "in-section", "override"],
+    )
+    def test_unknown_field_rejected(self, tmp_path, capsys, edit, overrides, path):
+        # a field no command reads must not be accepted and silently ignored,
+        # at the top level, in a section or set by --override
+        cfg = {**json.loads(json.dumps(NIL_MINIMAL)), **edit}
+        assert run(tmp_path, "chart", cfg, overrides=overrides) == 2
+        assert capsys.readouterr().err == f"config error: {path}: unknown field\n"
+        assert not list(tmp_path.glob("nilcat.*"))
+
     def test_unknown_command_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, "render", NIL_MINIMAL)

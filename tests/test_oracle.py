@@ -122,6 +122,35 @@ def assert_row_is(batch, i, row):
     assert [(type(e), str(e)) for e in batch.errors[i]] == [(type(e), str(e)) for e in row.errors]
 
 
+def oriented_sign(space, chart, tol=DEFAULT_TOL):
+    """The chart's orientation sign, as the first ``local_geometry`` call on
+    it settles it: a call with no row measures only the probe."""
+    local_geometry(space, chart, np.empty(0), [0.0], tol)
+    return chart._orient
+
+
+COMPONENTS = ("xi1", "xi2", "theta0")
+
+
+def count_chart_queries(monkeypatch):
+    """(arrays, points, floats): from now on, the NaturalChart component
+    queries at an array of u and their points, and those at a float u, each
+    by component."""
+    arrays, points, floats = Counter(), Counter(), Counter()
+    for name in COMPONENTS:
+
+        def counted(self, u, real=getattr(NaturalChart, name), name=name):
+            if isinstance(u, np.ndarray):
+                arrays[name] += 1
+                points[name] += u.size
+            else:
+                floats[name] += 1
+            return real(self, u)
+
+        monkeypatch.setattr(NaturalChart, name, counted)
+    return arrays, points, floats
+
+
 def cylinder_across_domain_edge():
     # a cylinder of radius 1.2 in H2 x R (metric domain r < 2), sheared by
     # x -> x + 0.86 + 0.1 z: row u is a circle about x = 0.86 + 0.1 u that
@@ -225,18 +254,26 @@ class TestDegenerateFirstForm:
         # form degenerates: it walks on to a candidate whose vertex holds no
         # error
         sc = SurfaceChart.from_natural(helicoid_chart, u_range=(-1.0, 1.0))
-        probed = []
-        real = oracle._by_rows
+        fitted, measured = [], []
 
-        def recorded(measure, order, shapes, chart, us, ts, tol):
-            values, errors, refused = real(measure, order, shapes, chart, us, ts, tol)
-            probed.append((float(us[0]), errors[0][0]))
-            return values, errors, refused
+        def fit(chart, *sets, real=oracle._fit):
+            fitted.append(sets)
+            return real(chart, *sets)
 
-        monkeypatch.setattr(oracle, "_by_rows", recorded)
-        oracle._orientation(R3, sc, DEFAULT_TOL)
-        assert probed[0][0] == 0.0 and isinstance(probed[0][1], DegenerateImmersion)
-        assert len(probed) > 1 and probed[-1][1] is None
+        def first_order(space, at, tol, real=oracle._first_order):
+            values, errors = real(space, at, tol)
+            measured.append((at, errors))
+            return values, errors
+
+        monkeypatch.setattr(oracle, "_fit", fit)
+        monkeypatch.setattr(oracle, "_first_order", first_order)
+        sign = oriented_sign(R3, sc)
+        # the probe's candidates are one fitted row set beside the call's
+        (probe, _), = fitted
+        (errors,) = [errors for at, errors in measured if at is probe]
+        assert probe.us[0] == 0.0 and isinstance(errors[0], DegenerateImmersion)
+        assert len(errors) > 1 and None in errors[1:]
+        assert sign == _orientation_by_reference(R3, sc, DEFAULT_TOL)
 
 
 class TestMeanCurvatureExtrinsic:
@@ -390,6 +427,31 @@ class TestLocalGeometry:
             assert points == {name: len(rows) * abscissae for name in ("xi1", "xi2", "theta0")}
             assert max(calls.values()) == 1
 
+    def test_fresh_chart_is_one_array_query_per_component(self, monkeypatch):
+        # on a chart not yet oriented, the orientation probe's 7 candidate
+        # rows join the call's query: one array query per component over
+        # the 9 abscissae of each row and candidate, and no float query
+        arrays, points, floats = count_chart_queries(monkeypatch)
+        job, sc = settle_chart("shipped-heisenberg_minimal")  # its methods are the counted ones
+        us, ts = np.linspace(*sc.u_range, job.nu)[1:-1], np.linspace(*job.t_range, job.nt)
+        for counter in (arrays, points, floats):
+            counter.clear()
+        local_geometry(job.space, sc, us, ts, job.tol).checked()
+        assert sc._orient is not None and not floats
+        assert arrays == {name: 1 for name in COMPONENTS}
+        assert points == {name: (len(us) + len(oracle._PROBE)) * 9 for name in COMPONENTS}
+
+    def test_small_mesh_makes_no_float_query(self, monkeypatch):
+        # a 9-row mesh on a fresh chart: its vertex query and its one
+        # local_geometry call, the probe included, are array queries
+        arrays, _, floats = count_chart_queries(monkeypatch)
+        job, sc = settle_chart("shipped-heisenberg_minimal")
+        arrays.clear()
+        floats.clear()
+        mesh = sample_mesh(job.space, sc, 9, job.nt, job.tol)
+        assert np.isfinite(mesh.h_ext).any()
+        assert not floats and arrays == {name: 2 for name in COMPONENTS}
+
     def test_interior_row_that_cannot_be_evaluated_fails_alone(self, nil_catenoid_chart):
         # xi1 refuses every u near one interior row, u itself first: only
         # that row leaves the batch, holding the chart's own error, which a
@@ -400,8 +462,9 @@ class TestLocalGeometry:
         chart = nil_catenoid_chart
 
         def xi1(u):
-            if np.any(np.abs(np.asarray(u) - us[bad]) < 1e-3):
-                raise DomainError(f"xi1 refused at u={u}")
+            near = np.abs(np.asarray(u) - us[bad]) < 1e-3
+            if near.any():
+                raise DomainError(f"xi1 refused at u={np.asarray(u)[near][0]}")
             return chart.xi1(u)
 
         sc = SurfaceChart(NIL, xi1, chart.xi2, chart.theta0, chart.m, chart.a, (-1.0, 1.0),
@@ -478,6 +541,44 @@ class TestLocalGeometry:
         # stored errors were never raised: no traceback keeps the call's frames
         stored = [e for row in batch.errors for e in row if e is not None]
         assert stored and all(e.__traceback__ is None for e in stored)
+
+    def test_ambient_functions_run_once_per_kernel_call(self, monkeypatch):
+        # the vertices outside the metric domain are decided once, by the
+        # rule of spaces: each ambient function runs once per kernel call,
+        # over the other vertices, and each outside vertex holds the error
+        # that metric_cartesian raises at that point alone
+        space, sc = cylinder_across_domain_edge()
+        calls = Counter()
+        for name in ("metric_cartesian", "inverse_metric", "christoffels"):
+
+            def counted(space, p, *args, real=getattr(oracle, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(space, p, *args, **kwargs)
+
+            monkeypatch.setattr(oracle, name, counted)
+        ts = np.linspace(-math.pi, math.pi, 25)
+        us = np.array([-0.5, 0.1, 0.3, 0.7])
+        # the probe (first order and normal), then the call's rows
+        geo = local_geometry(space, sc, us, ts)
+        assert calls == {"metric_cartesian": 2, "inverse_metric": 2, "christoffels": 1}
+        calls.clear()
+        geo = local_geometry(space, sc, us, ts)
+        assert calls == {"metric_cartesian": 1, "inverse_metric": 1, "christoffels": 1}
+        outside = [
+            (p, exc)
+            for points, errors in zip(geo.points, geo.errors)
+            for p, exc in zip(points, errors)
+            if isinstance(exc, DomainError)
+        ]
+        assert len(outside) == np.isnan(geo.E).sum() > 0
+        for p, exc in outside:
+            with pytest.raises(DomainError) as alone:
+                metric_cartesian(space, p)
+            assert str(exc) == str(alone.value)
+        calls.clear()
+        with pytest.raises(DomainError) as raised:
+            first_form_grid(space, sc, us, ts)
+        assert calls == {"metric_cartesian": 1} and str(raised.value) == str(outside[0][1])
 
     def test_stored_errors_leave_no_cyclic_garbage(self, nil_catenoid_chart):
         # a stored error that was raised keeps the kernel's frames, and every
@@ -693,8 +794,8 @@ class TestSettle:
         # 0.25: its mesh and its first-form grid make no chart query that
         # raises, and every row set is measured as a fitted batch
         job, sc = settle_chart("shipped-heisenberg_minimal")
-        oracle._orientation(job.space, sc, job.tol)  # the chart's orientation, once
-        raised, built = Counter(), []
+        oriented_sign(job.space, sc, job.tol)  # the chart's orientation, once
+        raised, built, fitted = Counter(), [], []
         for name in ("xi1", "xi2", "theta0"):
 
             def counted(self, u, real=getattr(NaturalChart, name), name=name):
@@ -707,21 +808,20 @@ class TestSettle:
             monkeypatch.setattr(NaturalChart, name, counted)
 
         class Recorded(oracle._RowPoints):
-            fitted = False
-
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 built.append(self)
 
-            def fit(self):
-                self.fitted = True
-                return super().fit()
+        def fit(chart, *sets, real=oracle._fit):
+            fitted.extend(sets)
+            return real(chart, *sets)
 
         monkeypatch.setattr(oracle, "_RowPoints", Recorded)
+        monkeypatch.setattr(oracle, "_fit", fit)
         mesh = sample_mesh(job.space, sc, job.nu, job.nt, job.tol)
         grid = first_form_grid(job.space, sc, *shared_grid(sc, sc), job.tol)
         assert not raised
-        assert built and all(at.fitted for at in built)
+        assert built and all(any(at is set_ for set_ in fitted) for at in built)
         # the mesh's end rows have no step; the shared grid's end rows fit
         # with a shrunk u-stencil
         assert mesh.diagnostic_failures == {"StencilOutOfDomain": 2 * job.nt}
@@ -772,8 +872,9 @@ class TestSettle:
         refused = np.array([us[4], edge - step, us[6] + tol.fd_second])
 
         def xi1(u):
-            if np.any(np.abs(np.subtract.outer(np.asarray(u), refused)) < 1e-9):
-                raise DomainError(f"xi1 refused at u={u}")
+            near = (np.abs(np.subtract.outer(np.asarray(u), refused)) < 1e-9).any(axis=-1)
+            if near.any():
+                raise DomainError(f"xi1 refused at u={np.asarray(u)[near][0]}")
             return chart.xi1(u)
 
         sc = SurfaceChart(NIL, xi1, chart.xi2, chart.theta0, chart.m, chart.a, chart.u_valid,
@@ -1037,6 +1138,6 @@ def test_orientation_matches_row_kernel(config, pitches):
         )
         for surface in (cli._surface(job, chart), SurfaceChart.from_natural(chart, u_range=job.u_range), mirror):
             want = _orientation_by_reference(chart.space, surface, job.tol)
-            assert oracle._orientation(chart.space, surface, job.tol) == want
+            assert oriented_sign(chart.space, surface, job.tol) == want
             signs.append(want)
     assert set(signs) == {-1.0, 1.0}

@@ -15,12 +15,15 @@ Each config runs in this process through ``chart``, ``verify`` at
 ``tools/byte_gate.py run`` lays it out, in ``OUT/<k>-<job>/``, so that
 ``byte_gate.py diff`` compares two sweeps file by file.
 
-It exits 1 if a job exits outside {0, 1, 2} or writes a traceback, and
-else 0.  It also lists, without failing, the configs whose ``verify``
-verdict or a check's ``pass`` differs between the two grids (a profile
-that meets the screw axis inside the validity interval folds there, and
-whether ``verify`` sees it depends on its rows), and those where ``chart``
-or ``export`` exits 0 while ``verify`` fails ``first_form``.
+It exits 1 if a job exits outside {0, 1, 2} or writes a traceback, if a
+job that writes a report (on stdout) prints anything on stderr, or if one
+that writes none does not print exactly one stderr line starting
+``error: `` or ``config error: ``, and else 0.  It also lists, without
+failing, the configs whose ``verify`` verdict or a check's ``pass``
+differs between the two grids (a profile that meets the screw axis inside
+the validity interval folds there, and whether ``verify`` sees it depends
+on its rows), and those where ``chart`` or ``export`` exits 0 while
+``verify`` fails ``first_form``.
 """
 
 from __future__ import annotations
@@ -95,10 +98,24 @@ def _verdict(job_dir: str):
     return report["pass"], {name: check["pass"] for name, check in report["checks"].items()}
 
 
+def _stderr_problem(job_dir: str, stderr: str):
+    """How the job's stderr breaks the rule for its report, or None: a job
+    that writes a report prints nothing on stderr, and one that writes none
+    prints exactly one line starting ``error: `` or ``config error: ``."""
+    with open(os.path.join(job_dir, "stdout")) as fh:
+        reported = bool(fh.read())
+    lines = stderr.splitlines()
+    if reported:
+        return f"a report and {len(lines)} stderr lines" if stderr else None
+    if len(lines) == 1 and lines[0].startswith(("error: ", "config error: ")):
+        return None
+    return f"no report and {len(lines)} stderr lines, not one error line"
+
+
 def sweep(seed: int, n: int, out: str) -> int:
     cli = byte_gate.load_cli()
     rng = random.Random(seed)
-    broken, flips, wrong_charts = [], [], []
+    broken, streams, flips, wrong_charts = [], [], [], []
     codes: collections.Counter = collections.Counter()
     for k in range(n):
         cfg = draw(rng)
@@ -110,6 +127,8 @@ def sweep(seed: int, n: int, out: str) -> int:
             codes[name, rc] += 1
             if rc not in (0, 1, 2) or "Traceback" in stderr:
                 broken.append(f"{k:04d}-{name}: exit {rc}")
+            elif problem := _stderr_problem(dirs[name], stderr):
+                streams.append(f"{k:04d}-{name}: exit {rc}, {problem}")
         label = f"{k:04d}: {json.dumps(cfg['space'])} {json.dumps(cfg['seed'])}"
         verdicts = [_verdict(dirs[f"verify-{nu}"]) for nu in VERIFY_GRIDS]
         if verdicts[0] != verdicts[1]:
@@ -124,11 +143,12 @@ def sweep(seed: int, n: int, out: str) -> int:
         ("verify verdict differs between grid.nu 17 and 41 (not a failure)", flips),
         ("chart or export exits 0 while verify fails first_form (not a failure)", wrong_charts),
         ("exit outside {0, 1, 2} or a traceback", broken),
+        ("stderr output with a report, or not one error line without one", streams),
     ):
         print(f"{title}: {len(lines)}")
         for line in lines:
             print(f"  {line}")
-    return 1 if broken else 0
+    return 1 if broken or streams else 0
 
 
 def main(argv=None) -> int:
