@@ -22,7 +22,8 @@ operations ``xp`` of ``numerics`` (SCALAR raises at a failed check, an
 ArrayOps marks the point).  The chart's quadratures evaluate both
 integrands at all nodes of a refinement level in one array pass, the
 validity scan evaluates its walk in one, and a chart query for xi1, xi2 or
-theta0 at an array of u is one array pass, as the oracle makes them.  The
+theta0 at an array of u is one array pass.  The oracle reads all three at
+once (``NaturalChart.profile``): xi2 and theta0 in one stacked read.  The
 float path serves the library's one-point API and the validity scan's
 bisection steps, and a point the array pass fails is evaluated again on it.
 """
@@ -349,10 +350,10 @@ class NaturalChart:
     xi2 and theta0 are quadrature-backed antiderivatives vanishing at u0;
     theta(u, t) = t/m + theta0(u).  xi1, xi2 and theta0 take a float u, or
     a 1-D array of u and return the column of values in one array query,
-    each element bit for bit the float query's.  The chart evaluates at the
-    u its ``domain`` admits, u within 1e-12 of u_valid, and every component
-    reads such a u clamped into u_valid.  Immutable after construction;
-    evaluation is reentrant.
+    each element bit for bit the float query's; ``profile`` reads the three
+    columns together.  The chart evaluates at the u its ``domain`` admits,
+    u within 1e-12 of u_valid, and every component reads such a u clamped
+    into u_valid.  Immutable after construction; evaluation is reentrant.
     """
 
     space: BcvSpace
@@ -404,6 +405,28 @@ class NaturalChart:
     def theta0(self, u):
         """The gauge theta0 at a float u, or its column at a 1-D array."""
         return self._theta0_quad(self.clamped(u))
+
+    def profile(self, u):
+        """(theta0, xi1, xi2) at u, evaluated in that order.
+
+        At a 1-D array of u, the three columns, each element bit for bit
+        that of its component's own query, raising the first error those
+        queries raise in that order: the first u outside the domain, a
+        theta0 fault (right of u0, then left), xi1's refusal, then a xi2
+        fault.  xi1 is read through ``xi1``.  xi2 and theta0 are one stacked
+        read under their shared lock: one clamp, their sides filled in the
+        order of the separate queries (theta0's before xi1, xi2's after),
+        and one Legendre recurrence over both (``CumulativeQuadrature.read``).
+        """
+        theta0, xi2 = self._theta0_quad, self._xi2_quad
+        if not isinstance(u, np.ndarray) or theta0.lock is not xi2.lock:
+            return self.theta0(u), self.xi1(u), self.xi2(u)
+        us = self.clamped(u)
+        with theta0.lock:
+            theta0 = theta0.reach(us)
+            xi1 = self.xi1(u)
+            theta0, xi2 = CumulativeQuadrature.read(theta0, xi2.reach(us))
+        return theta0, xi1, xi2
 
     def theta(self, u: float, t: float) -> float:
         return t / self.seed.m + self.theta0(u)

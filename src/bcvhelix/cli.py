@@ -30,7 +30,7 @@ from .bour import BourSeed, NaturalChart, build_chart, gauss_intrinsic
 from .cmc import cmc_U, cmc_residual, minimal_U
 from .errors import BcvHelixError, ConfigError
 from .numerics import ArrayFunction, SmoothFunction, Tolerances, elementwise
-from .oracle import MeshGrid, SurfaceChart, isometry_matrix, local_geometry, sample_mesh
+from .oracle import MeshGrid, SurfaceChart, first_forms, local_geometry, pair_grids, pair_matrix, sample_mesh
 from .spaces import BcvSpace, classify
 
 FORMATS = ("csv", "obj", "json")
@@ -304,8 +304,9 @@ _FLOAT_NS = {**_EXPR_NS, "_pow": _pow}
 
 def _array_namespace(failed: np.ndarray) -> dict:
     """The names of an expression evaluated at a 1-D array u: each function
-    and ** elementwise, with the float evaluation's bits, and / as numpy's
-    IEEE division; ``failed`` records the elements where the float
+    and ** elementwise, with the float evaluation's bits, and / and sqrt as
+    numpy's IEEE division and square root (both correctly rounded, so
+    math's bits); ``failed`` records the elements where the float
     evaluation raises."""
 
     def div(a, b):
@@ -314,9 +315,16 @@ def _array_namespace(failed: np.ndarray) -> dict:
         failed[...] |= b == 0  # ZeroDivisionError for floats
         return np.true_divide(a, b)
 
+    def sqrt(x):
+        if not isinstance(x, np.ndarray):
+            return math.sqrt(x)
+        failed[...] |= x < 0.0  # ValueError for floats
+        return np.sqrt(x)
+
     names = {name: elementwise(fn, failed) if callable(fn) else fn for name, fn in _FLOAT_NS.items()}
     names["abs"] = lambda x: np.abs(x) if isinstance(x, np.ndarray) else abs(x)
     names["_div"] = div
+    names["sqrt"] = sqrt
     return names
 
 
@@ -642,19 +650,27 @@ def write_profile_csv(path: str, chart: NaturalChart, nu: int, margin: float = 1
     _write_atomic(path, "u,xi1,xi2,theta0,U\n" + _e16_rows(table, ","))
 
 
-def write_mesh_csv(path: str, mesh: MeshGrid, gauss, resid_per_u, vertex_fields=None):
+def _mesh_fields(mesh: MeshGrid, gauss, resid_per_u) -> tuple[np.ndarray, np.ndarray]:
+    """The fields (``_e16_fields``) of the mesh's vertices, shape
+    (nu * nt, 3, _E16_WIDTH), and of the mesh CSV's own numbers, u, K, the
+    residual, t and h_ext, in that order: one kernel call for all."""
+    size = mesh.vertices.size
+    numbers = np.concatenate([mesh.vertices.ravel(), mesh.us, gauss, resid_per_u, mesh.ts, mesh.h_ext])
+    fields = _e16_fields(numbers)
+    return fields[:size].reshape(-1, 3, _E16_WIDTH), fields[size:]
+
+
+def write_mesh_csv(path: str, mesh: MeshGrid, gauss, resid_per_u, fields=None):
     """One row per vertex, (u, t) row-major: u, t, the vertex, its h_ext,
     the row's Gaussian curvature ``gauss`` (nan where h_ext is NaN) and the
     row's CMC residual.
 
     Each distinct number is formatted once: u and the per-row columns once
-    per row, t once per column and h_ext, all in one kernel call, and the
-    vertices unless ``vertex_fields`` holds their fields (``_e16_fields``)."""
+    per row, t once per column, h_ext and the vertices, all in one kernel
+    call, ``_mesh_fields``, unless ``fields`` holds its result."""
     nu, nt = mesh.nu, mesh.nt
-    if vertex_fields is None:
-        vertex_fields = _e16_fields(mesh.vertices)
-    numbers = np.concatenate([mesh.us, gauss, resid_per_u, mesh.ts, mesh.h_ext])
-    u, K, resid, t, h_ext = np.split(_e16_fields(numbers), np.cumsum([nu, nu, nu, nt]))
+    vertex_fields, numbers = fields if fields is not None else _mesh_fields(mesh, gauss, resid_per_u)
+    u, K, resid, t, h_ext = np.split(numbers, np.cumsum([nu, nu, nu, nt]))
     buf, field = _row_buffer(nu * nt, 8, ",")
     grid = field.reshape(nu, nt, 8, _E16_WIDTH)
     grid[:, :, 0] = u[:, None]
@@ -667,28 +683,43 @@ def write_mesh_csv(path: str, mesh: MeshGrid, gauss, resid_per_u, vertex_fields=
     _write_atomic(path, "u,t,x,y,z,H_ext,K,cmc_residual\n" + _text(buf))
 
 
-def write_obj(path: str, mesh: MeshGrid, vertex_fields=None):
-    """Wavefront OBJ with quads split into triangles; ASCII, LF endings.
-    Vertices with a NaN coordinate are left out, with every face they touch.
+def _kept_vertices(mesh: MeshGrid) -> np.ndarray:
+    """The mesh's vertices without a NaN coordinate, the ones an OBJ keeps."""
+    return ~np.isnan(mesh.vertices).any(axis=1)
 
-    The kept vertices' coordinates are one float table, formatted by one
-    kernel unless ``vertex_fields`` holds the fields of all vertices
-    (``_e16_fields``), and the faces one integer table."""
-    kept = ~np.isnan(mesh.vertices).any(axis=1)
+
+def _obj_faces(nu: int, nt: int, kept: np.ndarray) -> str:
+    """The face lines of an OBJ of the nu x nt mesh that keeps the vertices
+    ``kept``: its quads split into triangles, without the quads that touch
+    a vertex left out."""
     number = np.cumsum(kept)  # OBJ indices are 1-based: the k-th kept vertex is k
-    grid = np.arange(mesh.nu * mesh.nt).reshape(mesh.nu, mesh.nt)
+    grid = np.arange(nu * nt).reshape(nu, nt)
     # the corners of each quad (i, j), row-major, in the order (i, j),
     # (i+1, j), (i+1, j+1), (i, j+1); a quad is kept when all four are
     quads = np.stack([grid[:-1, :-1], grid[1:, :-1], grid[1:, 1:], grid[:-1, 1:]], axis=-1)
     quads = quads.reshape(-1, 4)
     quads = number[quads[kept[quads].all(axis=1)]]
     faces = quads[:, [0, 1, 2, 0, 2, 3]]  # triangles (q0, q1, q2) and (q0, q2, q3)
+    return _int_rows(faces.reshape(-1, 3), "f ")
+
+
+def write_obj(path: str, mesh: MeshGrid, vertex_fields=None, faces: Optional[str] = None):
+    """Wavefront OBJ with quads split into triangles; ASCII, LF endings.
+    Vertices with a NaN coordinate are left out, with every face they touch.
+
+    The kept vertices' coordinates are one float table, formatted by one
+    kernel unless ``vertex_fields`` holds the fields of all vertices
+    (``_e16_fields``), and the faces one integer table, formatted unless
+    ``faces`` holds its text (``_obj_faces``)."""
+    kept = _kept_vertices(mesh)
     buf, field = _row_buffer(np.count_nonzero(kept), 3, " ", "v ")
     if vertex_fields is None:
         _e16_fields(mesh.vertices[kept], field)
     else:
         field[...] = vertex_fields[kept]
-    text = _text(buf) + _int_rows(faces.reshape(-1, 3), "f ")
+    if faces is None:
+        faces = _obj_faces(mesh.nu, mesh.nt, kept)
+    text = _text(buf) + faces
     _write_atomic(path, text or "\n")
 
 
@@ -773,28 +804,48 @@ def cmd_verify(job: JobConfig, out_dir: str) -> int:
 
 
 def _export_mesh(
-    job: JobConfig, chart: NaturalChart, out_dir: str, suffix: str = "", with_curvature: bool = True
+    job: JobConfig,
+    chart: NaturalChart,
+    out_dir: str,
+    suffix: str = "",
+    with_curvature: bool = True,
+    sc: Optional[SurfaceChart] = None,
+    grids=(),
+    faces: Optional[dict] = None,
 ):
-    """The mesh of the chart and the files it writes. Its diagnostics
-    (``h_ext``, ``diagnostic_failures``) are measured only with
-    ``with_curvature``: the mesh CSV and the export report read them, the
-    OBJ writer reads only the vertices.  The CSV's K is the chart's -U''/U
-    of the row, at the vertices where ``h_ext`` was measured.  The vertices
-    are formatted once: both files use their fields."""
-    sc = _surface(job, chart)
-    mesh = sample_mesh(job.space, sc, job.nu, job.nt, job.tol, with_curvature=with_curvature)
-    both = "obj" in job.formats and "csv" in job.formats
-    vertex_fields = _e16_fields(mesh.vertices) if both else None
+    """The mesh of the chart and the files it writes.  The mesh is sampled
+    on ``sc``, the job's ``_surface`` of the chart if None, with the first
+    forms on ``grids`` (``sample_mesh``).  Its diagnostics (``h_ext``,
+    ``diagnostic_failures``) are measured only with ``with_curvature``: the
+    mesh CSV and the export report read them, the OBJ writer reads only the
+    vertices.  The CSV's K is the chart's -U''/U of the row, at the vertices
+    where ``h_ext`` was measured.  With a CSV, the vertices and the CSV's
+    own numbers are formatted in one call, and the OBJ uses the vertices'
+    fields.  ``faces``, if given, maps the kept-vertex masks of the meshes
+    of one command to their OBJ face lines, and gains this mesh's."""
+    if sc is None:
+        sc = _surface(job, chart)
+    mesh = sample_mesh(job.space, sc, job.nu, job.nt, job.tol, with_curvature=with_curvature, grids=grids)
+    fields = None
+    if "csv" in job.formats:
+        gauss = gauss_intrinsic(chart.U, mesh.us)
+        resid = cmc_residual(job.space, chart.seed, job.H, mesh.us, job.tol)
+        fields = _mesh_fields(mesh, gauss, resid)
     files = []
     if "obj" in job.formats:
         path = os.path.join(out_dir, f"{job.basename}{suffix}.obj")
-        write_obj(path, mesh, vertex_fields)
+        kept = _kept_vertices(mesh)
+        text = None
+        if faces is not None:
+            key = (mesh.nu, mesh.nt, kept.tobytes())
+            if key not in faces:
+                faces[key] = _obj_faces(mesh.nu, mesh.nt, kept)
+            text = faces[key]
+        write_obj(path, mesh, None if fields is None else fields[0], text)
         files.append(path)
     if "csv" in job.formats:
         path = os.path.join(out_dir, f"{job.basename}{suffix}.csv")
-        gauss = gauss_intrinsic(chart.U, mesh.us)
-        resid = cmc_residual(job.space, chart.seed, job.H, mesh.us, job.tol)
-        write_mesh_csv(path, mesh, gauss, resid, vertex_fields)
+        write_mesh_csv(path, mesh, gauss, resid, fields)
         files.append(path)
     return mesh, files
 
@@ -823,27 +874,44 @@ def cmd_deform(job: JobConfig, out_dir: str) -> int:
     # a frame's verdict reads its chart and first forms only: it writes a
     # mesh only for obj or csv, and measures H/K only for the csv
     meshed = "obj" in job.formats or "csv" in job.formats
-    surfaces, frames, errors = {}, [], {}  # surfaces and errors by frame tag
+    charts, errors = {}, {}  # (pitch, chart) and errors by frame tag
     for value in values:
         tag = f"{value:g}"
         try:
-            chart, _ = make_chart(job, U, meta, a=value)
-            files = []
-            if meshed:
-                _, files = _export_mesh(
-                    job, chart, out_dir, suffix=f"_a={tag}", with_curvature="csv" in job.formats
-                )
-            surfaces[tag] = SurfaceChart.from_natural(chart, t_range=job.t_range)
-            frames.append(
-                {"a": value, "files": [os.path.basename(f) for f in files],
-                 "validity": list(chart.u_valid)}
-            )
+            charts[tag] = value, make_chart(job, U, meta, a=value)[0]
         except BcvHelixError as exc:
             errors[tag] = str(exc)
+    # every chart first: each frame's grids shared with the others are then
+    # known, and each frame reads its chart once, for its mesh and its grids
+    surfaces = [SurfaceChart.from_natural(chart, t_range=job.t_range) for _, chart in charts.values()]
+    grids, shared = pair_grids(surfaces, tol=job.tol)
+    # a raw-theta mesh is another chart of the surface than the one whose
+    # first forms are compared
+    on_mesh = meshed and not job.raw_theta
+    frames, forms, faces = [], {}, {}  # forms by the index of the frame's chart
+    for k, ((tag, (value, chart)), sc) in enumerate(zip(charts.items(), surfaces)):
+        mine = list(grids[k].values())
+        try:
+            files = []
+            if meshed:
+                mesh, files = _export_mesh(
+                    job, chart, out_dir, suffix=f"_a={tag}", with_curvature="csv" in job.formats,
+                    sc=sc if on_mesh else None, grids=mine if on_mesh else (), faces=faces,
+                )
+            measured = mesh.first_forms if on_mesh else first_forms(job.space, sc, mine, job.tol)
+        except BcvHelixError as exc:
+            errors[tag] = str(exc)
+            continue
+        forms[k] = dict(zip(grids[k], measured))
+        frames.append(
+            {"a": value, "files": [os.path.basename(f) for f in files], "validity": list(chart.u_valid)}
+        )
     # a frame in frame_errors holds null in its row and column, diagonal included
-    tags = list(surfaces)
-    pairs, failed = isometry_matrix(job.space, list(surfaces.values()), tol=job.tol)
-    ks = [tags.index(tag) if tag in surfaces else None for tag in map("{:g}".format, values)]
+    index = {k: n for n, k in enumerate(forms)}  # the measured frames' charts, renumbered
+    tags = [tag for k, tag in enumerate(charts) if k in index]
+    live = {(index[i], index[j]): key for (i, j), key in shared.items() if i in index and j in index}
+    pairs, failed = pair_matrix(list(forms.values()), live)
+    ks = [tags.index(tag) if tag in tags else None for tag in map("{:g}".format, values)]
     matrix = [[None if i is None or j is None else pairs[i][j] for j in ks] for i in ks]
     pair_errors = {f"{tags[i]},{tags[j]}": f"{type(exc).__name__}: {exc}" for (i, j), exc in failed.items()}
     worst = max((dev for row in pairs for dev in row if dev is not None), default=0.0)

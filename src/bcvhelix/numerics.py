@@ -169,29 +169,48 @@ def elementwise(fn: Callable[..., float], failed: Optional[np.ndarray] = None) -
     each of its elements, and each element of the result is fn's own result
     for those floats, or NaN where fn raises a mathematical error
     (``MATH_ERRORS``), an element that ``failed`` records if given; any
-    other error propagates."""
+    other error propagates.  A call with one argument, the common case,
+    packs no argument tuple and walks no argument list."""
 
-    def apply(*args):
-        for x in args:
-            if isinstance(x, np.ndarray):
-                break
-        else:
-            return fn(*args)
-        columns = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
+    def apply(x, *rest):
+        if rest:
+            return _elementwise_call(fn, failed, (x, *rest))
+        if not isinstance(x, np.ndarray):
+            return fn(x)
+        column = x.tolist()
         try:
-            return np.fromiter(map(fn, *columns), float, x.size)
+            return np.fromiter(map(fn, column), float, x.size)
         except MATH_ERRORS:
-            pass
-        out = np.full(x.size, math.nan)
-        for i, xs in enumerate(zip(*columns)):
-            try:
-                out[i] = fn(*xs)
-            except MATH_ERRORS:
-                if failed is not None:
-                    failed[i] = True
-        return out
+            return _elementwise_retry(fn, failed, x.size, zip(column))
 
     return apply
+
+
+def _elementwise_call(fn: Callable[..., float], failed: Optional[np.ndarray], args: tuple):
+    """``elementwise``'s call with several arguments."""
+    for x in args:
+        if isinstance(x, np.ndarray):
+            break
+    else:
+        return fn(*args)
+    columns = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
+    try:
+        return np.fromiter(map(fn, *columns), float, x.size)
+    except MATH_ERRORS:
+        return _elementwise_retry(fn, failed, x.size, zip(*columns))
+
+
+def _elementwise_retry(fn: Callable[..., float], failed: Optional[np.ndarray], n: int, rows) -> np.ndarray:
+    """fn at each argument tuple of rows, one at a time: NaN where it raises
+    a mathematical error, an element that ``failed`` records if given."""
+    out = np.full(n, math.nan)
+    for i, xs in enumerate(rows):
+        try:
+            out[i] = fn(*xs)
+        except MATH_ERRORS:
+            if failed is not None:
+                failed[i] = True
+    return out
 
 
 def float_rows(out: np.ndarray, redo: np.ndarray, fn: Callable[[float], float], us: np.ndarray) -> np.ndarray:
@@ -353,12 +372,15 @@ class _Table:
     """One component's final leaves of a grown side in walk order (sorted by
     lo), as columns, and its cells: ``prefix[i]`` sums the first i cells
     left to right and ``stops[i]`` counts their rounding stops; ``fault`` is
-    the first fault of cell ``faulted``, the first with one (or None, n)."""
+    the first fault of cell ``faulted``, the first with one (or None, n).
+    ``leaves`` stacks what an array query reads of each leaf, one row per
+    leaf: mid, half, pre, desc, edge, then the 16 dense coefficients."""
 
     def __init__(self, lo, hi, val, err, pre, desc, edge, dense, cells, faulted, fault):
         self.lo, self.hi, self.val, self.err = lo, hi, val, err
         self.mid, self.half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         self.pre, self.desc, self.edge, self.dense = pre, desc, edge, dense
+        self.leaves = np.column_stack([self.mid, self.half, pre, desc, edge, dense])
         self.prefix, self.cell_err, self.stops = cells
         self.total = float(self.prefix[-1])
         self.faulted, self.fault = faulted, fault
@@ -590,19 +612,32 @@ class _HalfLine:
         s = (u - 0.5 * (his[k] + los[k])) / half
         return pre[k] + (desc[k] + half * _legendre_series(table.dense[k].tolist(), s))
 
-    def values(self, us: np.ndarray) -> np.ndarray:
-        """``__call__`` over a 1-D array of u in (u0, hi], bit for bit."""
-        if us.size == 0:
-            return us.copy()
-        t = self._fill(float(us.max()))
-        k = np.searchsorted(t.hi, us, side="right")
-        past = k == t.hi.size
+
+def _leaf_values(reads: list) -> list:
+    """For each read (table, x), ``_HalfLine.__call__`` at each element of
+    x, a 1-D array in (u0, hi] of the table's side, bit for bit: one
+    searchsorted and one gather per table, and one Legendre recurrence over
+    the elements of every read."""
+    if not reads:
+        return []
+    sizes = [x.size for _, x in reads]
+    leaves = np.empty((sum(sizes), 21))  # each element's leaf, gathered in place
+    pasts, lo = [], 0
+    for (t, x), n in zip(reads, sizes):
+        k = np.searchsorted(t.hi, x, side="right")
+        past = k == t.hi.size  # u at hi, past the last leaf
         k[past] = t.hi.size - 1
-        half_k, pre_k = t.half[k], t.pre[k]
-        out = pre_k + (t.desc[k] + half_k * _legendre_series(t.dense[k].T, (us - t.mid[k]) / half_k))
-        out = np.where(us == t.edge[k], pre_k, out)
-        out[past] = t.total
-        return out
+        np.take(t.leaves, k, axis=0, out=leaves[lo : lo + n], mode="clip")
+        pasts.append(past)
+        lo += n
+    x = np.concatenate([x for _, x in reads]) if len(reads) > 1 else reads[0][1]
+    mid, half, pre, desc, edge = leaves[:, :5].T
+    out = pre + (desc + half * _legendre_series(leaves[:, 5:].T, (x - mid) / half))
+    out = np.where(x == edge, pre, out)
+    parts = np.split(out, np.cumsum(sizes[:-1]))
+    for (t, _), past, part in zip(reads, pasts, parts):
+        part[past] = t.total
+    return parts
 
 
 class CumulativeQuadrature:
@@ -659,10 +694,12 @@ class CumulativeQuadrature:
 
     Array queries: a 1-D numpy array of u, in any order and with repeats,
     gives the array of values, each bit for bit the scalar query's: one
-    ``searchsorted`` on the leaf edges, one gather from the table and the
-    16-term recurrence over the array.  Any other u is a scalar query, which
-    reads Python-float copies of the table's columns: numpy's overhead would
-    outweigh one point.
+    ``searchsorted`` on the leaf edges and one gather from the table per
+    side, and the 16-term recurrence over the array.  ``reach`` and ``read``
+    split such a query in two, so that the components of one ``components``
+    call are read at once, with one recurrence.  Any other u is a scalar
+    query, which reads Python-float copies of the table's columns: numpy's
+    overhead would outweigh one point.
     """
 
     def __init__(
@@ -706,6 +743,12 @@ class CumulativeQuadrature:
     def rounding_stops(self) -> int:
         return self._right.rounding_stops + self._left.rounding_stops
 
+    @property
+    def lock(self) -> threading.Lock:
+        """The lock of the growth, the tables and the frontier, shared by
+        the components of one ``components`` call."""
+        return self._lock
+
     def __call__(self, u):
         if isinstance(u, np.ndarray):
             return self._column(u)
@@ -730,12 +773,34 @@ class CumulativeQuadrature:
                 f"u={us[outside][0]} outside cumulative domain [{self.lo}, {self.hi}]"
             )
         us = np.minimum(np.maximum(us, self.lo), self.hi)
-        right, left = us > self.u0, us < self.u0
-        out = np.zeros_like(us)  # u == u0 gives 0.0
         with self._lock:
-            out[right] = self._right.values(us[right])
-            out[left] = 0.0 - self._left.values(-us[left])
-        return out
+            return self.read(self.reach(us))[0]
+
+    def reach(self, us: np.ndarray) -> tuple:
+        """The first half of an array query at us, a 1-D float array inside
+        [lo, hi], with ``lock`` held: fill the sides of u0 it reaches, the
+        right side, then the left, raising the first fault met, and return
+        what ``read`` reads."""
+        sides = []
+        for line, mask, x, mirrored in ((self._right, us > self.u0, us, False), (self._left, us < self.u0, -us, True)):
+            x = x[mask]
+            if x.size:
+                sides.append((mask, line._fill(float(x.max())), x, mirrored))
+        return us, sides
+
+    @staticmethod
+    def read(*reached) -> list:
+        """The column of each query that ``reach`` returned, with ``lock``
+        held: each element bit for bit the scalar query's, with one Legendre
+        recurrence over all of them."""
+        values = iter(_leaf_values([(t, x) for _, sides in reached for _, t, x, _ in sides]))
+        columns = []
+        for us, sides in reached:
+            out = np.zeros_like(us)  # u == u0 gives 0.0
+            for (mask, _, _, mirrored), value in zip(sides, values):
+                out[mask] = 0.0 - value if mirrored else value
+            columns.append(out)
+        return columns
 
 
 def halving_steps(h: float, h_min: Optional[float] = None):

@@ -6,9 +6,12 @@ and its Christoffels only (``spaces``, the derivatives of the metric's
 coefficients) -- no reduction-theorem or transform-side algebra enters, so
 agreement is evidence, not tautology.
 Measurements run through one kernel over a set of mesh rows (fixed u) at
-once, be it a batch or one row: the chart's profile is one array query per
-component over every (row, stencil abscissa) pair, the orientation probe's
-candidate rows included when the chart has no sign yet, and the stencils,
+once, be it a batch or one row: the chart's profile is one array query
+(``SurfaceChart.profile``) over every (row, stencil abscissa) pair, the
+orientation probe's candidate rows included when the chart has no sign
+yet.  ``sample_mesh`` reads its chart once: the mesh rows' own abscissae,
+its curvature rows, the probe and the first-form rows of the grids it is
+given are one query.  The stencils,
 metric, Christoffels, normals and forms run once over all vertices of all
 rows, the ambient ones over the vertices inside the metric domain.  Before
 any chart query, each row's stencil steps are settled from the chart's
@@ -64,6 +67,9 @@ __all__ = [
     "mean_curvature_extrinsic",
     "gauss_numeric",
     "shared_grid",
+    "pair_grids",
+    "pair_matrix",
+    "first_forms",
     "isometry_matrix",
     "isometry_deviation",
     "sample_mesh",
@@ -77,8 +83,10 @@ class SurfaceChart:
     Built either from a NaturalChart or as a raw chart with pitch a
     (theta0 = 0, m = 1, so theta = t).  ``xi1``, ``xi2`` and ``theta0`` take
     a float u, or a 1-D array of u and return the column of values; a
-    failure raises a BcvHelixError.  The oracle queries arrays only; a float
-    u serves the one-point API (``point``, ``profile``).  A chart carries no metric profile: the
+    failure raises a BcvHelixError.  ``profile`` reads all three, through
+    the NaturalChart's own ``profile`` for a chart built from one.  The
+    oracle queries arrays only; a float u serves the one-point API
+    (``point``, ``profile``).  A chart carries no metric profile: the
     oracle measures the embedding only.  ``domain`` is the ProfileDomain of
     the u the chart evaluates at and of the abscissa it reads each at, so
     the oracle can settle a stencil without a query that raises; without
@@ -96,6 +104,7 @@ class SurfaceChart:
         u_range: tuple[float, float],
         t_range: tuple[float, float],
         domain: ProfileDomain = ProfileDomain(),
+        profile: Optional[Callable] = None,
     ):
         self.space = space
         self.xi1 = xi1
@@ -106,6 +115,7 @@ class SurfaceChart:
         self.u_range = u_range
         self.t_range = t_range
         self.domain = domain
+        self._profile = profile
         self._orient: Optional[float] = None
 
     @classmethod
@@ -125,6 +135,7 @@ class SurfaceChart:
             u_range if u_range is not None else chart.u_valid,
             t_range,
             domain=chart.domain,
+            profile=chart.profile,
         )
 
     @classmethod
@@ -162,14 +173,22 @@ class SurfaceChart:
 
     def profile(self, u):
         """(theta0, xi1, xi2) at a float u, evaluated in that order; at a
-        1-D array of u, the three columns, one query each."""
+        1-D array of u, the three columns: the ``profile`` the chart was
+        built with, else one query each, in that order."""
+        if self._profile is not None:
+            return self._profile(u)
         return self.theta0(u), self.xi1(u), self.xi2(u)
 
     def embed(self, theta0, xi1, xi2, t) -> np.ndarray:
         """Cartesian points at t of the profile values (theta0, xi1, xi2),
-        broadcast against t, with a last axis of 3."""
+        broadcast against t, with a last axis of 3: (xi1 cos th, xi1 sin th,
+        xi2 + a th), th = t/m + theta0, each written in place."""
         th = t / self.m + theta0
-        return np.stack([xi1 * np.cos(th), xi1 * np.sin(th), xi2 + self.a * th], axis=-1)
+        out = np.empty(np.broadcast_shapes(np.shape(th), np.shape(xi1), np.shape(xi2)) + (3,))
+        np.multiply(xi1, np.cos(th), out=out[..., 0])
+        np.multiply(xi1, np.sin(th), out=out[..., 1])
+        np.add(xi2, self.a * th, out=out[..., 2])
+        return out
 
     def point(self, u: float, t) -> np.ndarray:
         """Cartesian point at (u, t); an array t gives shape t.shape + (3,)."""
@@ -192,26 +211,30 @@ def _per_point(fn: Callable[[float], float]) -> Callable:
     return apply
 
 
-def _fit_rows(chart: SurfaceChart, us: np.ndarray) -> tuple[list, list]:
-    """The profile at every abscissa of the rows of us (shape (rows, k)),
-    [theta0, xi1, xi2] with each column of shape (rows, k), and each row's
-    error: None where the chart evaluates at all its abscissae, else the
-    untraced error the row's own evaluation raised, its columns NaN.
+def _fit_rows(chart: SurfaceChart, xs: np.ndarray, starts: np.ndarray) -> tuple[list, list]:
+    """The profile at the abscissae xs of a batch of rows, row i being
+    xs[starts[i]:starts[i + 1]]: [theta0, xi1, xi2], each column flat as
+    xs, and each row's error: None where the chart evaluates at all its
+    abscissae, else the untraced error the row's own evaluation raised, its
+    values NaN.
 
-    All rows are one query per component.  A batch the chart raises a
-    BcvHelixError on is split, down to single rows: into its first row, its
-    last row and the two halves of the rest.  Rows at the ends of a mesh
-    fail most (where a chart refuses the ends of its range), and this
+    The batch is one query (``SurfaceChart.profile``).  A batch the chart
+    raises a BcvHelixError on is split, down to single rows: into its first
+    row, its last row and the two halves of the rest.  Rows at the ends of
+    a mesh fail most (where a chart refuses the ends of its range), and this
     splits them off at once."""
-    n = len(us)
+    n = len(starts) - 1
     try:
-        return [np.asarray(c, dtype=float).reshape(us.shape) for c in chart.profile(us.ravel())], [None] * n
+        return [np.asarray(c, dtype=float).reshape(xs.shape) for c in chart.profile(xs)], [None] * n
     except BcvHelixError as exc:
         if n == 1:
-            return [np.full(us.shape, np.nan)] * 3, [_untraced(exc)]
+            return [np.full(xs.shape, np.nan)] * 3, [_untraced(exc)]
     mid = (n + 1) // 2
     cuts = sorted({0, 1, mid, n - 1, n})
-    parts = [_fit_rows(chart, us[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    parts = [
+        _fit_rows(chart, xs[starts[lo] : starts[hi]], starts[lo : hi + 1] - starts[lo])
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
     columns = [np.concatenate(c) for c in zip(*(part[0] for part in parts))]
     return columns, [exc for part in parts for exc in part[1]]
 
@@ -355,18 +378,38 @@ class _RowPoints:
         return values, tuple(errors)
 
 
-def _fit(chart: SurfaceChart, *sets: _RowPoints):
+class _Vertices:
+    """The mesh rows' own abscissae, one per row, as a row set of ``_fit``:
+    ``columns`` then holds the profile there, shape (rows, 1) each, and
+    ``errors`` each row's error."""
+
+    def __init__(self, us: np.ndarray):
+        self.abscissae = us[:, None]
+
+    def embed(self, columns: list, errors: list):
+        self.columns, self.errors = columns, errors
+
+
+def _fit(chart: SurfaceChart, *sets):
     """Evaluate the profile at every abscissa of the row sets in one
-    ``_fit_rows`` call, and embed each set's reads.  A set with fewer
-    abscissae per row repeats its last one."""
-    width = np.arange(max(at.abscissae.shape[1] for at in sets))
-    us = np.concatenate([at.abscissae[:, np.minimum(width, at.abscissae.shape[1] - 1)] for at in sets])
-    columns, errors = _fit_rows(chart, us) if len(us) else ([us] * 3, [])
-    lo = 0
-    for at in sets:
-        hi = lo + len(at.abscissae)
-        at.embed([column[lo:hi, : at.abscissae.shape[1]] for column in columns], errors[lo:hi])
-        lo = hi
+    ``_fit_rows`` call, each row its own abscissae, and embed each set's
+    reads.  The first set's first row leads the batch and its other rows
+    end it: the rows a chart refuses most, the end rows of a mesh, are
+    then the ends of the batch, which ``_fit_rows`` splits off first."""
+    head, *middle = [at.abscissae for at in sets]
+    blocks = [head[:1], *middle, head[1:]]
+    xs = np.concatenate([block.ravel() for block in blocks])
+    starts = np.concatenate([[0], np.cumsum(np.concatenate([np.full(len(b), b.shape[1]) for b in blocks]))])
+    columns, errors = _fit_rows(chart, xs, starts) if len(starts) > 1 else ([xs] * 3, [])
+    fitted, row = [], 0
+    for block in blocks:
+        lo, hi = starts[row], starts[row + len(block)]
+        fitted.append(([column[lo:hi].reshape(block.shape) for column in columns], errors[row : row + len(block)]))
+        row += len(block)
+    (first, first_errors), *rest, (last, last_errors) = fitted
+    sets[0].embed([np.concatenate(pair) for pair in zip(first, last)], first_errors + last_errors)
+    for at, (fit, errs) in zip(sets[1:], rest):
+        at.embed(fit, errs)
 
 
 def _untraced(exc: BcvHelixError) -> BcvHelixError:
@@ -379,12 +422,26 @@ def _untraced(exc: BcvHelixError) -> BcvHelixError:
     return type(exc)(*exc.args)
 
 
-def _raise_first(rows):
-    """Raise the first error of the rows of errors, in row-major order."""
+def _first_error(rows) -> Optional[BcvHelixError]:
+    """The first error of the rows of errors, in row-major order, or None."""
     for row in rows:
         for exc in row:
             if exc is not None:
-                raise _untraced(exc)
+                return exc
+    return None
+
+
+def _raise_first(rows):
+    """Raise the first error of the rows of errors, in row-major order."""
+    exc = _first_error(rows)
+    if exc is not None:
+        raise _untraced(exc)
+
+
+def _failures(rows) -> dict:
+    """The count of failed vertices of the rows of errors by error class, in name order."""
+    counts = Counter(type(e).__name__ for row in rows for e in row if e is not None)
+    return dict(sorted(counts.items()))
 
 
 def _quad_form(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -469,8 +526,7 @@ class LocalGeometry:
 
     def failures(self) -> dict:
         """The count of failed vertices by error class, in name order."""
-        counts = Counter(type(e).__name__ for row in self._rows() for e in row if e is not None)
-        return dict(sorted(counts.items()))
+        return _failures(self._rows())
 
 
 _GEOMETRY_SHAPES = ((3,), (3,)) + ((),) * 8  # trailing shapes of LocalGeometry's fields
@@ -528,6 +584,16 @@ def _geometry(space: BcvSpace, at: _RowPoints, tol: Tolerances, sign: float):
 _PROBE = np.array([0.5, 0.35, 0.65, 0.25, 0.75, 0.45, 0.55])
 
 
+def _probe(chart: SurfaceChart, tol: Tolerances) -> list:
+    """The orientation probe's row set (one vertex per candidate, at the
+    middle of the t-range) in a list, or no set on a chart with a sign."""
+    if chart._orient is not None:
+        return []
+    lo, hi = chart.u_range
+    t_mid = np.array([0.5 * (chart.t_range[0] + chart.t_range[1])])
+    return [_RowPoints(chart, lo + (hi - lo) * _PROBE, t_mid, tol, 2)]
+
+
 def _orientation(space: BcvSpace, probe: _RowPoints, tol: Tolerances) -> float:
     """Sign making g(n, e_r) >= 0 at the first candidate of the fitted probe
     set (``_PROBE``, one vertex each at the middle of the t-range) where the
@@ -578,19 +644,35 @@ def local_geometry(
     """
     ts = np.asarray(ts, dtype=float)
     at = _RowPoints(chart, np.array(u, dtype=float, ndmin=1), ts, tol, 2)
-    if chart._orient is None:
-        lo, hi = chart.u_range
-        t_mid = np.array([0.5 * (chart.t_range[0] + chart.t_range[1])])
-        probe = _RowPoints(chart, lo + (hi - lo) * _PROBE, t_mid, tol, 2)
-        _fit(chart, probe, at)
-        chart._orient = _orientation(space, probe, tol)
-    else:
-        _fit(chart, at)
-    values, errors = at.measure(lambda: _geometry(space, at, tol, chart._orient), _GEOMETRY_SHAPES)
+    probe = _probe(chart, tol)
+    _fit(chart, at, *probe)
+    values, errors = _curvature(space, chart, at, probe, tol)
     if isinstance(u, np.ndarray):
         return LocalGeometry(*values, errors)
     _raise_first([at.refused])
     return LocalGeometry(*(value[0] for value in values), errors[0])
+
+
+def _curvature(space: BcvSpace, chart: SurfaceChart, at: _RowPoints, probe: list, tol: Tolerances):
+    """``LocalGeometry``'s values and errors on the fitted rows ``at``,
+    after the fitted ``probe`` (from ``_probe``), if any, set the chart's
+    orientation."""
+    if probe:
+        chart._orient = _orientation(space, probe[0], tol)
+    return at.measure(lambda: _geometry(space, at, tol, chart._orient), _GEOMETRY_SHAPES)
+
+
+def _form_rows(chart: SurfaceChart, us, ts, tol: Tolerances) -> _RowPoints:
+    """The first-form rows of the grid us x ts, to fit."""
+    return _RowPoints(chart, np.asarray(us, dtype=float), np.asarray(ts, dtype=float), tol, 1)
+
+
+def _form(space: BcvSpace, at: _RowPoints, tol: Tolerances):
+    """(E, F, G) on the fitted first-form rows ``at``, shape (rows, nt, 3),
+    or the untraced error of the first vertex that fails, in row-major order."""
+    forms, errors = at.measure(lambda: _first_order(space, at, tol), ((),) * 3)  # E, F, G
+    exc = _first_error(errors)
+    return np.stack(forms, axis=-1) if exc is None else _untraced(exc)
 
 
 def first_form_grid(
@@ -606,12 +688,21 @@ def first_form_grid(
     u, and the same DegenerateImmersion where EG - F^2 <= 0; raises the
     error of the first vertex that fails, in row-major order.
     """
-    ts = np.asarray(ts, dtype=float)
-    at = _RowPoints(chart, np.asarray(us, dtype=float), ts, tol, 1)
+    at = _form_rows(chart, us, ts, tol)
     _fit(chart, at)
-    forms, errors = at.measure(lambda: _first_order(space, at, tol), ((),) * 3)  # E, F, G
-    _raise_first(errors)
-    return np.stack(forms, axis=-1)
+    form = _form(space, at, tol)
+    if isinstance(form, BcvHelixError):
+        raise form
+    return form
+
+
+def first_forms(space: BcvSpace, chart: SurfaceChart, grids, tol: Tolerances = DEFAULT_TOL) -> list:
+    """``first_form_grid`` on each grid (us, ts) of ``grids``, or its
+    untraced error, in one chart query for all of them."""
+    sets = [_form_rows(chart, us, ts, tol) for us, ts in grids]
+    if sets:
+        _fit(chart, *sets)
+    return [_form(space, at, tol) for at in sets]
 
 
 def first_form_numeric(
@@ -716,6 +807,47 @@ def shared_grid(
     return np.linspace(u_lo, u_hi, nu), np.linspace(t_lo, t_hi, nt)
 
 
+def pair_grids(
+    charts: list, grid: tuple[int, int] = (21, 9), tol: Tolerances = DEFAULT_TOL
+) -> tuple[list, dict]:
+    """(grids, pairs) of the pairs of charts: pairs[i, j] (i < j, in the
+    order of ``itertools.combinations``) is the key of the pair's
+    ``shared_grid``, its ends (us[0], us[-1], ts[0], ts[-1]), or the
+    untraced error ``shared_grid`` raised; grids[k] maps the key of each
+    distinct shared grid of chart k to the grid (us, ts)."""
+    grids: list = [{} for _ in charts]
+    pairs: dict = {}
+    for i, j in itertools.combinations(range(len(charts)), 2):
+        try:
+            us, ts = shared_grid(charts[i], charts[j], grid, tol)
+        except BcvHelixError as exc:
+            pairs[i, j] = _untraced(exc)
+            continue
+        key = pairs[i, j] = (us[0], us[-1], ts[0], ts[-1])
+        for k in (i, j):
+            grids[k].setdefault(key, (us, ts))
+    return grids, pairs
+
+
+def pair_matrix(forms: list, pairs: dict) -> tuple[list, dict]:
+    """``isometry_matrix``'s (matrix, errors) of the ``pair_grids`` pairs,
+    from each chart's first forms: forms[k] maps the key of each shared
+    grid of chart k to its first form there, or its untraced error.  A
+    pair's error is that of its shared grid, else that of its first chart's
+    form, else that of its second's."""
+    n = len(forms)
+    matrix = [[0.0 if i == j else None for j in range(n)] for i in range(n)]
+    errors: dict = {}
+    for (i, j), key in pairs.items():
+        found = [key] if isinstance(key, BcvHelixError) else [forms[i][key], forms[j][key]]
+        exc = next((f for f in found if isinstance(f, BcvHelixError)), None)
+        if exc is not None:
+            errors[i, j] = _untraced(exc)
+        else:
+            matrix[i][j] = matrix[j][i] = float(np.max(np.abs(found[0] - found[1])))
+    return matrix, errors
+
+
 def isometry_matrix(
     space: BcvSpace, charts: list, grid: tuple[int, int] = (21, 9), tol: Tolerances = DEFAULT_TOL
 ) -> tuple[list, dict]:
@@ -723,32 +855,18 @@ def isometry_matrix(
     the first forms of charts i and j on their ``shared_grid``, 0.0 on the
     diagonal, and None for a pair that cannot be measured, whose untraced
     error is errors[i, j] (i < j).  Each chart's first form is measured once
-    per distinct shared grid, be it measured or failed."""
-    n = len(charts)
-    matrix = [[0.0 if i == j else None for j in range(n)] for i in range(n)]
-    errors: dict = {}
-    forms: dict = {}  # (chart, grid ends) -> its first form there, or its untraced error
-
-    def form(k: int, us: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        key = (k, us[0], us[-1], ts[0], ts[-1])
-        if key not in forms:
+    per distinct shared grid (``first_form_grid``), be it measured or
+    failed, and the pairs are read by ``pair_matrix``."""
+    grids, pairs = pair_grids(charts, grid, tol)
+    forms = []
+    for chart, mine in zip(charts, grids):
+        forms.append({})
+        for key, (us, ts) in mine.items():
             try:
-                forms[key] = first_form_grid(space, charts[k], us, ts, tol)
+                forms[-1][key] = first_form_grid(space, chart, us, ts, tol)
             except BcvHelixError as exc:
-                forms[key] = _untraced(exc)
-        if isinstance(forms[key], BcvHelixError):
-            raise _untraced(forms[key])
-        return forms[key]
-
-    for i, j in itertools.combinations(range(n), 2):
-        try:
-            us, ts = shared_grid(charts[i], charts[j], grid, tol)
-            diff = form(i, us, ts) - form(j, us, ts)
-        except BcvHelixError as exc:
-            errors[i, j] = _untraced(exc)
-            continue
-        matrix[i][j] = matrix[j][i] = float(np.max(np.abs(diff)))
-    return matrix, errors
+                forms[-1][key] = _untraced(exc)
+    return pair_matrix(forms, pairs)
 
 
 def isometry_deviation(
@@ -777,7 +895,9 @@ class MeshGrid:
     cannot fit, or where the chart refuses a stencil abscissa, counts that
     error on every vertex.  A measured NaN ``h_ext`` means failed.  A mesh
     sampled with ``with_curvature=False`` measured nothing: ``h_ext`` is all
-    NaN and ``diagnostic_failures`` is empty.
+    NaN and ``diagnostic_failures`` is empty.  ``first_forms`` holds the
+    first form on each grid the mesh was sampled with, as
+    ``first_form_grid`` measures it, or its untraced error.
     """
 
     nu: int
@@ -788,6 +908,7 @@ class MeshGrid:
     h_ext: np.ndarray
     dropped_rows: list = field(default_factory=list)
     diagnostic_failures: dict = field(default_factory=dict)
+    first_forms: list = field(default_factory=list)
 
     @property
     def vertex_count(self) -> int:
@@ -801,15 +922,21 @@ def sample_mesh(
     nt: int,
     tol: Tolerances = DEFAULT_TOL,
     with_curvature: bool = True,
+    grids=(),
 ) -> MeshGrid:
-    """Uniform mesh over the chart's (u, t) rectangle with diagnostics.
+    """Uniform mesh over the chart's (u, t) rectangle with diagnostics, and
+    the first forms on ``grids``, a sequence of grids (us, ts).
 
-    The vertices of all rows are one profile query per component and one
-    ``embed``.  The extrinsic mean curvature of each vertex comes from one
-    ``local_geometry`` call over the rows whose u the chart accepts.  Rows
-    at invalid u are dropped, not clamped.  With ``with_curvature=False``
-    nothing is measured: ``h_ext`` is NaN because nothing was measured, not
-    because a measurement failed, and ``diagnostic_failures`` is empty.
+    The chart is read once: one query (``_fit``) over the rows' own
+    abscissae, the stencils of the curvature rows and the orientation
+    probe on a chart with no sign yet (with ``with_curvature``), and the
+    first-form rows of each grid.  The vertices of all rows are then one
+    ``embed``.  The extrinsic mean curvature of each vertex is measured as
+    ``local_geometry`` measures the rows whose u the chart accepts, and each
+    grid's first form as ``first_form_grid`` measures it.  Rows at invalid
+    u are dropped, not clamped.  With ``with_curvature=False`` no curvature
+    is measured: ``h_ext`` is NaN because nothing was measured, not because
+    a measurement failed, and ``diagnostic_failures`` is empty.
     """
     if nu < 2 or nt < 2:
         raise ValueError("nu and nt must both be >= 2")
@@ -818,14 +945,20 @@ def sample_mesh(
     vertices = np.full((nu, nt, 3), np.nan)
     h_ext = np.full((nu, nt), np.nan)
     failures: dict = {}
-    columns, errors = _fit_rows(chart, us[:, None])
-    kept = [i for i, exc in enumerate(errors) if exc is None]
-    dropped = [i for i, exc in enumerate(errors) if exc is not None]
-    vertices[kept] = chart.embed(*(column[kept] for column in columns), ts)
-    if with_curvature and kept:
-        geo = local_geometry(space, chart, us[kept], ts, tol)
-        h_ext[kept] = geo.H
-        failures = geo.failures()
+    rows = _Vertices(us)
+    at = [_RowPoints(chart, us, ts, tol, 2)] if with_curvature else []
+    probe = _probe(chart, tol) if with_curvature else []
+    forms = [_form_rows(chart, grid_us, grid_ts, tol) for grid_us, grid_ts in grids]
+    _fit(chart, rows, *at, *probe, *forms)
+    kept = [i for i, exc in enumerate(rows.errors) if exc is None]
+    dropped = [i for i, exc in enumerate(rows.errors) if exc is not None]
+    vertices[kept] = chart.embed(*(column[kept] for column in rows.columns), ts)
+    if at and kept:
+        # a dropped row's curvature row holds the chart's refusal: it is not counted
+        values, errors = _curvature(space, chart, at[0], probe, tol)
+        geo = LocalGeometry(*values, errors)
+        h_ext[kept] = geo.H[kept]
+        failures = _failures(geo.errors[i] for i in kept)
     return MeshGrid(
         nu=nu,
         nt=nt,
@@ -835,4 +968,5 @@ def sample_mesh(
         h_ext=h_ext.ravel(),
         dropped_rows=dropped,
         diagnostic_failures=failures,
+        first_forms=[_form(space, at, tol) for at in forms],
     )

@@ -472,3 +472,125 @@ class TestOscillatoryChart:
                 value = getattr(chart, name)(chart.u0 + shift)
                 assert abs(value - self.BEFORE[name, shift]) <= estimate
         assert chart._theta0_quad.rounding_stops > 0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _separate(chart, u):
+    """(theta0, xi1, xi2) at u as three separate queries, in that order."""
+    return chart.theta0(u), chart.xi1(u), chart.xi2(u)
+
+
+class TestStackedProfile:
+    """NaturalChart.profile at an array of u reads xi2 and theta0 in one
+    stacked read: each column is its own query's, bit for bit, and the
+    first error raised is the one the three queries raise in order."""
+
+    @pytest.fixture(scope="class")
+    def chart(self):
+        return build_chart(NIL, nil_seed(a=0.25))
+
+    @staticmethod
+    def inputs(chart):
+        lo, hi = chart.u_valid
+        u0 = chart.u0
+        right = np.linspace(u0, hi, 23)[1:]
+        chart.xi2(np.array([lo, hi]))  # grows the tables whose leaf edges are read
+        edges = [
+            sign * side.table.lo
+            for quad in (chart._xi2_quad, chart._theta0_quad)
+            for side, sign in ((quad._right, 1.0), (quad._left, -1.0))
+        ]
+        rng = np.random.default_rng(3)
+        spread = rng.uniform(lo, hi, 40)
+        return {
+            "all at u0": np.full(5, u0),
+            "right of u0 only": right,
+            "left of u0 only": 2.0 * u0 - right,
+            "lo and hi": np.array([lo, hi]),
+            "leaf edges": np.concatenate(edges),
+            "past the last leaf": np.array([hi, hi + 5e-13, lo - 5e-13, lo]),
+            "repeats, unsorted": np.concatenate([spread, spread[::-3], [u0, hi, u0]]),
+        }
+
+    def test_columns_are_the_separate_queries_bitwise(self, chart):
+        for name, u in self.inputs(chart).items():
+            stacked = chart.profile(u)
+            for got, want in zip(stacked, _separate(chart, u)):
+                assert _bits(got) == _bits(want), name
+
+    def test_every_u_at_u0_on_a_fresh_chart(self):
+        # no side of u0 is reached: nothing is grown or read, and the
+        # columns are the separate queries'
+        chart = build_chart(NIL, nil_seed(a=0.25))
+        u = np.full(3, chart.u0)
+        assert _bits(np.stack(chart.profile(u))) == _bits(np.stack(_separate(chart, u)))
+        assert chart._xi2_quad._cells.tables is None
+
+    def test_float_u_is_the_three_float_queries(self, chart):
+        for u in (chart.u0, chart.u0 + 0.3, chart.u_valid[0]):
+            assert _bits(chart.profile(u)) == _bits(_separate(chart, u))
+
+    @staticmethod
+    def faulty_chart(theta0_fault=None, xi2_fault=None, xi1_refusal=None):
+        """A chart on [-1, 1] with u0 = 0 whose theta0 and xi2 integrands
+        refuse the nodes the faults mark, and whose xi1 refuses the u
+        ``xi1_refusal`` marks; each refusal is a DomainError naming it."""
+
+        def integrand(name, fault):
+            def f(x):
+                if fault is not None and fault(x):
+                    raise bcvhelix.DomainError(f"{name} integrand refused at x={x}")
+                return math.cos(x)
+
+            return f
+
+        scalars = (integrand("xi2", xi2_fault), integrand("theta0", theta0_fault))
+
+        def batch(xs):
+            values = np.array([[math.cos(x) for x in xs.tolist()]] * 2)
+            failed = np.array([[fault is not None and fault(x) for x in xs.tolist()]
+                               for fault in (xi2_fault, theta0_fault)])
+            return values, failed
+
+        def xi1(u):
+            refused = np.zeros(np.shape(u), dtype=bool) if xi1_refusal is None else xi1_refusal(u)
+            if np.any(refused):
+                raise bcvhelix.DomainError(f"xi1 refused at u={np.asarray(u)[refused][0]}")
+            return 1.0 + 0.0 * u
+
+        xi2_quad, theta0_quad = bour.CumulativeQuadrature.components(
+            bour.Integrand(batch, scalars), 0.0, -1.0, 1.0
+        )
+        seed = BourSeed(lambda u: 1.0, 1.0, 0.0, (-1.0, 1.0))
+        return bour.NaturalChart(NIL, seed, (-1.0, 1.0), 0.0, xi1, None, xi2_quad, theta0_quad, scalars[0])
+
+    @pytest.mark.parametrize(
+        "faults, u, first",
+        [
+            # a theta0 cell fault right of u0 and a xi1 refusal: theta0's
+            ({"theta0_fault": lambda x: x > 0.5, "xi1_refusal": lambda u: np.asarray(u) > 0.7},
+             [0.0, 0.8, -0.3], "theta0 integrand"),
+            # theta0 faults on both sides: the right side's
+            ({"theta0_fault": lambda x: abs(x) > 0.5}, [-0.9, 0.8], "theta0 integrand refused at x=0.5"),
+            # xi1 refuses and xi2 faults: xi1's
+            ({"xi2_fault": lambda x: x > 0.5, "xi1_refusal": lambda u: np.asarray(u) > 0.7},
+             [0.8, 0.2], "xi1 refused at u=0.8"),
+            # a xi2 cell fault left of u0 only: xi2's
+            ({"xi2_fault": lambda x: x < -0.5}, [0.3, -0.8], "xi2 integrand refused at x=-0.5"),
+            # a u outside the domain comes before every fault
+            ({"theta0_fault": lambda x: x > 0.5}, [0.8, 1.5, -3.0], "u=1.5 outside chart validity"),
+        ],
+    )
+    def test_first_error_is_the_separate_queries(self, faults, u, first):
+        chart = self.faulty_chart(**faults)
+        u = np.array(u)
+        with pytest.raises(bcvhelix.BcvHelixError) as separate:
+            _separate(chart, u)
+        with pytest.raises(bcvhelix.BcvHelixError) as stacked:
+            chart.profile(u)
+        assert type(stacked.value) is type(separate.value)
+        assert str(stacked.value) == str(separate.value)
+        assert str(stacked.value).startswith(first)

@@ -694,30 +694,29 @@ class TestDeform:
     @pytest.mark.parametrize("name, grids", [("heisenberg_minimal", 4), ("catenoid_to_helicoid", 5)])
     def test_shipped_sweep_measures_each_frame_once_per_grid(self, tmp_path, monkeypatch, name, grids):
         # the pair kernel measures a frame's first form once per distinct
-        # shared grid: one per frame where all frames share one u-range
-        from bcvhelix import oracle
-
+        # shared grid: one per frame where all frames share one u-range,
+        # all of a frame's grids in one call
         calls = []
-        real = oracle.first_form_grid
-        monkeypatch.setattr(oracle, "first_form_grid", lambda *args: calls.append(args[1]) or real(*args))
+        real = cli.first_forms
+        monkeypatch.setattr(cli, "first_forms", lambda *args: calls.append(args[1:3]) or real(*args))
         cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
         cfg["output"]["formats"] = ["json"]
         assert run(tmp_path, "deform", cfg) == 0
-        assert len(calls) == len({id(chart) for chart in calls}) == grids
+        assert len(calls) == len({id(chart) for chart, _ in calls}) == grids
+        assert [len(frame_grids) for _, frame_grids in calls] == [1] * grids
 
     def test_failed_first_form_measured_once_per_grid(self, tmp_path, monkeypatch):
         # the a = 1 frame's first form degenerates on the grid all frames
         # share: it is measured once, and its error is every pair's
-        from bcvhelix import oracle
-
         calls = []
-        real = oracle.first_form_grid
-        monkeypatch.setattr(oracle, "first_form_grid", lambda *args: calls.append(args[1]) or real(*args))
+        real = cli.first_forms
+        monkeypatch.setattr(cli, "first_forms", lambda *args: calls.append(args[1:3]) or real(*args))
         cfg = json.loads((CONFIG_DIR / "catenoid_to_helicoid.json").read_text())
         cfg["sweep"]["values"] = [0, 0.25, 0.5, 0.75, 1.0]
         cfg["output"]["formats"] = ["json"]
         assert run(tmp_path, "deform", cfg) == 1
-        assert len(calls) == len({id(chart) for chart in calls}) == 5
+        assert len(calls) == len({id(chart) for chart, _ in calls}) == 5
+        assert [len(frame_grids) for _, frame_grids in calls] == [1] * 5
         report = json.loads((tmp_path / "cat2heli.deform.json").read_text())
         assert report["frame_errors"] == {}
         assert list(report["pair_errors"]) == ["0,1", "0.25,1", "0.5,1", "0.75,1"]
@@ -727,11 +726,9 @@ class TestDeform:
     def test_signed_zero_pitches_are_two_frames(self, tmp_path, monkeypatch):
         # -0 and 0 are distinct frame tags but equal floats: each is its own
         # frame with its own chart, and their pair is measured
-        from bcvhelix import oracle
-
         charts = []
-        real = oracle.first_form_grid
-        monkeypatch.setattr(oracle, "first_form_grid", lambda *args: charts.append(args[1]) or real(*args))
+        real = cli.first_forms
+        monkeypatch.setattr(cli, "first_forms", lambda *args: charts.append(args[1]) or real(*args))
         cfg = json.loads(json.dumps(NIL_MINIMAL))
         cfg["sweep"] = {"values": [-0.0, 0.0]}
         cfg["output"]["formats"] = ["json"]
@@ -775,7 +772,7 @@ class TestDeformMeasuresWhatItWrites:
         """The sweep's output directory, report and the oracle calls it made."""
         from bcvhelix import oracle
 
-        calls = {"local_geometry": 0, "sample_mesh": 0}
+        calls = {"_curvature": 0, "sample_mesh": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -786,7 +783,7 @@ class TestDeformMeasuresWhatItWrites:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(oracle, "local_geometry")
+        counted(oracle, "_curvature")  # the curvature rows' measurement
         counted(cli, "sample_mesh")
         cfg = json.loads(json.dumps(self.SWEEP))
         cfg["output"]["formats"] = formats
@@ -799,9 +796,9 @@ class TestDeformMeasuresWhatItWrites:
 
     def test_curvature_measured_only_for_the_csv(self, tmp_path, monkeypatch):
         _, _, calls = self._deform(tmp_path, monkeypatch, ["obj", "json"])
-        assert calls == {"local_geometry": 0, "sample_mesh": 3}
+        assert calls == {"_curvature": 0, "sample_mesh": 3}
         _, _, calls = self._deform(tmp_path, monkeypatch, ["csv", "obj", "json"])
-        assert calls == {"local_geometry": 3, "sample_mesh": 3}
+        assert calls == {"_curvature": 3, "sample_mesh": 3}
 
     def test_obj_and_report_same_with_or_without_csv(self, tmp_path, monkeypatch):
         plain, report, _ = self._deform(tmp_path, monkeypatch, ["obj", "json"])
@@ -817,7 +814,7 @@ class TestDeformMeasuresWhatItWrites:
 
     def test_no_mesh_without_obj_or_csv(self, tmp_path, monkeypatch):
         out, report, calls = self._deform(tmp_path, monkeypatch, ["json"])
-        assert calls == {"local_geometry": 0, "sample_mesh": 0}
+        assert calls == {"_curvature": 0, "sample_mesh": 0}
         assert sorted(p.name for p in out.iterdir()) == ["sw.deform.json"]
         _, meshed, _ = self._deform(tmp_path, monkeypatch, ["obj", "json"])
         assert [f["validity"] for f in report["frames"]] == [f["validity"] for f in meshed["frames"]]
@@ -1178,3 +1175,160 @@ class TestWithoutScipy:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+def count_chart_reads(monkeypatch):
+    """The charts of the top-level ``oracle._fit_rows`` calls from now on:
+    one chart query each, the splits of a refused batch not counted."""
+    from bcvhelix import oracle
+
+    reads, depth = [], [0]
+    real = oracle._fit_rows
+
+    def counted(chart, *args):
+        if not depth[0]:
+            reads.append(chart)
+        depth[0] += 1
+        try:
+            return real(chart, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(oracle, "_fit_rows", counted)
+    return reads
+
+
+class TestOneChartReadPerFrame:
+    """Each deform frame and each export reads its chart once: its mesh
+    vertices, curvature rows, orientation probe and shared first-form grids
+    are one query."""
+
+    @pytest.mark.parametrize("name, frames", [("heisenberg_minimal", 4), ("catenoid_to_helicoid", 5)])
+    @pytest.mark.parametrize("formats", [None, ["json"]])
+    def test_shipped_deform_reads_each_frame_once(self, tmp_path, monkeypatch, name, frames, formats):
+        reads = count_chart_reads(monkeypatch)
+        cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        if formats is not None:
+            cfg["output"]["formats"] = formats
+        assert run(tmp_path, "deform", cfg) == 0
+        assert len(reads) == len({id(chart) for chart in reads}) == frames
+
+    @pytest.mark.parametrize("name", ["heisenberg_minimal", "catenoid_to_helicoid", "euclidean_cmc"])
+    def test_export_reads_its_chart_once(self, tmp_path, monkeypatch, name):
+        reads = count_chart_reads(monkeypatch)
+        cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        cfg.pop("sweep", None)
+        assert run(tmp_path, "export", cfg) == 0
+        assert len(reads) == 1
+
+    # explicit seeds whose chart refuses every mesh row but the middle one,
+    # at u0, where xi1 = 0 (m U = a at u = 0): the values of the parent, with
+    # its separate queries for the vertices, the curvature rows and each grid
+    REFUSING = [
+        pytest.param({"kappa": 0.0, "tau": 0.0}, "2 - u*u", "-2*u", [1.0, 0.5], id="R3-a1"),
+        pytest.param({"kappa": 1.0, "tau": 0.0}, "1 + 0.5*cos(3*u)", "-1.5*sin(3*u)", [0.75, 0.375], id="S2xR-a0.75"),
+    ]
+
+    @pytest.mark.parametrize("space, U, dU, pitches", REFUSING)
+    def test_refused_rows_as_with_separate_queries(self, tmp_path, space, U, dU, pitches):
+        cfg = {
+            "space": space,
+            "seed": {"family": "explicit", "U": U, "dU": dU, "m": 0.5, "a": pitches[0], "u_range": [-1.0, 1.0]},
+            "sweep": {"parameter": "a", "values": pitches},
+            "grid": {"nu": 17, "nt": 9},
+            "output": {"basename": "s", "formats": ["csv", "json"]},
+        }
+        assert run(tmp_path, "export", cfg) == 0
+        report = json.loads((tmp_path / "s.export.json").read_text())
+        assert report["dropped_rows"] == [i for i in range(17) if i != 8]
+        assert report["diagnostic_failures"] == {"DegenerateRadius": 9}
+        assert report["max_abs_h_ext"] is None
+        cfg["grid"]["nu"] = 9
+        assert run(tmp_path, "deform", cfg) == 1
+        report = json.loads((tmp_path / "s.deform.json").read_text())
+        tags = ",".join(f"{a:g}" for a in pitches)
+        assert report["pair_errors"] == {
+            tags: "EmptyDomain: charts share no (u, t) parameter rectangle 1e-06 inside their u-ranges"
+        }
+
+    def test_pair_error_from_a_frames_grid(self, tmp_path):
+        # the S3 minimal family at m 0.5: the a = 0.5 frame's chart refuses
+        # a stencil abscissa of the grid it shares with the a = 0.25 frame
+        cfg = {
+            "space": {"kappa": 1.0, "tau": 0.5},
+            "seed": {"family": "minimal-case", "m": 0.5, "a": 0.5, "c": 0.0, "u_range": [-2.0, 2.0]},
+            "sweep": {"parameter": "a", "values": [0.5, 0.25]},
+            "grid": {"nu": 9, "nt": 9},
+            "output": {"basename": "s", "formats": ["csv", "json"]},
+        }
+        assert run(tmp_path, "deform", cfg) == 1
+        report = json.loads((tmp_path / "s.deform.json").read_text())
+        assert report["pair_errors"] == {
+            "0.5,0.25": "NegativeRadicand: xi2 radicand = -1.421085e-12 < 0 at u=1.2253736645524618"
+        }
+        assert [frame["validity"] for frame in report["frames"]] == [[-2.0, 1.23046672338387], [-2.0, 2.0]]
+
+
+class TestObjFacesOncePerCommand:
+    def test_deform_formats_the_faces_once(self, tmp_path, monkeypatch):
+        # two frames keep every vertex: their faces are one table, formatted
+        # once, and each OBJ is the one an export of its pitch writes
+        cfg = json.loads((CONFIG_DIR / "catenoid_to_helicoid.json").read_text())
+        cfg["sweep"]["values"] = [0.0, 0.5]
+        calls = []
+        real = cli._int_rows
+        monkeypatch.setattr(cli, "_int_rows", lambda *args: calls.append(args) or real(*args))
+        assert run(tmp_path, "deform", cfg) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for value in (0.0, 0.5):
+            one = tmp_path / f"export-{value:g}"
+            one.mkdir()
+            cfg = json.loads((CONFIG_DIR / "catenoid_to_helicoid.json").read_text())
+            del cfg["sweep"]
+            cfg["seed"]["a"] = value
+            assert run(one, "export", cfg, out=one) == 0
+            assert (one / "cat2heli.obj").read_bytes() == (tmp_path / f"cat2heli_a={value:g}.obj").read_bytes()
+
+
+class TestExplicitSqrt:
+    """sqrt in an explicit U or dU is numpy's on arrays: correctly rounded
+    under IEEE 754, so math.sqrt's bits, and NaN where math.sqrt raises."""
+
+    VALUES = [
+        -0.0, 0.0, 5e-324, 1.5e-323, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 2.0, 1e-300, 1e300,
+        sys.float_info.max, math.inf, math.nan, -5e-324, -1.0, -sys.float_info.max, -math.inf,
+    ]
+
+    def test_array_is_math_sqrt_bit_for_bit(self):
+        fn = cli._compile_expr("sqrt(u)", "seed.U")
+        got = fn(np.array(self.VALUES))
+        for u, value in zip(self.VALUES, got.tolist()):
+            if u < 0.0 or math.isnan(u):  # math.sqrt raises, or gives NaN
+                assert math.isnan(value), u
+            else:
+                assert np.float64(value).view(np.uint64) == np.float64(math.sqrt(u)).view(np.uint64), u
+
+    def test_negative_elements_fail(self):
+        # NaN ** 0 is 1.0: only the failure record keeps a negative
+        # element's NaN, as the float path raises there
+        fn = cli._compile_expr("sqrt(u) ** 0", "seed.U")
+        assert np.isnan(fn(np.array([-1.0, -5e-324, -math.inf]))).all()
+        assert fn(np.array([-0.0, 4.0, math.inf])).tolist() == [1.0, 1.0, 1.0]
+        with pytest.raises(BcvHelixError, match="math domain error"):
+            fn(-1.0)
+
+    def test_float_path_is_math_sqrt(self):
+        fn = cli._compile_expr("sqrt(u)", "seed.U")
+        for u in self.VALUES:
+            if u < 0.0:
+                with pytest.raises(BcvHelixError):
+                    fn(u)
+            elif not math.isnan(u):
+                assert np.float64(fn(u)).view(np.uint64) == np.float64(math.sqrt(u)).view(np.uint64)
+
+    def test_composite_expression_is_the_float_path(self):
+        fn = cli._compile_expr("sqrt(u*u + 1) - u / sqrt(u*u + 1)", "seed.U")
+        us = np.linspace(-3.0, 3.0, 61)
+        assert fn(us).view(np.uint64).tolist() == np.array([fn(u) for u in us.tolist()]).view(np.uint64).tolist()

@@ -135,19 +135,33 @@ COMPONENTS = ("xi1", "xi2", "theta0")
 def count_chart_queries(monkeypatch):
     """(arrays, points, floats): from now on, the NaturalChart component
     queries at an array of u and their points, and those at a float u, each
-    by component."""
+    by component.  ``profile`` at an array reads xi2 and theta0 in one
+    stacked read, which counts as one query of each, and xi1 through its
+    own method."""
     arrays, points, floats = Counter(), Counter(), Counter()
+
+    def count(name, u):
+        if isinstance(u, np.ndarray):
+            arrays[name] += 1
+            points[name] += u.size
+        else:
+            floats[name] += 1
+
     for name in COMPONENTS:
 
         def counted(self, u, real=getattr(NaturalChart, name), name=name):
-            if isinstance(u, np.ndarray):
-                arrays[name] += 1
-                points[name] += u.size
-            else:
-                floats[name] += 1
+            count(name, u)
             return real(self, u)
 
         monkeypatch.setattr(NaturalChart, name, counted)
+
+    def profile(self, u, real=NaturalChart.profile):
+        if isinstance(u, np.ndarray):
+            count("xi2", u)
+            count("theta0", u)
+        return real(self, u)
+
+    monkeypatch.setattr(NaturalChart, "profile", profile)
     return arrays, points, floats
 
 
@@ -269,7 +283,7 @@ class TestDegenerateFirstForm:
         monkeypatch.setattr(oracle, "_first_order", first_order)
         sign = oriented_sign(R3, sc)
         # the probe's candidates are one fitted row set beside the call's
-        (probe, _), = fitted
+        (_, probe), = fitted
         (errors,) = [errors for at, errors in measured if at is probe]
         assert probe.us[0] == 0.0 and isinstance(errors[0], DegenerateImmersion)
         assert len(errors) > 1 and None in errors[1:]
@@ -404,15 +418,7 @@ class TestLocalGeometry:
         cfg = json.loads((CONFIG_DIR / "heisenberg_minimal.json").read_text())
         job = cli.parse_config(cfg, "deform")
         chart = cli.make_chart(job, *cli.resolve_profile(job), a=0.25)[0]
-        calls, points = Counter(), Counter()
-        for name in ("xi1", "xi2", "theta0"):
-
-            def counted(self, u, real=getattr(NaturalChart, name), name=name):
-                calls[name] += 1
-                points[name] += np.size(u)
-                return real(self, u)
-
-            monkeypatch.setattr(NaturalChart, name, counted)
+        calls, points, floats = count_chart_queries(monkeypatch)
         sc = SurfaceChart.from_natural(chart, t_range=job.t_range)
         us = np.linspace(*sc.u_range, job.nu)[1:-1]
         ts = np.linspace(*job.t_range, job.nt)
@@ -425,7 +431,7 @@ class TestLocalGeometry:
             points.clear()
             measure()
             assert points == {name: len(rows) * abscissae for name in ("xi1", "xi2", "theta0")}
-            assert max(calls.values()) == 1
+            assert max(calls.values()) == 1 and not floats
 
     def test_fresh_chart_is_one_array_query_per_component(self, monkeypatch):
         # on a chart not yet oriented, the orientation probe's 7 candidate
@@ -442,15 +448,15 @@ class TestLocalGeometry:
         assert points == {name: (len(us) + len(oracle._PROBE)) * 9 for name in COMPONENTS}
 
     def test_small_mesh_makes_no_float_query(self, monkeypatch):
-        # a 9-row mesh on a fresh chart: its vertex query and its one
-        # local_geometry call, the probe included, are array queries
+        # a 9-row mesh on a fresh chart: its vertices and its curvature
+        # rows, the probe included, are one array query
         arrays, _, floats = count_chart_queries(monkeypatch)
         job, sc = settle_chart("shipped-heisenberg_minimal")
         arrays.clear()
         floats.clear()
         mesh = sample_mesh(job.space, sc, 9, job.nt, job.tol)
         assert np.isfinite(mesh.h_ext).any()
-        assert not floats and arrays == {name: 2 for name in COMPONENTS}
+        assert not floats and arrays == {name: 1 for name in COMPONENTS}
 
     def test_interior_row_that_cannot_be_evaluated_fails_alone(self, nil_catenoid_chart):
         # xi1 refuses every u near one interior row, u itself first: only
@@ -1076,7 +1082,7 @@ class TestSampleMesh:
         assert not hasattr(sc, "U")
         mesh = sample_mesh(R3, sc, 2, 2, with_curvature=False)
         assert {f.name for f in dataclasses.fields(mesh)} == {
-            "nu", "nt", "us", "ts", "vertices", "h_ext", "dropped_rows", "diagnostic_failures"
+            "nu", "nt", "us", "ts", "vertices", "h_ext", "dropped_rows", "diagnostic_failures", "first_forms"
         }
 
     def test_invalid_rows_dropped(self):
@@ -1088,6 +1094,47 @@ class TestSampleMesh:
         mesh = sample_mesh(R3, sc, 9, 4, with_curvature=False)
         assert len(mesh.dropped_rows) > 0
         assert mesh.vertex_count == 36
+
+    @pytest.mark.parametrize("with_curvature", [True, False])
+    def test_grids_are_first_form_grid_in_the_same_query(self, with_curvature, monkeypatch):
+        # the mesh's first forms are first_form_grid's, bit for bit, or its
+        # error, untraced: on grids of both frames of a sweep whose a = 1
+        # chart refuses every u but u0 (xi1 = 0 there), and keeps only the
+        # middle row of its own mesh
+        job = cli.parse_config(
+            {"space": {"kappa": 0.0, "tau": 0.0}, "grid": {"nu": 17, "nt": 9},
+             "seed": {"family": "explicit", "U": "2 - u*u", "dU": "-2*u", "m": 0.5, "a": 1.0, "u_range": [-1.0, 1.0]}},
+            "export",
+        )
+        U, meta = cli.resolve_profile(job)
+        narrow, wide = (cli.make_chart(job, U, meta, a=a)[0] for a in (1.0, 0.5))
+        grids = [
+            (np.linspace(0.5 * narrow.u_valid[0], 0.5 * narrow.u_valid[1], 5), np.linspace(-3.0, 3.0, 3)),
+            shared_grid(*(SurfaceChart.from_natural(c, t_range=job.t_range) for c in (wide, wide)), (9, 5)),
+        ]
+        reads, real = [], oracle._fit_rows
+        monkeypatch.setattr(oracle, "_fit_rows", lambda *args: reads.append(args) or real(*args))
+        for chart in (narrow, wide):
+            reads.clear()
+            sc = SurfaceChart.from_natural(chart, t_range=job.t_range)
+            mesh = sample_mesh(job.space, sc, job.nu, job.nt, job.tol, with_curvature=with_curvature, grids=grids)
+            assert len(reads) == 1 or chart is narrow  # a refused batch is split
+            alone = SurfaceChart.from_natural(chart, t_range=job.t_range)
+            for grid, form in zip(grids, mesh.first_forms):
+                try:
+                    want = first_form_grid(job.space, alone, *grid, job.tol)
+                except BcvHelixError as exc:
+                    assert (type(form), str(form)) == (type(exc), str(exc)) and form.__traceback__ is None
+                else:
+                    assert np.array_equal(form, want) and form.dtype == want.dtype
+        monkeypatch.undo()
+        # the narrow chart's mesh keeps its middle row, at u0, and its own
+        # grid holds the chart's refusal
+        narrow_mesh = sample_mesh(job.space, SurfaceChart.from_natural(narrow, t_range=job.t_range),
+                                  job.nu, job.nt, job.tol, grids=grids[:1])
+        assert narrow_mesh.dropped_rows == [i for i in range(17) if i != 8]
+        assert narrow_mesh.diagnostic_failures == {"DegenerateRadius": 9}
+        assert str(narrow_mesh.first_forms[0]) == "xi1 = 0 at u=-4.999747034162283e-07: theta integrand singular"
 
     def test_validation(self, catenoid_chart):
         sc = SurfaceChart.from_natural(catenoid_chart)
