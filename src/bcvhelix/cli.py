@@ -963,22 +963,26 @@ _HANDLERS = {
 }
 
 
+# built once per process: parsing leaves the parser as it was (an append
+# action copies its default list before it appends)
+_PARSER = argparse.ArgumentParser(
+    prog="bcvhelix",
+    description="helicoidal CMC surfaces in BCV spaces: build, deform, verify, export",
+)
+_PARSER.add_argument("command", choices=_HANDLERS)
+_PARSER.add_argument("--config", required=True, help="path to the JSON job config")
+_PARSER.add_argument("--out", default=".", help="output directory")
+_PARSER.add_argument(
+    "--override",
+    action="append",
+    default=[],
+    metavar="KEY=VALUE",
+    help="dotted-path config override (value parsed as JSON)",
+)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="bcvhelix",
-        description="helicoidal CMC surfaces in BCV spaces: build, deform, verify, export",
-    )
-    parser.add_argument("command", choices=_HANDLERS)
-    parser.add_argument("--config", required=True, help="path to the JSON job config")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument(
-        "--override",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="dotted-path config override (value parsed as JSON)",
-    )
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)

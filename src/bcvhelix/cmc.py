@@ -35,8 +35,13 @@ H^2 + kappa < 0.
 
 The closed forms take a float u or a 1-D array, elementwise with the
 float's bits (math's sin, cos, sinh and cosh per element) and NaN where the
-float call raises; the family scan evaluates its grid and its walk as
-arrays, and cmc_residual the rows of a mesh or a check in one pass.
+float call raises.  Each case is one evaluation of (u, order): it evaluates
+the case's transcendental once per abscissa (sin and cos, or cosh and sinh,
+of one product rate u, or the polynomial) and gives U^2, its first order
+derivatives and the sqrt(Delta) term of the admissibility test.  U, U' and
+U'' of the profile then come from one such call, and so does each margin
+of the family scan, which evaluates its grid and its walk as arrays;
+cmc_residual evaluates the rows of a mesh or a check in one pass.
 """
 
 from __future__ import annotations
@@ -62,8 +67,8 @@ from .numerics import (
     DEFAULT_TOL,
     MATH_ERRORS,
     SCALAR,
-    ArrayFunction,
     ArrayOps,
+    JetFunction,
     SmoothFunction,
     Tolerances,
     elementwise,
@@ -161,38 +166,36 @@ def select_case(
 sin, cos, sinh, cosh = map(elementwise, (math.sin, math.cos, math.sinh, math.cosh))
 
 
-def _u_from_squared(
-    f2: Callable[[float], float],
-    df2: Callable[[float], float],
-    d2f2: Callable[[float], float],
-) -> ArrayFunction:
-    def f(u):
+def _u_from_squared(evaluate: Callable) -> JetFunction:
+    """U = sqrt(U^2) with its first two derivatives, each float or array
+    call one call of the case's evaluate(u, order)."""
+
+    def jet(u, order):
         xp = ops_for(u)
-        v = f2(u)
+        (v, *dv), _ = evaluate(u, order)
         if xp.fails(v <= 0.0):
             raise DomainError(f"U^2(u={u}) = {v:.6e} <= 0")
-        return xp.checked(xp.sqrt(v))
+        Uv = xp.checked(xp.sqrt(v))
+        if not order:
+            return (Uv,)
+        dU = dv[0] / (2.0 * Uv)
+        if order == 1:
+            return Uv, dU
+        return Uv, dU, (dv[1] - 2.0 * dU * dU) / (2.0 * Uv)
 
-    def df(u):
-        return df2(u) / (2.0 * f(u))
-
-    def d2f(u):
-        Uv = f(u)
-        dU = df2(u) / (2.0 * Uv)
-        return (d2f2(u) - 2.0 * dU * dU) / (2.0 * Uv)
-
-    return ArrayFunction(f, df, d2f)
+    return JetFunction(jet)
 
 
-def _margin(m: float, a: float, U2, excluded, tol: Tolerances, u):
+def _margin(m: float, a: float, evaluate, excluded, tol: Tolerances, u):
     """m^2 U^2 - a^2 where u is admissible, and -inf where it is not: where
     U^2 fails or is not positive and finite, m^2 U^2 - a^2 < -radicand_clamp,
-    or excluded(u, U^2) holds.  At a float u, or elementwise at a 1-D array
-    (where U^2 is NaN at the points where the float U^2 raises)."""
+    or excluded(v, w) holds for the case's (U^2, w) at u.  At a float u, or
+    elementwise at a 1-D array (where U^2 is NaN at the points where the
+    float U^2 raises); one evaluate(u, 0) call either way."""
     xp = ops_for(u)
     try:
-        v = U2(u)
-        out = excluded is not None and excluded(u, v)
+        (v,), w = evaluate(u, 0)
+        out = excluded is not None and excluded(v, w)
     except MATH_ERRORS:
         # mathematical failures only: anything else is a bug and propagates
         return -math.inf
@@ -204,7 +207,7 @@ def _margin(m: float, a: float, U2, excluded, tol: Tolerances, u):
 def _family_domain(
     m: float,
     a: float,
-    U2: Callable[[float], float],
+    evaluate: Callable,
     excluded: Optional[Callable],
     window: tuple[float, float],
     tol: Tolerances,
@@ -226,7 +229,7 @@ def _family_domain(
 
     def margins(u):
         with np.errstate(all="ignore"):
-            return _margin(m, a, U2, excluded, tol, u)
+            return _margin(m, a, evaluate, excluded, tol, u)
 
     grid = lo + (hi - lo) * np.arange(n) / (n - 1)
     on_grid = margins(grid)
@@ -244,7 +247,7 @@ def _family_domain(
         return mg > -math.inf
 
     domain = scan_interval(
-        lambda u: _margin(m, a, U2, excluded, tol, u) > -math.inf,
+        lambda u: _margin(m, a, evaluate, excluded, tol, u) > -math.inf,
         float(grid[best]),
         window,
         (hi - lo) / (n - 1),
@@ -259,6 +262,20 @@ def _family_domain(
 _ARCH_FLOOR = 1e-4  # relative inset from sqrt(Delta) = 0 arch boundaries
 
 
+def _wave(rate: float, p: Callable, q: Callable, w_of: Callable, g1: float, g2: float) -> Callable:
+    """wave(u, order): (w,) with w = w_of(p(rate u)), and for order > 0
+    (w, w', w'') with w' = g1 q(rate u) and w'' = g2 p(rate u), from one
+    evaluation of p and one of q at the one product rate u."""
+
+    def wave(u, order):
+        t = rate * u
+        pv = p(t)
+        w = w_of(pv)
+        return (w, g1 * q(t), g2 * pv) if order else (w,)
+
+    return wave
+
+
 def _build_case(
     space: BcvSpace,
     m: float,
@@ -268,9 +285,17 @@ def _build_case(
     case: CmcCase,
     tol: Tolerances,
 ):
-    """U^2 closed form with analytic derivatives, the exclusion test
-    excluded(u, v), v = U^2(u), and the oscillation frequency.  Each takes a
-    float u or, elementwise, a 1-D array.
+    """The case's evaluate(u, order), the exclusion test excluded(v, w), and
+    the oscillation frequency.
+
+    evaluate(u, order) returns ((U^2, (U^2)', ...), w): U^2 with at least
+    its first ``order`` derivatives, and the sqrt(Delta) term w the
+    exclusion test reads (w = sqrt(Delta), a polynomial, in CriticalKappa;
+    w = nu sqrt(Delta) in the Oscillatory and hyperbolic cases; None in
+    EuclideanMinimal, which has no test, and in SpaceFormGeneric, whose
+    test reads v = U^2).  It evaluates the case's transcendental once at u:
+    sin and cos of sqrt(lambda) u or sqrt(nu) u, cosh and sinh of beta u,
+    or the polynomial.  Both take a float u or, elementwise, a 1-D array.
 
     Admissibility cuts the u-line down to one branch of the actual CMC-H
     solution: sqrt(Delta) must stay on its positive arch (Delta = 0 is a
@@ -284,11 +309,24 @@ def _build_case(
     m2 = m * m
     has_h = abs(H) > tol.case_band
 
+    def arch(floor, root):
+        # off the arch of sqrt(Delta) = root(w), or on an arc where y < 0
+        def excluded(v, w):
+            sd = root(w)
+            out = sd < floor
+            if has_h:
+                out = out | ((H * sd + c) / (4.0 * tau * tau - kappa) < 0.0)
+            return out
+
+        return excluded
+
     if case is CmcCase.EUCLIDEAN_MINIMAL:
-        U2 = lambda u: (u * u + a * a + 0.25 * c * c) / m2
-        dU2 = lambda u: 2.0 * u / m2
-        d2U2 = lambda u: 2.0 / m2
-        return U2, dU2, d2U2, None, 0.0
+
+        def evaluate(u, order):
+            v = (u * u + a * a + 0.25 * c * c) / m2
+            return ((v, 2.0 * u / m2, 2.0 / m2) if order else (v,)), None
+
+        return evaluate, None, 0.0
 
     if case is CmcCase.SPACE_FORM_GENERIC:
         if 1.0 - 2.0 * a * tau <= 0.0:
@@ -303,12 +341,16 @@ def _build_case(
             )
         amp = math.sqrt(max(amp_sq, 0.0))
         rl = math.sqrt(lam)
-        U2 = lambda u: (k.c1 + amp * sin(rl * u)) / (m2 * lam)
-        dU2 = lambda u: amp * rl * cos(rl * u) / (m2 * lam)
-        d2U2 = lambda u: -amp * sin(rl * u) / m2
+        wave = _wave(rl, sin, cos, lambda s: k.c1 + amp * s, amp * rl, -amp)
+
+        def evaluate(u, order):
+            w, *dw = wave(u, order)
+            v = w / (m2 * lam)
+            return ((v, dw[0] / (m2 * lam), dw[1] / m2) if order else (v,)), None
+
         # v is finite wherever the verdict depends on this test
-        excluded = (lambda u, v: H * m2 * v + c < 0.0) if has_h else None
-        return U2, dU2, d2U2, excluded, rl
+        excluded = (lambda v, w: H * m2 * v + c < 0.0) if has_h else None
+        return evaluate, excluded, rl
 
     if case is CmcCase.CRITICAL_KAPPA:
         # proof-variant constants (stable on the band kappa ~ -H^2):
@@ -321,24 +363,15 @@ def _build_case(
         b2 = -k.b / (2.0 * b1)
         b3p = a * a * H * H + 4.0 * a * tau - 1.0
         mu = 4.0 * tau * tau + H * H
-        w = lambda u: 0.5 * b1 * u * u + b2
 
-        def U2(u):
-            wv = w(u)
-            return (wv * wv + b3p) / (m2 * mu)
+        def evaluate(u, order):
+            w = 0.5 * b1 * u * u + b2
+            v = (w * w + b3p) / (m2 * mu)
+            if not order:
+                return (v,), w
+            return (v, 2.0 * w * b1 * u / (m2 * mu), 2.0 * b1 * (1.5 * b1 * u * u + b2) / (m2 * mu)), w
 
-        dU2 = lambda u: 2.0 * w(u) * b1 * u / (m2 * mu)
-        d2U2 = lambda u: 2.0 * b1 * (1.5 * b1 * u * u + b2) / (m2 * mu)
-        floor = _ARCH_FLOOR * max(abs(b1), abs(b2), 1.0)
-
-        def excluded(u, v):
-            sd = w(u)
-            out = sd < floor
-            if has_h:
-                out = out | ((H * sd + c) / (4.0 * tau * tau - kappa) < 0.0)
-            return out
-
-        return U2, dU2, d2U2, excluded, math.sqrt(abs(b1))
+        return evaluate, arch(_ARCH_FLOOR * max(abs(b1), abs(b2), 1.0), lambda w: w), math.sqrt(abs(b1))
 
     nu = H * H + kappa
     denom = m2 * (4.0 * tau * tau - kappa) * nu * nu
@@ -349,49 +382,34 @@ def _build_case(
             raise NoRealFamily(f"b1^2 + b (H^2+kappa) = {disc:.6e} < 0")
         S = math.sqrt(max(disc, 0.0))
         rn = math.sqrt(nu)
-        w = lambda u: k.b1 + S * sin(rn * u)
-        dw = lambda u: S * rn * cos(rn * u)
-        d2w = lambda u: -S * nu * sin(rn * u)
+        wave = _wave(rn, sin, cos, lambda s: k.b1 + S * s, S * rn, -S * nu)
     elif case is CmcCase.HYPERBOLIC_COSH:
         if disc <= tol.case_band:
             raise DegenerateFamily(f"cosh branch needs b1^2 + b nu > 0, got {disc:.3e}")
         S = math.sqrt(disc)
         beta = math.sqrt(-nu)  # beta^2 = -nu, so w'' = -S beta^2 cosh = S nu cosh
-        w = lambda u: k.b1 - S * cosh(beta * u)
-        dw = lambda u: -S * beta * sinh(beta * u)
-        d2w = lambda u: S * nu * cosh(beta * u)
+        wave = _wave(beta, cosh, sinh, lambda ch: k.b1 - S * ch, -S * beta, S * nu)
     elif case is CmcCase.HYPERBOLIC_SINH:
         if disc >= -tol.case_band:
             raise DegenerateFamily(f"sinh branch needs b1^2 + b nu < 0, got {disc:.3e}")
-        Sb = math.sqrt(-disc)
-        S = Sb
+        S = math.sqrt(-disc)
         beta = math.sqrt(-nu)
-        w = lambda u: k.b1 - Sb * sinh(beta * u)
-        dw = lambda u: -Sb * beta * cosh(beta * u)
-        d2w = lambda u: Sb * nu * sinh(beta * u)
+        wave = _wave(beta, sinh, cosh, lambda sh: k.b1 - S * sh, -S * beta, S * nu)
     else:  # pragma: no cover
         raise ValueError(f"unhandled case {case}")
 
-    def U2(u):
-        wv = w(u)
-        return (nu * nu * k.b3 + wv * wv) / denom
+    def evaluate(u, order):
+        w, *dw = wave(u, order)
+        v = (nu * nu * k.b3 + w * w) / denom
+        if not order:
+            return (v,), w
+        dv = 2.0 * w * dw[0] / denom
+        if order == 1:
+            return (v, dv), w
+        return (v, dv, 2.0 * (dw[0] * dw[0] + w * dw[1]) / denom), w
 
-    dU2 = lambda u: 2.0 * w(u) * dw(u) / denom
-
-    def d2U2(u):
-        dwv = dw(u)
-        return 2.0 * (dwv * dwv + w(u) * d2w(u)) / denom
-
-    floor = _ARCH_FLOOR * (abs(k.b1) + S) / abs(nu)
-
-    def excluded(u, v):
-        sd = w(u) / nu  # the family's sqrt(Delta)
-        out = sd < floor
-        if has_h:
-            out = out | ((H * sd + c) / (4.0 * tau * tau - kappa) < 0.0)
-        return out
-
-    return U2, dU2, d2U2, excluded, math.sqrt(abs(nu))
+    # the family's sqrt(Delta) is w / nu
+    return evaluate, arch(_ARCH_FLOOR * (abs(k.b1) + S) / abs(nu), lambda w: w / nu), math.sqrt(abs(nu))
 
 
 def cmc_U(
@@ -413,9 +431,9 @@ def cmc_U(
     if m == 0:
         raise ValueError("m must be nonzero")
     case = select_case(space, H, a, c, tol)
-    U2, dU2, d2U2, excluded, freq = _build_case(space, m, a, H, c, case, tol)
-    domain = _family_domain(m, a, U2, excluded, u_window, tol, freq)
-    U = _u_from_squared(U2, dU2, d2U2)
+    evaluate, excluded, freq = _build_case(space, m, a, H, c, case, tol)
+    domain = _family_domain(m, a, evaluate, excluded, u_window, tol, freq)
+    U = _u_from_squared(evaluate)
     U.domain = domain
     return U, case
 

@@ -65,6 +65,7 @@ __all__ = [
     "float_rows",
     "SmoothFunction",
     "ArrayFunction",
+    "JetFunction",
     "Integrand",
     "CumulativeQuadrature",
     "halving_steps",
@@ -999,3 +1000,23 @@ class ArrayFunction(SmoothFunction):
     def second_column(self, us: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
             return self.second(us)
+
+
+class JetFunction(ArrayFunction):
+    """An ArrayFunction given by one evaluation ``jet(u, order)``, which
+    returns (f, f', ..., f^(order)) at a float u or, as ArrayFunction's f,
+    at a 1-D array.  Each float call and each of ``column``, ``values`` and
+    ``second_column`` is one jet call, so the work f and its derivatives
+    share is done once."""
+
+    def __init__(self, jet: Callable, tol: Tolerances = DEFAULT_TOL):
+        super().__init__(lambda u: jet(u, 0)[0], lambda u: jet(u, 1)[1], lambda u: jet(u, 2)[2], tol)
+        self.jet = jet
+
+    def values(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(all="ignore"):
+            return self.jet(us, 1)
+
+    def second_column(self, us: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return self.jet(us, 2)[2]

@@ -885,6 +885,30 @@ class TestConfigValidation:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_one_parser_keeps_no_state_between_calls(self, tmp_path, monkeypatch, capsys):
+        # main parses every call with one parser per process: an override of
+        # one call is not seen by the next (the append default is not shared),
+        # and a bad command or a missing --config still exits 2
+        seen = []
+        apply = cli.apply_overrides
+
+        def recording(cfg, items):
+            seen.append(list(items))
+            return apply(cfg, items)
+
+        monkeypatch.setattr(cli, "apply_overrides", recording)
+        assert run(tmp_path, "chart", NIL_MINIMAL, overrides=["grid.nuu=5"]) == 2
+        assert capsys.readouterr().err == "config error: grid.nuu: unknown field\n"
+        assert run(tmp_path, "chart", NIL_MINIMAL) == 0
+        assert seen == [["grid.nuu=5"], []]
+        assert cli._PARSER.get_default("override") == []
+        for argv in (["render", "--config", str(tmp_path / "job.json")], ["verify"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert run(tmp_path, "chart", NIL_MINIMAL) == 0
+        assert seen[-1] == []
+
     @pytest.mark.parametrize(
         "expr",
         [

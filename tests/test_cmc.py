@@ -25,7 +25,7 @@ from bcvhelix import (
 from bcvhelix import cmc
 from bcvhelix.cmc import _family_domain
 from bcvhelix.numerics import DEFAULT_TOL, elementwise
-from conftest import NIL, R3, S2XR, SPHERE, SU2_SPACE
+from conftest import H2XR, NIL, R3, S2XR, SPHERE, SU2_SPACE
 
 # representative (space, H, a, c, m) per solution case; all verified to have
 # a nonnegative first integral on their domain
@@ -208,7 +208,8 @@ class TestMinimalU:
 
 
 class TestFamilyDomain:
-    # _family_domain's U^2 takes a float or, elementwise, a 1-D array
+    # _family_domain's evaluate(u, order) takes a float or, elementwise, a
+    # 1-D array, and returns ((U^2, ...), w)
     def test_scan_propagates_bugs(self):
         @elementwise
         def U2(u):
@@ -216,13 +217,15 @@ class TestFamilyDomain:
                 raise TypeError("bug in U^2")
             return 1.0 + u * u
 
-        with pytest.raises(TypeError):
-            _family_domain(1.0, 0.0, U2, None, (-1.0, 1.0), DEFAULT_TOL)
+        with pytest.raises(TypeError, match="bug in U"):
+            _family_domain(1.0, 0.0, lambda u, order: ((U2(u),), None), None, (-1.0, 1.0), DEFAULT_TOL)
 
     def test_math_failure_bounds_domain(self):
         # math.sqrt's ValueError past u = 0.5 is a mathematical failure
         U2 = elementwise(lambda u: math.sqrt(0.5 - u))
-        lo, hi = _family_domain(1.0, 0.0, U2, None, (-1.0, 1.0), DEFAULT_TOL)
+        lo, hi = _family_domain(
+            1.0, 0.0, lambda u, order: ((U2(u),), None), None, (-1.0, 1.0), DEFAULT_TOL
+        )
         assert lo == -1.0 and 0.5 - DEFAULT_TOL.bisect <= hi < 0.5
 
     @pytest.mark.parametrize(
@@ -231,16 +234,17 @@ class TestFamilyDomain:
     def test_one_u2_evaluation_per_grid_point(self, monkeypatch, space, a, c):
         # the anchor search and the outward walk share the grid's verdicts,
         # so U^2 is evaluated once per grid point and per bisection step; the
-        # Nil3 family is valid on the whole window, the S^2 x R one on one arch
-        calls = []
+        # Nil3 family is valid on the whole window, the S^2 x R one on one arch.
+        # Counted in abscissae: the grid alone is 4097 of them
+        points = []
         build = cmc._build_case
 
         def counting_build(*args):
-            U2, *rest = build(*args)
+            evaluate, *rest = build(*args)
 
-            def counted(u):
-                calls.append(u)
-                return U2(u)
+            def counted(u, order):
+                points.append(np.size(u))
+                return evaluate(u, order)
 
             return (counted, *rest)
 
@@ -250,7 +254,66 @@ class TestFamilyDomain:
         assert (U.domain == window) == (space is NIL)
         step = (window[1] - window[0]) / 4096
         bisections = 2 * math.ceil(math.log2(step / DEFAULT_TOL.bisect))
-        assert len(calls) <= 4097 + bisections
+        assert 4097 <= sum(points) <= 4097 + bisections
+
+
+class TestOneTranscendentalPerAbscissa:
+    # each closed form evaluates its sin/cos or cosh/sinh pair once per
+    # abscissa: U and U' together, U'' alone, and the scan's admissibility
+    # margin, which reads U^2 and the sqrt(Delta) term from one evaluation
+    CASES = [
+        (S2XR, 0.3, 0.5, CmcCase.OSCILLATORY, "sin", "cos"),
+        (H2XR, 0.2, 0.3, CmcCase.HYPERBOLIC_COSH, "cosh", "sinh"),
+        (SPHERE, 0.2, 0.4, CmcCase.SPACE_FORM_GENERIC, "sin", "cos"),
+    ]
+
+    @staticmethod
+    def _count(monkeypatch):
+        counts = {}
+        for name in ("sin", "cos", "sinh", "cosh"):
+            fn = getattr(cmc, name)
+
+            def counted(x, fn=fn, name=name):
+                counts[name] = counts.get(name, 0) + np.size(x)
+                return fn(x)
+
+            monkeypatch.setattr(cmc, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("space,a,c,case,p,q", CASES, ids=[c[3].value for c in CASES])
+    def test_counts(self, monkeypatch, space, a, c, case, p, q):
+        counts = self._count(monkeypatch)
+        window = (-3.5, 3.5)
+        U, got = cmc_U(space, 1.0, a, 0.0, c, u_window=window)
+        assert got is case
+        us = np.linspace(*U.domain, 1001)[1:-1]
+        n = us.size
+        for column in (U.values, U.second_column):
+            counts.clear()
+            column(us)
+            assert counts == {p: n, q: n}
+        evaluate, excluded, freq = cmc._build_case(space, 1.0, a, 0.0, c, case, DEFAULT_TOL)
+        grid = np.linspace(*window, 4097)
+        counts.clear()
+        margins = cmc._margin(1.0, a, evaluate, excluded, DEFAULT_TOL, grid)
+        assert counts == {p: grid.size}
+        assert (margins > -math.inf).any()
+
+    def test_overflow_in_every_derivative(self):
+        # past beta u = 710.48 math.cosh overflows: each float call raises
+        # math's OverflowError, and each array call is NaN at that abscissa
+        U, case = cmc_U(H2XR, 1.0, 0.2, 0.0, 0.3, u_window=(-3.5, 3.5))
+        assert case is CmcCase.HYPERBOLIC_COSH
+        u = 2000.0
+        with pytest.raises(OverflowError):
+            math.cosh(math.sqrt(0.75) * u)
+        for f in (U, U.deriv, U.second):
+            with pytest.raises(OverflowError, match="^math range error$"):
+                f(u)
+        us = np.array([0.5, u])
+        columns = (U.column(us), *U.values(us), U.second_column(us))
+        for column, f in zip(columns, (U, U, U.deriv, U.second)):
+            assert column[0] == f(0.5) and np.isnan(column[1])
 
 
 class TestResiduals:

@@ -143,17 +143,17 @@ def test_family_margins_match_float_path(config, pitches):
     space, tol = job.space, job.tol
     H = job.H if job.seed_family == "cmc-case" else 0.0
     case = cmc.select_case(space, H, job.a, job.c, tol)
-    U2, _, _, excluded, freq = cmc._build_case(space, job.m, job.a, H, job.c, case, tol)
+    evaluate, excluded, freq = cmc._build_case(space, job.m, job.a, H, job.c, case, tol)
     lo, hi = job.u_range
     n = max(4097, 1 + int(512.0 * (hi - lo) * freq / (2.0 * math.pi)))
     grid = lo + (hi - lo) * np.arange(n) / (n - 1)
     assert grid.tolist() == [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    margins = cmc._margin(job.m, job.a, U2, excluded, tol, grid)
+    margins = cmc._margin(job.m, job.a, evaluate, excluded, tol, grid)
     anchor = float(grid[int(np.argmax(margins))])
     walk = _scan_abscissae(lo, hi, anchor, (hi - lo) / (n - 1))
     for us in (grid, walk):
-        got = cmc._margin(job.m, job.a, U2, excluded, tol, us)
-        want = [cmc._margin(job.m, job.a, U2, excluded, tol, u) for u in us.tolist()]
+        got = cmc._margin(job.m, job.a, evaluate, excluded, tol, us)
+        want = [cmc._margin(job.m, job.a, evaluate, excluded, tol, u) for u in us.tolist()]
         assert _bits(got) == _bits(want)
 
 
