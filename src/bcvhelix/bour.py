@@ -152,33 +152,37 @@ def delta(space: BcvSpace, seed: BourSeed, u: float, tol: Tolerances = DEFAULT_T
 def gauss_intrinsic(U, u):
     """Gaussian curvature of a natural chart from its metric profile: -U''/U.
 
-    At a float u, or the column at a 1-D array of u, from one array call of
-    U'' and one of U: each element is the float call's value bit for bit,
-    or NaN where the float call raises a BcvHelixError.  Elements that are
-    not finite are evaluated again as floats, so any other error propagates.
+    At a float u, or the column at a 1-D array of u, from U and U'' at the
+    array (``jet_columns``, one call of a JetFunction's jet): each element
+    is the float call's value bit for bit, or NaN where the float call
+    raises a BcvHelixError.  Elements that are not finite are evaluated
+    again as floats, so any other error propagates.
     """
     U = SmoothFunction.wrap(U)
     if not isinstance(u, np.ndarray):
         return -U.second(u) / U(u)
     with np.errstate(all="ignore"):
-        out = -U.second_column(u) / U.column(u)
+        Uv, d2U = U.jet_columns(u, first=False)
+        out = -d2U / Uv
     return float_rows(out, ~np.isfinite(out), lambda v: gauss_intrinsic(U, v), u)
 
 
-def xi1_from_seed(space: BcvSpace, seed: BourSeed, u, tol: Tolerances = DEFAULT_TOL):
+def xi1_from_seed(space: BcvSpace, seed: BourSeed, u, tol: Tolerances = DEFAULT_TOL, Uv=None):
     """Profile radius xi1(u) = 2 sqrt(num/den) at a float u, or the column of
     radii at a 1-D array of u.
 
     The array goes through ``chart_terms`` with an ``ArrayOps``, over U
-    evaluated once for the whole array; each element is the float call's
-    value bit for bit.  The float call evaluates again only the elements the
-    array pass fails (or whose U is NaN), so the first of them that fails
-    raises the float path's own error.
+    evaluated once for the whole array (``Uv``, if given, is that column,
+    ``seed.U.column(u)``); each element is the float call's value bit for
+    bit.  The float call evaluates again only the elements the array pass
+    fails (or whose U is NaN), so the first of them that fails raises the
+    float path's own error.
     """
     if not isinstance(u, np.ndarray):
         *_, xi1sq = chart_terms(space, seed.m, seed.a, seed.U(u), u, tol)
         return math.sqrt(xi1sq)
-    Uv = seed.U.column(u)
+    if Uv is None:
+        Uv = seed.U.column(u)
     ops = ArrayOps(u.size)
     with np.errstate(all="ignore"):
         *_, xi1sq = chart_terms(space, seed.m, seed.a, Uv, u, tol, ops)
@@ -388,9 +392,16 @@ class NaturalChart:
         self._check(u)
         return self.domain.read(u)
 
-    def xi1(self, u):
-        """The profile radius at a float u, or its column at a 1-D array."""
-        return self._xi1_fn(self.clamped(u))
+    def xi1(self, u, with_U: bool = False):
+        """The profile radius at a float u, or its column at a 1-D array;
+        with ``with_U``, at a 1-D array, (xi1, U): the radii and the metric
+        profile's column at the abscissae they read, U evaluated once for
+        both."""
+        us = self.clamped(u)
+        if not with_U:
+            return self._xi1_fn(us)
+        Uv = self.U.column(us)
+        return self._xi1_fn(us, Uv), Uv
 
     def dxi1(self, u: float) -> float:
         return self._dxi1_fn(self.clamped(u))
@@ -486,7 +497,7 @@ def build_chart(space: BcvSpace, seed: BourSeed, tol: Tolerances = DEFAULT_TOL) 
         seed=seed,
         u_valid=u_valid,
         u0=u0,
-        _xi1_fn=lambda u: xi1_from_seed(space, seed, u, tol),
+        _xi1_fn=lambda u, Uv=None: xi1_from_seed(space, seed, u, tol, Uv),
         _dxi1_fn=_analytic_dxi1(space, seed, tol),
         _xi2_quad=xi2_quad,
         _theta0_quad=theta0_quad,

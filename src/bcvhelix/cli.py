@@ -640,13 +640,15 @@ def _int_rows(table, prefix: str) -> str:
 
 
 def write_profile_csv(path: str, chart: NaturalChart, nu: int, margin: float = 1e-9):
-    """The chart at nu abscissae: each column is one array query."""
+    """The chart at nu abscissae: each column is one array query, and the U
+    column is the one xi1 reads."""
     lo, hi = chart.u_valid
     us = np.linspace(lo + margin, hi - margin, nu)
-    xi2, theta0, xi1 = chart.xi2(us), chart.theta0(us), chart.xi1(us)
-    # xi1(us) raised nowhere, so U's float call raises at no u: U's column
-    # is the float values
-    table = np.stack([us, xi1, xi2, theta0, chart.U.column(us)], axis=1)
+    xi2, theta0 = chart.xi2(us), chart.theta0(us)
+    # xi1 raised nowhere, so U's float call raises at no u: U's column is
+    # the float values
+    xi1, U = chart.xi1(us, with_U=True)
+    table = np.stack([us, xi1, xi2, theta0, U], axis=1)
     _write_atomic(path, "u,xi1,xi2,theta0,U\n" + _e16_rows(table, ","))
 
 
@@ -723,13 +725,14 @@ def write_obj(path: str, mesh: MeshGrid, vertex_fields=None, faces: Optional[str
     _write_atomic(path, text or "\n")
 
 
-def _surface(job: JobConfig, chart: NaturalChart) -> SurfaceChart:
+def _surface(job: JobConfig, chart: NaturalChart, orient: Optional[float] = None) -> SurfaceChart:
     if job.raw_theta:
         # raw (u, theta) parametrization of the same surface: theta0 = 0, m = 1
         return SurfaceChart.raw(
-            chart.space, chart.xi1, chart.xi2, chart.a, chart.u_valid, job.t_range, domain=chart.domain
+            chart.space, chart.xi1, chart.xi2, chart.a, chart.u_valid, job.t_range,
+            domain=chart.domain, orient=orient,
         )
-    return SurfaceChart.from_natural(chart, t_range=job.t_range)
+    return SurfaceChart.from_natural(chart, t_range=job.t_range, orient=orient)
 
 
 def _interior_grid(chart: NaturalChart, job: JobConfig, margin_frac: float = 0.02):
@@ -764,7 +767,10 @@ def _cmd_profile(job: JobConfig, out_dir: str) -> int:
 
 def cmd_verify(job: JobConfig, out_dir: str) -> int:
     chart, meta = make_chart(job, *resolve_profile(job))
-    sc = SurfaceChart.from_natural(chart, t_range=job.t_range)
+    # the report and stdout read |H|, E, F, G and the vertex errors, which
+    # the normal's sign does not move: a fixed sign spares the chart the
+    # orientation probe
+    sc = SurfaceChart.from_natural(chart, t_range=job.t_range, orient=1.0)
     us = _interior_grid(chart, job)
     ts = np.linspace(job.t_range[0], job.t_range[1], min(job.nt, 7))
     # a row whose residual cannot be evaluated, or a vertex that cannot be
@@ -852,7 +858,10 @@ def _export_mesh(
 
 def cmd_export(job: JobConfig, out_dir: str) -> int:
     chart, meta = make_chart(job, *resolve_profile(job))
-    mesh, files = _export_mesh(job, chart, out_dir)
+    # only the mesh CSV writes a signed H_ext; without it the report reads
+    # max |H_ext| and the failures, and a fixed sign spares the probe
+    orient = None if "csv" in job.formats else 1.0
+    mesh, files = _export_mesh(job, chart, out_dir, sc=_surface(job, chart, orient))
     h_known = mesh.h_ext[~np.isnan(mesh.h_ext)]
     report = {
         "seed": meta,

@@ -481,10 +481,13 @@ def minimal_U(
     return cmc_U(space, m, a, 0.0, c, u_window, tol)[0], cls
 
 
-def _eq_principal_pieces(space: BcvSpace, seed: BourSeed, u, tol: Tolerances, xp=SCALAR):
+def _eq_principal_pieces(space: BcvSpace, seed: BourSeed, u, tol: Tolerances, xp=SCALAR, jet=None):
     """(U, U', m^2 U^2, Delta, sqrt(Delta), den, xi1^2, B) at a float u with
-    xp = SCALAR, or at a 1-D array of u with an ``ArrayOps``."""
-    Uv, dU = (seed.U(u), seed.U.deriv(u)) if xp is SCALAR else seed.U.values(u)
+    xp = SCALAR, or at a 1-D array of u with an ``ArrayOps``; ``jet``, if
+    given, is (U, U') there."""
+    if jet is None:
+        jet = (seed.U(u), seed.U.deriv(u)) if xp is SCALAR else seed.U.values(u)
+    Uv, dU = jet
     m2U2, d, sd, _, den, xi1sq = chart_terms(space, seed.m, seed.a, Uv, u, tol, xp)
     if xp.fails(d == 0.0):
         raise NegativeDiscriminant(f"Delta vanishes at u={u}")
@@ -495,8 +498,12 @@ def _eq_principal_pieces(space: BcvSpace, seed: BourSeed, u, tol: Tolerances, xp
 def _residual(space: BcvSpace, seed: BourSeed, H: float, u, tol: Tolerances, xp=SCALAR):
     kappa, tau = space.kappa, space.tau
     m = seed.m
-    Uv, dU, m2U2, d, sd, den, xi1sq, B = _eq_principal_pieces(space, seed, u, tol, xp)
-    d2U = seed.U.second(u) if xp is SCALAR else seed.U.second_column(u)
+    # at an array, U, U' and U'' in one evaluation (one jet call of a closed form)
+    jet = None if xp is SCALAR else seed.U.jet_columns(u)
+    Uv, dU, m2U2, d, sd, den, xi1sq, B = _eq_principal_pieces(
+        space, seed, u, tol, xp, None if jet is None else jet[:2]
+    )
+    d2U = seed.U.second(u) if jet is None else jet[2]
     rad = xi1sq - m ** 4 * B * B * Uv * Uv * dU * dU / d
     negative = rad < 0.0
     if xp.fails(negative & (rad < -tol.radicand_clamp)):
@@ -521,11 +528,12 @@ def cmc_residual(
 
     Zero along exact CMC-H families.  U'' comes from the seed's profile
     (analytic for all closed-form families).  At a float u, or the column at
-    a 1-D array of u, one array pass over U, U' and U'' evaluated once each:
-    every element is the float call's value bit for bit, or NaN where the
-    float call raises a BcvHelixError.  The elements the array pass fails,
-    or whose value is not finite, are evaluated again as floats, so any
-    other error propagates.
+    a 1-D array of u, one array pass over U, U' and U'' evaluated once
+    (``jet_columns``, one jet call of a closed form): every element is the
+    float call's value bit for bit, or NaN where the float call raises a
+    BcvHelixError.  The elements the array pass fails, or whose value is
+    not finite, are evaluated again as floats, so any other error
+    propagates.
     """
     if not isinstance(u, np.ndarray):
         return _residual(space, seed, H, u, tol)

@@ -978,6 +978,15 @@ class SmoothFunction:
         """f'' at a 1-D array of u, as ``column``."""
         return elementwise(self.second)(us)
 
+    def jet_columns(self, us: np.ndarray, first: bool = True) -> tuple:
+        """(f, f', f'') at a 1-D array of u, each as ``column``, or (f, f'')
+        without ``first``: ``values`` then ``second_column``, or
+        ``second_column`` then ``column``."""
+        if first:
+            return (*self.values(us), self.second_column(us))
+        d2f = self.second_column(us)
+        return self.column(us), d2f
+
     @classmethod
     def wrap(cls, f) -> "SmoothFunction":
         return f if isinstance(f, SmoothFunction) else cls(f)
@@ -1005,9 +1014,9 @@ class ArrayFunction(SmoothFunction):
 class JetFunction(ArrayFunction):
     """An ArrayFunction given by one evaluation ``jet(u, order)``, which
     returns (f, f', ..., f^(order)) at a float u or, as ArrayFunction's f,
-    at a 1-D array.  Each float call and each of ``column``, ``values`` and
-    ``second_column`` is one jet call, so the work f and its derivatives
-    share is done once."""
+    at a 1-D array.  Each float call and each of ``column``, ``values``,
+    ``second_column`` and ``jet_columns`` is one jet call, so the work f
+    and its derivatives share is done once."""
 
     def __init__(self, jet: Callable, tol: Tolerances = DEFAULT_TOL):
         super().__init__(lambda u: jet(u, 0)[0], lambda u: jet(u, 1)[1], lambda u: jet(u, 2)[2], tol)
@@ -1020,3 +1029,8 @@ class JetFunction(ArrayFunction):
     def second_column(self, us: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
             return self.jet(us, 2)[2]
+
+    def jet_columns(self, us: np.ndarray, first: bool = True) -> tuple:
+        with np.errstate(all="ignore"):
+            f, df, d2f = self.jet(us, 2)
+        return (f, df, d2f) if first else (f, d2f)

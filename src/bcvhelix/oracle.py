@@ -28,7 +28,12 @@ convention fixed by the Euclidean cylinder of radius R giving |H| = 1/R.
 The normal is oriented toward the outward radial direction at a reference
 point (falling back to continuity along u) and the sign is propagated, so
 signed comparisons between two pipelines are made after matching the
-orientation once per chart.
+orientation once per chart.  A chart built with a sign (``orient``) runs
+no probe.  Of the commands, only a mesh CSV writes a signed H (``H_ext``):
+``export`` and ``deform`` with "csv" orient their charts by the probe.
+``verify`` reads |H| and the first form, and a CSV-less ``export`` reports
+max |H_ext|, none of which the sign moves, so both fix the sign and skip
+the probe.
 """
 
 from __future__ import annotations
@@ -90,7 +95,11 @@ class SurfaceChart:
     oracle measures the embedding only.  ``domain`` is the ProfileDomain of
     the u the chart evaluates at and of the abscissa it reads each at, so
     the oracle can settle a stencil without a query that raises; without
-    one the chart admits every u and reads it as given.
+    one the chart admits every u and reads it as given.  ``orient``, +1.0
+    or -1.0, is the sign of the chart's normal; with None the first
+    curvature measurement finds it with the orientation probe
+    (``_orientation``).  Only a signed H needs it: |H|, K and the first
+    form are the same under either sign.
     """
 
     def __init__(
@@ -105,7 +114,10 @@ class SurfaceChart:
         t_range: tuple[float, float],
         domain: ProfileDomain = ProfileDomain(),
         profile: Optional[Callable] = None,
+        orient: Optional[float] = None,
     ):
+        if orient not in (None, 1.0, -1.0):
+            raise ValueError(f"orient must be None, 1.0 or -1.0, got {orient!r}")
         self.space = space
         self.xi1 = xi1
         self.xi2 = xi2
@@ -116,7 +128,7 @@ class SurfaceChart:
         self.t_range = t_range
         self.domain = domain
         self._profile = profile
-        self._orient: Optional[float] = None
+        self._orient = orient
 
     @classmethod
     def from_natural(
@@ -124,6 +136,7 @@ class SurfaceChart:
         chart: NaturalChart,
         t_range: tuple[float, float] = (-math.pi, math.pi),
         u_range: Optional[tuple[float, float]] = None,
+        orient: Optional[float] = None,
     ) -> "SurfaceChart":
         return cls(
             chart.space,
@@ -136,6 +149,7 @@ class SurfaceChart:
             t_range,
             domain=chart.domain,
             profile=chart.profile,
+            orient=orient,
         )
 
     @classmethod
@@ -148,9 +162,10 @@ class SurfaceChart:
         u_range: tuple[float, float],
         t_range: tuple[float, float],
         domain: ProfileDomain = ProfileDomain(),
+        orient: Optional[float] = None,
     ) -> "SurfaceChart":
         """The chart with theta = t: theta0 = 0 and m = 1."""
-        return cls(space, xi1, xi2, _no_gauge, 1.0, a, u_range, t_range, domain=domain)
+        return cls(space, xi1, xi2, _no_gauge, 1.0, a, u_range, t_range, domain=domain, orient=orient)
 
     @classmethod
     def from_profile(

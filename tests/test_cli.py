@@ -12,9 +12,12 @@ from bcvhelix import cli, cmc, gauss_intrinsic
 from bcvhelix.cli import main
 from bcvhelix.errors import BcvHelixError, ConfigError, DomainError
 from bcvhelix.numerics import SCALAR
-from bcvhelix.oracle import MeshGrid
+from bcvhelix.oracle import MeshGrid, SurfaceChart
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import inputs  # noqa: E402  (the benchmark's job lists)
 
 
 def run(tmp_path, command, cfg, overrides=(), out=None):
@@ -75,6 +78,30 @@ class TestChartProfile:
             th_exact = -math.atan(u) + math.sqrt(2) * math.atan(u / math.sqrt(2))
             assert abs(th0 - th_exact) < 1e-8
             assert abs(U - 0.5 * (u * u + 2)) < 1e-12
+
+    def test_one_profile_evaluation_per_csv_row(self, tmp_path, monkeypatch):
+        # the U column is the U that xi1 reads: a warm profile CSV of the
+        # S2 x R minimal family (oscillatory: U is sin of one product per
+        # abscissa) evaluates sin once per row, and xi2 and theta0 read the
+        # cells the first CSV grew
+        counts = {}
+        for name in ("sin", "cos", "sinh", "cosh"):  # the profile takes them when it is built
+            fn = getattr(cmc, name)
+
+            def counted(x, fn=fn, name=name):
+                counts[name] = counts.get(name, 0) + np.size(x)
+                return fn(x)
+
+            monkeypatch.setattr(cmc, name, counted)
+        job = cli.parse_config(inputs._minimal_config("S2xR", 1.0, 0.0, 0.3, 0.5, 1.0, ["csv"]), "minimal")
+        chart, _ = cli.make_chart(job, *cli.resolve_profile(job))
+        path = str(tmp_path / "profile.csv")
+        cli.write_profile_csv(path, chart, 101)
+        warm = pathlib.Path(path).read_bytes()
+        counts.clear()
+        cli.write_profile_csv(path, chart, 101)
+        assert counts == {"sin": 101}
+        assert pathlib.Path(path).read_bytes() == warm
 
 
 class TestVerify:
@@ -1201,20 +1228,23 @@ class TestWithoutScipy:
         assert done.stdout.strip() == "[]"
 
 
-def count_chart_reads(monkeypatch):
+def count_chart_reads(monkeypatch, sizes=None):
     """The charts of the top-level ``oracle._fit_rows`` calls from now on:
-    one chart query each, the splits of a refused batch not counted."""
+    one chart query each, the splits of a refused batch not counted;
+    ``sizes``, if given, gains each query's number of abscissae."""
     from bcvhelix import oracle
 
     reads, depth = [], [0]
     real = oracle._fit_rows
 
-    def counted(chart, *args):
+    def counted(chart, xs, starts):
         if not depth[0]:
             reads.append(chart)
+            if sizes is not None:
+                sizes.append(xs.size)
         depth[0] += 1
         try:
-            return real(chart, *args)
+            return real(chart, xs, starts)
         finally:
             depth[0] -= 1
 
@@ -1356,3 +1386,89 @@ class TestExplicitSqrt:
         fn = cli._compile_expr("sqrt(u*u + 1) - u / sqrt(u*u + 1)", "seed.U")
         us = np.linspace(-3.0, 3.0, 61)
         assert fn(us).view(np.uint64).tolist() == np.array([fn(u) for u in us.tolist()]).view(np.uint64).tolist()
+
+
+def _verify_configs():
+    """(name, config) of the benchmark's 12 verify families and the three
+    shipped configs."""
+    jobs = [(job.name, job.config) for job in inputs._fixed_jobs("verify")]
+    for name in ("heisenberg_minimal", "catenoid_to_helicoid", "euclidean_cmc"):
+        jobs.append((name, json.loads((CONFIG_DIR / f"{name}.json").read_text())))
+    return jobs
+
+
+VERIFY_CONFIGS = _verify_configs()
+
+
+class TestOrientOnlyForSignedH:
+    """Only a mesh CSV writes a signed H_ext: ``verify`` and an ``export``
+    without "csv" give their chart a fixed sign and run no orientation
+    probe, while ``export`` and ``deform`` with a CSV still probe."""
+
+    @staticmethod
+    def count_probes(monkeypatch):
+        from bcvhelix import oracle
+
+        signs = []
+        real = oracle._orientation
+
+        def counted(*args):
+            signs.append(real(*args))
+            return signs[-1]
+
+        monkeypatch.setattr(oracle, "_orientation", counted)
+        return signs
+
+    @pytest.mark.parametrize("name, cfg", VERIFY_CONFIGS, ids=[name for name, _ in VERIFY_CONFIGS])
+    def test_verify_same_with_or_without_the_probe(self, tmp_path, monkeypatch, capsys, name, cfg):
+        signs = self.count_probes(monkeypatch)
+        fixed, probed = tmp_path / "fixed", tmp_path / "probed"
+        code = run(tmp_path, "verify", cfg, out=fixed)
+        out = capsys.readouterr().out
+        assert signs == []
+
+        class Unsigned(SurfaceChart):  # the chart as a library caller builds it
+            def __init__(self, *args, orient=None, **kwargs):
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "SurfaceChart", Unsigned)
+        assert run(tmp_path, "verify", cfg, out=probed) == code
+        assert capsys.readouterr().out == out
+        # every family probes to -1: the fixed sign +1 flips each H
+        assert signs == [-1.0]
+        assert sorted(p.name for p in probed.iterdir()) == sorted(p.name for p in fixed.iterdir())
+        for path in fixed.iterdir():
+            assert (probed / path.name).read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("name, cfg", VERIFY_CONFIGS[:12], ids=[name for name, _ in VERIFY_CONFIGS[:12]])
+    def test_verify_reads_no_probe_rows(self, tmp_path, monkeypatch, name, cfg):
+        # one chart query: the 14 check rows x 9 stencil abscissae at the
+        # default grid, without the probe's 7 x 9
+        signs, sizes = self.count_probes(monkeypatch), []
+        count_chart_reads(monkeypatch, sizes)
+        run(tmp_path, "verify", cfg)
+        assert sizes == [126] and signs == []
+
+    @pytest.mark.parametrize("name", ["heisenberg_minimal", "catenoid_to_helicoid", "euclidean_cmc"])
+    def test_export_probes_only_for_the_csv(self, tmp_path, monkeypatch, name):
+        signs = self.count_probes(monkeypatch)
+        reports = {}
+        for formats in (["csv", "json"], ["obj", "json"], ["json"]):
+            cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+            cfg.pop("sweep", None)
+            cfg["output"]["formats"] = formats
+            out = tmp_path / "-".join(formats)
+            signs.clear()
+            assert run(tmp_path, "export", cfg, out=out) == 0
+            assert len(signs) == ("csv" in formats)
+            report = json.loads((out / f"{cfg['output']['basename']}.export.json").read_text())
+            del report["files"]
+            reports["-".join(formats)] = report
+        assert reports["csv-json"] == reports["obj-json"] == reports["json"]
+
+    def test_deform_with_a_csv_probes_each_frame(self, tmp_path, monkeypatch):
+        signs = self.count_probes(monkeypatch)
+        cfg = json.loads((CONFIG_DIR / "heisenberg_minimal.json").read_text())
+        assert "csv" in cfg["output"]["formats"]
+        assert run(tmp_path, "deform", cfg) == 0
+        assert len(signs) == len(cfg["sweep"]["values"]) == 4

@@ -16,6 +16,7 @@ from bcvhelix import (
     cmc_constants,
     cmc_residual,
     first_integral_check,
+    gauss_intrinsic,
     mean_curvature_reduced,
     minimal_U,
     select_case,
@@ -24,7 +25,7 @@ from bcvhelix import (
 )
 from bcvhelix import cmc
 from bcvhelix.cmc import _family_domain
-from bcvhelix.numerics import DEFAULT_TOL, elementwise
+from bcvhelix.numerics import DEFAULT_TOL, ArrayFunction, JetFunction, elementwise
 from conftest import H2XR, NIL, R3, S2XR, SPHERE, SU2_SPACE
 
 # representative (space, H, a, c, m) per solution case; all verified to have
@@ -314,6 +315,44 @@ class TestOneTranscendentalPerAbscissa:
         columns = (U.column(us), *U.values(us), U.second_column(us))
         for column, f in zip(columns, (U, U, U.deriv, U.second)):
             assert column[0] == f(0.5) and np.isnan(column[1])
+
+
+class TestOneJetCallPerArrayCall:
+    # cmc_residual and gauss_intrinsic read U, U' and U'' of a closed form
+    # from one jet call at the array; an explicit seed's ArrayFunction keeps
+    # its one call of each function it reads
+    @pytest.mark.parametrize("space,a,c", [(S2XR, 0.3, 0.5), (H2XR, 0.2, 0.3), (SPHERE, 0.2, 0.4)])
+    def test_closed_form(self, space, a, c):
+        U, _ = cmc_U(space, 1.0, a, 0.0, c, u_window=(-3.5, 3.5))
+        calls = []
+        counted = JetFunction(lambda u, order: calls.append((np.size(u), order)) or U.jet(u, order))
+        us = np.linspace(*U.domain, 41)[1:-1]
+        seed = BourSeed(counted, 1.0, a, U.domain)
+        want = cmc_residual(space, BourSeed(U, 1.0, a, U.domain), 0.0, us)
+        assert np.array_equal(cmc_residual(space, seed, 0.0, us), want, equal_nan=True)
+        assert calls == [(us.size, 2)]
+        calls.clear()
+        assert np.array_equal(gauss_intrinsic(counted, us), gauss_intrinsic(U, us))
+        assert calls == [(us.size, 2)]
+
+    def test_explicit_seed_keeps_its_calls(self):
+        calls = []
+
+        def counted(name, fn):
+            return lambda u: calls.append(name) or fn(u)
+
+        # the catenoid's U = sqrt(u^2 + 1): its residual is finite at every row
+        U = ArrayFunction(
+            counted("f", lambda u: np.sqrt(u * u + 1.0)),
+            counted("df", lambda u: u / np.sqrt(u * u + 1.0)),
+            counted("d2f", lambda u: (u * u + 1.0) ** -1.5),
+        )
+        us = np.linspace(-1.0, 1.0, 9)
+        assert np.abs(cmc_residual(R3, BourSeed(U, 1.0, 0.0, (-2.0, 2.0)), 0.0, us)).max() < 1e-12
+        assert calls == ["f", "df", "d2f"]
+        calls.clear()
+        gauss_intrinsic(U, us)
+        assert calls == ["d2f", "f"]
 
 
 class TestResiduals:

@@ -680,9 +680,10 @@ def edge_rows(u_valid, tol=DEFAULT_TOL):
     return np.concatenate([[lo + d for d in near], inner, [hi - d for d in near]])
 
 
-def settle_chart(which):
+def settle_chart(which, orient=None):
     """(job, surface) of a deform frame of a shipped config at a = 0.25, or
-    of a benchmark family; the surface spans the chart's u_valid."""
+    of a benchmark family; the surface spans the chart's u_valid and has
+    the normal's sign ``orient``."""
     if which == "shipped-heisenberg_minimal":
         cfg = json.loads((CONFIG_DIR / "heisenberg_minimal.json").read_text())
         job = cli.parse_config(cfg, "deform")
@@ -690,7 +691,7 @@ def settle_chart(which):
     else:
         (config, pitches), = [p.values for p in FAMILIES if p.id == which]
         job, _, (chart,) = _charts(config, pitches[:1])
-    return job, cli._surface(job, chart)
+    return job, cli._surface(job, chart, orient)
 
 
 SETTLE_CHARTS = ["shipped-heisenberg_minimal", "verify-cmc-space-form-generic", "verify-minimal-SU2"]
@@ -1188,3 +1189,32 @@ def test_orientation_matches_row_kernel(config, pitches):
             assert oriented_sign(chart.space, surface, job.tol) == want
             signs.append(want)
     assert set(signs) == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("which", SETTLE_CHARTS)
+def test_a_given_sign_runs_no_probe_and_flips_only_the_signed_fields(which, monkeypatch):
+    # a chart built with the sign the probe finds measures every field bit
+    # for bit as the probed chart; with the other sign, only the normal and
+    # the second form (L, M, N, H) change sign
+    job, probed = settle_chart(which)
+    us, ts = np.linspace(*probed.u_range, 9)[1:-1], np.linspace(*job.t_range, 5)
+    want = local_geometry(job.space, probed, us, ts, job.tol)
+    sign = probed._orient
+    monkeypatch.setattr(oracle, "_orientation", lambda *args: pytest.fail("probe ran"))
+    for orient in (sign, -sign):
+        _, chart = settle_chart(which, orient)
+        got = local_geometry(job.space, chart, us, ts, job.tol)
+        flip = orient * sign
+        for name in FIELDS:
+            scale = flip if name in ("normal", "L", "M", "N", "H") else 1.0
+            assert np.array_equal(getattr(got, name), scale * getattr(want, name), equal_nan=True), name
+        assert [[(type(e), str(e)) for e in row] for row in got.errors] == [
+            [(type(e), str(e)) for e in row] for row in want.errors
+        ]
+
+
+def test_orient_is_a_sign_or_none(catenoid_chart):
+    for orient in (None, 1.0, -1.0):
+        assert SurfaceChart.from_natural(catenoid_chart, orient=orient)._orient == orient
+    with pytest.raises(ValueError, match="orient"):
+        SurfaceChart.from_natural(catenoid_chart, orient=0.5)
